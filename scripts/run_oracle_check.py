@@ -3,8 +3,7 @@
 
 Integrates the full driven qubit-cavity Hamiltonian in a truncated Fock
 space for tiny arrays, applies the sigma-z echo, and compares the
-extracted pair phases against the analytic formula.  The 2x2 case takes
-a few minutes.
+extracted pair phases against the analytic formula.
 """
 
 import argparse

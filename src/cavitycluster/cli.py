@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .effective import (
-    cluster_fidelity,
     graph_stabilizer,
     local_correction,
     product_state,
@@ -31,6 +30,7 @@ from .effective import (
     reduced_single_qubit,
     reference_cluster,
     stabilizer_expectation,
+    state_overlap,
 )
 from .geomphase import (
     GateTimeNotFoundError,
@@ -74,7 +74,7 @@ _SCHEMA: dict[str, set[str]] = {
     },
     "cluster": {"tau", "nn_only", "periodic", "snapshot", "fidelity_min"},
     "oracle": {"n_max", "tolerance", "tau", "corrupt_identity"},
-    "mbqc": {"pattern", "builtin", "theta1", "theta2", "theta3", "source", "mode"},
+    "mbqc": {"pattern", "builtin", "theta1", "theta2", "theta3", "source"},
 }
 
 
@@ -352,9 +352,12 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
     table = build_phase_table(cfg, tau)
     reg = product_state(cfg.M, cfg.N)
-    evolved = apply_pairwise_xx(reg, table, nn_only=run.nn_only, periodic=run.periodic)
-    fid = cluster_fidelity(evolved, cfg.M, cfg.N, periodic=run.periodic)
+    try:
+        evolved = apply_pairwise_xx(reg, table, nn_only=run.nn_only, periodic=run.periodic)
+    except ValueError as exc:
+        raise ConfigError(f"[cluster] nn_only = false: {exc}") from None
     corrected = local_correction(evolved, periodic=run.periodic)
+    fid = abs(state_overlap(reference_cluster(cfg.M, cfg.N, run.periodic), corrected)) ** 2
 
     nn_sep = (1, 0) if cfg.M > 1 else (0, 1)
     body = [
@@ -418,7 +421,7 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         jx = oracle.collective_x_operator(cfg, 0, 0)
         sz = oracle.sz_operator(cfg)
         bad = sz @ (jx.conj().T @ jx) + (jx.conj().T @ jx) @ sz
-        defect = float(np.max(np.abs(np.asarray(bad.todense() if hasattr(bad, "todense") else bad))))
+        defect = float(np.max(np.abs(bad)))
         rows.append(("identity.self_test_corrupted", defect, 1e-14, defect <= 1e-14, True))
 
     try:

@@ -156,10 +156,15 @@ def apply_pairwise_xx(
 
     With nn_only, only nearest-neighbor pairs (periodic wrap optional) are
     applied; otherwise every unordered pair of distinct sites, with Gamma
-    taken from the table at the pair's canonical separation.
+    taken from the table at the pair's canonical separation.  The table's
+    separations are periodic on the patch, so the all-pairs form needs
+    periodic boundaries: an open patch would alias distant pairs onto
+    nearby separations.
     """
     if table.config.M != reg.M or table.config.N != reg.N:
         raise ValueError("phase table dimensions do not match register")
+    if not nn_only and not periodic:
+        raise ValueError("all-pairs evolution needs periodic boundaries")
     out = reg.copy()
     if nn_only:
         pairs = grid_edges(reg.M, reg.N, periodic)

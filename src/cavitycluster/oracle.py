@@ -10,33 +10,40 @@ S_z U(tau) S_z U(tau), and extracts the realized pairwise phases for
 comparison against the analytic mode sums in
 :mod:`cavitycluster.geomphase`.
 
-The field is kept in the mode basis, so the drive term is diagonal in
-mode index.  Because [H(t1), H(t2)] is a qubit-only operator that
-commutes with H, the propagator closes at second Magnus order and the
-integrated dynamics must match the analytic displacement-plus-phase
-construction to integrator tolerance.
+In the per-site sigma_x eigenbasis every collective operator J_X is
+diagonal, so a qubit configuration c is never mixed with another and sees
+
+    H_c(t) = sum_modes [ lambda_{m,c} e^{-i omega_m t} a_m + h.c. ],
+
+a sum of commuting single-mode drives.  Started in the field vacuum, the
+field of configuration c therefore stays exactly a product over modes, and
+the oracle integrates one (n_max+1)-dimensional state per (mode,
+configuration) pair, batched as one array psi[f, mode, configuration].
+The joint vacuum amplitude of a configuration is the product of its
+factors' vacuum amplitudes.  The size cap counts exactly that array:
+2^{MN} configurations x MN modes x (n_max+1) Fock levels.
+
+Because [H(t1), H(t2)] is a qubit-only operator that commutes with H, the
+propagator closes at second Magnus order and the integrated dynamics must
+match the analytic displacement-plus-phase construction to integrator
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import LatticeConfig, enumerate_modes
 
 __all__ = [
     "MAX_ORACLE_QUBITS",
     "MAX_TOTAL_DIMENSION",
-    "FockRegister",
     "EvolutionReport",
     "IntegratorError",
     "InvalidExtractionError",
-    "build_hamiltonian",
-    "evolve",
     "echo_evolve",
     "extract_pair_phase",
     "check_identities",
@@ -56,24 +63,10 @@ class InvalidExtractionError(RuntimeError):
     """Field not disentangled: residual excitation too large for phase readout."""
 
 
-@dataclass
-class FockRegister:
-    """Dense joint state over qubits x truncated cavity modes."""
-
-    config: LatticeConfig
-    n_max: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_dims(self.config, self.n_max)
-        self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if self.amps.size != total_dimension(self.config, self.n_max):
-            raise ValueError("amplitude vector has wrong dimension")
-
-
 def total_dimension(config: LatticeConfig, n_max: int) -> int:
+    """Amplitudes in one field block: configurations x modes x Fock levels."""
     nq = config.n_sites
-    return 2**nq * (n_max + 1) ** nq
+    return 2**nq * nq * (n_max + 1)
 
 
 def _check_dims(config: LatticeConfig, n_max: int) -> None:
@@ -120,202 +113,94 @@ def sz_operator(config: LatticeConfig, skip_site: tuple[int, int] | None = None)
     return out
 
 
-def _mode_lowering(n_max: int, mode_index: int, n_modes: int) -> sp.csr_matrix:
-    a = sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, format="csr")
-    eye = sp.identity(n_max + 1, format="csr")
-    out = sp.identity(1, format="csr")
-    for i in range(n_modes):
-        out = sp.kron(out, a if i == mode_index else eye, format="csr")
-    return out
+def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mode frequencies omega[m] and drive coefficients lam[m, c].
 
-
-@lru_cache(maxsize=16)
-def _coupling_terms(config: LatticeConfig, n_max: int):
-    """Per mode: (omega, C, C_dagger) with H(t) = sum e^{-i w t} C + e^{i w t} C^H.
-
-    C = g/sqrt(MN) * (J_X^dagger on qubits) kron (a on that mode).
+    lam[m, c] = g/sqrt(MN) * conj(eigenvalue of J_X(m) on configuration c),
+    configurations indexed like the qubit basis with bit 1 = |-x>, so that
+    H_c(t) = sum_m lam[m, c] e^{-i omega_m t} a_m + h.c.
     """
-    _check_dims(config, n_max)
-    modes = enumerate_modes(config)
-    pref = config.g / math.sqrt(config.n_sites)
-    terms = []
-    for idx, mode in enumerate(modes):
-        jxd = collective_x_operator(config, mode.l, mode.k).conj().T
-        c = sp.kron(
-            sp.csr_matrix(pref * jxd),
-            _mode_lowering(n_max, idx, len(modes)),
-            format="csr",
-        )
-        terms.append((mode.omega, c, c.conj().T.tocsr()))
-    return terms
-
-
-@lru_cache(maxsize=16)
-def _stacked_terms(config: LatticeConfig, n_max: int):
-    """All C_m and C_m^dagger stacked vertically for one-shot application."""
-    terms = _coupling_terms(config, n_max)
-    ws = np.array([w for w, _, _ in terms])
-    stack = sp.vstack([c for _, c, _ in terms] + [cd for _, _, cd in terms], format="csr")
-    return ws, stack
-
-
-def _jx_eigenvalues(config: LatticeConfig, l: int, k: int) -> np.ndarray:
-    """Diagonal of J_X in the per-site sigma_x eigenbasis (bit 1 = |-x>)."""
     nq = config.n_sites
-    L = 2.0 * math.pi * l / config.M
-    K = 2.0 * math.pi * k / config.N
-    lam = np.zeros(2**nq, dtype=complex)
-    for s, (m, n) in enumerate(_sites(config)):
-        signs = np.where((np.arange(2**nq) >> (nq - 1 - s)) & 1, -1.0, 1.0)
-        lam += np.exp(1j * (L * m + K * n)) * signs
-    return lam
-
-
-@lru_cache(maxsize=16)
-def _compact_terms_xbasis(config: LatticeConfig, n_max: int):
-    """Hamiltonian with the qubit factor conjugated into the sigma_x
-    eigenbasis, where every J_X is diagonal.  H(t) then never mixes qubit
-    configurations, so a state started in configuration c stays there and
-    can be carried as a field-space vector with per-configuration drive
-    coefficients.  Pure basis change plus block-diagonal bookkeeping; the
-    integrator itself is untouched.
-
-    Returns (omegas, stack, coeff): stack holds every mode's lowering then
-    raising operator on the field space, and coeff[t, c] is the qubit-
-    configuration-dependent prefactor of stacked term t (paired with
-    e^{-i w t} for the lowering half, e^{+i w t} for the raising half).
-    """
-    _check_dims(config, n_max)
     modes = enumerate_modes(config)
-    pref = config.g / math.sqrt(config.n_sites)
-    ws = np.array([m.omega for m in modes])
-    a_ops = [_mode_lowering(n_max, i, len(modes)) for i in range(len(modes))]
-    stack = sp.vstack(a_ops + [a.conj().T.tocsr() for a in a_ops], format="csr")
-    lam = np.stack(
-        [pref * np.conj(_jx_eigenvalues(config, m.l, m.k)) for m in modes]
-    )
-    coeff = np.vstack([lam, np.conj(lam)])
-    return ws, stack, coeff
+    ws = np.array([mode.omega for mode in modes])
+    m_idx, n_idx = np.array(_sites(config), dtype=float).T
+    site_phase = np.exp(1j * (np.outer([mode.L for mode in modes], m_idx)
+                              + np.outer([mode.K for mode in modes], n_idx)))
+    bits = (np.arange(2**nq) >> (nq - 1 - np.arange(nq))[:, None]) & 1
+    lam = config.g / math.sqrt(nq) * np.conj(site_phase @ (1.0 - 2.0 * bits))
+    return ws, lam
 
 
-def build_hamiltonian(config: LatticeConfig, t: float, n_max: int) -> np.ndarray:
-    """H(t) as a dense Hermitian matrix in the qubit x mode basis."""
-    terms = _coupling_terms(config, n_max)
-    dim = total_dimension(config, n_max)
-    h = np.zeros((dim, dim), dtype=complex)
-    for w, c, cd in terms:
-        h += np.exp(-1j * w * t) * c.toarray() + np.exp(1j * w * t) * cd.toarray()
-    return h
-
-
-def _apply_h(terms, t: float, block: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(block)
-    for w, c, cd in terms:
-        out += np.exp(-1j * w * t) * (c @ block) + np.exp(1j * w * t) * (cd @ block)
+def _apply_h(ws: np.ndarray, lam: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
+    """H(t) applied to psi[f, ..., mode, configuration] (f: Fock number)."""
+    coef = lam * np.exp(-1j * ws * t)[:, None]
+    root = np.sqrt(np.arange(1.0, psi.shape[0])).reshape((-1,) + (1,) * (psi.ndim - 1))
+    out = np.empty_like(psi)
+    out[:-1] = root * coef * psi[1:]  # a
+    out[-1] = 0.0
+    out[1:] += root * np.conj(coef) * psi[:-1]  # a^dagger
     return out
 
 
-def _apply_h_stacked(ws: np.ndarray, stack: sp.csr_matrix, t: float, block: np.ndarray) -> np.ndarray:
-    phases = np.concatenate([np.exp(-1j * ws * t), np.exp(1j * ws * t)])
-    pieces = (stack @ block).reshape(2 * ws.size, block.shape[0], block.shape[1])
-    return np.tensordot(phases, pieces, (0, 0))
-
-
-def _apply_h_compact(
-    ws: np.ndarray, stack: sp.csr_matrix, coeff: np.ndarray, t: float, block: np.ndarray
+def _rk4_run(
+    ws: np.ndarray, lam: np.ndarray, tau: float, block: np.ndarray, steps: int, t0: float
 ) -> np.ndarray:
-    # block[f, c]: field amplitude f of the column sitting in qubit
-    # configuration c; each stacked term carries a per-configuration weight
-    phases = np.concatenate([np.exp(-1j * ws * t), np.exp(1j * ws * t)])
-    pieces = (stack @ block).reshape(2 * ws.size, block.shape[0], block.shape[1])
-    return np.einsum("ts,tfs->fs", phases[:, None] * coeff, pieces)
-
-
-def _rk4_run(apply_fn, tau: float, block: np.ndarray, steps: int, t0: float) -> np.ndarray:
     dt = tau / steps
     psi = block.copy()
     for i in range(steps):
         t = t0 + i * dt
-        k1 = -1j * apply_fn(t, psi)
-        k2 = -1j * apply_fn(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = -1j * apply_fn(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = -1j * apply_fn(t + dt, psi + dt * k3)
+        k1 = -1j * _apply_h(ws, lam, t, psi)
+        k2 = -1j * _apply_h(ws, lam, t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = -1j * _apply_h(ws, lam, t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = -1j * _apply_h(ws, lam, t + dt, psi + dt * k3)
         psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return psi
 
 
 def _integrate_block(
-    config: LatticeConfig,
+    ws: np.ndarray,
+    lam: np.ndarray,
+    g: float,
     tau: float,
-    n_max: int,
     block: np.ndarray,
     tolerance: float,
     t0: float = 0.0,
     max_steps: int = 1 << 19,
-    operator=None,
 ) -> tuple[np.ndarray, int, float]:
     """Fixed-step RK4 with step halving until the Richardson estimate and the
-    unitarity defect both drop below tolerance.  Returns (states, steps, err).
+    norm defect both drop below tolerance.  Returns (states, steps, err).
+
+    block[f, ..., mode, configuration] holds single-mode field factors; its
+    trailing axes match lam.  The joint field of one configuration is the
+    product of its mode factors, so its Richardson error is bounded by the
+    sum of the factors' errors and its norm is the product of their norms.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if operator is None:
-        operator = _stacked_terms(config, n_max)
-    if len(operator) == 2:
-        ws, stack = operator
-        columns_orthogonal = True
-
-        def apply_fn(t, b):
-            return _apply_h_stacked(ws, stack, t, b)
-    else:
-        ws, stack, coeff = operator
-        # compact columns live in distinct qubit configurations, which the
-        # representation keeps implicit; only per-column norms are checkable
-        columns_orthogonal = False
-
-        def apply_fn(t, b):
-            return _apply_h_compact(ws, stack, coeff, t, b)
-
     if tau == 0:
         return block.copy(), 0, 0.0
-    w_max = float(np.max(np.abs(ws))) if ws.size else 0.0
-    scale = max(1.0, w_max * tau, config.g * tau)
+    scale = max(1.0, float(np.max(np.abs(ws))) * tau, g * tau)
     # RK4 error is roughly 0.03 (scale/steps)^4 for these drives; start one
     # halving below the predicted requirement so the doubling loop is short
     predicted = scale * (0.03 / tolerance) ** 0.25
     steps = 64
     while steps * 4 < predicted:
         steps *= 2
-    coarse = _rk4_run(apply_fn, tau, block, steps, t0)
+    coarse = _rk4_run(ws, lam, tau, block, steps, t0)
     while True:
         steps *= 2
         if steps > max_steps:
             raise IntegratorError(
                 f"no convergence to tolerance {tolerance:g} within {max_steps} steps"
             )
-        fine = _rk4_run(apply_fn, tau, block, steps, t0)
-        err = float(np.max(np.linalg.norm(fine - coarse, axis=0))) / 15.0
-        if columns_orthogonal:
-            gram = fine.conj().T @ fine
-            defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-        else:
-            defect = float(np.max(np.abs(np.linalg.norm(fine, axis=0) ** 2 - 1.0)))
+        fine = _rk4_run(ws, lam, tau, block, steps, t0)
+        factor_err = np.linalg.norm(fine - coarse, axis=0)
+        err = float(np.max(np.sum(factor_err, axis=-2))) / 15.0
+        norm2 = np.prod(np.linalg.norm(fine, axis=0) ** 2, axis=-2)
+        defect = float(np.max(np.abs(norm2 - 1.0)))
         if err < tolerance and defect < tolerance:
             return fine, steps, err
         coarse = fine
-
-
-def evolve(config: LatticeConfig, tau: float, n_max: int, tolerance: float) -> np.ndarray:
-    """Full time-ordered propagator over [0, tau] (small dimensions only)."""
-    _check_dims(config, n_max)
-    dim = total_dimension(config, n_max)
-    if dim > 4096:
-        raise ValueError(
-            f"dimension {dim} too large for a dense propagator; use echo_evolve"
-        )
-    ident = np.eye(dim, dtype=complex)
-    u, _, _ = _integrate_block(config, tau, n_max, ident, tolerance)
-    return u
 
 
 @dataclass
@@ -352,35 +237,28 @@ def echo_evolve(
     no-reset variant is exposed for comparison only.
     """
     _check_dims(config, n_max)
-    nq = config.n_sites
-    dimf = (n_max + 1) ** nq
-    ws, stack, coeff = _compact_terms_xbasis(config, n_max)
+    ws, lam = _drive(config)
+    block = np.zeros((n_max + 1,) + lam.shape, dtype=complex)
+    block[0] = 1.0
 
-    # column c: field part of the state started as x-configuration c times
-    # the joint vacuum; the drive never mixes configurations, so each
-    # column stays a pure field vector tagged with its configuration
-    block = np.zeros((dimf, 2**nq), dtype=complex)
-    block[0, :] = 1.0
-
-    psi, steps1, err1 = _integrate_block(
-        config, tau, n_max, block, tolerance, operator=(ws, stack, coeff)
-    )
-    # S_z complements every x bit, leaving the field untouched: column c
-    # now sits in configuration ~c, so the second interval runs with the
-    # configuration coefficients in complemented (reversed) column order
+    psi, steps1, err1 = _integrate_block(ws, lam, config.g, tau, block, tolerance)
+    # S_z complements every x bit, leaving the field untouched: the factors
+    # started in configuration c now sit in ~c, so the second interval runs
+    # with the drive coefficients in complemented (reversed) order
     t0 = 0.0 if time_origin_reset else tau
     psi, steps2, err2 = _integrate_block(
-        config, tau, n_max, psi, tolerance, t0=t0,
-        operator=(ws, stack, coeff[:, ::-1]),
+        ws, lam[:, ::-1], config.g, tau, psi, tolerance, t0=t0
     )
-    # the trailing S_z returns every column to its original configuration
+    # the trailing S_z returns every factor to its original configuration
 
-    # project onto the joint vacuum; the evolution is configuration-
-    # diagonal, so the vacuum block is diagonal over x-basis states
-    vacuum_block = np.diag(psi[0, :].copy())
+    # the evolution is configuration-diagonal, so the vacuum block is
+    # diagonal over x-basis states; the joint vacuum amplitude is the
+    # product of the per-mode vacuum amplitudes
+    vacuum = np.prod(psi[0], axis=0)
+    vacuum_block = np.diag(vacuum)
     # |1 - norm^2| so that norm inflation (pure integrator error) is
     # reported as a defect instead of being silently clipped away
-    residual = float(np.max(np.abs(1.0 - np.abs(psi[0, :]) ** 2)))
+    residual = float(np.max(np.abs(1.0 - np.abs(vacuum) ** 2)))
     return EvolutionReport(
         config=config,
         tau=tau,

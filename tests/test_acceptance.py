@@ -131,25 +131,36 @@ def test_criterion_04_gate_time_scale(request):
 
 
 def test_criterion_05_oracle_equivalence(request):
+    # delta = 20 g keeps the field near vacuum; delta = 0 is the operating
+    # point of the cluster (zero modes included), at g tau = 1.5 so that
+    # Gamma_nn = 0.442 stays inside extraction's |Gamma| < pi/4
+    regimes = (("delta = 20 g", 20.0, 3.0, 4), ("delta = 0", 0.0, 1.5, 30))
     t0 = time.perf_counter()
-    worst_phase = 0.0
-    worst_resid = 0.0
-    for M, N in ((1, 2), (1, 3), (2, 2)):
-        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=20.0, g=1.0)
-        rep = oracle.echo_evolve(cfg, 3.0, n_max=4, tolerance=1e-9)
-        worst_resid = max(worst_resid, rep.residual_excitation)
-        sites = [(m, n) for m in range(M) for n in range(N)]
-        for i, a in enumerate(sites):
-            for b in sites[i + 1:]:
-                measured = oracle.extract_pair_phase(rep, a, b)
-                analytic = pairwise_phase(cfg, 3.0, b[0] - a[0], b[1] - a[1])
-                worst_phase = max(worst_phase, abs(measured - analytic))
+    ok = True
+    parts = []
+    for label, delta, tau, n_max in regimes:
+        worst_phase = 0.0
+        worst_resid = 0.0
+        for M, N in ((1, 2), (1, 3), (2, 2)):
+            cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta, g=1.0)
+            rep = oracle.echo_evolve(cfg, tau, n_max=n_max, tolerance=1e-9)
+            worst_resid = max(worst_resid, rep.residual_excitation)
+            sites = [(m, n) for m in range(M) for n in range(N)]
+            for i, a in enumerate(sites):
+                for b in sites[i + 1:]:
+                    measured = oracle.extract_pair_phase(rep, a, b)
+                    analytic = pairwise_phase(cfg, tau, b[0] - a[0], b[1] - a[1])
+                    worst_phase = max(worst_phase, abs(measured - analytic))
+        ok = ok and worst_phase < 1e-6 and worst_resid < 1e-8
+        parts.append(
+            f"{label} (g tau = {tau:g}, n_max = {n_max}): max |dGamma| = {worst_phase:.2e} "
+            f"(< 1e-6), max residual = {worst_resid:.2e} (< 1e-8)"
+        )
     elapsed = time.perf_counter() - t0
-    ok = worst_phase < 1e-6 and worst_resid < 1e-8 and elapsed < 300.0
+    ok = ok and elapsed < 300.0
     _record(
         request, 5, "oracle equivalence", ok,
-        f"max |dGamma| = {worst_phase:.2e} (< 1e-6), "
-        f"max residual = {worst_resid:.2e} (< 1e-8), runtime {elapsed:.1f} s (< 300 s)",
+        "; ".join(parts) + f"; runtime {elapsed:.1f} s (< 300 s)",
     )
 
 

@@ -55,6 +55,16 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "line 3" in err and "frobnicate" in err
 
+    def test_mbqc_mode_key_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.ini", """\
+            [mbqc]
+            builtin = wire
+            mode = x
+            """)
+        assert main(["mbqc", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 3" in err and "mode" in err
+
     def test_unknown_section(self, tmp_path):
         cfg = write(tmp_path, "bad.ini", "[wat]\nx = 1\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -144,6 +154,21 @@ class TestCluster:
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_full_table_open_boundary_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", """\
+            [lattice]
+            M = 3
+            N = 3
+            J = 0.1
+
+            [cluster]
+            nn_only = false
+            periodic = false
+            """)
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "periodic" in capsys.readouterr().err
+        assert not (tmp_path / "cluster_report.txt").exists()
 
     def test_gate_time_failure_exit(self, tmp_path):
         cfg = write(tmp_path, "c.ini", """\

@@ -189,6 +189,15 @@ class TestClusterFidelity:
         assert 1.0 - fid > 1e-6  # distant-pair phases leave a real deficit
 
 
+    def test_full_table_open_boundary_rejected(self):
+        # the table's separations are periodic on the patch: on an open 3x3
+        # patch the all-pairs form would alias distant pairs onto them
+        cfg = LatticeConfig(M=3, N=3, J=0.1, delta=0.0)
+        table = build_phase_table(cfg, 1.0)
+        with pytest.raises(ValueError, match="periodic"):
+            apply_pairwise_xx(product_state(3, 3), table, nn_only=False, periodic=False)
+
+
 class TestPauliStrings:
     def test_all_identity(self):
         reg = reference_cluster(2, 2)

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from cavitycluster.lattice import LatticeConfig
+from cavitycluster.lattice import LatticeConfig, enumerate_modes
 from cavitycluster.geomphase import gamma_total, pairwise_phase
 from cavitycluster import oracle
 
@@ -17,64 +20,134 @@ def echo_1x2():
     return oracle.echo_evolve(DETUNED_1x2, 3.0, 4, 1e-9)
 
 
-class TestBuildHamiltonian:
+def factor_generators(cfg, t, n_max):
+    """H(t) of every (mode, configuration) factor, as G[:, :, mode, config]."""
+    ws, lam = oracle._drive(cfg)
+    eye = np.eye(n_max + 1, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
+    return oracle._apply_h(ws, lam, t, eye)
+
+
+class TestGenerator:
     @pytest.mark.parametrize("t", [0.0, 0.37, 2.9])
     def test_hermitian(self, t):
-        H = oracle.build_hamiltonian(DETUNED_1x2, t, 3)
-        assert np.max(np.abs(H - H.conj().T)) < 1e-14
+        G = factor_generators(DETUNED_1x2, t, 3)
+        assert np.max(np.abs(G - np.conj(np.swapaxes(G, 0, 1)))) < 1e-14
 
     def test_zero_coupling(self):
         cfg = LatticeConfig(M=1, N=2, J=0.1, delta=1.0, g=1e-300)
-        H = oracle.build_hamiltonian(cfg, 0.5, 2)
-        assert np.max(np.abs(H)) < 1e-290
+        G = factor_generators(cfg, 0.5, 2)
+        assert np.max(np.abs(G)) < 1e-290
 
     def test_single_cavity_structure(self):
-        # 1x1 array: H(t) = sigma_x (g e^{-i w t} a + g e^{i w t} a^dag),
-        # w = delta + 4J
+        # 1x1 array: configuration |+x> sees g (e^{-i w t} a + e^{i w t} a^dag)
+        # and |-x> its negative, w = delta + 4J
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.7)
         w = 2.0
         t = 0.43
         n_max = 3
         a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        want = np.kron(sx, 0.7 * np.exp(-1j * w * t) * a + 0.7 * np.exp(1j * w * t) * a.T)
-        got = oracle.build_hamiltonian(cfg, t, n_max)
-        assert np.max(np.abs(got - want)) < 1e-13
+        want = 0.7 * np.exp(-1j * w * t) * a + 0.7 * np.exp(1j * w * t) * a.T
+        got = factor_generators(cfg, t, n_max)
+        assert np.max(np.abs(got[:, :, 0, 0] - want)) < 1e-13
+        assert np.max(np.abs(got[:, :, 0, 1] + want)) < 1e-13
 
     def test_dimension_cap(self):
-        cfg = LatticeConfig(M=2, N=3, J=0.1)
-        with pytest.raises(ValueError):
-            oracle.build_hamiltonian(cfg, 0.0, 2)
+        # a lattice over the site cap and an n_max over the amplitude cap
+        # are both refused by the size check, before the field block exists
+        over_n_max = 3200
+        assert oracle.total_dimension(LatticeConfig(M=2, N=2, J=0.1), over_n_max) > (
+            oracle.MAX_TOTAL_DIMENSION
+        )
+        for M, N, n_max in ((2, 3, 2), (2, 2, over_n_max)):
+            cfg = LatticeConfig(M=M, N=N, J=0.1)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError):
+                    oracle.echo_evolve(cfg, 1.0, n_max, 1e-9)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
 
 
-class TestEvolve:
+class TestIntegrator:
     def test_tau_zero_identity(self):
-        U = oracle.evolve(DETUNED_1x2, 0.0, 2, 1e-9)
-        assert np.allclose(U, np.eye(U.shape[0]))
+        ws, lam = oracle._drive(DETUNED_1x2)
+        block = np.random.default_rng(0).normal(size=(3,) + lam.shape) + 0j
+        out, steps, err = oracle._integrate_block(ws, lam, 1.0, 0.0, block, 1e-9)
+        assert np.array_equal(out, block) and out is not block
+        assert steps == 0 and err == 0.0
 
     def test_unitarity(self):
+        # fed the identity, every (mode, configuration) factor's propagator
+        # comes back unitary
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)
-        U = oracle.evolve(cfg, 1.3, 10, 1e-10)
-        assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) < 1e-9
+        ws, lam = oracle._drive(cfg)
+        eye = np.eye(11, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
+        U, _, _ = oracle._integrate_block(ws, lam, cfg.g, 1.3, eye, 1e-10)
+        for c in range(lam.shape[1]):
+            u = U[:, :, 0, c]
+            assert np.max(np.abs(u.conj().T @ u - np.eye(11))) < 1e-9
 
     def test_closed_loop_phase_matches_mode_sum(self):
-        # one full drive period: the field returns to vacuum and the
-        # qubit picks up exactly the accumulated per-mode phase
+        # one full drive period: the field returns to vacuum and each sigma_x
+        # configuration picks up exactly the accumulated per-mode phase
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)  # omega = 2
         tau = math.pi  # omega tau = 2 pi
-        U = oracle.evolve(cfg, tau, 12, 1e-10)
-        dimf = 13
-        plus = np.zeros(2 * dimf, dtype=complex)
-        plus[0] = plus[dimf] = 1 / math.sqrt(2)  # |+x> x |vac>
-        out = U @ plus
-        p_vac = abs(out[0]) ** 2 + abs(out[dimf]) ** 2
-        assert p_vac == pytest.approx(1.0, abs=1e-9)
-        phase = np.angle(out[0] / plus[0])
-        assert phase == pytest.approx(gamma_total(cfg, tau), abs=1e-8)
+        ws, lam = oracle._drive(cfg)
+        vac = np.zeros((13,) + lam.shape, dtype=complex)
+        vac[0] = 1.0
+        out, _, _ = oracle._integrate_block(ws, lam, cfg.g, tau, vac, 1e-10)
+        amp = out[0, 0, :]
+        assert np.abs(amp) ** 2 == pytest.approx(np.ones(2), abs=1e-9)
+        assert np.angle(amp) == pytest.approx(np.full(2, gamma_total(cfg, tau)), abs=1e-8)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            oracle.evolve(DETUNED_1x2, 1.0, 2, 0.0)
+            oracle.echo_evolve(DETUNED_1x2, 1.0, 2, 0.0)
+
+
+def dense_echo_vacuum(cfg, tau, n_max):
+    """Vacuum diagonal of S_z U(tau) S_z U(tau) on sigma_x basis states,
+    from the unfactorized joint Hamiltonian
+
+        H(t) = sum_m e^{-i w_m t} (g/sqrt(MN) J_X(m)^dag kron a_m) + h.c.
+
+    on qubits x the joint Fock space, integrated with DOP853.  Shares no
+    code with the oracle's factorized RK4 path.
+    """
+    nq = cfg.n_sites
+    modes = enumerate_modes(cfg)
+    dimf = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, dimf)), 1)
+    pref = cfg.g / math.sqrt(nq)
+    terms = []
+    for i, mode in enumerate(modes):
+        a_m = reduce(np.kron, [a if j == i else np.eye(dimf) for j in range(len(modes))])
+        jxd = oracle.collective_x_operator(cfg, mode.l, mode.k).conj().T
+        terms.append((mode.omega, np.kron(pref * jxd, a_m)))
+
+    def rhs(t, y):
+        h = sum(np.exp(-1j * w * t) * c + np.exp(1j * w * t) * c.conj().T for w, c in terms)
+        return (-1j * h @ y.reshape(h.shape[0], -1)).ravel()
+
+    def propagate(psi):
+        sol = solve_ivp(rhs, (0.0, tau), psi.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+        assert sol.success
+        return sol.y[:, -1].reshape(psi.shape)
+
+    hadamard = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)] * nq)
+    vacuum = np.zeros((dimf**nq, 1), dtype=complex)
+    vacuum[0] = 1.0
+    start = np.kron(hadamard, vacuum)  # column c: x-configuration c x vacuum
+    sz = np.kron(oracle.sz_operator(cfg), np.eye(dimf**nq))
+    psi = sz @ propagate(sz @ propagate(start))
+    return np.diag(start.conj().T @ psi)
+
+
+def test_factorization_matches_dense_joint_integration(echo_1x2):
+    want = dense_echo_vacuum(DETUNED_1x2, 3.0, 4)
+    assert np.max(np.abs(np.diag(echo_1x2.vacuum_block) - want)) < 1e-9
 
 
 class TestEchoEvolve:
