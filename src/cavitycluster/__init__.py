@@ -1,9 +1,9 @@
 """Geometric-phase cluster-state generation in 2D coupled-cavity arrays.
 
-Analytic mode sums for the pairwise phase shift, dense qubit-register
-evolution and cluster verification, a brute-force truncated-Fock validator
-of the driven interaction Hamiltonian, and measurement patterns for
-one-way computation on the generated states.
+Analytic mode sums for the pairwise phase shift, cluster verification from
+the real phase polynomial that the echoed evolution leaves on the qubits, a
+brute-force truncated-Fock validator of the driven interaction Hamiltonian,
+and measurement patterns for one-way computation on the generated states.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ from .geomphase import (
     pairwise_phase,
     solve_gate_time,
 )
-from .effective import QubitRegister, product_state, reference_cluster, cluster_fidelity
+from .effective import QubitRegister, cluster_phase, reference_cluster, verify_cluster
 
 __all__ = [
     "LatticeConfig",
@@ -36,7 +36,7 @@ __all__ = [
     "PhaseShiftTable",
     "HardwarePreset",
     "QubitRegister",
-    "product_state",
+    "cluster_phase",
     "reference_cluster",
-    "cluster_fidelity",
+    "verify_cluster",
 ]

@@ -23,19 +23,15 @@ import numpy as np
 
 from . import __version__
 from .effective import (
-    graph_stabilizer,
-    local_correction,
-    product_state,
-    apply_pairwise_xx,
-    reduced_single_qubit,
+    MAX_QUBITS,
+    cluster_phase,
+    phase_register,
     reference_cluster,
-    stabilizer_expectation,
-    state_overlap,
+    verify_cluster,
 )
 from .geomphase import (
     GateTimeNotFoundError,
     PRESETS,
-    PhaseShiftTable,
     build_phase_table,
     feasibility_report,
     pairwise_phase,
@@ -336,8 +332,8 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
 
 def cmd_cluster(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
-    if cfg.n_sites > 24:
-        raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the 24-qubit cap")
+    if cfg.n_sites > MAX_QUBITS:
+        raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the {MAX_QUBITS}-qubit cap")
     if run.cluster_tau == "auto":
         try:
             tau = solve_gate_time(cfg)
@@ -351,13 +347,12 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
             raise ConfigError(f"cluster tau must be 'auto' or a number") from None
 
     table = build_phase_table(cfg, tau)
-    reg = product_state(cfg.M, cfg.N)
     try:
-        evolved = apply_pairwise_xx(reg, table, nn_only=run.nn_only, periodic=run.periodic)
+        phi = cluster_phase(cfg.M, cfg.N, table.gamma, run.nn_only, run.periodic)
     except ValueError as exc:
         raise ConfigError(f"[cluster] nn_only = false: {exc}") from None
-    corrected = local_correction(evolved, periodic=run.periodic)
-    fid = abs(state_overlap(reference_cluster(cfg.M, cfg.N, run.periodic), corrected)) ** 2
+    report = verify_cluster(phi, run.periodic)
+    fid = report.fidelity
 
     nn_sep = (1, 0) if cfg.M > 1 else (0, 1)
     body = [
@@ -369,21 +364,12 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
         f"fidelity = {_fmt(fid)}",
         f"fidelity_deficit = {_fmt(1.0 - fid)}",
     ]
-    min_stab = math.inf
     for m in range(cfg.M):
         for n in range(cfg.N):
-            s = stabilizer_expectation(
-                corrected, graph_stabilizer(cfg.M, cfg.N, (m, n), periodic=run.periodic)
-            )
-            min_stab = min(min_stab, s)
-            body.append(f"stabilizer_{m}_{n} = {_fmt(s)}")
-    max_purity_dev = 0.0
-    for m in range(cfg.M):
-        for n in range(cfg.N):
-            rho = reduced_single_qubit(corrected, (m, n))
-            dev = float(np.max(np.abs(rho - 0.5 * np.eye(2))))
-            max_purity_dev = max(max_purity_dev, dev)
-    body.append(f"min_stabilizer = {_fmt(min_stab)}")
+            body.append(f"stabilizer_{m}_{n} = {_fmt(report.stabilizers[m, n])}")
+    # each site's reduced density matrix is [[1/2, c], [c*, 1/2]]
+    max_purity_dev = np.max(np.abs(report.coherences))
+    body.append(f"min_stabilizer = {_fmt(np.min(report.stabilizers))}")
     body.append(f"max_single_site_dev_from_maximally_mixed = {_fmt(max_purity_dev)}")
     verdict = fid >= run.fidelity_min
     body.append(f"fidelity_min = {_fmt(run.fidelity_min)}")
@@ -393,7 +379,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     _write_report(out / "cluster_report.txt", run, "cluster", body)
 
     if run.snapshot:
-        amps = corrected.amps
+        amps = phase_register(phi).amps
         _write_csv(
             out / "cluster_state.csv",
             run,
@@ -431,6 +417,8 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         body = [f"integrator failure: {exc}"] + _report_rows(rows)
         _write_report(out / "oracle_report.txt", run, "oracle-verify", body)
         return EXIT_VERIFY
+    except ValueError as exc:
+        raise ConfigError(f"[oracle] {exc}") from None
 
     rows.append(("echo.residual_excitation", rep.residual_excitation, 1e-8,
                  rep.residual_excitation < 1e-8, False))
@@ -464,25 +452,18 @@ def _report_rows(rows: list[tuple[str, float, float, bool, bool]]) -> list[str]:
 def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
     """Cluster state on an MxN patch carved from a large symmetric array.
 
-    The pair phases are taken from a big MxM == NxN lattice (so both
-    nearest-neighbor directions carry the same Gamma) at its solved gate
-    time, then applied with open boundaries on the patch, followed by the
+    The two nearest-neighbor phases are taken from a big MxM == NxN lattice
+    (so both directions carry the same Gamma) at its solved gate time, and
+    couple the patch's grid edges with open boundaries, followed by the
     local correction.  A small asymmetric patch solved in isolation could
     not reach Gamma = pi/4 in both directions simultaneously.
     """
     size = max(19, M, N)
     sym = replace(lattice, M=size, N=size)
     tau = solve_gate_time(sym)
-    patch_cfg = replace(lattice, M=M, N=N)
-    entries: dict[tuple[int, int], float] = {}
-    for dm in range(-(M // 2), M // 2 + 1):
-        for dn in range(-(N // 2), N // 2 + 1):
-            if dm % M == 0 and dn % N == 0:
-                continue
-            entries[(dm, dn)] = pairwise_phase(sym, tau, dm, dn)
-    table = PhaseShiftTable(config=patch_cfg, tau=tau, entries=entries)
-    evolved = apply_pairwise_xx(product_state(M, N), table, nn_only=True, periodic=False)
-    return local_correction(evolved, periodic=False)
+    nn = {sep: pairwise_phase(sym, tau, *sep) for sep in ((1, 0), (0, 1))}
+    phi = cluster_phase(M, N, lambda dm, dn: nn[dm, dn], nn_only=True, periodic=False)
+    return phase_register(phi)
 
 
 def _builtin_pattern(run: RunConfig):
@@ -507,8 +488,8 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     else:
         pattern, shape = _builtin_pattern(run)
     M, N = shape
-    if M * N > 24:
-        raise ConfigError(f"pattern needs a {M}x{N} cluster, over the 24-qubit cap")
+    if M * N > MAX_QUBITS:
+        raise ConfigError(f"pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap")
 
     if run.source == "reference":
         cluster = reference_cluster(M, N, periodic=False)

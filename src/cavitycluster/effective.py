@@ -1,52 +1,73 @@
-"""Dense qubit-register evolution under the effective pairwise coupling.
+"""Cluster states of the effective pairwise coupling, as a real phase polynomial.
 
 The echoed cavity-mediated evolution acts on the qubits alone as
-exp[sum_pairs i Gamma_{ab} sigma_x sigma_x].  At Gamma = pi/4 on nearest
-neighbors this turns the all-up product state into a 2D cluster state up
-to a fixed local correction: on every site, a Hadamard followed by the
-z-rotation exp(-i pi/4 deg Z), where deg is the site's number of lattice
-neighbors.  (The correction was fixed once by brute force on 2- and
-3-qubit instances; see tests.)
+U = exp[i sum_pairs Gamma_ab X_a X_b].  The all-up start is the uniform
+superposition of X eigenstates, |up...up> = 2^{-n/2} sum_s |s>_X with
+s_a = +-1, and U is diagonal in that basis, so it only attaches the phase
+sum_pairs Gamma_ab s_a s_b to each |s>_X.  The local correction is, on every
+site, a Hadamard (taking |s_a>_X to the bit x_a with s_a = 1 - 2 x_a)
+followed by the z-rotation exp(-i pi/4 deg Z), with deg the site's number
+of lattice neighbours, which multiplies each bit by exp(-i pi/4 deg s_a).
+(The correction was fixed once by brute force on 2- and 3-qubit
+instances; the tests rebuild the dense evolution to check this.)  The
+corrected state is therefore exactly
 
-Conventions: site (m, n) owns tensor axis m*N + n of the amplitude
-vector reshaped to [2]*M*N; bit 0 is |up>, the +1 eigenstate of sigma_z.
+    psi(x) = 2^{-n/2} exp(i Phi(x)),
+    Phi(x) = sum_pairs Gamma_ab s_a s_b - (pi/4) sum_a deg_a s_a,
+
+a real quadratic form over bitstrings, with nothing truncated.  The graph
+state on the same grid is 2^{-n/2} (-1)^{E(x)}, E(x) = sum_edges x_a x_b,
+and Gamma = pi/4 on the edges gives Phi = pi E - (pi/4) |edges|: the
+cluster up to a global phase.
+
+Verification is sums of real phases over bitstrings.  The fidelity is
+|mean(e^{i Phi} (-1)^E)|^2.  The graph stabilizer X_a prod_{b~a} Z_b flips
+bit a and takes the sign s_b of each neighbour, so its expectation is the
+mean of cos(d_a) prod_{b~a} s_b with d_a = Phi(x_a = 0) - Phi(x_a = 1); a
+single site's reduced density matrix has diagonal exactly 1/2 and
+coherence <0|rho_a|1> = mean(e^{i d_a}) / 2.  Because d_a = 2 (h_a +
+sum_b W_ab s_b) is linear in the other spins, both means factorize over
+them (mean e^{i w s} = cos w, mean s e^{i w s} = i sin w) and are
+evaluated in closed form.
+
+A dense complex register (QubitRegister) is kept only where measurement
+needs one: MBQC patterns on patches of a few qubits, built from a phase
+polynomial or as the exact reference graph state.
+
+Conventions: site (m, n) owns tensor axis m*N + n of an amplitude or phase
+vector reshaped to [2]*M*N (axis 0 is the most significant bit); bit 0 is
+|up>, the +1 eigenstate of sigma_z.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-
-from .geomphase import PhaseShiftTable
 
 __all__ = [
     "MAX_QUBITS",
     "QubitRegister",
-    "PauliOperatorString",
-    "product_state",
     "apply_single_qubit",
-    "apply_pairwise_xx",
     "grid_edges",
+    "PhasePolynomial",
+    "cluster_phase",
+    "phase_register",
     "reference_cluster",
-    "local_correction",
-    "cluster_fidelity",
-    "stabilizer_expectation",
-    "graph_stabilizer",
-    "reduced_single_qubit",
-    "state_overlap",
+    "ClusterReport",
+    "verify_cluster",
 ]
 
 MAX_QUBITS = 24
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+
+def _check_cap(M: int, N: int) -> int:
+    if M * N > MAX_QUBITS:
+        raise ValueError(f"{M}x{N} exceeds the {MAX_QUBITS}-qubit cap")
+    return M * N
 
 
 @dataclass
@@ -59,9 +80,7 @@ class QubitRegister:
     measured: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        nq = self.M * self.N
-        if nq > MAX_QUBITS:
-            raise ValueError(f"{self.M}x{self.N} exceeds the {MAX_QUBITS}-qubit cap")
+        nq = _check_cap(self.M, self.N)
         self.amps = np.asarray(self.amps, dtype=complex).reshape(2**nq)
 
     @property
@@ -83,32 +102,6 @@ class QubitRegister:
 
     def copy(self) -> "QubitRegister":
         return QubitRegister(self.M, self.N, self.amps.copy(), set(self.measured))
-
-
-@dataclass(frozen=True)
-class PauliOperatorString:
-    """A tensor product of single-site Paulis with an overall phase."""
-
-    letters: str
-    phase: complex = 1.0 + 0j
-
-    def __post_init__(self) -> None:
-        if any(c not in "IXYZ" for c in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-        if self.phase not in (1, -1, 1j, -1j):
-            raise ValueError("phase must be one of +-1, +-i")
-
-
-def product_state(M: int, N: int, spin: str = "up") -> QubitRegister:
-    """All qubits in |up> (bit 0) or |down> (bit 1)."""
-    if spin not in ("up", "down"):
-        raise ValueError("spin must be 'up' or 'down'")
-    nq = M * N
-    if nq > MAX_QUBITS:
-        raise ValueError(f"{M}x{N} exceeds the {MAX_QUBITS}-qubit cap")
-    amps = np.zeros(2**nq, dtype=complex)
-    amps[0 if spin == "up" else 2**nq - 1] = 1.0
-    return QubitRegister(M, N, amps)
 
 
 def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray) -> None:
@@ -139,127 +132,141 @@ def grid_edges(M: int, N: int, periodic: bool) -> list[tuple[tuple[int, int], tu
     return out
 
 
-def _apply_xx(reg: QubitRegister, a: tuple[int, int], b: tuple[int, int], gamma: float) -> None:
-    """exp(i gamma X_a X_b), in place; uses X = axis reversal."""
-    t = reg.view()
-    flipped = np.flip(t, axis=(reg.site_axis(a), reg.site_axis(b)))
-    reg.amps = (math.cos(gamma) * t + 1j * math.sin(gamma) * flipped).reshape(-1)
+def _edge_axes(M: int, N: int, periodic: bool) -> list[tuple[int, int]]:
+    return [(a[0] * N + a[1], b[0] * N + b[1]) for a, b in grid_edges(M, N, periodic)]
 
 
-def apply_pairwise_xx(
-    reg: QubitRegister,
-    table: PhaseShiftTable,
-    nn_only: bool = False,
+def _both_set(nq: int, i: int, j: int) -> tuple:
+    """Index of the bitstrings with bits i and j both 1, in a [2]*nq tensor."""
+    idx: list[object] = [slice(None)] * nq
+    idx[i] = idx[j] = 1
+    return tuple(idx)
+
+
+def _add_bit(values: np.ndarray, term: np.ndarray | float) -> np.ndarray:
+    """Extend values over bits 0..j-1 by a last bit j, adding s_j * term."""
+    out = np.empty((values.size, 2))
+    np.add(values, term, out=out[:, 0])
+    np.subtract(values, term, out=out[:, 1])
+    return out.reshape(-1)
+
+
+@dataclass(frozen=True)
+class PhasePolynomial:
+    """Phi(s) = sum_{a<b} W_ab s_a s_b + sum_a h_a s_a on the M x N grid.
+
+    coupling is the symmetric W with zero diagonal and field is h, both
+    indexed by site axis m*N + n.
+    """
+
+    M: int
+    N: int
+    coupling: np.ndarray
+    field: np.ndarray
+
+    def __post_init__(self) -> None:
+        nq = _check_cap(self.M, self.N)
+        if self.coupling.shape != (nq, nq) or self.field.shape != (nq,):
+            raise ValueError(f"coefficients do not match the {self.M}x{self.N} grid")
+
+    def values(self) -> np.ndarray:
+        """Phi at every bitstring, indexed like QubitRegister.amps.
+
+        Bit by bit: Phi over bits 0..j is Phi over bits 0..j-1 plus
+        s_j (h_j + sum_{i<j} W_ij s_i), and that linear form is built the
+        same way, so the cost is a few passes over 2^(M*N) numbers whatever
+        the number of pairs.
+        """
+        phi = np.zeros(1)
+        for j in range(self.M * self.N):
+            term = np.full(1, self.field[j])
+            for w in self.coupling[j, :j]:
+                term = _add_bit(term, w)
+            phi = _add_bit(phi, term)
+        return phi
+
+
+def cluster_phase(
+    M: int,
+    N: int,
+    gamma: Callable[[int, int], float],
+    nn_only: bool = True,
     periodic: bool = True,
-) -> QubitRegister:
-    """Apply exp(i Gamma_ab X_a X_b) over site pairs; returns a new register.
+) -> PhasePolynomial:
+    """Phi of the XX evolution from |up...up> followed by the local correction.
 
-    With nn_only, only nearest-neighbor pairs (periodic wrap optional) are
-    applied; otherwise every unordered pair of distinct sites, with Gamma
-    taken from the table at the pair's canonical separation.  The table's
-    separations are periodic on the patch, so the all-pairs form needs
-    periodic boundaries: an open patch would alias distant pairs onto
+    gamma(dm, dn) is the pair phase at separation (dm, dn) = b - a, e.g.
+    PhaseShiftTable.gamma.  With nn_only only grid edges (periodic wrap
+    optional) couple; otherwise every pair of distinct sites does.  The
+    table's separations are periodic on the patch, so the all-pairs form
+    needs periodic boundaries: an open patch would alias distant pairs onto
     nearby separations.
     """
-    if table.config.M != reg.M or table.config.N != reg.N:
-        raise ValueError("phase table dimensions do not match register")
+    nq = _check_cap(M, N)
     if not nn_only and not periodic:
         raise ValueError("all-pairs evolution needs periodic boundaries")
-    out = reg.copy()
-    if nn_only:
-        pairs = grid_edges(reg.M, reg.N, periodic)
-    else:
-        sites = [(m, n) for m in range(reg.M) for n in range(reg.N)]
-        pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1 :]]
+    sites = [(m, n) for m in range(M) for n in range(N)]
+    pairs = grid_edges(M, N, periodic) if nn_only else itertools.combinations(sites, 2)
+    coupling = np.zeros((nq, nq))
     for a, b in pairs:
-        gamma = table.gamma(b[0] - a[0], b[1] - a[1])
-        _apply_xx(out, a, b, gamma)
-    return out
+        i, j = a[0] * N + a[1], b[0] * N + b[1]
+        coupling[i, j] = coupling[j, i] = gamma(b[0] - a[0], b[1] - a[1])
+    field = np.zeros(nq)
+    for i, j in _edge_axes(M, N, periodic):
+        field[[i, j]] -= math.pi / 4
+    return PhasePolynomial(M, N, coupling, field)
 
 
-def _apply_cz(reg: QubitRegister, a: tuple[int, int], b: tuple[int, int]) -> None:
-    t = reg.view()
-    idx: list[object] = [slice(None)] * reg.n_qubits
-    idx[reg.site_axis(a)] = 1
-    idx[reg.site_axis(b)] = 1
-    t[tuple(idx)] *= -1.0
+def phase_register(phi: PhasePolynomial) -> QubitRegister:
+    """The dense state 2^{-n/2} exp(i Phi(x)), for measurement patterns."""
+    nq = phi.M * phi.N
+    return QubitRegister(phi.M, phi.N, 2.0 ** (-nq / 2.0) * np.exp(1j * phi.values()))
 
 
 def reference_cluster(M: int, N: int, periodic: bool = True) -> QubitRegister:
-    """Standard graph state on the M x N grid: Hadamard-all, then CZ on edges."""
-    nq = M * N
-    if nq > MAX_QUBITS:
-        raise ValueError(f"{M}x{N} exceeds the {MAX_QUBITS}-qubit cap")
-    reg = QubitRegister(M, N, np.full(2**nq, 2.0 ** (-nq / 2.0), dtype=complex))
-    for a, b in grid_edges(M, N, periodic):
-        _apply_cz(reg, a, b)
-    return reg
+    """Standard graph state on the M x N grid, exactly 2^{-n/2} (-1)^{E(x)}."""
+    nq = _check_cap(M, N)
+    amps = np.full([2] * nq, 2.0 ** (-nq / 2.0), dtype=complex)
+    for i, j in _edge_axes(M, N, periodic):
+        amps[_both_set(nq, i, j)] *= -1.0
+    return QubitRegister(M, N, amps)
 
 
-def _degrees(M: int, N: int, periodic: bool) -> dict[tuple[int, int], int]:
-    deg: dict[tuple[int, int], int] = {(m, n): 0 for m in range(M) for n in range(N)}
-    for a, b in grid_edges(M, N, periodic):
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+@dataclass(frozen=True)
+class ClusterReport:
+    """Fidelity with the grid graph state and per-site checks, shape (M, N).
 
-
-def local_correction(reg: QubitRegister, periodic: bool = True) -> QubitRegister:
-    """Site-local unitary mapping the XX-generated state onto the graph state.
-
-    Per site: Hadamard, then exp(-i pi/4 deg Z) with deg the vertex degree.
+    stabilizers holds <X_a prod_{b~a} Z_b>; coherences holds <0|rho_a|1>,
+    whose reduced density matrix has diagonal exactly 1/2.
     """
-    out = reg.copy()
-    for site, d in _degrees(reg.M, reg.N, periodic).items():
-        rz = np.diag([np.exp(-0.25j * math.pi * d), np.exp(0.25j * math.pi * d)])
-        apply_single_qubit(out, site, rz @ HADAMARD)
-    return out
+
+    fidelity: float
+    stabilizers: np.ndarray
+    coherences: np.ndarray
 
 
-def state_overlap(a: QubitRegister, b: QubitRegister) -> complex:
-    if a.M != b.M or a.N != b.N:
-        raise ValueError("register dimensions do not match")
-    return complex(np.vdot(a.amps, b.amps))
+def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport:
+    """Check the state 2^{-n/2} exp(i Phi) against the M x N grid graph state."""
+    M, N, nq = phi.M, phi.N, phi.M * phi.N
+    edges = _edge_axes(M, N, periodic)
+    values = phi.values().reshape([2] * nq)
+    cos = np.cos(values)
+    sin = np.sin(values, out=values)
+    for i, j in edges:  # times (-1)^(x_i x_j)
+        cos[_both_set(nq, i, j)] *= -1.0
+        sin[_both_set(nq, i, j)] *= -1.0
+    fidelity = float(cos.mean()) ** 2 + float(sin.mean()) ** 2
 
-
-def cluster_fidelity(reg: QubitRegister, M: int, N: int, periodic: bool = True) -> float:
-    """|<cluster| C_local |reg>|^2 against the M x N grid graph state."""
-    if reg.M != M or reg.N != N:
-        raise ValueError("register dimensions do not match")
-    corrected = local_correction(reg, periodic)
-    ref = reference_cluster(M, N, periodic)
-    return abs(state_overlap(ref, corrected)) ** 2
-
-
-def stabilizer_expectation(reg: QubitRegister, pauli: PauliOperatorString) -> float:
-    """<psi| P |psi> for a Pauli string P (real part; residue checked)."""
-    if len(pauli.letters) != reg.n_qubits:
-        raise ValueError("Pauli string length does not match register")
-    work = reg.copy()
-    for s, letter in enumerate(pauli.letters):
-        if letter != "I":
-            apply_single_qubit(work, divmod(s, reg.N), PAULI[letter])
-    val = pauli.phase * np.vdot(reg.amps, work.amps)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:g}")
-    return float(val.real)
-
-
-def graph_stabilizer(
-    M: int, N: int, site: tuple[int, int], periodic: bool = True
-) -> PauliOperatorString:
-    """The graph-state stabilizer X_site prod_neighbors Z."""
-    letters = ["I"] * (M * N)
-    letters[site[0] * N + site[1]] = "X"
-    for a, b in grid_edges(M, N, periodic):
-        if site in (a, b):
-            other = b if a == site else a
-            letters[other[0] * N + other[1]] = "Z"
-    return PauliOperatorString("".join(letters))
-
-
-def reduced_single_qubit(reg: QubitRegister, site: tuple[int, int]) -> np.ndarray:
-    """Single-site reduced density matrix (partial trace over the rest)."""
-    ax = reg.site_axis(site)
-    psi = np.moveaxis(reg.view(), ax, 0).reshape(2, -1)
-    return psi @ psi.conj().T
+    neighbours = np.zeros((nq, nq), dtype=bool)
+    for i, j in edges:
+        neighbours[i, j] = neighbours[j, i] = True
+    stabilizers = np.empty(nq)
+    coherences = np.empty(nq, dtype=complex)
+    for a in range(nq):
+        # d_a = 2 h_a + sum_b w_b s_b; a's own entry is 0, so cos = 1 there
+        w = 2.0 * phi.coupling[a]
+        offset = np.exp(2j * phi.field[a])
+        coherences[a] = 0.5 * offset * np.prod(np.cos(w))
+        factors = np.where(neighbours[a], 1j * np.sin(w), np.cos(w))
+        stabilizers[a] = (offset * np.prod(factors)).real
+    return ClusterReport(fidelity, stabilizers.reshape(M, N), coherences.reshape(M, N))

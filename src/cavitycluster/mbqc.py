@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effective import PAULI, QubitRegister, apply_single_qubit
+from .effective import QubitRegister, apply_single_qubit
 
 __all__ = [
     "MeasurementStep",
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 Site = tuple[int, int]
+
+_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex), "Z": np.diag([1.0, -1.0])}
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,10 @@ def measure_qubit(
     angle: float = 0.0,
     forced_outcome: int | None = None,
     rng: random.Random | None = None,
-) -> tuple[int, QubitRegister]:
-    """Projectively measure one site; returns (outcome bit, collapsed register).
+) -> tuple[int, float, QubitRegister]:
+    """Projectively measure one site.
+
+    Returns (outcome bit, its Born probability, collapsed register).
 
     The collapsed register keeps full dimension with the measured site
     left in the observed eigenstate.  forced_outcome (0 or 1) selects a
@@ -172,7 +176,7 @@ def measure_qubit(
     apply_single_qubit(out, site, proj)
     out.amps /= math.sqrt(probs[outcome])
     out.measured.add(site)
-    return outcome, out
+    return outcome, probs[outcome], out
 
 
 def _extract_output_state(
@@ -213,17 +217,7 @@ def run_pattern(
     for i, step in enumerate(pattern.steps):
         theta = step.effective_angle(record.outcomes)
         forced = None if forced_outcomes is None else forced_outcomes[i]
-        ax = work.site_axis(step.site)
-        t = work.view()
-        if step.basis == "Z":
-            vec = lambda bit: _z_eigenstate(bit)  # noqa: E731
-        else:
-            vec = lambda bit: _equatorial_eigenstate(theta, bit)  # noqa: E731
-        probs = [
-            float(np.linalg.norm(np.tensordot(vec(b).conj(), t, axes=([0], [ax]))) ** 2)
-            for b in (0, 1)
-        ]
-        outcome, work = measure_qubit(
+        outcome, probability, work = measure_qubit(
             work,
             step.site,
             "Z" if step.basis == "Z" else "EQ",
@@ -232,11 +226,14 @@ def run_pattern(
             rng=rng,
         )
         record.outcomes.append(outcome)
-        record.probabilities.append(probs[outcome])
-        eigvecs.append((step.site, vec(outcome)))
+        record.probabilities.append(probability)
+        if step.basis == "Z":
+            eigvecs.append((step.site, _z_eigenstate(outcome)))
+        else:
+            eigvecs.append((step.site, _equatorial_eigenstate(theta, outcome)))
     for rule in pattern.byproducts:
         if sum(record.outcomes[i] for i in rule.steps) % 2:
-            apply_single_qubit(work, rule.site, PAULI[rule.pauli])
+            apply_single_qubit(work, rule.site, _PAULI[rule.pauli])
     state = _extract_output_state(work, pattern, eigvecs) if pattern.outputs else np.array(
         [], dtype=complex
     )

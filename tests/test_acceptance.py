@@ -14,17 +14,9 @@ import pytest
 
 from cavitycluster import oracle
 from cavitycluster.cli import generated_cluster_patch
-from cavitycluster.effective import (
-    apply_pairwise_xx,
-    cluster_fidelity,
-    local_correction,
-    product_state,
-    reduced_single_qubit,
-    reference_cluster,
-)
+from cavitycluster.effective import cluster_phase, reference_cluster, verify_cluster
 from cavitycluster.geomphase import (
     PRESETS,
-    PhaseShiftTable,
     build_phase_table,
     feasibility_report,
     pairwise_phase,
@@ -176,17 +168,6 @@ def test_criterion_06_operator_identities(request):
     )
 
 
-def _uniform_pi4_table(M, N):
-    cfg = LatticeConfig(M=M, N=N, J=0.1, delta=0.0, g=1.0)
-    entries = {}
-    for dm in range(-(M // 2), M // 2 + 1):
-        for dn in range(-(N // 2), N // 2 + 1):
-            if dm % M == 0 and dn % N == 0:
-                continue
-            entries[(dm, dn)] = math.pi / 4
-    return PhaseShiftTable(config=cfg, tau=0.0, entries=entries)
-
-
 def test_criterion_07_cluster_generation(request):
     worst_fid = 0.0
     worst_rho = 0.0
@@ -194,19 +175,12 @@ def test_criterion_07_cluster_generation(request):
         for N in range(1, 5):
             if M * N < 2:
                 continue
-            table = _uniform_pi4_table(M, N)
-            evolved = apply_pairwise_xx(
-                product_state(M, N), table, nn_only=True, periodic=True
-            )
-            fid = cluster_fidelity(evolved, M, N, periodic=True)
-            worst_fid = max(worst_fid, abs(1.0 - fid))
-            corrected = local_correction(evolved, periodic=True)
-            for m in range(M):
-                for n in range(N):
-                    rho = reduced_single_qubit(corrected, (m, n))
-                    worst_rho = max(
-                        worst_rho, float(np.max(np.abs(rho - 0.5 * np.eye(2))))
-                    )
+            phi = cluster_phase(M, N, lambda dm, dn: math.pi / 4, nn_only=True, periodic=True)
+            report = verify_cluster(phi, periodic=True)
+            worst_fid = max(worst_fid, abs(1.0 - report.fidelity))
+            for c in report.coherences.ravel():
+                rho = np.array([[0.5, c], [np.conj(c), 0.5]])
+                worst_rho = max(worst_rho, float(np.max(np.abs(rho - 0.5 * np.eye(2)))))
     ok = worst_fid < 1e-10 and worst_rho < 1e-10
     _record(
         request, 7, "cluster generation", ok,

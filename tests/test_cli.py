@@ -133,7 +133,8 @@ class TestCluster:
         out = tmp_path / "out"
         assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         report = (out / "cluster_report.txt").read_text()
-        assert "fidelity = 0.99999" in report
+        fidelity = next(line for line in report.splitlines() if line.startswith("fidelity = "))
+        assert 0.99999 <= float(fidelity.split(" = ")[1]) <= 1.0
         assert "verdict = pass" in report
 
     def test_snapshot_csv(self, tmp_path):
@@ -220,6 +221,17 @@ class TestOracleVerify:
     def test_cap(self, tmp_path):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 3\n")
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_amplitude_cap_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\n[oracle]\nn_max = 100000\n")
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not (tmp_path / "oracle_report.txt").exists()
+
+    def test_zero_tolerance_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\n[oracle]\ntolerance = 0\n")
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "tolerance must be positive" in capsys.readouterr().err
 
 
 class TestMbqc:

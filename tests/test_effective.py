@@ -1,90 +1,128 @@
+import functools
+import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitycluster.lattice import LatticeConfig
-from cavitycluster.geomphase import PhaseShiftTable, build_phase_table, solve_gate_time
+from cavitycluster.geomphase import build_phase_table, solve_gate_time
 from cavitycluster.effective import (
-    PauliOperatorString,
+    PhasePolynomial,
     QubitRegister,
-    apply_pairwise_xx,
     apply_single_qubit,
-    cluster_fidelity,
-    graph_stabilizer,
+    cluster_phase,
     grid_edges,
-    local_correction,
-    product_state,
-    reduced_single_qubit,
+    phase_register,
     reference_cluster,
-    stabilizer_expectation,
-    state_overlap,
+    verify_cluster,
 )
 
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.diag([1.0, -1.0]).astype(complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
-def uniform_table(M, N, gamma):
-    cfg = LatticeConfig(M=M, N=N, J=0.1)
-    entries = {}
-    for dm in range(-(M // 2), M // 2 + 1):
-        for dn in range(-(N // 2), N // 2 + 1):
-            if dm % M == 0 and dn % N == 0:
-                continue
-            entries[(dm, dn)] = gamma
-    return PhaseShiftTable(config=cfg, tau=1.0, entries=entries)
+
+def uniform(gamma):
+    return lambda dm, dn: gamma
+
+
+def on_sites(nq, ops):
+    """Dense Kronecker product of single-site operators, identity elsewhere."""
+    return functools.reduce(np.kron, [ops.get(k, I2) for k in range(nq)])
+
+
+def dense_cluster(M, N, gamma, nn_only, periodic):
+    """The dense pipeline, rebuilt: exp(i Gamma_ab X_a X_b) over the pairs
+    from |up...up>, then on each site H followed by Rz(deg) =
+    diag(e^{-i pi deg/4}, e^{i pi deg/4})."""
+    nq = M * N
+    psi = np.zeros(2**nq, dtype=complex)
+    psi[0] = 1.0
+    sites = [(m, n) for m in range(M) for n in range(N)]
+    pairs = grid_edges(M, N, periodic) if nn_only else itertools.combinations(sites, 2)
+    for a, b in pairs:
+        xx = on_sites(nq, {a[0] * N + a[1]: X, b[0] * N + b[1]: X})
+        g = gamma(b[0] - a[0], b[1] - a[1])
+        psi = math.cos(g) * psi + 1j * math.sin(g) * (xx @ psi)
+    deg = [0] * nq
+    for a, b in grid_edges(M, N, periodic):
+        deg[a[0] * N + a[1]] += 1
+        deg[b[0] * N + b[1]] += 1
+    rz = {k: np.diag([np.exp(-0.25j * math.pi * d), np.exp(0.25j * math.pi * d)]) @ H
+          for k, d in enumerate(deg)}
+    return on_sites(nq, rz) @ psi
+
+
+def neighbours(M, N, periodic, a):
+    site = divmod(a, N)
+    edges = [e for e in grid_edges(M, N, periodic) if site in e]
+    return {b[0] * N + b[1] for e in edges for b in e if b != site}
+
+
+def rho(coherence):
+    return np.array([[0.5, coherence], [np.conj(coherence), 0.5]])
 
 
 class TestProductState:
     def test_single_site(self):
-        reg = product_state(1, 1, "up")
-        assert np.allclose(reg.amps, [1, 0])
+        # no neighbours, no pairs: the correction is a bare Hadamard on |up>
+        reg = phase_register(cluster_phase(1, 1, uniform(0.3)))
+        assert np.allclose(reg.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_two_sites_up(self):
-        reg = product_state(2, 1, "up")
-        assert reg.amps[0] == 1.0 and np.count_nonzero(reg.amps) == 1
+        # without coupling the corrected state is a product of site states
+        reg = phase_register(cluster_phase(2, 1, uniform(0.0), periodic=False))
+        assert np.linalg.matrix_rank(reg.amps.reshape(2, 2), tol=1e-12) == 1
 
     def test_up_down_orthogonal(self):
-        up = product_state(2, 2, "up")
-        down = product_state(2, 2, "down")
-        assert state_overlap(up, down) == 0
+        # Phi = 0 is |+>|+>; adding pi x_0 (Phi = -pi/2 s_0 up to a constant) is |->|+>
+        no_pairs = np.zeros((2, 2))
+        up = phase_register(PhasePolynomial(2, 1, no_pairs, np.zeros(2)))
+        down = phase_register(PhasePolynomial(2, 1, no_pairs, np.array([-math.pi / 2, 0.0])))
+        assert abs(np.vdot(up.amps, down.amps)) < 1e-15
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            product_state(5, 5)
+        with pytest.raises(ValueError, match="24-qubit cap"):
+            cluster_phase(5, 5, uniform(0.1))
 
-    def test_bad_spin(self):
-        with pytest.raises(ValueError):
-            product_state(2, 2, "sideways")
+
+class TestDenseEquivalence:
+    @pytest.mark.parametrize(
+        "M,N,nn_only,periodic", [(2, 3, True, False), (3, 3, True, True), (2, 3, False, True)]
+    )
+    def test_phase_polynomial_matches_dense_evolution(self, M, N, nn_only, periodic):
+        # off resonance every separation carries a nonzero phase, so each pair counts
+        table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1, delta=0.7), 2.0)
+        assert min(abs(v) for v in table.entries.values()) > 1e-3
+        dense = dense_cluster(M, N, table.gamma, nn_only, periodic)
+        amps = phase_register(cluster_phase(M, N, table.gamma, nn_only, periodic)).amps
+        assert np.max(np.abs(amps - dense)) < 1e-12
 
 
 class TestPairwiseXX:
     def test_zero_phase_identity(self):
-        reg = product_state(2, 2)
-        out = apply_pairwise_xx(reg, uniform_table(2, 2, 0.0))
-        assert np.allclose(out.amps, reg.amps)
+        # Gamma = 0 leaves only the local correction: Phi = -(pi/4) sum deg s
+        phi = cluster_phase(2, 2, uniform(0.0))
+        assert not phi.coupling.any()
+        assert np.allclose(phi.field, -math.pi / 4 * 2)
 
     def test_half_pi_single_pair(self):
-        # exp(i pi/2 XX)|uu> = i|dd>
-        reg = product_state(1, 2)
-        table = uniform_table(1, 2, math.pi / 2)
-        out = apply_pairwise_xx(reg, table, nn_only=True, periodic=False)
-        expected = np.zeros(4, dtype=complex)
-        expected[3] = 1j
-        assert np.allclose(out.amps, expected, atol=1e-12)
+        # exp(i pi/2 XX)|uu> = i|dd>, then H and Rz(1) on both sites
+        table = uniform(math.pi / 2)
+        amps = phase_register(cluster_phase(1, 2, table, periodic=False)).amps
+        assert np.allclose(amps, dense_cluster(1, 2, table, True, False), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        reg = product_state(2, 2)
         with pytest.raises(ValueError):
-            apply_pairwise_xx(reg, uniform_table(2, 3, 0.1))
+            PhasePolynomial(2, 2, np.zeros((6, 6)), np.zeros(4))
 
     def test_2x2_quarter_pi_maximally_mixed_sites(self):
-        reg = product_state(2, 2)
-        out = apply_pairwise_xx(reg, uniform_table(2, 2, math.pi / 4), nn_only=True)
-        for m in range(2):
-            for n in range(2):
-                rho = reduced_single_qubit(out, (m, n))
-                assert np.allclose(rho, np.eye(2) / 2, atol=1e-10)
+        report = verify_cluster(cluster_phase(2, 2, uniform(math.pi / 4)))
+        for c in report.coherences.ravel():
+            assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
     @given(
         gammas=st.lists(
@@ -95,44 +133,28 @@ class TestPairwiseXX:
     )
     @settings(max_examples=40)
     def test_unitarity(self, gammas):
-        cfg = LatticeConfig(M=2, N=2, J=0.1)
         entries = {
             (0, 1): gammas[0], (1, 0): gammas[1], (1, 1): gammas[2], (0, -1): gammas[0],
             (-1, 0): gammas[1], (-1, -1): gammas[3], (1, -1): gammas[3], (-1, 1): gammas[2],
         }
-        table = PhaseShiftTable(config=cfg, tau=1.0, entries=entries)
-        out = apply_pairwise_xx(product_state(2, 2), table)
-        assert out.norm == pytest.approx(1.0, abs=1e-10)
-
-    def test_pair_order_irrelevant(self):
-        # all sigma_x sigma_x factors commute
-        from cavitycluster.effective import _apply_xx
-
-        reg1 = product_state(1, 3)
-        reg2 = product_state(1, 3)
-        pairs = [((0, 0), (0, 1), 0.3), ((0, 1), (0, 2), 0.7), ((0, 0), (0, 2), -0.4)]
-        for a, b, g in pairs:
-            _apply_xx(reg1, a, b, g)
-        for a, b, g in reversed(pairs):
-            _apply_xx(reg2, a, b, g)
-        assert np.allclose(reg1.amps, reg2.amps, atol=1e-12)
+        phi = cluster_phase(2, 2, lambda dm, dn: entries[dm, dn], nn_only=False)
+        assert phase_register(phi).norm == pytest.approx(1.0, abs=1e-10)
 
 
 class TestReferenceCluster:
     def test_1x2_definition(self):
         reg = reference_cluster(1, 2, periodic=False)
-        # CZ|++> = (|00>+|01>+|10>-|11>)/2
-        assert np.allclose(reg.amps, np.array([1, 1, 1, -1]) / 2.0)
+        # CZ|++> = (|00>+|01>+|10>-|11>)/2, exactly and with no imaginary part
+        assert np.array_equal(reg.amps, np.array([1, 1, 1, -1]) / 2.0)
 
     @pytest.mark.parametrize("M,N,periodic", [(2, 2, True), (2, 3, False), (3, 3, True)])
     def test_stabilizers(self, M, N, periodic):
-        reg = reference_cluster(M, N, periodic)
-        for m in range(M):
-            for n in range(N):
-                val = stabilizer_expectation(
-                    reg, graph_stabilizer(M, N, (m, n), periodic)
-                )
-                assert val == pytest.approx(1.0, abs=1e-10)
+        # exact magnitudes, and every graph stabilizer is +1 on the dense state
+        amps = reference_cluster(M, N, periodic).amps
+        assert np.array_equal(np.abs(amps), np.full(2 ** (M * N), 2.0 ** (-M * N / 2)))
+        for a in range(M * N):
+            op = on_sites(M * N, {a: X, **{b: Z for b in neighbours(M, N, periodic, a)}})
+            assert np.vdot(amps, op @ amps).real == pytest.approx(1.0, abs=1e-10)
 
     def test_periodic_vs_open_differ(self):
         # note: on 2x2 the periodic wrap edges coincide with the open
@@ -140,7 +162,7 @@ class TestReferenceCluster:
         # boundary condition matters is one with an extent of 3
         per = reference_cluster(3, 3, periodic=True)
         opn = reference_cluster(3, 3, periodic=False)
-        assert abs(state_overlap(per, opn)) ** 2 < 1.0 - 1e-6
+        assert abs(np.vdot(per.amps, opn.amps)) ** 2 < 1.0 - 1e-6
         assert np.allclose(
             reference_cluster(2, 2, True).amps, reference_cluster(2, 2, False).amps
         )
@@ -155,39 +177,31 @@ class TestReferenceCluster:
 
 class TestClusterFidelity:
     def test_1x2_generated(self):
-        reg = product_state(1, 2)
-        out = apply_pairwise_xx(reg, uniform_table(1, 2, math.pi / 4), nn_only=True,
-                                periodic=False)
-        assert cluster_fidelity(out, 1, 2, periodic=False) == pytest.approx(1.0, abs=1e-10)
+        phi = cluster_phase(1, 2, uniform(math.pi / 4), periodic=False)
+        assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_zero_product_state(self):
-        reg = product_state(2, 2)
-        out = apply_pairwise_xx(reg, uniform_table(2, 2, 0.0))
-        fid = cluster_fidelity(out, 2, 2)
+        fid = verify_cluster(cluster_phase(2, 2, uniform(0.0))).fidelity
         assert fid < 1.0
 
     def test_self_fidelity(self):
-        # undo the local correction on the reference cluster, then verify
-        ref = reference_cluster(2, 2)
-        inv = local_correction(ref)  # correction is not self-inverse; use overlap
-        assert abs(state_overlap(ref, ref)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        # Gamma = pi/4 on the edges gives the graph state up to a global phase
+        amps = phase_register(cluster_phase(3, 3, uniform(math.pi / 4), periodic=False)).amps
+        ref = reference_cluster(3, 3, periodic=False).amps
+        assert abs(np.vdot(ref, amps)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("M,N", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_quarter_pi_nn_only_all_sizes(self, M, N):
-        out = apply_pairwise_xx(
-            product_state(M, N), uniform_table(M, N, math.pi / 4), nn_only=True
-        )
-        assert cluster_fidelity(out, M, N) == pytest.approx(1.0, abs=1e-10)
+        phi = cluster_phase(M, N, uniform(math.pi / 4))
+        assert verify_cluster(phi).fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_full_table_deficit_positive(self):
         cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0)
         tau = solve_gate_time(cfg)
         table = build_phase_table(cfg, tau)
-        out = apply_pairwise_xx(product_state(4, 4), table, nn_only=False)
-        fid = cluster_fidelity(out, 4, 4)
+        fid = verify_cluster(cluster_phase(4, 4, table.gamma, nn_only=False)).fidelity
         assert 0.0 < fid < 1.0
         assert 1.0 - fid > 1e-6  # distant-pair phases leave a real deficit
-
 
     def test_full_table_open_boundary_rejected(self):
         # the table's separations are periodic on the patch: on an open 3x3
@@ -195,57 +209,61 @@ class TestClusterFidelity:
         cfg = LatticeConfig(M=3, N=3, J=0.1, delta=0.0)
         table = build_phase_table(cfg, 1.0)
         with pytest.raises(ValueError, match="periodic"):
-            apply_pairwise_xx(product_state(3, 3), table, nn_only=False, periodic=False)
+            cluster_phase(3, 3, table.gamma, nn_only=False, periodic=False)
 
 
 class TestPauliStrings:
-    def test_all_identity(self):
-        reg = reference_cluster(2, 2)
-        assert stabilizer_expectation(reg, PauliOperatorString("IIII")) == pytest.approx(1.0)
-
-    def test_z_on_up(self):
-        reg = product_state(2, 1)
-        assert stabilizer_expectation(reg, PauliOperatorString("ZI")) == pytest.approx(1.0)
-
-    def test_invalid_letters(self):
-        with pytest.raises(ValueError):
-            PauliOperatorString("AB")
-
-    def test_invalid_phase(self):
-        with pytest.raises(ValueError):
-            PauliOperatorString("XX", phase=2.0)
-
     def test_length_mismatch(self):
-        reg = product_state(2, 2)
         with pytest.raises(ValueError):
-            stabilizer_expectation(reg, PauliOperatorString("XX"))
+            PhasePolynomial(2, 2, np.zeros((4, 4)), np.zeros(2))
+
+    @pytest.mark.parametrize("M,N,periodic", [(2, 3, False), (3, 3, True), (1, 1, True)])
+    def test_report_matches_dense_paulis(self, M, N, periodic):
+        # X_a as a bit flip and Z_b as a sign, evaluated in closed form, against
+        # dense Pauli matrices, partial traces and the graph-state overlap
+        nq = M * N
+        rng = np.random.default_rng(nq)
+        w = np.triu(rng.uniform(-1.5, 1.5, (nq, nq)), 1)
+        phi = PhasePolynomial(M, N, w + w.T, rng.uniform(-2, 2, nq))
+        amps = phase_register(phi).amps
+        report = verify_cluster(phi, periodic)
+        ref = reference_cluster(M, N, periodic).amps
+        assert report.fidelity == pytest.approx(abs(np.vdot(ref, amps)) ** 2, abs=1e-12)
+        for a in range(nq):
+            site = divmod(a, N)
+            op = on_sites(nq, {a: X, **{b: Z for b in neighbours(M, N, periodic, a)}})
+            assert report.stabilizers[site] == pytest.approx(
+                np.vdot(amps, op @ amps).real, abs=1e-12
+            )
+            psi = np.moveaxis(amps.reshape([2] * nq), a, 0).reshape(2, -1)
+            assert np.allclose(rho(report.coherences[site]), psi @ psi.conj().T, atol=1e-12)
 
 
 class TestReducedDensityMatrix:
     def test_product_state(self):
-        rho = reduced_single_qubit(product_state(2, 2), (0, 1))
-        assert np.allclose(rho, np.diag([1.0, 0.0]))
+        # Phi = 0 is |+...+>: every site pure, coherence 1/2
+        report = verify_cluster(PhasePolynomial(2, 2, np.zeros((4, 4)), np.zeros(4)))
+        assert np.allclose(report.coherences, 0.5)
 
     def test_cluster_site_maximally_mixed(self):
-        reg = reference_cluster(2, 3, periodic=False)
-        for m in range(2):
-            for n in range(3):
-                assert np.allclose(
-                    reduced_single_qubit(reg, (m, n)), np.eye(2) / 2, atol=1e-10
-                )
+        report = verify_cluster(cluster_phase(2, 3, uniform(math.pi / 4), periodic=False),
+                                periodic=False)
+        for c in report.coherences.ravel():
+            assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
     def test_unentangled_evolution_pure(self):
-        out = apply_pairwise_xx(product_state(2, 2), uniform_table(2, 2, 0.0))
-        rho = reduced_single_qubit(out, (0, 0))
-        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+        report = verify_cluster(cluster_phase(2, 2, uniform(0.0)))
+        r = rho(report.coherences[0, 0])
+        assert np.trace(r @ r).real == pytest.approx(1.0, abs=1e-12)
 
     def test_site_out_of_range(self):
+        reg = phase_register(cluster_phase(2, 2, uniform(0.1)))
         with pytest.raises(ValueError):
-            reduced_single_qubit(product_state(2, 2), (2, 0))
+            reg.site_axis((2, 0))
 
 
 class TestApplySingleQubit:
     def test_x_flips(self):
-        reg = product_state(1, 2)
+        reg = QubitRegister(1, 2, [1, 0, 0, 0])
         apply_single_qubit(reg, (0, 1), np.array([[0, 1], [1, 0]]))
         assert reg.amps[1] == 1.0

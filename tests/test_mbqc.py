@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavitycluster.effective import (
-    HADAMARD,
-    QubitRegister,
-    _apply_cz,
-    grid_edges,
-    product_state,
-    reference_cluster,
-)
+from cavitycluster.effective import QubitRegister, reference_cluster
 from cavitycluster.mbqc import (
     ByproductRule,
     MeasurementPattern,
@@ -26,6 +19,7 @@ from cavitycluster.mbqc import (
 )
 
 PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def Rz(t):
@@ -43,10 +37,15 @@ def input_cluster(M, N, inputs):
         for n in range(N):
             v = inputs.get((m, n), PLUS)
             full = v if full is None else np.kron(full, v)
-    reg = QubitRegister(M, N, full)
-    for a, b in grid_edges(M, N, periodic=False):
-        _apply_cz(reg, a, b)
-    return reg
+    # CZ on every edge is the graph state's sign pattern (-1)^E
+    signs = np.sign(reference_cluster(M, N, periodic=False).amps.real)
+    return QubitRegister(M, N, full * signs)
+
+
+def all_up(M, N):
+    amps = np.zeros(2 ** (M * N), dtype=complex)
+    amps[0] = 1.0
+    return QubitRegister(M, N, amps)
 
 
 def random_state(rng):
@@ -73,24 +72,25 @@ def all_branches(cluster, pattern):
 class TestMeasureQubit:
     def test_plus_in_x_deterministic(self):
         reg = QubitRegister(1, 1, PLUS.copy())
-        outcome, out = measure_qubit(reg, (0, 0), "X", forced_outcome=None)
+        outcome, _, out = measure_qubit(reg, (0, 0), "X", forced_outcome=None)
         assert outcome == 0
 
     def test_up_in_x_both_branches(self):
         for forced in (0, 1):
-            reg = product_state(1, 1)
-            outcome, out = measure_qubit(reg, (0, 0), "X", forced_outcome=forced)
+            reg = all_up(1, 1)
+            outcome, probability, out = measure_qubit(reg, (0, 0), "X", forced_outcome=forced)
             assert outcome == forced
+            assert probability == pytest.approx(0.5, abs=1e-15)
             assert out.norm == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_measurement_rejected(self):
-        reg = product_state(1, 2)
-        _, out = measure_qubit(reg, (0, 0), "Z", forced_outcome=0)
+        reg = all_up(1, 2)
+        _, _, out = measure_qubit(reg, (0, 0), "Z", forced_outcome=0)
         with pytest.raises(ValueError):
             measure_qubit(out, (0, 0), "X")
 
     def test_zero_probability_forced_branch_rejected(self):
-        reg = product_state(1, 1)  # |up> has no |down> component
+        reg = all_up(1, 1)  # |up> has no |down> component
         with pytest.raises(ValueError):
             measure_qubit(reg, (0, 0), "Z", forced_outcome=1)
 
@@ -99,7 +99,7 @@ class TestMeasureQubit:
         # with a Z byproduct on former neighbors when the outcome is 1
         for forced, want in ((0, PLUS), (1, np.array([1, -1], dtype=complex) / math.sqrt(2))):
             cl = reference_cluster(1, 2, periodic=False)
-            _, out = measure_qubit(cl, (0, 1), "Z", forced_outcome=forced)
+            _, _, out = measure_qubit(cl, (0, 1), "Z", forced_outcome=forced)
             t = out.view()
             remaining = t[:, forced]  # measured axis collapsed to |forced>
             assert_equal_up_to_phase(remaining / np.linalg.norm(remaining), want)
@@ -108,7 +108,7 @@ class TestMeasureQubit:
 class TestRunPattern:
     def test_empty_pattern(self):
         pat = MeasurementPattern(steps=(), outputs=((0, 0),))
-        reg = product_state(1, 1)
+        reg = all_up(1, 1)
         state, record = run_pattern(reg, pat)
         assert record.outcomes == []
         assert np.allclose(state, [1, 0])
@@ -136,6 +136,23 @@ class TestRunPattern:
                 p *= q
             total += p
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_record_probabilities_pinned(self):
+        # each recorded probability is the Born weight of the observed branch
+        amps = np.array([1, 2j, -1, 0.5, 3, 1 - 1j, 0, 2], dtype=complex)
+        pat = MeasurementPattern(
+            steps=(
+                MeasurementStep(site=(0, 0), basis="EQ", angle=0.4),
+                MeasurementStep(site=(0, 1), basis="Z", adapt=(0,)),
+            ),
+            outputs=((0, 2),),
+        )
+        reg = QubitRegister(1, 3, amps / np.linalg.norm(amps))
+        _, record = run_pattern(reg, pat, forced_outcomes=[1, 0])
+        assert record.outcomes == [1, 0]
+        assert record.probabilities == pytest.approx(
+            [0.44996304454642483, 0.8217956653108509], rel=1e-14
+        )
 
     def test_adapt_on_later_step_rejected(self):
         with pytest.raises(ValueError):
@@ -252,17 +269,14 @@ class TestGeneratedClusterEquivalence:
     def test_wire_on_generated_cluster(self):
         # the dynamically generated nn-only cluster (after its local
         # correction) supports the same patterns as the reference state
+        from cavitycluster.effective import cluster_phase, phase_register
         from cavitycluster.geomphase import build_phase_table, solve_gate_time
         from cavitycluster.lattice import LatticeConfig
-        from cavitycluster.effective import apply_pairwise_xx, local_correction
 
         cfg = LatticeConfig(M=1, N=5, J=0.1, delta=0.0)
         tau = solve_gate_time(cfg)
         table = build_phase_table(cfg, tau)
-        evolved = apply_pairwise_xx(
-            product_state(1, 5), table, nn_only=True, periodic=False
-        )
-        generated = local_correction(evolved, periodic=False)
+        generated = phase_register(cluster_phase(1, 5, table.gamma, nn_only=True, periodic=False))
         pat = wire_rotation_pattern(0.6, -0.3, 1.0)
         ref_state, _ = run_pattern(
             reference_cluster(1, 5, periodic=False), pat, forced_outcomes=[0, 0, 0, 0]
