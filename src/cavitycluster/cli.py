@@ -257,18 +257,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(
-    path: Path, run: RunConfig, command: str, columns: list[str], rows: list[list[float]]
-) -> None:
-    lines = [f"# cavitycluster {command}"]
-    for key, val in run.header_items():
-        lines.append(f"# {key} = {val}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> None:
     lines = [f"# cavitycluster {command}"]
     for key, val in run.header_items():
@@ -308,23 +296,14 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
         raise ConfigError("sweep grids must be non-empty")
 
     rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
-    _write_csv(
-        out / "gamma_vs_delta.csv",
-        run,
-        "gamma-sweep",
-        ["delta_over_g", "gamma_nn"],
-        [[d, g] for d, g in rows_d],
-    )
+    body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d)},{_fmt(g)}" for d, g in rows_d]
+    _write_report(out / "gamma_vs_delta.csv", run, "gamma-sweep", body)
 
     rows_t = sweep_tau(run.lattice, taus, list(run.separations))
-    cols = ["g_tau"] + [f"G_{dm}_{dn}" for dm, dn in run.separations]
-    _write_csv(
-        out / "gamma_vs_tau.csv",
-        run,
-        "gamma-sweep",
-        cols,
-        [[tau] + [row[s] for s in run.separations] for tau, row in rows_t],
-    )
+    body = [",".join(["g_tau"] + [f"G_{dm}_{dn}" for dm, dn in run.separations])]
+    for tau, row in rows_t:
+        body.append(",".join(_fmt(v) for v in [tau] + [row[s] for s in run.separations]))
+    _write_report(out / "gamma_vs_tau.csv", run, "gamma-sweep", body)
     if run.preset:
         _write_report(out / "feasibility.txt", run, "gamma-sweep", _feasibility_lines(run))
     return EXIT_OK
@@ -380,13 +359,10 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
     if run.snapshot:
         amps = phase_register(phi).amps
-        _write_csv(
-            out / "cluster_state.csv",
-            run,
-            "cluster",
-            ["basis_index", "real", "imag"],
-            [[float(i), a.real, a.imag] for i, a in enumerate(amps)],
-        )
+        # 2^n rows: format the Python floats directly; f"{i}.0" is _fmt(float(i))
+        rows = enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
+        body = ["basis_index,real,imag"] + [f"{i}.0,{re!r},{im!r}" for i, (re, im) in rows]
+        _write_report(out / "cluster_state.csv", run, "cluster", body)
     return EXIT_OK if verdict else EXIT_VERIFY
 
 

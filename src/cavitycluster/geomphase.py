@@ -38,17 +38,21 @@ So "only nearest neighbours" holds to leading order in J tau, not exactly:
 the worst beyond-nearest-neighbour phase is about 0.15 (J tau)^2 Gamma_nn.
 On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
+
+:func:`pairwise_phase`, :func:`gamma_total`, every sweep row and the gate-time
+bisection add the per-mode terms with ``math.fsum``.  :func:`build_phase_table`
+is 4 Re FFT2(gamma)[dm mod M, dn mod N] and the scan that brackets the gate
+time is a float64 (tau x modes) product; both agree with fsum to ~1e-15.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeConfig, Mode, enumerate_modes
+from .lattice import LatticeConfig, Mode, mode_grid
 
 __all__ = [
     "beta",
@@ -71,6 +75,9 @@ _ZERO_MODE_TOL = 1e-12
 # below this |omega*tau| the bracket tau - sin(omega tau)/omega is evaluated
 # by its Taylor series; direct evaluation loses ~(omega tau)^-2 digits
 _SERIES_THRESHOLD = 0.05
+# elements of one (tau x modes) block of the gate-time scan: a few 128 kB
+# temporaries, so the scan's peak memory does not grow with the window
+_SCAN_BLOCK = 16384
 
 
 def beta(config: LatticeConfig, mode: Mode, tau: float) -> complex:
@@ -104,41 +111,27 @@ def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
 
 def gamma_mode(config: LatticeConfig, mode: Mode, tau: float) -> float:
     """Geometric phase contributed by one mode over a single interval."""
+    return float(_gamma_modes(config, np.float64(mode.omega), tau))
+
+
+def _gamma_modes(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
+    """gamma over the mode frequencies ``omega`` of ``config``'s lattice."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    return float(config.g**2 / config.n_sites * _gamma_bracket(np.float64(mode.omega), tau))
-
-
-@lru_cache(maxsize=64)
-def _mode_angle_arrays(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    modes = enumerate_modes(config)
-    L = np.array([m.L for m in modes])
-    K = np.array([m.K for m in modes])
-    W = np.array([m.omega for m in modes])
-    return L, K, W
-
-
-def _mode_arrays(config: LatticeConfig, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, K, gamma) arrays over all modes in enumeration order."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    L, K, W = _mode_angle_arrays(config)
-    gam = config.g**2 / config.n_sites * _gamma_bracket(W, tau)
-    return L, K, gam
+    return config.g**2 / config.n_sites * _gamma_bracket(omega, tau)
 
 
 def gamma_total(config: LatticeConfig, tau: float) -> float:
     """Mode-summed geometric phase; compensated (exact) summation."""
-    _, _, gam = _mode_arrays(config, tau)
-    return math.fsum(gam)
+    return math.fsum(_gamma_modes(config, mode_grid(config)[2], tau))
 
 
 def pairwise_phase(config: LatticeConfig, tau: float, dm: int, dn: int) -> float:
     """Echoed pairwise phase Gamma between sites separated by (dm, dn)."""
     if dm % config.M == 0 and dn % config.N == 0:
         raise ValueError("separation must be nonzero on the lattice")
-    L, K, gam = _mode_arrays(config, tau)
-    return math.fsum(4.0 * gam * np.cos(L * dm + K * dn))
+    L, K, W = mode_grid(config)
+    return math.fsum(4.0 * _gamma_modes(config, W, tau) * np.cos(L * dm + K * dn))
 
 
 def canonical_separation(config: LatticeConfig, dm: int, dn: int) -> tuple[int, int]:
@@ -174,14 +167,16 @@ class PhaseShiftTable:
 
 
 def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:
-    """Gamma over every canonical nonzero separation, deterministic order."""
-    L, K, gam = _mode_arrays(config, tau)
-    entries: dict[tuple[int, int], float] = {}
-    for dm in range(-(config.M // 2), config.M // 2 + 1):
-        for dn in range(-(config.N // 2), config.N // 2 + 1):
-            if dm % config.M == 0 and dn % config.N == 0:
-                continue
-            entries[(dm, dn)] = math.fsum(4.0 * gam * np.cos(L * dm + K * dn))
+    """Gamma over every canonical nonzero separation, deterministic order, by one FFT."""
+    M, N = config.M, config.N
+    gam = _gamma_modes(config, mode_grid(config)[2], tau)
+    table = (4.0 * np.fft.fft2(gam.reshape(M, N)).real).tolist()
+    entries = {
+        (dm, dn): table[dm % M][dn % N]
+        for dm in range(-(M // 2), M // 2 + 1)
+        for dn in range(-(N // 2), N // 2 + 1)
+        if dm % M or dn % N
+    }
     return PhaseShiftTable(config=config, tau=tau, entries=entries)
 
 
@@ -205,8 +200,9 @@ def solve_gate_time(
 ) -> float:
     """Smallest tau in (0, window] with Gamma_nn(tau) = target.
 
-    Scans on a coarse grid, then bisects the first bracketing interval to
-    1e-10 relative accuracy.
+    Scans a coarse grid in (tau x modes) blocks up to the first block with a
+    sign change or exact zero (the whole window only when there is no root),
+    then bisects the bracketing interval with :func:`pairwise_phase`.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
@@ -219,16 +215,27 @@ def solve_gate_time(
     def f(tau: float) -> float:
         return pairwise_phase(config, tau, *sep) - target
 
+    L, K, W = mode_grid(config)
+    weights = 4.0 * config.g**2 / config.n_sites * np.cos(L * sep[0] + K * sep[1])
     taus = np.arange(grid_step, window + grid_step / 2, grid_step)
-    vals = np.array([f(t) for t in taus])
-    achieved = float(np.max(np.abs(vals + target)))
-    idx = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-    if exact.size and (not idx.size or exact[0] <= idx[0]):
-        return float(taus[exact[0]])
-    if not idx.size:
+    rows = max(1, _SCAN_BLOCK // W.size)
+    achieved = 0.0
+    vals = np.empty(0)
+    for start in range(0, taus.size, rows):
+        gamma_nn = _gamma_bracket(W, taus[start:start + rows, None]) @ weights
+        achieved = max(achieved, float(np.max(np.abs(gamma_nn))))
+        # carry the previous block's last point so a straddling root counts
+        first = start - vals[-1:].size
+        vals = np.concatenate((vals[-1:], gamma_nn - target))
+        idx = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+        exact = np.nonzero(vals == 0.0)[0]
+        if exact.size and (not idx.size or exact[0] <= idx[0]):
+            return float(taus[first + exact[0]])
+        if idx.size:
+            break
+    else:
         raise GateTimeNotFoundError(target, achieved, window)
-    lo, hi = float(taus[idx[0]]), float(taus[idx[0] + 1])
+    lo, hi = float(taus[first + idx[0]]), float(taus[first + idx[0] + 1])
     flo = f(lo)
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
@@ -248,11 +255,15 @@ def sweep_delta(
     """Rows (delta/g, Gamma_nn) over a detuning grid."""
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
-    rows = []
-    for d in delta_grid:
-        cfg = replace(config, delta=float(d))
-        rows.append((float(d), pairwise_phase(cfg, tau, 1, 0)))
-    return rows
+    if config.M == 1:
+        raise ValueError("separation must be nonzero on the lattice")
+    # omega(delta) = omega(0) + delta is bitwise delta + 2J(cos L + cos K)
+    L, K, W0 = mode_grid(replace(config, delta=0.0))
+    cos_nn = np.cos(L)  # the (1, 0) separation
+    return [
+        (float(d), math.fsum(4.0 * _gamma_modes(config, W0 + float(d), tau) * cos_nn))
+        for d in delta_grid
+    ]
 
 
 def sweep_tau(
@@ -263,14 +274,12 @@ def sweep_tau(
     """Rows (g tau, {separation: Gamma}) over an interaction-time grid."""
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
+    L, K, W = mode_grid(config)
+    cosines = {(dm, dn): np.cos(L * dm + K * dn) for dm, dn in separations}
     rows = []
     for tau in tau_grid:
-        L, K, gam = _mode_arrays(config, float(tau))
-        row = {
-            (dm, dn): math.fsum(4.0 * gam * np.cos(L * dm + K * dn))
-            for dm, dn in separations
-        }
-        rows.append((float(tau), row))
+        gam = _gamma_modes(config, W, float(tau))
+        rows.append((float(tau), {s: math.fsum(4.0 * gam * c) for s, c in cosines.items()}))
     return rows
 
 

@@ -13,10 +13,14 @@ presets in :mod:`cavitycluster.geomphase`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-__all__ = ["LatticeConfig", "Mode", "mode_frequency", "enumerate_modes", "min_abs_frequency"]
+import numpy as np
+
+__all__ = [
+    "LatticeConfig", "Mode", "mode_frequency", "mode_grid", "enumerate_modes", "min_abs_frequency"
+]
 
 
 @dataclass(frozen=True)
@@ -67,23 +71,27 @@ def mode_frequency(config: LatticeConfig, l: int, k: int) -> float:
         raise ValueError(
             f"mode index ({l},{k}) out of range for {config.M}x{config.N} lattice"
         )
-    L = 2.0 * math.pi * l / config.M
-    K = 2.0 * math.pi * k / config.N
-    return config.delta + 2.0 * config.J * (math.cos(L) + math.cos(K))
+    return float(mode_grid(config)[2][l * config.N + k])
+
+
+@lru_cache(maxsize=64)
+def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, K, omega) over all M*N modes, flat in row-major (l, k) order; read-only."""
+    L = 2.0 * np.pi * np.arange(config.M) / config.M
+    K = 2.0 * np.pi * np.arange(config.N) / config.N
+    omega = config.delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
+    grid = (np.repeat(L, config.N), np.tile(K, config.M), omega.ravel())
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def enumerate_modes(config: LatticeConfig) -> list[Mode]:
     """All M*N modes in row-major (l, k) order."""
-    modes = []
-    for l in range(config.M):
-        L = 2.0 * math.pi * l / config.M
-        for k in range(config.N):
-            K = 2.0 * math.pi * k / config.N
-            omega = config.delta + 2.0 * config.J * (math.cos(L) + math.cos(K))
-            modes.append(Mode(l=l, k=k, L=L, K=K, omega=omega))
-    return modes
+    L, K, omega = (a.tolist() for a in mode_grid(config))
+    return [Mode(i // config.N, i % config.N, *lkw) for i, lkw in enumerate(zip(L, K, omega))]
 
 
 def min_abs_frequency(config: LatticeConfig) -> float:
     """Smallest |omega| over all modes; 0 signals an exact zero mode."""
-    return min(abs(m.omega) for m in enumerate_modes(config))
+    return float(np.min(np.abs(mode_grid(config)[2])))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitycluster.lattice import LatticeConfig, Mode, enumerate_modes
+from cavitycluster import geomphase
+from cavitycluster.lattice import LatticeConfig, Mode, enumerate_modes, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
     PRESETS,
@@ -29,6 +31,42 @@ GATE_TIME_PIN = 2.2933987105637783
 
 def mode_at(cfg, l, k):
     return next(m for m in enumerate_modes(cfg) if (m.l, m.k) == (l, k))
+
+
+def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
+    """Reference solve: one compensated pairwise_phase sum per grid point.
+
+    Walks the grid point by point to the first sign change (or a zero at
+    the first point), then bisects as solve_gate_time does; with no root it
+    raises with the largest |Gamma_nn| over the whole window.
+    """
+    sep = (1, 0) if cfg.M > 1 else (0, 1)
+
+    def f(tau):
+        return pairwise_phase(cfg, tau, *sep) - target
+
+    taus = np.arange(grid_step, window + grid_step / 2, grid_step).tolist()
+    vals = []
+    for i, tau in enumerate(taus):
+        vals.append(f(tau))
+        if i and np.sign(vals[i]) != np.sign(vals[i - 1]):
+            lo, hi = taus[i - 1], taus[i]
+            break
+        if vals[i] == 0.0:
+            return tau
+    else:
+        raise GateTimeNotFoundError(target, max(abs(v + target) for v in vals), window)
+    flo = f(lo)
+    while (hi - lo) > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0) == (fm < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestBeta:
@@ -201,6 +239,28 @@ class TestPhaseTable:
         with pytest.raises(ValueError):
             table.gamma(0, 0)
 
+    @pytest.mark.parametrize("M,N", [(19, 19), (4, 6), (5, 4), (1, 5), (6, 1)])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_fft_matches_pairwise_sums(self, M, N, delta):
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        table = build_phase_table(cfg, 3.0)
+        order = [
+            (dm, dn)
+            for dm in range(-(M // 2), M // 2 + 1)
+            for dn in range(-(N // 2), N // 2 + 1)
+            if (dm % M, dn % N) != (0, 0)
+        ]
+        assert list(table.entries) == order
+        for (dm, dn), v in table.entries.items():
+            assert abs(v - pairwise_phase(cfg, 3.0, dm, dn)) < 1e-12
+        # on an even side the +-M/2 separations are one lattice vector
+        if M % 2 == 0:
+            for dn in range(-(N // 2), N // 2 + 1):
+                assert table.entries[(M // 2, dn)] == table.entries[(-(M // 2), dn)]
+        if N % 2 == 0:
+            for dm in range(-(M // 2), M // 2 + 1):
+                assert table.entries[(dm, N // 2)] == table.entries[(dm, -(N // 2))]
+
     def test_size_independence(self):
         big = LatticeConfig(M=29, N=29, J=0.1, delta=0.0)
         tau = solve_gate_time(REF)
@@ -226,12 +286,74 @@ class TestSolveGateTime:
             solve_gate_time(cfg)
         assert exc.value.achieved_max < math.pi / 4
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            REF,
+            LatticeConfig(M=61, N=61, J=0.1),
+            LatticeConfig(M=1, N=7, J=0.1),
+            replace(REF, delta=0.7),
+            replace(REF, J=0.003),
+        ],
+        ids=["ref19", "61x61", "1x7", "delta0.7", "J0.003"],
+    )
+    def test_matches_per_point_scan_bitwise(self, cfg):
+        assert solve_gate_time(cfg) == naive_gate_time(cfg)
+
+    def test_root_straddling_scan_blocks(self):
+        # a target crossed between the last point of the first scan block
+        # and the first point of the second
+        rows = geomphase._SCAN_BLOCK // REF.n_sites
+        target = pairwise_phase(REF, (rows + 0.5) * 0.01, 1, 0)
+        tau = solve_gate_time(REF, target=target)
+        assert rows * 0.01 < tau < (rows + 1) * 0.01
+        assert tau == naive_gate_time(REF, target=target)
+
+    @pytest.mark.parametrize(
+        "cfg", [replace(REF, delta=50.0), LatticeConfig(M=1, N=7, J=0.1, delta=50.0)]
+    )
+    def test_not_found_achieved_matches_per_point_scan(self, cfg):
+        with pytest.raises(GateTimeNotFoundError) as got:
+            solve_gate_time(cfg)
+        with pytest.raises(GateTimeNotFoundError) as want:
+            naive_gate_time(cfg)
+        assert abs(got.value.achieved_max - want.value.achieved_max) < 1e-12
+
+    def test_scan_memory_bounded(self):
+        # the scan works in bounded (tau x modes) blocks: no window-sized
+        # matrix (2000 x 10201 doubles = 163 MB here), root found or not
+        big = LatticeConfig(M=101, N=101, J=0.1)
+        for cfg in (big, replace(big, delta=50.0)):
+            tracemalloc.start()
+            try:
+                try:
+                    solve_gate_time(cfg)
+                except GateTimeNotFoundError:
+                    assert cfg.delta == 50.0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000
+
 
 class TestSweeps:
     def test_delta_sweep_consistency(self):
         rows = sweep_delta(REF, 3.0, [0.0, 20.0])
         assert rows[0][1] == pytest.approx(pairwise_phase(REF, 3.0, 1, 0))
         assert abs(rows[1][1]) <= 0.02 * abs(rows[0][1])
+
+    def test_delta_sweep_rows_bitwise(self):
+        # -4J puts mode (0, 0) exactly at zero frequency
+        deltas = [0.0, 0.7, -4 * REF.J, -3.3, 20.0]
+        assert mode_grid(replace(REF, delta=-4 * REF.J))[2][0] == 0.0
+        rows = sweep_delta(REF, 3.0, deltas)
+        assert rows == [(d, pairwise_phase(replace(REF, delta=d), 3.0, 1, 0)) for d in deltas]
+
+    def test_tau_sweep_rows_bitwise(self):
+        taus = [0.0, 0.5, GATE_TIME_PIN, 7.0]
+        seps = [(1, 0), (2, 1), (0, -3), (1, 1)]
+        rows = sweep_tau(REF, taus, seps)
+        assert rows == [(t, {s: pairwise_phase(REF, t, *s) for s in seps}) for t in taus]
 
     def test_delta_sweep_single_point(self):
         assert len(sweep_delta(REF, 3.0, [1.0])) == 1

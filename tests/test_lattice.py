@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from cavitycluster.lattice import (
     enumerate_modes,
     min_abs_frequency,
     mode_frequency,
+    mode_grid,
 )
 
 dims = st.integers(min_value=1, max_value=12)
@@ -94,3 +96,29 @@ class TestEnumerateModes:
         cfg = LatticeConfig(M=M, N=N, J=J, delta=0.0)
         if M % 2 == 0 or N % 2 == 0:
             assert min_abs_frequency(cfg) < 1e-12
+
+
+class TestModeGrid:
+    @pytest.mark.parametrize("M,N", [(19, 19), (4, 6), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_modes_read_the_grid_bitwise(self, M, N, delta):
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        L, K, omega = mode_grid(cfg)
+        modes = enumerate_modes(cfg)
+        assert np.array([m.omega for m in modes]).tobytes() == omega.tobytes()
+        assert np.array([m.L for m in modes]).tobytes() == L.tobytes()
+        assert np.array([m.K for m in modes]).tobytes() == K.tobytes()
+        freqs = [mode_frequency(cfg, m.l, m.k) for m in modes]
+        assert np.array(freqs).tobytes() == omega.tobytes()
+        assert min_abs_frequency(cfg) == np.min(np.abs(omega))
+        for m in modes:
+            assert (m.L, m.K) == (2 * math.pi * m.l / M, 2 * math.pi * m.k / N)
+            assert m.omega == pytest.approx(
+                delta + 0.2 * (math.cos(m.L) + math.cos(m.K)), abs=1e-15
+            )
+
+    def test_cached_grid_is_read_only(self):
+        # every caller shares the cached arrays
+        omega = mode_grid(LatticeConfig(M=3, N=3, J=0.1))[2]
+        with pytest.raises(ValueError):
+            omega[0] = 1.0
