@@ -34,6 +34,7 @@ from .geomphase import (
     PRESETS,
     build_phase_table,
     feasibility_report,
+    nn_separation,
     pairwise_phase,
     solve_gate_time,
     sweep_delta,
@@ -295,11 +296,14 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
     if not deltas or not taus:
         raise ConfigError("sweep grids must be non-empty")
 
-    rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
+    try:
+        rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
+        rows_t = sweep_tau(run.lattice, taus, list(run.separations))
+    except ValueError as exc:
+        raise ConfigError(f"[gamma-sweep] {exc}") from None
     body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d)},{_fmt(g)}" for d, g in rows_d]
     _write_report(out / "gamma_vs_delta.csv", run, "gamma-sweep", body)
 
-    rows_t = sweep_tau(run.lattice, taus, list(run.separations))
     body = [",".join(["g_tau"] + [f"G_{dm}_{dn}" for dm, dn in run.separations])]
     for tau, row in rows_t:
         body.append(",".join(_fmt(v) for v in [tau] + [row[s] for s in run.separations]))
@@ -313,6 +317,10 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
     if cfg.n_sites > MAX_QUBITS:
         raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the {MAX_QUBITS}-qubit cap")
+    try:
+        nn_sep = nn_separation(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"[lattice] {exc}") from None
     if run.cluster_tau == "auto":
         try:
             tau = solve_gate_time(cfg)
@@ -327,13 +335,12 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
     table = build_phase_table(cfg, tau)
     try:
-        phi = cluster_phase(cfg.M, cfg.N, table.gamma, run.nn_only, run.periodic)
+        phi = cluster_phase(cfg.M, cfg.N, table.grid, run.nn_only, run.periodic)
     except ValueError as exc:
         raise ConfigError(f"[cluster] nn_only = false: {exc}") from None
     report = verify_cluster(phi, run.periodic)
     fid = report.fidelity
 
-    nn_sep = (1, 0) if cfg.M > 1 else (0, 1)
     body = [
         f"tau = {_fmt(tau)}",
         f"g_tau = {_fmt(cfg.g * tau)}",
@@ -428,18 +435,16 @@ def _report_rows(rows: list[tuple[str, float, float, bool, bool]]) -> list[str]:
 def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
     """Cluster state on an MxN patch carved from a large symmetric array.
 
-    The two nearest-neighbor phases are taken from a big MxM == NxN lattice
-    (so both directions carry the same Gamma) at its solved gate time, and
-    couple the patch's grid edges with open boundaries, followed by the
-    local correction.  A small asymmetric patch solved in isolation could
-    not reach Gamma = pi/4 in both directions simultaneously.
+    The two nearest-neighbor phases are read from the phase table of a big
+    MxM == NxN lattice (so both directions carry the same Gamma) at its
+    solved gate time, and couple the patch's grid edges with open boundaries,
+    followed by the local correction.  A small asymmetric patch solved in
+    isolation could not reach Gamma = pi/4 in both directions simultaneously.
     """
     size = max(19, M, N)
     sym = replace(lattice, M=size, N=size)
-    tau = solve_gate_time(sym)
-    nn = {sep: pairwise_phase(sym, tau, *sep) for sep in ((1, 0), (0, 1))}
-    phi = cluster_phase(M, N, lambda dm, dn: nn[dm, dn], nn_only=True, periodic=False)
-    return phase_register(phi)
+    table = build_phase_table(sym, solve_gate_time(sym))
+    return phase_register(cluster_phase(M, N, table.grid, nn_only=True, periodic=False))
 
 
 def _builtin_pattern(run: RunConfig):

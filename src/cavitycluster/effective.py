@@ -30,9 +30,13 @@ sum_b W_ab s_b) is linear in the other spins, both means factorize over
 them (mean e^{i w s} = cos w, mean s e^{i w s} = i sin w) and are
 evaluated in closed form.
 
-A dense complex register (QubitRegister) is kept only where measurement
-needs one: MBQC patterns on patches of a few qubits, built from a phase
-polynomial or as the exact reference graph state.
+The grid is one boolean adjacency matrix (grid_adjacency) and the pair
+phases one table array, Gamma(dm, dn) = grid[dm % Mt, dn % Nt]; W is one
+gather from that array and h_a = -(pi/4) deg_a.  W and h are n x n, so only
+the dense arrays of 2^n numbers (Phi at every bitstring, a QubitRegister,
+the reference graph state) are capped at MAX_QUBITS.  A dense complex
+register is kept only where measurement needs one: MBQC patterns on
+patches of a few qubits, built from Phi or as the exact reference state.
 
 Conventions: site (m, n) owns tensor axis m*N + n of an amplitude or phase
 vector reshaped to [2]*M*N (axis 0 is the most significant bit); bit 0 is
@@ -41,10 +45,8 @@ vector reshaped to [2]*M*N (axis 0 is the most significant bit); bit 0 is
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,7 +54,7 @@ __all__ = [
     "MAX_QUBITS",
     "QubitRegister",
     "apply_single_qubit",
-    "grid_edges",
+    "grid_adjacency",
     "PhasePolynomial",
     "cluster_phase",
     "phase_register",
@@ -112,28 +114,18 @@ def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray)
     reg.amps = np.moveaxis(t, 0, ax).reshape(-1).copy()
 
 
-def grid_edges(M: int, N: int, periodic: bool) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Distinct nearest-neighbor pairs of the M x N grid graph."""
-    edges: set[frozenset[tuple[int, int]]] = set()
-    out = []
-    for m in range(M):
-        for n in range(N):
-            steps = [(m + 1, n), (m, n + 1)] if not periodic else [
-                ((m + 1) % M, n),
-                (m, (n + 1) % N),
-            ]
-            for mm, nn in steps:
-                if not periodic and (mm >= M or nn >= N):
-                    continue
-                pair = frozenset({(m, n), (mm, nn)})
-                if len(pair) == 2 and pair not in edges:
-                    edges.add(pair)
-                    out.append(((m, n), (mm, nn)))
-    return out
+def grid_adjacency(M: int, N: int, periodic: bool) -> np.ndarray:
+    """Boolean adjacency matrix of the M x N grid graph, indexed by site axis.
 
-
-def _edge_axes(M: int, N: int, periodic: bool) -> list[tuple[int, int]]:
-    return [(a[0] * N + a[1], b[0] * N + b[1]) for a, b in grid_edges(M, N, periodic)]
+    Sites are adjacent at lattice distance 1, measured round the wrap when
+    periodic.  The diagonal is False, so a wrap onto the site itself (an
+    extent of 1) or onto an existing edge (an extent of 2) adds no edge.
+    """
+    m, n = np.divmod(np.arange(M * N), N)
+    dm, dn = np.abs(m[:, None] - m), np.abs(n[:, None] - n)
+    if periodic:
+        dm, dn = np.minimum(dm, M - dm), np.minimum(dn, N - dn)
+    return dm + dn == 1
 
 
 def _both_set(nq: int, i: int, j: int) -> tuple:
@@ -165,7 +157,7 @@ class PhasePolynomial:
     field: np.ndarray
 
     def __post_init__(self) -> None:
-        nq = _check_cap(self.M, self.N)
+        nq = self.M * self.N
         if self.coupling.shape != (nq, nq) or self.field.shape != (nq,):
             raise ValueError(f"coefficients do not match the {self.M}x{self.N} grid")
 
@@ -177,8 +169,9 @@ class PhasePolynomial:
         same way, so the cost is a few passes over 2^(M*N) numbers whatever
         the number of pairs.
         """
+        nq = _check_cap(self.M, self.N)
         phi = np.zeros(1)
-        for j in range(self.M * self.N):
+        for j in range(nq):
             term = np.full(1, self.field[j])
             for w in self.coupling[j, :j]:
                 term = _add_bit(term, w)
@@ -189,32 +182,33 @@ class PhasePolynomial:
 def cluster_phase(
     M: int,
     N: int,
-    gamma: Callable[[int, int], float],
+    gamma_grid: np.ndarray,
     nn_only: bool = True,
     periodic: bool = True,
 ) -> PhasePolynomial:
     """Phi of the XX evolution from |up...up> followed by the local correction.
 
-    gamma(dm, dn) is the pair phase at separation (dm, dn) = b - a, e.g.
-    PhaseShiftTable.gamma.  With nn_only only grid edges (periodic wrap
-    optional) couple; otherwise every pair of distinct sites does.  The
-    table's separations are periodic on the patch, so the all-pairs form
-    needs periodic boundaries: an open patch would alias distant pairs onto
-    nearby separations.
+    gamma_grid is a pair-phase table, Gamma(dm, dn) = gamma_grid[dm % Mt,
+    dn % Nt], e.g. PhaseShiftTable.grid.  With nn_only only grid edges couple;
+    otherwise every pair does.  Each pair a < b reads Gamma(b - a), mirrored
+    into W.  No separation may alias: a periodic patch needs a table of its
+    own shape, and an open patch may read no separation past half the table.
     """
-    nq = _check_cap(M, N)
-    if not nn_only and not periodic:
-        raise ValueError("all-pairs evolution needs periodic boundaries")
-    sites = [(m, n) for m in range(M) for n in range(N)]
-    pairs = grid_edges(M, N, periodic) if nn_only else itertools.combinations(sites, 2)
-    coupling = np.zeros((nq, nq))
-    for a, b in pairs:
-        i, j = a[0] * N + a[1], b[0] * N + b[1]
-        coupling[i, j] = coupling[j, i] = gamma(b[0] - a[0], b[1] - a[1])
-    field = np.zeros(nq)
-    for i, j in _edge_axes(M, N, periodic):
-        field[[i, j]] -= math.pi / 4
-    return PhasePolynomial(M, N, coupling, field)
+    Mt, Nt = gamma_grid.shape
+    if periodic and (Mt, Nt) != (M, N):
+        raise ValueError(f"a periodic {M}x{N} patch needs a {M}x{N} table, got {Mt}x{Nt}")
+    m, n = np.divmod(np.arange(M * N), N)
+    dm, dn = m - m[:, None], n - n[:, None]
+    adjacency = grid_adjacency(M, N, periodic)
+    pairs = np.triu(adjacency if nn_only else np.ones_like(adjacency), 1)
+    if not periodic and (np.any(2 * abs(dm[pairs]) > Mt) or np.any(2 * abs(dn[pairs]) > Nt)):
+        raise ValueError(
+            f"an open {M}x{N} patch reads separations that wrap round the {Mt}x{Nt} table; "
+            "use periodic boundaries or a larger table"
+        )
+    upper = np.where(pairs, gamma_grid[dm % Mt, dn % Nt], 0.0)
+    field = -(math.pi / 4) * adjacency.sum(axis=1)
+    return PhasePolynomial(M, N, upper + upper.T, field)
 
 
 def phase_register(phi: PhasePolynomial) -> QubitRegister:
@@ -227,7 +221,7 @@ def reference_cluster(M: int, N: int, periodic: bool = True) -> QubitRegister:
     """Standard graph state on the M x N grid, exactly 2^{-n/2} (-1)^{E(x)}."""
     nq = _check_cap(M, N)
     amps = np.full([2] * nq, 2.0 ** (-nq / 2.0), dtype=complex)
-    for i, j in _edge_axes(M, N, periodic):
+    for i, j in zip(*np.nonzero(np.triu(grid_adjacency(M, N, periodic)))):
         amps[_both_set(nq, i, j)] *= -1.0
     return QubitRegister(M, N, amps)
 
@@ -248,18 +242,15 @@ class ClusterReport:
 def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport:
     """Check the state 2^{-n/2} exp(i Phi) against the M x N grid graph state."""
     M, N, nq = phi.M, phi.N, phi.M * phi.N
-    edges = _edge_axes(M, N, periodic)
+    neighbours = grid_adjacency(M, N, periodic)
     values = phi.values().reshape([2] * nq)
     cos = np.cos(values)
     sin = np.sin(values, out=values)
-    for i, j in edges:  # times (-1)^(x_i x_j)
+    for i, j in zip(*np.nonzero(np.triu(neighbours))):  # times (-1)^(x_i x_j)
         cos[_both_set(nq, i, j)] *= -1.0
         sin[_both_set(nq, i, j)] *= -1.0
     fidelity = float(cos.mean()) ** 2 + float(sin.mean()) ** 2
 
-    neighbours = np.zeros((nq, nq), dtype=bool)
-    for i, j in edges:
-        neighbours[i, j] = neighbours[j, i] = True
     stabilizers = np.empty(nq)
     coherences = np.empty(nq, dtype=complex)
     for a in range(nq):

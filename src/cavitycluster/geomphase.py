@@ -41,8 +41,10 @@ the gate time, where Gamma_nn = pi/4.
 
 :func:`pairwise_phase`, :func:`gamma_total`, every sweep row and the gate-time
 bisection add the per-mode terms with ``math.fsum``.  :func:`build_phase_table`
-is 4 Re FFT2(gamma)[dm mod M, dn mod N] and the scan that brackets the gate
-time is a float64 (tau x modes) product; both agree with fsum to ~1e-15.
+keeps the M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
+[dm mod M, dn mod N], and the scan that brackets the gate time is a float64
+(tau x modes) product; both agree with fsum to ~1e-15.  The FFT's real part
+is even only to rounding: cells [d] and [-d] may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "gamma_mode",
     "gamma_total",
     "pairwise_phase",
+    "nn_separation",
     "PhaseShiftTable",
     "build_phase_table",
     "GateTimeNotFoundError",
@@ -126,58 +129,57 @@ def gamma_total(config: LatticeConfig, tau: float) -> float:
     return math.fsum(_gamma_modes(config, mode_grid(config)[2], tau))
 
 
+def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
+    if dm % config.M == 0 and dn % config.N == 0:
+        raise ValueError(f"separation ({dm}, {dn}) is zero on the {config.M}x{config.N} lattice")
+
+
+def nn_separation(config: LatticeConfig) -> tuple[int, int]:
+    """The nearest-neighbour separation: (1, 0), or (0, 1) on a single row."""
+    if config.M > 1:
+        return (1, 0)
+    if config.N > 1:
+        return (0, 1)
+    raise ValueError("a 1x1 lattice has no pairs")
+
+
 def pairwise_phase(config: LatticeConfig, tau: float, dm: int, dn: int) -> float:
     """Echoed pairwise phase Gamma between sites separated by (dm, dn)."""
-    if dm % config.M == 0 and dn % config.N == 0:
-        raise ValueError("separation must be nonzero on the lattice")
+    _check_separation(config, dm, dn)
     L, K, W = mode_grid(config)
     return math.fsum(4.0 * _gamma_modes(config, W, tau) * np.cos(L * dm + K * dn))
 
 
-def canonical_separation(config: LatticeConfig, dm: int, dn: int) -> tuple[int, int]:
-    """Reduce a separation modulo lattice periodicity to |dm| <= M/2, |dn| <= N/2."""
-
-    def _reduce(d: int, size: int) -> int:
-        d %= size
-        if d > size // 2:
-            d -= size
-        return d
-
-    return _reduce(dm, config.M), _reduce(dn, config.N)
-
-
 @dataclass(frozen=True)
 class PhaseShiftTable:
-    """Pairwise phases Gamma over canonical separations at a fixed tau."""
+    """Pairwise phases at a fixed tau: Gamma(dm, dn) = grid[dm % M, dn % N].
+
+    grid is the read-only M x N array 4 Re FFT2(gamma); cell [0, 0] is the
+    mode-summed self term, not a pair phase.
+    """
 
     config: LatticeConfig
     tau: float
-    entries: dict[tuple[int, int], float]
+    grid: np.ndarray
 
     def gamma(self, dm: int, dn: int) -> float:
-        dm, dn = canonical_separation(self.config, dm, dn)
-        if (dm, dn) == (0, 0):
-            raise ValueError("separation must be nonzero on the lattice")
-        return self.entries[(dm, dn)]
+        _check_separation(self.config, dm, dn)
+        return float(self.grid[dm % self.config.M, dn % self.config.N])
 
     def max_beyond_nearest_neighbor(self) -> float:
-        return max(
-            abs(v) for (dm, dn), v in self.entries.items() if abs(dm) + abs(dn) >= 2
-        )
+        """Largest |Gamma| over separations of lattice distance 2 or more."""
+        M, N = self.grid.shape
+        dm, dn = np.arange(M), np.arange(N)
+        distance = np.minimum(dm, M - dm)[:, None] + np.minimum(dn, N - dn)
+        return float(np.max(np.abs(self.grid[distance >= 2])))
 
 
 def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:
-    """Gamma over every canonical nonzero separation, deterministic order, by one FFT."""
-    M, N = config.M, config.N
+    """Gamma over every separation of the lattice, by one FFT."""
     gam = _gamma_modes(config, mode_grid(config)[2], tau)
-    table = (4.0 * np.fft.fft2(gam.reshape(M, N)).real).tolist()
-    entries = {
-        (dm, dn): table[dm % M][dn % N]
-        for dm in range(-(M // 2), M // 2 + 1)
-        for dn in range(-(N // 2), N // 2 + 1)
-        if dm % M or dn % N
-    }
-    return PhaseShiftTable(config=config, tau=tau, entries=entries)
+    grid = 4.0 * np.fft.fft2(gam.reshape(config.M, config.N)).real
+    grid.flags.writeable = False
+    return PhaseShiftTable(config=config, tau=tau, grid=grid)
 
 
 class GateTimeNotFoundError(RuntimeError):
@@ -206,11 +208,7 @@ def solve_gate_time(
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
-    # on single-row (or single-column) lattices the (1,0) separation
-    # aliases to zero; fall back to the valid nearest-neighbor direction
-    sep = (1, 0) if config.M > 1 else (0, 1)
-    if config.M == 1 and config.N == 1:
-        raise ValueError("a 1x1 lattice has no pairs")
+    sep = nn_separation(config)
 
     def f(tau: float) -> float:
         return pairwise_phase(config, tau, *sep) - target
@@ -255,11 +253,10 @@ def sweep_delta(
     """Rows (delta/g, Gamma_nn) over a detuning grid."""
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
-    if config.M == 1:
-        raise ValueError("separation must be nonzero on the lattice")
+    dm, dn = nn_separation(config)
     # omega(delta) = omega(0) + delta is bitwise delta + 2J(cos L + cos K)
     L, K, W0 = mode_grid(replace(config, delta=0.0))
-    cos_nn = np.cos(L)  # the (1, 0) separation
+    cos_nn = np.cos(L * dm + K * dn)
     return [
         (float(d), math.fsum(4.0 * _gamma_modes(config, W0 + float(d), tau) * cos_nn))
         for d in delta_grid
@@ -274,6 +271,8 @@ def sweep_tau(
     """Rows (g tau, {separation: Gamma}) over an interaction-time grid."""
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
+    for dm, dn in separations:
+        _check_separation(config, dm, dn)
     L, K, W = mode_grid(config)
     cosines = {(dm, dn): np.cos(L * dm + K * dn) for dm, dn in separations}
     rows = []

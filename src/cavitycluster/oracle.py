@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeConfig, enumerate_modes
+from .lattice import LatticeConfig, mode_grid
 
 __all__ = [
     "MAX_ORACLE_QUBITS",
@@ -121,11 +121,9 @@ def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     H_c(t) = sum_m lam[m, c] e^{-i omega_m t} a_m + h.c.
     """
     nq = config.n_sites
-    modes = enumerate_modes(config)
-    ws = np.array([mode.omega for mode in modes])
+    L, K, ws = mode_grid(config)
     m_idx, n_idx = np.array(_sites(config), dtype=float).T
-    site_phase = np.exp(1j * (np.outer([mode.L for mode in modes], m_idx)
-                              + np.outer([mode.K for mode in modes], n_idx)))
+    site_phase = np.exp(1j * (np.outer(L, m_idx) + np.outer(K, n_idx)))
     bits = (np.arange(2**nq) >> (nq - 1 - np.arange(nq))[:, None]) & 1
     lam = config.g / math.sqrt(nq) * np.conj(site_phase @ (1.0 - 2.0 * bits))
     return ws, lam
@@ -205,18 +203,19 @@ def _integrate_block(
 
 @dataclass
 class EvolutionReport:
-    """Echoed-evolution result restricted to the field-vacuum block.
+    """Echoed-evolution result restricted to the field vacuum.
 
-    vacuum_block is expressed in the per-site sigma_x eigenbasis (bit 1 is
-    |-x>); residual_excitation is the worst-case population left outside
-    the joint field vacuum.
+    The evolution never mixes sigma_x configurations, so the vacuum block is
+    diagonal: vacuum[c] is the joint vacuum amplitude of configuration c,
+    indexed like the qubit basis with bit 1 = |-x>; residual_excitation is
+    the worst-case population left outside the joint field vacuum.
     """
 
     config: LatticeConfig
     tau: float
     n_max: int
     tolerance: float
-    vacuum_block: np.ndarray
+    vacuum: np.ndarray
     residual_excitation: float
     steps: int
     error_estimate: float
@@ -251,11 +250,8 @@ def echo_evolve(
     )
     # the trailing S_z returns every factor to its original configuration
 
-    # the evolution is configuration-diagonal, so the vacuum block is
-    # diagonal over x-basis states; the joint vacuum amplitude is the
-    # product of the per-mode vacuum amplitudes
+    # the joint vacuum amplitude is the product of the per-mode ones
     vacuum = np.prod(psi[0], axis=0)
-    vacuum_block = np.diag(vacuum)
     # |1 - norm^2| so that norm inflation (pure integrator error) is
     # reported as a defect instead of being silently clipped away
     residual = float(np.max(np.abs(1.0 - np.abs(vacuum) ** 2)))
@@ -264,7 +260,7 @@ def echo_evolve(
         tau=tau,
         n_max=n_max,
         tolerance=tolerance,
-        vacuum_block=vacuum_block,
+        vacuum=vacuum,
         residual_excitation=residual,
         steps=steps1 + steps2,
         error_estimate=err1 + err2,
@@ -301,13 +297,11 @@ def extract_pair_phase(
     if sa == sb:
         raise ValueError("sites must be distinct")
     nq = cfg.n_sites
-    v = report.vacuum_block
 
-    def diag(bits_a: int, bits_b: int) -> complex:
-        idx = (bits_a << (nq - 1 - sa)) | (bits_b << (nq - 1 - sb))
-        return v[idx, idx]
+    def amp(bits_a: int, bits_b: int) -> complex:
+        return report.vacuum[(bits_a << (nq - 1 - sa)) | (bits_b << (nq - 1 - sb))]
 
-    prod = diag(0, 0) * diag(1, 1) * np.conj(diag(0, 1)) * np.conj(diag(1, 0))
+    prod = amp(0, 0) * amp(1, 1) * np.conj(amp(0, 1)) * np.conj(amp(1, 0))
     return float(np.angle(prod)) / 4.0
 
 
@@ -324,7 +318,7 @@ def check_identities(
     if config.n_sites > MAX_ORACLE_QUBITS:
         raise ValueError(f"identity checks capped at {MAX_ORACLE_QUBITS} sites")
     sz = sz_operator(config, skip_site=skip_site)
-    jxs = [collective_x_operator(config, m.l, m.k) for m in enumerate_modes(config)]
+    jxs = [collective_x_operator(config, l, k) for l in range(M) for k in range(N)]
 
     def maxabs(x: np.ndarray) -> float:
         return float(np.max(np.abs(x)))

@@ -55,10 +55,14 @@ def test_criterion_01_detuning_suppression(request):
 
 def _worst_beyond_nn(table):
     """(separation, Gamma) of the largest |Gamma| with |dm| + |dn| >= 2."""
-    return max(
-        ((sep, v) for sep, v in table.entries.items() if abs(sep[0]) + abs(sep[1]) >= 2),
-        key=lambda item: abs(item[1]),
-    )
+    M, N = table.grid.shape
+    seps = [
+        (dm, dn)
+        for dm in range(-(M // 2), M // 2 + 1)
+        for dn in range(-(N // 2), N // 2 + 1)
+        if abs(dm) + abs(dn) >= 2
+    ]
+    return max(((sep, table.gamma(*sep)) for sep in seps), key=lambda item: abs(item[1]))
 
 
 # The bracket (w tau - sin w tau)/w^2 = w tau^3/6 - w^3 tau^5/120 + ... makes
@@ -175,7 +179,7 @@ def test_criterion_07_cluster_generation(request):
         for N in range(1, 5):
             if M * N < 2:
                 continue
-            phi = cluster_phase(M, N, lambda dm, dn: math.pi / 4, nn_only=True, periodic=True)
+            phi = cluster_phase(M, N, np.full((M, N), math.pi / 4), nn_only=True, periodic=True)
             report = verify_cluster(phi, periodic=True)
             worst_fid = max(worst_fid, abs(1.0 - report.fidelity))
             for c in report.coherences.ravel():

@@ -111,6 +111,30 @@ class TestGammaSweep:
         assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert not (out / "gamma_vs_delta.csv").exists()
 
+    @pytest.mark.parametrize(
+        "M,N,seps,named", [(3, 3, "1,0 3,0", "(3, 0)"), (1, 4, "1,0", "(1, 0)")]
+    )
+    def test_zero_separation_is_config_error(self, tmp_path, capsys, M, N, seps, named):
+        # a separation that is zero on the lattice names itself, no CSV is written
+        cfg = write(tmp_path, "sweep.ini", f"[lattice]\nM = {M}\nN = {N}\n"
+                    f"[gamma-sweep]\nseparations = {seps}\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"separation {named} is zero" in capsys.readouterr().err
+        assert not (out / "gamma_vs_delta.csv").exists()
+
+    def test_single_row(self, tmp_path):
+        cfg = write(tmp_path, "sweep.ini", "[lattice]\nM = 1\nN = 5\n"
+                    "[gamma-sweep]\nseparations = 0,1 0,2\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "g_tau,G_0_1,G_0_2" in (out / "gamma_vs_tau.csv").read_text()
+
+    def test_1x1_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "sweep.ini", "[lattice]\nM = 1\nN = 1\n")
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "1x1 lattice has no pairs" in capsys.readouterr().err
+
     def test_preset_writes_feasibility(self, tmp_path):
         cfg = write(tmp_path, "sweep.ini", SMALL_SWEEP)
         out = tmp_path / "out"
@@ -169,6 +193,12 @@ class TestCluster:
             """)
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         assert "periodic" in capsys.readouterr().err
+        assert not (tmp_path / "cluster_report.txt").exists()
+
+    def test_1x1_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 1\nN = 1\n")
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "1x1 lattice has no pairs" in capsys.readouterr().err
         assert not (tmp_path / "cluster_report.txt").exists()
 
     def test_gate_time_failure_exit(self, tmp_path):

@@ -13,7 +13,7 @@ from cavitycluster.effective import (
     QubitRegister,
     apply_single_qubit,
     cluster_phase,
-    grid_edges,
+    grid_adjacency,
     phase_register,
     reference_cluster,
     verify_cluster,
@@ -25,13 +25,25 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
-def uniform(gamma):
-    return lambda dm, dn: gamma
-
-
 def on_sites(nq, ops):
     """Dense Kronecker product of single-site operators, identity elsewhere."""
     return functools.reduce(np.kron, [ops.get(k, I2) for k in range(nq)])
+
+
+def grid_edges(M, N, periodic):
+    """Distinct nearest-neighbour pairs (a, b), b one step on from a, wrapped
+    when periodic; a wrap onto a or onto an earlier pair adds nothing."""
+    seen, out = set(), []
+    for m in range(M):
+        for n in range(N):
+            for mm, nn in ((m + 1, n), (m, n + 1)):
+                if periodic:
+                    mm, nn = mm % M, nn % N
+                pair = frozenset({(m, n), (mm, nn)})
+                if mm < M and nn < N and len(pair) == 2 and pair not in seen:
+                    seen.add(pair)
+                    out.append(((m, n), (mm, nn)))
+    return out
 
 
 def dense_cluster(M, N, gamma, nn_only, periodic):
@@ -69,12 +81,12 @@ def rho(coherence):
 class TestProductState:
     def test_single_site(self):
         # no neighbours, no pairs: the correction is a bare Hadamard on |up>
-        reg = phase_register(cluster_phase(1, 1, uniform(0.3)))
+        reg = phase_register(cluster_phase(1, 1, np.full((1, 1), 0.3)))
         assert np.allclose(reg.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_two_sites_up(self):
         # without coupling the corrected state is a product of site states
-        reg = phase_register(cluster_phase(2, 1, uniform(0.0), periodic=False))
+        reg = phase_register(cluster_phase(2, 1, np.full((2, 1), 0.0), periodic=False))
         assert np.linalg.matrix_rank(reg.amps.reshape(2, 2), tol=1e-12) == 1
 
     def test_up_down_orthogonal(self):
@@ -85,8 +97,13 @@ class TestProductState:
         assert abs(np.vdot(up.amps, down.amps)) < 1e-15
 
     def test_cap(self):
+        # W and h are n x n, so the 19x19 all-pairs Phi builds; only its dense
+        # 2^n state is capped
+        table = build_phase_table(LatticeConfig(M=19, N=19, J=0.1), 2.0)
+        phi = cluster_phase(19, 19, table.grid, nn_only=False)
+        assert phi.coupling.shape == (361, 361)
         with pytest.raises(ValueError, match="24-qubit cap"):
-            cluster_phase(5, 5, uniform(0.1))
+            phase_register(phi)
 
 
 class TestDenseEquivalence:
@@ -96,48 +113,46 @@ class TestDenseEquivalence:
     def test_phase_polynomial_matches_dense_evolution(self, M, N, nn_only, periodic):
         # off resonance every separation carries a nonzero phase, so each pair counts
         table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1, delta=0.7), 2.0)
-        assert min(abs(v) for v in table.entries.values()) > 1e-3
+        assert np.min(np.abs(table.grid.ravel()[1:])) > 1e-3
         dense = dense_cluster(M, N, table.gamma, nn_only, periodic)
-        amps = phase_register(cluster_phase(M, N, table.gamma, nn_only, periodic)).amps
+        amps = phase_register(cluster_phase(M, N, table.grid, nn_only, periodic)).amps
         assert np.max(np.abs(amps - dense)) < 1e-12
 
 
 class TestPairwiseXX:
     def test_zero_phase_identity(self):
         # Gamma = 0 leaves only the local correction: Phi = -(pi/4) sum deg s
-        phi = cluster_phase(2, 2, uniform(0.0))
+        phi = cluster_phase(2, 2, np.full((2, 2), 0.0))
         assert not phi.coupling.any()
         assert np.allclose(phi.field, -math.pi / 4 * 2)
 
     def test_half_pi_single_pair(self):
         # exp(i pi/2 XX)|uu> = i|dd>, then H and Rz(1) on both sites
-        table = uniform(math.pi / 2)
-        amps = phase_register(cluster_phase(1, 2, table, periodic=False)).amps
-        assert np.allclose(amps, dense_cluster(1, 2, table, True, False), atol=1e-12)
+        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 2), periodic=False)
+        dense = dense_cluster(1, 2, lambda dm, dn: math.pi / 2, True, False)
+        assert np.allclose(phase_register(phi).amps, dense, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             PhasePolynomial(2, 2, np.zeros((6, 6)), np.zeros(4))
 
     def test_2x2_quarter_pi_maximally_mixed_sites(self):
-        report = verify_cluster(cluster_phase(2, 2, uniform(math.pi / 4)))
+        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), math.pi / 4)))
         for c in report.coherences.ravel():
             assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
     @given(
         gammas=st.lists(
             st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
-            min_size=4,
-            max_size=4,
+            min_size=3,
+            max_size=3,
         )
     )
     @settings(max_examples=40)
     def test_unitarity(self, gammas):
-        entries = {
-            (0, 1): gammas[0], (1, 0): gammas[1], (1, 1): gammas[2], (0, -1): gammas[0],
-            (-1, 0): gammas[1], (-1, -1): gammas[3], (1, -1): gammas[3], (-1, 1): gammas[2],
-        }
-        phi = cluster_phase(2, 2, lambda dm, dn: entries[dm, dn], nn_only=False)
+        # on 2x2 the separations (1, 1) and (1, -1) are one cell of the table
+        grid = np.array([[0.0, gammas[0]], [gammas[1], gammas[2]]])
+        phi = cluster_phase(2, 2, grid, nn_only=False)
         assert phase_register(phi).norm == pytest.approx(1.0, abs=1e-10)
 
 
@@ -167,39 +182,48 @@ class TestReferenceCluster:
             reference_cluster(2, 2, True).amps, reference_cluster(2, 2, False).amps
         )
 
-    def test_grid_edges_no_duplicates(self):
-        edges = grid_edges(2, 2, periodic=True)
-        # 2x2 periodic wrap duplicates collapse to the 4 distinct edges
-        assert len(edges) == 4
-        assert len(grid_edges(3, 3, periodic=True)) == 18
-        assert len(grid_edges(3, 3, periodic=False)) == 12
+    def test_grid_adjacency_no_duplicates(self):
+        # 2x2 periodic wrap duplicates collapse to the 4 distinct edges, and a
+        # wrap onto the site itself (an extent of 1) adds none
+        for (M, N, periodic), count in {
+            (2, 2, True): 4, (3, 3, True): 18, (3, 3, False): 12, (1, 5, True): 5, (1, 1, True): 0
+        }.items():
+            adj = grid_adjacency(M, N, periodic)
+            assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+            assert np.count_nonzero(np.triu(adj)) == count
+            want = np.zeros_like(adj)
+            for a, b in grid_edges(M, N, periodic):
+                i, j = a[0] * N + a[1], b[0] * N + b[1]
+                want[i, j] = want[j, i] = True
+            assert np.array_equal(adj, want)
 
 
 class TestClusterFidelity:
     def test_1x2_generated(self):
-        phi = cluster_phase(1, 2, uniform(math.pi / 4), periodic=False)
+        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 4), periodic=False)
         assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_zero_product_state(self):
-        fid = verify_cluster(cluster_phase(2, 2, uniform(0.0))).fidelity
+        fid = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0))).fidelity
         assert fid < 1.0
 
     def test_self_fidelity(self):
         # Gamma = pi/4 on the edges gives the graph state up to a global phase
-        amps = phase_register(cluster_phase(3, 3, uniform(math.pi / 4), periodic=False)).amps
+        phi = cluster_phase(3, 3, np.full((3, 3), math.pi / 4), periodic=False)
+        amps = phase_register(phi).amps
         ref = reference_cluster(3, 3, periodic=False).amps
         assert abs(np.vdot(ref, amps)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("M,N", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_quarter_pi_nn_only_all_sizes(self, M, N):
-        phi = cluster_phase(M, N, uniform(math.pi / 4))
+        phi = cluster_phase(M, N, np.full((M, N), math.pi / 4))
         assert verify_cluster(phi).fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_full_table_deficit_positive(self):
         cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0)
         tau = solve_gate_time(cfg)
         table = build_phase_table(cfg, tau)
-        fid = verify_cluster(cluster_phase(4, 4, table.gamma, nn_only=False)).fidelity
+        fid = verify_cluster(cluster_phase(4, 4, table.grid, nn_only=False)).fidelity
         assert 0.0 < fid < 1.0
         assert 1.0 - fid > 1e-6  # distant-pair phases leave a real deficit
 
@@ -209,7 +233,62 @@ class TestClusterFidelity:
         cfg = LatticeConfig(M=3, N=3, J=0.1, delta=0.0)
         table = build_phase_table(cfg, 1.0)
         with pytest.raises(ValueError, match="periodic"):
-            cluster_phase(3, 3, table.gamma, nn_only=False, periodic=False)
+            cluster_phase(3, 3, table.grid, nn_only=False, periodic=False)
+
+
+class TestGather:
+    @pytest.mark.parametrize(
+        "M,N,nn_only,periodic",
+        [
+            (2, 3, True, True), (2, 3, False, True), (2, 3, True, False),
+            (3, 3, True, True), (3, 3, False, True), (3, 3, True, False),
+            (4, 5, True, True), (4, 5, False, True), (4, 5, True, False),
+            (4, 6, True, True), (4, 6, False, True), (4, 6, True, False),
+        ],
+    )
+    def test_coupling_reads_table_cells_exactly(self, M, N, nn_only, periodic):
+        # every pair a < b holds Gamma(b - a) in both W[a, b] and W[b, a]; an
+        # unmirrored gather would read Gamma(a - b) below the diagonal, which
+        # the FFT makes differ in the last bit on 4x6 with all pairs
+        table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1, delta=0.7), 2.0)
+        phi = cluster_phase(M, N, table.grid, nn_only, periodic)
+        edges = {frozenset(e) for e in grid_edges(M, N, periodic)}
+        sites = [(m, n) for m in range(M) for n in range(N)]
+        deg = np.zeros(M * N)
+        for (i, a), (j, b) in itertools.combinations(enumerate(sites), 2):
+            coupled = not nn_only or frozenset({a, b}) in edges
+            want = table.gamma(b[0] - a[0], b[1] - a[1]) if coupled else 0.0
+            assert phi.coupling[i, j] == want and phi.coupling[j, i] == want
+            if frozenset({a, b}) in edges:
+                deg[[i, j]] += 1
+        assert not phi.coupling.diagonal().any()
+        assert np.array_equal(phi.field, -(math.pi / 4) * deg)
+
+    @pytest.mark.parametrize("M,N", [(1, 5), (3, 2)])
+    def test_open_patch_reads_big_table(self, M, N):
+        # the MBQC patches: every edge carries the 19x19 table's Gamma(1, 0)
+        # (along m) or Gamma(0, 1) (along n), and no other pair couples
+        cfg = LatticeConfig(M=19, N=19, J=0.1)
+        table = build_phase_table(cfg, solve_gate_time(cfg))
+        phi = cluster_phase(M, N, table.grid, nn_only=True, periodic=False)
+        want = np.zeros((M * N, M * N))
+        for a, b in grid_edges(M, N, periodic=False):
+            i, j = a[0] * N + a[1], b[0] * N + b[1]
+            want[i, j] = want[j, i] = table.gamma(b[0] - a[0], b[1] - a[1])
+        assert np.array_equal(phi.coupling, want)
+        assert {table.gamma(1, 0), table.gamma(0, 1)} >= set(want[want != 0])
+
+    def test_periodic_patch_needs_its_own_table(self):
+        grid = build_phase_table(LatticeConfig(M=4, N=4, J=0.1), 2.0).grid
+        with pytest.raises(ValueError, match="periodic 3x3 patch needs a 3x3 table"):
+            cluster_phase(3, 3, grid, nn_only=True, periodic=True)
+
+    def test_open_patch_must_fit_inside_the_table(self):
+        # all pairs of an open 4x4 patch reach separation 3, past half of 5
+        grid = build_phase_table(LatticeConfig(M=5, N=5, J=0.1), 2.0).grid
+        with pytest.raises(ValueError, match="wrap round the 5x5 table"):
+            cluster_phase(4, 4, grid, nn_only=False, periodic=False)
+        assert cluster_phase(3, 3, grid, nn_only=False, periodic=False).coupling.any()
 
 
 class TestPauliStrings:
@@ -246,18 +325,18 @@ class TestReducedDensityMatrix:
         assert np.allclose(report.coherences, 0.5)
 
     def test_cluster_site_maximally_mixed(self):
-        report = verify_cluster(cluster_phase(2, 3, uniform(math.pi / 4), periodic=False),
-                                periodic=False)
+        phi = cluster_phase(2, 3, np.full((2, 3), math.pi / 4), periodic=False)
+        report = verify_cluster(phi, periodic=False)
         for c in report.coherences.ravel():
             assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
     def test_unentangled_evolution_pure(self):
-        report = verify_cluster(cluster_phase(2, 2, uniform(0.0)))
+        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0)))
         r = rho(report.coherences[0, 0])
         assert np.trace(r @ r).real == pytest.approx(1.0, abs=1e-12)
 
     def test_site_out_of_range(self):
-        reg = phase_register(cluster_phase(2, 2, uniform(0.1)))
+        reg = phase_register(cluster_phase(2, 2, np.full((2, 2), 0.1)))
         with pytest.raises(ValueError):
             reg.site_axis((2, 0))
 

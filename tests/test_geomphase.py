@@ -13,10 +13,10 @@ from cavitycluster.geomphase import (
     PRESETS,
     beta,
     build_phase_table,
-    canonical_separation,
     feasibility_report,
     gamma_mode,
     gamma_total,
+    nn_separation,
     pairwise_phase,
     solve_gate_time,
     sweep_delta,
@@ -219,20 +219,25 @@ class TestPairwisePhase:
 class TestPhaseTable:
     def test_symmetries(self):
         table = build_phase_table(REF, 3.0)
-        for (dm, dn), v in table.entries.items():
-            assert table.gamma(-dm, -dn) == pytest.approx(v, abs=1e-12)
-            assert table.gamma(dn, dm) == pytest.approx(v, abs=1e-12)  # M == N
+        for dm in range(REF.M):
+            for dn in range(REF.N):
+                if dm or dn:
+                    v = table.grid[dm, dn]
+                    assert table.gamma(-dm, -dn) == pytest.approx(v, abs=1e-12)
+                    assert table.gamma(dn, dm) == pytest.approx(v, abs=1e-12)  # M == N
 
     def test_canonical_reduction(self):
-        assert canonical_separation(REF, 18, 0) == (-1, 0)
-        assert canonical_separation(REF, -10, 21) == (9, 2)
+        # a separation reads the table cell it is congruent to
         table = build_phase_table(REF, 3.0)
         assert table.gamma(18, 0) == table.gamma(-1, 0) == table.gamma(1, 0)
+        assert table.gamma(-10, 21) == table.gamma(9, 2) == table.grid[9, 2]
 
     def test_maximum_at_nearest_neighbor(self):
         table = build_phase_table(REF, 3.0)
-        peak = max(table.entries, key=lambda s: abs(table.entries[s]))
-        assert peak in [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        beyond = np.abs(table.grid)
+        beyond[0, 0] = 0.0  # the self term is not a pair
+        peak = np.unravel_index(np.argmax(beyond), beyond.shape)
+        assert peak in [(1, 0), (18, 0), (0, 1), (0, 18)]
 
     def test_zero_separation_rejected(self):
         table = build_phase_table(REF, 3.0)
@@ -244,22 +249,16 @@ class TestPhaseTable:
     def test_fft_matches_pairwise_sums(self, M, N, delta):
         cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
         table = build_phase_table(cfg, 3.0)
-        order = [
-            (dm, dn)
-            for dm in range(-(M // 2), M // 2 + 1)
-            for dn in range(-(N // 2), N // 2 + 1)
-            if (dm % M, dn % N) != (0, 0)
-        ]
-        assert list(table.entries) == order
-        for (dm, dn), v in table.entries.items():
-            assert abs(v - pairwise_phase(cfg, 3.0, dm, dn)) < 1e-12
-        # on an even side the +-M/2 separations are one lattice vector
-        if M % 2 == 0:
-            for dn in range(-(N // 2), N // 2 + 1):
-                assert table.entries[(M // 2, dn)] == table.entries[(-(M // 2), dn)]
-        if N % 2 == 0:
-            for dm in range(-(M // 2), M // 2 + 1):
-                assert table.entries[(dm, N // 2)] == table.entries[(dm, -(N // 2))]
+        assert table.grid.shape == (M, N) and not table.grid.flags.writeable
+        beyond = 0.0
+        for dm in range(M):
+            for dn in range(N):
+                if dm or dn:
+                    v = table.grid[dm, dn]
+                    assert abs(v - pairwise_phase(cfg, 3.0, dm, dn)) < 1e-12
+                    if min(dm, M - dm) + min(dn, N - dn) >= 2:
+                        beyond = max(beyond, abs(v))
+        assert table.max_beyond_nearest_neighbor() == beyond
 
     def test_size_independence(self):
         big = LatticeConfig(M=29, N=29, J=0.1, delta=0.0)
@@ -371,6 +370,28 @@ class TestSweeps:
         rows = sweep_tau(REF, taus, [(1, 0)])
         vals = [abs(r[1][(1, 0)]) for r in rows]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("M,N,sep", [(3, 3, (3, 0)), (3, 3, (-3, 6)), (1, 5, (1, 0))])
+    def test_tau_sweep_rejects_zero_separation(self, M, N, sep):
+        # a separation that is zero on the lattice would read the self term
+        cfg = LatticeConfig(M=M, N=N, J=0.1)
+        with pytest.raises(ValueError, match=rf"separation \({sep[0]}, {sep[1]}\) is zero"):
+            sweep_tau(cfg, [0.1], [(0, 1), sep])
+        with pytest.raises(ValueError, match=rf"separation \({sep[0]}, {sep[1]}\) is zero"):
+            pairwise_phase(cfg, 0.1, *sep)
+
+    def test_delta_sweep_single_row(self):
+        # on 1xN the nearest neighbour is (0, 1), as for the gate time
+        cfg = LatticeConfig(M=1, N=5, J=0.1)
+        rows = sweep_delta(cfg, 3.0, [0.0, 0.7])
+        assert rows == [(d, pairwise_phase(replace(cfg, delta=d), 3.0, 0, 1)) for d in (0.0, 0.7)]
+        assert nn_separation(cfg) == (0, 1) and nn_separation(REF) == (1, 0)
+
+    def test_no_pair_on_1x1(self):
+        cfg = LatticeConfig(M=1, N=1, J=0.1)
+        for call in (lambda: sweep_delta(cfg, 3.0, [0.0]), lambda: solve_gate_time(cfg)):
+            with pytest.raises(ValueError, match="1x1 lattice has no pairs"):
+                call()
 
     def test_tau_sweep_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -276,7 +276,7 @@ class TestGeneratedClusterEquivalence:
         cfg = LatticeConfig(M=1, N=5, J=0.1, delta=0.0)
         tau = solve_gate_time(cfg)
         table = build_phase_table(cfg, tau)
-        generated = phase_register(cluster_phase(1, 5, table.gamma, nn_only=True, periodic=False))
+        generated = phase_register(cluster_phase(1, 5, table.grid, nn_only=True, periodic=False))
         pat = wire_rotation_pattern(0.6, -0.3, 1.0)
         ref_state, _ = run_pattern(
             reference_cluster(1, 5, periodic=False), pat, forced_outcomes=[0, 0, 0, 0]
