@@ -43,6 +43,7 @@ from .geomphase import (
 from .lattice import LatticeConfig
 from .mbqc import (
     PatternParseError,
+    ZeroProbabilityError,
     cnot_pattern,
     parse_pattern,
     run_pattern,
@@ -97,8 +98,8 @@ class RunConfig:
     tau_max: float = 3.0
     tau_step: float = 0.02
     separations: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (1, 1), (2, 0))
-    # cluster
-    cluster_tau: str = "auto"
+    # cluster; a cluster_tau of None solves the gate time
+    cluster_tau: float | None = None
     nn_only: bool = True
     periodic: bool = True
     snapshot: bool = False
@@ -206,6 +207,13 @@ def load_run_config(path: Path | None) -> RunConfig:
                 ) from None
         return default
 
+    def tau(sec: str, default):
+        value = get(sec, "tau", float, default)
+        if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+            line = _key_line_number(path, sec, "tau")
+            raise ConfigError(f"{path}, line {line}: [{sec}] tau must be finite and non-negative")
+        return value
+
     try:
         run.lattice = LatticeConfig(
             M=get("lattice", "m", int, run.lattice.M),
@@ -217,7 +225,7 @@ def load_run_config(path: Path | None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    run.sweep_tau_value = get("gamma-sweep", "tau", float, run.sweep_tau_value)
+    run.sweep_tau_value = tau("gamma-sweep", run.sweep_tau_value)
     run.delta_min = get("gamma-sweep", "delta_min", float, run.delta_min)
     run.delta_max = get("gamma-sweep", "delta_max", float, run.delta_max)
     run.delta_step = get("gamma-sweep", "delta_step", float, run.delta_step)
@@ -229,7 +237,8 @@ def load_run_config(path: Path | None) -> RunConfig:
             parser.get("gamma-sweep", "separations"), f"{path} [gamma-sweep] separations"
         )
 
-    run.cluster_tau = get("cluster", "tau", str, run.cluster_tau)
+    if parser.get("cluster", "tau", fallback="auto") != "auto":
+        run.cluster_tau = tau("cluster", run.cluster_tau)
     run.nn_only = get("cluster", "nn_only", bool, run.nn_only)
     run.periodic = get("cluster", "periodic", bool, run.periodic)
     run.snapshot = get("cluster", "snapshot", bool, run.snapshot)
@@ -237,7 +246,7 @@ def load_run_config(path: Path | None) -> RunConfig:
 
     run.n_max = get("oracle", "n_max", int, run.n_max)
     run.tolerance = get("oracle", "tolerance", float, run.tolerance)
-    run.oracle_tau = get("oracle", "tau", float, run.oracle_tau)
+    run.oracle_tau = tau("oracle", run.oracle_tau)
     run.corrupt_identity = get("oracle", "corrupt_identity", bool, run.corrupt_identity)
 
     run.pattern_path = get("mbqc", "pattern", str, run.pattern_path)
@@ -321,23 +330,22 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
         nn_sep = nn_separation(cfg)
     except ValueError as exc:
         raise ConfigError(f"[lattice] {exc}") from None
-    if run.cluster_tau == "auto":
+    tau = run.cluster_tau
+    if tau is None:
         try:
             tau = solve_gate_time(cfg)
         except GateTimeNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-    else:
-        try:
-            tau = float(run.cluster_tau)
-        except ValueError:
-            raise ConfigError(f"cluster tau must be 'auto' or a number") from None
 
     table = build_phase_table(cfg, tau)
     try:
         phi = cluster_phase(cfg.M, cfg.N, table.grid, run.nn_only, run.periodic)
-    except ValueError as exc:
-        raise ConfigError(f"[cluster] nn_only = false: {exc}") from None
+    except ValueError:
+        raise ConfigError(
+            f"[cluster] nn_only = false on an open {cfg.M}x{cfg.N} patch reads separations that "
+            "wrap round its own table; set periodic = true or nn_only = true"
+        ) from None
     report = verify_cluster(phi, run.periodic)
     fid = report.fidelity
 
@@ -482,9 +490,9 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     for branch in range(2**n_meas):
         forced = [(branch >> i) & 1 for i in range(n_meas)]
         try:
-            state, _ = run_pattern(cluster.copy(), pattern, forced_outcomes=forced)
-        except ValueError:
-            continue  # zero-probability branch
+            state, _ = run_pattern(cluster, pattern, forced_outcomes=forced)
+        except ZeroProbabilityError:
+            continue
         outputs.append(state)
     if not outputs:
         raise ConfigError("no branch of the pattern has nonzero probability")
@@ -499,7 +507,7 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     max_dev = max(_phase_aligned_dev(st) for st in outputs)
     deterministic = max_dev < 1e-10
 
-    state_sampled, record = run_pattern(cluster.copy(), pattern, seed=run.seed)
+    state_sampled, record = run_pattern(cluster, pattern, seed=run.seed)
     body = [
         f"source = {run.source}",
         f"cluster_shape = {M}x{N}",

@@ -20,15 +20,18 @@ state on the same grid is 2^{-n/2} (-1)^{E(x)}, E(x) = sum_edges x_a x_b,
 and Gamma = pi/4 on the edges gives Phi = pi E - (pi/4) |edges|: the
 cluster up to a global phase.
 
-Verification is sums of real phases over bitstrings.  The fidelity is
-|mean(e^{i Phi} (-1)^E)|^2.  The graph stabilizer X_a prod_{b~a} Z_b flips
-bit a and takes the sign s_b of each neighbour, so its expectation is the
-mean of cos(d_a) prod_{b~a} s_b with d_a = Phi(x_a = 0) - Phi(x_a = 1); a
-single site's reduced density matrix has diagonal exactly 1/2 and
-coherence <0|rho_a|1> = mean(e^{i d_a}) / 2.  Because d_a = 2 (h_a +
-sum_b W_ab s_b) is linear in the other spins, both means factorize over
-them (mean e^{i w s} = cos w, mean s e^{i w s} = i sin w) and are
-evaluated in closed form.
+Verification works on the deviation polynomial D = Phi - pi E.  With
+s = 1 - 2x, pi E = (pi/4) sum_edges s_a s_b - (pi/4) sum_a deg_a s_a +
+const, so D has coupling eps = W - (pi/4) A (A the grid adjacency) and
+field dh = h + (pi/4) deg, and dh is exactly 0 for every cluster_phase
+output.  The fidelity is |mean e^{i D}|^2 over bitstrings.  The graph
+stabilizer X_a prod_{b~a} Z_b flips bit a and takes the sign s_b of each
+neighbour; the flip changes pi E by a phase that those signs cancel, so
+its expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)),
+which factorizes over the spins (mean e^{i w s} = cos w) into
+cos(2 dh_a) prod_b cos(2 eps_ab).  A single site's reduced density matrix
+has diagonal exactly 1/2 and coherence <0|rho_a|1> = (1/2) e^{2 i h_a}
+prod_b cos(2 W_ab), by the same factorization on Phi.
 
 The grid is one boolean adjacency matrix (grid_adjacency) and the pair
 phases one table array, Gamma(dm, dn) = grid[dm % Mt, dn % Nt]; W is one
@@ -37,16 +40,18 @@ the dense arrays of 2^n numbers (Phi at every bitstring, a QubitRegister,
 the reference graph state) are capped at MAX_QUBITS.  A dense complex
 register is kept only where measurement needs one: MBQC patterns on
 patches of a few qubits, built from Phi or as the exact reference state.
+A register holds only its live sites, so measuring a site removes its axis.
 
 Conventions: site (m, n) owns tensor axis m*N + n of an amplitude or phase
-vector reshaped to [2]*M*N (axis 0 is the most significant bit); bit 0 is
-|up>, the +1 eigenstate of sigma_z.
+vector reshaped to [2]*M*N (axis 0 is the most significant bit), and in a
+register its index in QubitRegister.sites; bit 0 is |up>, the +1
+eigenstate of sigma_z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,36 +79,41 @@ def _check_cap(M: int, N: int) -> int:
 
 @dataclass
 class QubitRegister:
-    """Dense state vector over the 2^(M*N) qubit Hilbert space."""
+    """Dense state vector over the live sites of the M x N grid.
+
+    sites lists the live sites, one tensor axis each in that order; it
+    defaults to every site in row-major order.  A measured site leaves it.
+    """
 
     M: int
     N: int
     amps: np.ndarray
-    measured: set[tuple[int, int]] = field(default_factory=set)
+    sites: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        nq = _check_cap(self.M, self.N)
-        self.amps = np.asarray(self.amps, dtype=complex).reshape(2**nq)
+        _check_cap(self.M, self.N)
+        if self.sites is None:
+            self.sites = tuple(divmod(k, self.N) for k in range(self.M * self.N))
+        self.amps = np.asarray(self.amps, dtype=complex).reshape(2**self.n_qubits)
 
     @property
     def n_qubits(self) -> int:
-        return self.M * self.N
+        return len(self.sites)
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
     def site_axis(self, site: tuple[int, int]) -> int:
-        m, n = site
-        if not (0 <= m < self.M and 0 <= n < self.N):
-            raise ValueError(f"site {site} out of range for {self.M}x{self.N}")
-        return m * self.N + n
+        if site not in self.sites:
+            raise ValueError(f"site {site} is outside the {self.M}x{self.N} grid or measured")
+        return self.sites.index(site)
 
     def view(self) -> np.ndarray:
         return self.amps.reshape([2] * self.n_qubits)
 
     def copy(self) -> "QubitRegister":
-        return QubitRegister(self.M, self.N, self.amps.copy(), set(self.measured))
+        return QubitRegister(self.M, self.N, self.amps.copy(), self.sites)
 
 
 def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray) -> None:
@@ -241,23 +251,15 @@ class ClusterReport:
 
 def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport:
     """Check the state 2^{-n/2} exp(i Phi) against the M x N grid graph state."""
-    M, N, nq = phi.M, phi.N, phi.M * phi.N
-    neighbours = grid_adjacency(M, N, periodic)
-    values = phi.values().reshape([2] * nq)
-    cos = np.cos(values)
-    sin = np.sin(values, out=values)
-    for i, j in zip(*np.nonzero(np.triu(neighbours))):  # times (-1)^(x_i x_j)
-        cos[_both_set(nq, i, j)] *= -1.0
-        sin[_both_set(nq, i, j)] *= -1.0
-    fidelity = float(cos.mean()) ** 2 + float(sin.mean()) ** 2
-
-    stabilizers = np.empty(nq)
-    coherences = np.empty(nq, dtype=complex)
-    for a in range(nq):
-        # d_a = 2 h_a + sum_b w_b s_b; a's own entry is 0, so cos = 1 there
-        w = 2.0 * phi.coupling[a]
-        offset = np.exp(2j * phi.field[a])
-        coherences[a] = 0.5 * offset * np.prod(np.cos(w))
-        factors = np.where(neighbours[a], 1j * np.sin(w), np.cos(w))
-        stabilizers[a] = (offset * np.prod(factors)).real
+    M, N = phi.M, phi.N
+    adjacency = grid_adjacency(M, N, periodic)
+    # Phi - pi E, constant dropped: coupling W - (pi/4) A, field h + (pi/4) deg,
+    # so the field is exactly 0 for cluster_phase's h = -(pi/4) deg
+    coupling = phi.coupling - (math.pi / 4) * adjacency
+    dev = PhasePolynomial(M, N, coupling, phi.field + (math.pi / 4) * adjacency.sum(axis=1))
+    values = dev.values()
+    fidelity = float(np.cos(values).mean()) ** 2 + float(np.sin(values, out=values).mean()) ** 2
+    # an entry of 0 (a site's own, or an uncoupled pair) contributes cos 0 = 1
+    stabilizers = np.cos(2.0 * dev.field) * np.prod(np.cos(2.0 * dev.coupling), axis=1)
+    coherences = 0.5 * np.exp(2j * phi.field) * np.prod(np.cos(2.0 * phi.coupling), axis=1)
     return ClusterReport(fidelity, stabilizers.reshape(M, N), coherences.reshape(M, N))

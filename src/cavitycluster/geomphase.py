@@ -167,11 +167,11 @@ class PhaseShiftTable:
         return float(self.grid[dm % self.config.M, dn % self.config.N])
 
     def max_beyond_nearest_neighbor(self) -> float:
-        """Largest |Gamma| over separations of lattice distance 2 or more."""
+        """Largest |Gamma| over separations of lattice distance 2 or more (0 if none)."""
         M, N = self.grid.shape
         dm, dn = np.arange(M), np.arange(N)
         distance = np.minimum(dm, M - dm)[:, None] + np.minimum(dn, N - dn)
-        return float(np.max(np.abs(self.grid[distance >= 2])))
+        return float(np.max(np.abs(self.grid[distance >= 2]), initial=0.0))
 
 
 def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:

@@ -10,10 +10,14 @@ test suite):
   site down the wire and applies X^s H Rz(-t), with Rz(t) = diag(1,
   e^{i t}).  Feedforward therefore flips the sign of a step's angle by
   the outcome parity of the steps listed in its adapt set.
-* A Z measurement detaches the site from the graph; outcome s = 1 leaves
+* Every measurement removes its site from the register: the state is
+  contracted with the observed eigenvector and the site's axis is gone.
+  A Z measurement detaches the site from the graph; outcome s = 1 leaves
   a Z byproduct on each former neighbor.
 * Byproduct rules apply X or Z to an output site when the referenced
-  outcome parity is odd.
+  outcome parity is odd.  A pattern is refused if a rule names a site that
+  is not an output or a step that does not exist, or if any site has a
+  negative coordinate.
 
 Pattern files are plain text, one directive per line; see
 docs/pattern_format.md for the grammar.
@@ -35,6 +39,7 @@ __all__ = [
     "MeasurementPattern",
     "MeasurementRecord",
     "PatternParseError",
+    "ZeroProbabilityError",
     "measure_qubit",
     "run_pattern",
     "wire_rotation_pattern",
@@ -98,16 +103,24 @@ class MeasurementPattern:
     outputs: tuple[Site, ...] = ()
 
     def __post_init__(self) -> None:
+        for site in [s.site for s in self.steps + self.byproducts] + list(self.outputs):
+            if min(site) < 0:
+                raise ValueError(f"site {site} has a negative coordinate")
         seen: set[Site] = set()
         for i, step in enumerate(self.steps):
             if step.site in seen:
                 raise ValueError(f"site {step.site} measured twice")
             seen.add(step.site)
-            if any(j >= i for j in step.adapt):
-                raise ValueError(f"step {i} adapts on a later or same step")
+            if any(not 0 <= j < i for j in step.adapt):
+                raise ValueError(f"step {i} adapts on a step that is not an earlier one")
         for site in self.outputs:
             if site in seen:
                 raise ValueError(f"output site {site} is measured")
+        for rule in self.byproducts:
+            if rule.site not in self.outputs:
+                raise ValueError(f"byproduct site {rule.site} is not an output")
+            if any(not 0 <= j < len(self.steps) for j in rule.steps):
+                raise ValueError(f"byproduct on {rule.site} names a step that does not exist")
 
 
 @dataclass
@@ -117,13 +130,8 @@ class MeasurementRecord:
     seed: int | None = None
 
 
-def _equatorial_eigenstate(theta: float, outcome_bit: int) -> np.ndarray:
-    sign = -1.0 if outcome_bit else 1.0
-    return np.array([1.0, sign * np.exp(1j * theta)], dtype=complex) / math.sqrt(2.0)
-
-
-def _z_eigenstate(outcome_bit: int) -> np.ndarray:
-    return np.array([1.0 - outcome_bit, float(outcome_bit)], dtype=complex)
+class ZeroProbabilityError(ValueError):
+    """A forced measurement outcome has zero Born probability."""
 
 
 def measure_qubit(
@@ -134,67 +142,37 @@ def measure_qubit(
     forced_outcome: int | None = None,
     rng: random.Random | None = None,
 ) -> tuple[int, float, QubitRegister]:
-    """Projectively measure one site.
+    """Projectively measure one site and remove it from the register.
 
-    Returns (outcome bit, its Born probability, collapsed register).
-
-    The collapsed register keeps full dimension with the measured site
-    left in the observed eigenstate.  forced_outcome (0 or 1) selects a
-    branch deterministically; a zero-probability branch is an error.
+    Returns (outcome bit, its Born probability, the register on the other
+    live sites): the amplitudes contracted with <v_outcome| on the site's
+    axis, divided by the square root of the probability.  reg is not
+    changed.  forced_outcome (0 or 1) selects a branch deterministically; a
+    zero-probability branch raises ZeroProbabilityError.
     """
-    if site in reg.measured:
-        raise ValueError(f"site {site} was already measured")
-    if basis == "X":
-        basis, angle = "EQ", 0.0
-    elif basis == "Y":
-        basis, angle = "EQ", math.pi / 2
-    if basis == "EQ":
-        eigvec = _equatorial_eigenstate
-    elif basis == "Z":
-        eigvec = lambda theta, bit: _z_eigenstate(bit)  # noqa: E731
+    # row b of eigvecs is the eigenvector of outcome bit b
+    if basis == "Z":
+        eigvecs = np.eye(2, dtype=complex)
+    elif basis in ("X", "Y", "EQ"):
+        phase = np.exp(1j * {"X": 0.0, "Y": math.pi / 2}.get(basis, angle))
+        eigvecs = np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2.0)
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
     ax = reg.site_axis(site)
-    t = reg.view()
-    probs = []
-    for bit in (0, 1):
-        v = eigvec(angle, bit)
-        amp = np.tensordot(v.conj(), t, axes=([0], [ax]))
-        probs.append(float(np.linalg.norm(amp) ** 2))
+    branches = [np.tensordot(v.conj(), reg.view(), axes=([0], [ax])) for v in eigvecs]
+    probs = [float(np.linalg.norm(amp) ** 2) for amp in branches]
     if forced_outcome is None:
         r = (rng or random).random()
         outcome = 0 if r < probs[0] / (probs[0] + probs[1]) else 1
     else:
         outcome = int(forced_outcome)
         if probs[outcome] < 1e-24:
-            raise ValueError(f"forced outcome {outcome} has zero probability")
+            raise ZeroProbabilityError(f"forced outcome {outcome} has zero probability")
 
-    out = reg.copy()
-    v = eigvec(angle, outcome)
-    proj = np.outer(v, v.conj())
-    apply_single_qubit(out, site, proj)
-    out.amps /= math.sqrt(probs[outcome])
-    out.measured.add(site)
-    return outcome, probs[outcome], out
-
-
-def _extract_output_state(
-    reg: QubitRegister, pattern: MeasurementPattern, eigvecs: list[tuple[Site, np.ndarray]]
-) -> np.ndarray:
-    """Contract measured sites against their post-measurement eigenstates,
-    returning the state on the output sites in row-major site order."""
-    t = reg.view()
-    axes_order = sorted(range(reg.n_qubits))
-    # contract measured axes from highest axis index down so indices stay valid
-    for site, vec in sorted(eigvecs, key=lambda sv: -reg.site_axis(sv[0])):
-        t = np.tensordot(vec.conj(), t, axes=([0], [reg.site_axis(site)]))
-    remaining = [s for s in axes_order if divmod(s, reg.N) not in {sv[0] for sv in eigvecs}]
-    wanted = [reg.site_axis(site) for site in pattern.outputs]
-    perm = [remaining.index(ax) for ax in wanted]
-    t = np.transpose(t, perm + [i for i in range(len(remaining)) if i not in perm])
-    out = t.reshape(-1)
-    return out / np.linalg.norm(out)
+    amps = branches[outcome] / math.sqrt(probs[outcome])
+    sites = reg.sites[:ax] + reg.sites[ax + 1 :]
+    return outcome, probs[outcome], QubitRegister(reg.M, reg.N, amps, sites)
 
 
 def run_pattern(
@@ -205,39 +183,36 @@ def run_pattern(
 ) -> tuple[np.ndarray, MeasurementRecord]:
     """Execute a pattern with feedforward; returns (output state, record).
 
-    The output state is the pure state on pattern.outputs (row-major site
-    order) after byproduct corrections.
+    Each measurement removes its site, so after the byproduct corrections
+    the register holds only unmeasured sites.  The output state is that
+    register, normalized, with pattern.outputs first in their order and any
+    other unmeasured site after them in row-major order; it is empty when
+    the pattern names no outputs.  reg is not changed.
     """
-    for step in pattern.steps:
-        reg.site_axis(step.site)  # validates range
     rng = random.Random(seed)
     record = MeasurementRecord(seed=seed)
-    work = reg.copy()
-    eigvecs: list[tuple[Site, np.ndarray]] = []
+    work = reg
     for i, step in enumerate(pattern.steps):
-        theta = step.effective_angle(record.outcomes)
-        forced = None if forced_outcomes is None else forced_outcomes[i]
         outcome, probability, work = measure_qubit(
             work,
             step.site,
             "Z" if step.basis == "Z" else "EQ",
-            angle=theta,
-            forced_outcome=forced,
+            angle=step.effective_angle(record.outcomes),
+            forced_outcome=None if forced_outcomes is None else forced_outcomes[i],
             rng=rng,
         )
         record.outcomes.append(outcome)
         record.probabilities.append(probability)
-        if step.basis == "Z":
-            eigvecs.append((step.site, _z_eigenstate(outcome)))
-        else:
-            eigvecs.append((step.site, _equatorial_eigenstate(theta, outcome)))
+    # with no steps no rule's parity is odd, so reg itself is never changed
     for rule in pattern.byproducts:
         if sum(record.outcomes[i] for i in rule.steps) % 2:
             apply_single_qubit(work, rule.site, _PAULI[rule.pauli])
-    state = _extract_output_state(work, pattern, eigvecs) if pattern.outputs else np.array(
-        [], dtype=complex
-    )
-    return state, record
+    if not pattern.outputs:
+        return np.array([], dtype=complex), record
+    first = [work.site_axis(site) for site in pattern.outputs]
+    rest = [ax for ax in range(work.n_qubits) if ax not in first]
+    state = np.transpose(work.view(), first + rest).reshape(-1)
+    return state / np.linalg.norm(state), record
 
 
 def wire_rotation_pattern(theta1: float, theta2: float, theta3: float) -> MeasurementPattern:

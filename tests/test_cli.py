@@ -2,7 +2,16 @@ import textwrap
 
 import pytest
 
-from cavitycluster.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, load_run_config, main
+from cavitycluster.cli import (
+    _SCHEMA,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    ConfigError,
+    RunConfig,
+    load_run_config,
+    main,
+)
 
 
 def write(tmp_path, name, body):
@@ -28,6 +37,39 @@ SMALL_SWEEP = """\
     tau_step = 0.25
     separations = 1,0 1,1
     """
+
+
+# a value other than the default for every key of the INI schema
+NON_DEFAULT = {
+    ("lattice", "m"): "5",
+    ("lattice", "n"): "5",
+    ("lattice", "j"): "0.2",
+    ("lattice", "delta"): "1.5",
+    ("lattice", "g"): "2.0",
+    ("gamma-sweep", "tau"): "2.5",
+    ("gamma-sweep", "delta_min"): "1.0",
+    ("gamma-sweep", "delta_max"): "10.0",
+    ("gamma-sweep", "delta_step"): "0.25",
+    ("gamma-sweep", "tau_min"): "0.5",
+    ("gamma-sweep", "tau_max"): "2.0",
+    ("gamma-sweep", "tau_step"): "0.1",
+    ("gamma-sweep", "separations"): "1,0 2,1",
+    ("cluster", "tau"): "2.0",
+    ("cluster", "nn_only"): "false",
+    ("cluster", "periodic"): "false",
+    ("cluster", "snapshot"): "true",
+    ("cluster", "fidelity_min"): "0.99",
+    ("oracle", "n_max"): "6",
+    ("oracle", "tolerance"): "1e-8",
+    ("oracle", "tau"): "1.5",
+    ("oracle", "corrupt_identity"): "true",
+    ("mbqc", "pattern"): "wire.pat",
+    ("mbqc", "builtin"): "cnot",
+    ("mbqc", "theta1"): "0.3",
+    ("mbqc", "theta2"): "0.3",
+    ("mbqc", "theta3"): "0.3",
+    ("mbqc", "source"): "generated",
+}
 
 
 class TestConfigParsing:
@@ -72,6 +114,38 @@ class TestConfigParsing:
     def test_unparseable_value(self, tmp_path):
         cfg = write(tmp_path, "bad.ini", "[lattice]\nM = banana\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command,section,value",
+        [
+            ("gamma-sweep", "gamma-sweep", "nan"),
+            ("cluster", "cluster", "nan"),
+            ("cluster", "cluster", "-1"),
+            ("oracle-verify", "oracle", "-3"),
+        ],
+    )
+    def test_bad_tau_is_config_error(self, tmp_path, capsys, command, section, value):
+        cfg = write(tmp_path, "t.ini", f"[lattice]\nM = 1\nN = 2\n[{section}]\ntau = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"line 5: [{section}] tau must be finite and non-negative" in err
+        assert not out.exists()
+
+    def test_nan_oracle_tau_rejected_on_load(self, tmp_path):
+        # a NaN interaction time would send the integrator's step doubling to its cap
+        cfg = write(tmp_path, "t.ini", "[oracle]\ntau = nan\n")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_run_config(cfg)
+
+    @pytest.mark.parametrize(
+        "section,key", [(sec, key) for sec in sorted(_SCHEMA) for key in sorted(_SCHEMA[sec])]
+    )
+    def test_every_key_reaches_run_config(self, tmp_path, section, key):
+        # no key is accepted but ignored: a non-default value changes the RunConfig
+        value = NON_DEFAULT[section, key]
+        cfg = write(tmp_path, "k.ini", f"[{section}]\n{key} = {value}\n")
+        assert load_run_config(cfg) != RunConfig()
 
     def test_missing_config_file(self, tmp_path):
         assert (
@@ -192,7 +266,9 @@ class TestCluster:
             periodic = false
             """)
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "periodic" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "periodic = true" in err and "nn_only = true" in err
+        assert "larger table" not in err  # the CLI always builds the patch's own table
         assert not (tmp_path / "cluster_report.txt").exists()
 
     def test_1x1_is_config_error(self, tmp_path, capsys):
@@ -296,6 +372,26 @@ class TestMbqc:
         out = tmp_path / "out"
         assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    @pytest.mark.parametrize(
+        "byproduct", ["byproduct 0 1 X 3", "byproduct 3 3 X 0", "byproduct 0 0 X 0"]
+    )
+    def test_invalid_byproduct_is_config_error(self, tmp_path, capsys, byproduct, seed):
+        # whatever outcome the seed draws, a bad rule is refused before any run
+        pat = tmp_path / "bad.pat"
+        pat.write_text(f"0 0 X - -\n{byproduct}\noutput 0 1\n")
+        out = tmp_path / "out"
+        argv = ["mbqc", "--pattern", str(pat), "--out", str(out), "--seed", seed]
+        assert main(argv) == EXIT_USAGE
+        assert "byproduct" in capsys.readouterr().err
+        assert not (out / "mbqc_report.txt").exists()
+
+    def test_negative_site_is_config_error(self, tmp_path, capsys):
+        pat = tmp_path / "bad.pat"
+        pat.write_text("0 -1 X - -\noutput 0 1\n")
+        assert main(["mbqc", "--pattern", str(pat), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "(0, -1) has a negative coordinate" in capsys.readouterr().err
 
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "out"

@@ -260,6 +260,12 @@ class TestPhaseTable:
                         beyond = max(beyond, abs(v))
         assert table.max_beyond_nearest_neighbor() == beyond
 
+    @pytest.mark.parametrize("M,N", [(1, 2), (1, 3), (2, 1), (3, 1)])
+    def test_no_separation_beyond_nn(self, M, N):
+        # every separation is a nearest neighbour, so nothing beyond it couples
+        table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1), 3.0)
+        assert table.max_beyond_nearest_neighbor() == 0.0
+
     def test_size_independence(self):
         big = LatticeConfig(M=29, N=29, J=0.1, delta=0.0)
         tau = solve_gate_time(REF)

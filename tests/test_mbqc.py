@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,9 +101,8 @@ class TestMeasureQubit:
         for forced, want in ((0, PLUS), (1, np.array([1, -1], dtype=complex) / math.sqrt(2))):
             cl = reference_cluster(1, 2, periodic=False)
             _, _, out = measure_qubit(cl, (0, 1), "Z", forced_outcome=forced)
-            t = out.view()
-            remaining = t[:, forced]  # measured axis collapsed to |forced>
-            assert_equal_up_to_phase(remaining / np.linalg.norm(remaining), want)
+            assert out.sites == ((0, 0),)  # the measured site left the register
+            assert_equal_up_to_phase(out.amps, want)
 
 
 class TestRunPattern:
@@ -153,6 +153,25 @@ class TestRunPattern:
         assert record.probabilities == pytest.approx(
             [0.44996304454642483, 0.8217956653108509], rel=1e-14
         )
+
+    def test_input_register_unchanged(self):
+        # measurement builds smaller registers; the caller's register is not touched
+        cluster = reference_cluster(3, 2, periodic=False)
+        amps, sites = cluster.amps.copy(), cluster.sites
+        first, _ = run_pattern(cluster, cnot_pattern(), forced_outcomes=[1, 1, 1, 1])
+        assert np.array_equal(cluster.amps, amps) and cluster.sites == sites
+        again, _ = run_pattern(cluster, cnot_pattern(), forced_outcomes=[1, 1, 1, 1])
+        assert np.array_equal(again, first)
+
+    def test_trailing_unmeasured_sites_follow_outputs(self):
+        # output (0, 2) first, then the unmeasured non-output (0, 1)
+        amps = np.arange(1, 9, dtype=complex)
+        pat = MeasurementPattern(
+            steps=(MeasurementStep(site=(0, 0), basis="Z"),), outputs=((0, 2),)
+        )
+        state, _ = run_pattern(QubitRegister(1, 3, amps), pat, forced_outcomes=[1])
+        want = amps[4:].reshape(2, 2).T.reshape(-1)
+        assert np.allclose(state, want / np.linalg.norm(want), atol=1e-15)
 
     def test_adapt_on_later_step_rejected(self):
         with pytest.raises(ValueError):
@@ -321,6 +340,23 @@ class TestPatternFiles:
     def test_bad_adapt_list(self):
         with pytest.raises(PatternParseError):
             parse_pattern("0 1 EQ 0.5 a,b\n")
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("0 0 X - -\nbyproduct 0 1 X 3\noutput 0 1\n", "step that does not exist"),
+            ("0 0 X - -\nbyproduct 0 1 X -1\noutput 0 1\n", "step that does not exist"),
+            ("0 0 X - -\nbyproduct 3 3 X 0\noutput 0 1\n", "(3, 3) is not an output"),
+            ("0 0 X - -\nbyproduct 0 0 Z 0\noutput 0 1\n", "(0, 0) is not an output"),
+            ("0 0 X - -\n0 1 EQ 0.5 -1\noutput 0 2\n", "not an earlier one"),
+            ("0 -1 X - -\noutput 0 1\n", "(0, -1) has a negative coordinate"),
+            ("0 0 X - -\noutput -1 0\n", "(-1, 0) has a negative coordinate"),
+        ],
+        ids=["late-step", "negative-step", "off-grid", "measured", "adapt", "step-site", "output"],
+    )
+    def test_invalid_pattern_rejected(self, text, named):
+        with pytest.raises(PatternParseError, match=re.escape(named)):
+            parse_pattern(text)
 
     def test_site_collision_reported(self):
         with pytest.raises(PatternParseError):
