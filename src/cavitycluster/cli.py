@@ -181,37 +181,29 @@ def load_run_config(path: Path | None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    def key_error(sec: str, key: str, message: str) -> ConfigError:
+        return ConfigError(f"{path}, line {_key_line_number(path, sec, key)}: {message}")
+
     for section in parser.sections():
         sec = section.lower()
         if sec not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
             if key.lower() not in _SCHEMA[sec]:
-                line = _key_line_number(path, sec, key.lower())
-                raise ConfigError(
-                    f"{path}, line {line}: unknown key {key!r} in section [{section}]"
-                )
+                raise key_error(sec, key.lower(), f"unknown key {key!r} in section [{section}]")
 
-    def get(sec: str, key: str, cast, default):
-        if parser.has_option(sec, key):
-            raw = parser.get(sec, key)
-            where = f"{path} [{sec}] {key}"
-            try:
-                if cast is bool:
-                    return _parse_bool(raw, where)
-                return cast(raw)
-            except (ValueError, TypeError):
-                line = _key_line_number(path, sec, key)
-                raise ConfigError(
-                    f"{path}, line {line}: cannot parse {key} = {raw!r}"
-                ) from None
-        return default
-
-    def tau(sec: str, default):
-        value = get(sec, "tau", float, default)
-        if not 0.0 <= value < math.inf:  # NaN fails both comparisons
-            line = _key_line_number(path, sec, "tau")
-            raise ConfigError(f"{path}, line {line}: [{sec}] tau must be finite and non-negative")
+    def get(sec: str, key: str, cast, default, non_negative: bool = False):
+        """The key's value or default; a float must be finite (and >= 0 if asked)."""
+        if not parser.has_option(sec, key):
+            return default
+        raw = parser.get(sec, key)
+        try:
+            value = _parse_bool(raw, key) if cast is bool else cast(raw)
+        except (ValueError, TypeError):
+            raise key_error(sec, key, f"cannot parse {key} = {raw!r}") from None
+        if cast is float and not (math.isfinite(value) and (value >= 0 or not non_negative)):
+            rule = "finite and non-negative" if non_negative else "finite"
+            raise key_error(sec, key, f"[{sec}] {key} must be {rule}")
         return value
 
     try:
@@ -225,7 +217,7 @@ def load_run_config(path: Path | None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    run.sweep_tau_value = tau("gamma-sweep", run.sweep_tau_value)
+    run.sweep_tau_value = get("gamma-sweep", "tau", float, run.sweep_tau_value, non_negative=True)
     run.delta_min = get("gamma-sweep", "delta_min", float, run.delta_min)
     run.delta_max = get("gamma-sweep", "delta_max", float, run.delta_max)
     run.delta_step = get("gamma-sweep", "delta_step", float, run.delta_step)
@@ -238,7 +230,7 @@ def load_run_config(path: Path | None) -> RunConfig:
         )
 
     if parser.get("cluster", "tau", fallback="auto") != "auto":
-        run.cluster_tau = tau("cluster", run.cluster_tau)
+        run.cluster_tau = get("cluster", "tau", float, run.cluster_tau, non_negative=True)
     run.nn_only = get("cluster", "nn_only", bool, run.nn_only)
     run.periodic = get("cluster", "periodic", bool, run.periodic)
     run.snapshot = get("cluster", "snapshot", bool, run.snapshot)
@@ -246,7 +238,7 @@ def load_run_config(path: Path | None) -> RunConfig:
 
     run.n_max = get("oracle", "n_max", int, run.n_max)
     run.tolerance = get("oracle", "tolerance", float, run.tolerance)
-    run.oracle_tau = tau("oracle", run.oracle_tau)
+    run.oracle_tau = get("oracle", "tau", float, run.oracle_tau, non_negative=True)
     run.corrupt_identity = get("oracle", "corrupt_identity", bool, run.corrupt_identity)
 
     run.pattern_path = get("mbqc", "pattern", str, run.pattern_path)
@@ -302,8 +294,6 @@ def _feasibility_lines(run: RunConfig) -> list[str]:
 def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
     deltas = _grid(run.delta_min, run.delta_max, run.delta_step, "delta grid")
     taus = _grid(run.tau_min, run.tau_max, run.tau_step, "tau grid")
-    if not deltas or not taus:
-        raise ConfigError("sweep grids must be non-empty")
 
     try:
         rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)

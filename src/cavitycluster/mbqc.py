@@ -96,6 +96,14 @@ class ByproductRule:
             raise ValueError("byproduct operator must be X or Z")
 
 
+class _RuleError(ValueError):
+    """A broken rule in entry `index` of the 'step', 'byproduct' or 'output' `kind`."""
+
+    def __init__(self, kind: str, index: int, message: str):
+        self.kind, self.index = kind, index
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class MeasurementPattern:
     steps: tuple[MeasurementStep, ...]
@@ -103,24 +111,28 @@ class MeasurementPattern:
     outputs: tuple[Site, ...] = ()
 
     def __post_init__(self) -> None:
-        for site in [s.site for s in self.steps + self.byproducts] + list(self.outputs):
-            if min(site) < 0:
-                raise ValueError(f"site {site} has a negative coordinate")
+        entries = {"step": self.steps, "byproduct": self.byproducts, "output": self.outputs}
+        for kind, items in entries.items():
+            for i, site in enumerate(getattr(x, "site", x) for x in items):
+                if min(site) < 0:
+                    raise _RuleError(kind, i, f"site {site} has a negative coordinate")
         seen: set[Site] = set()
         for i, step in enumerate(self.steps):
             if step.site in seen:
-                raise ValueError(f"site {step.site} measured twice")
+                raise _RuleError("step", i, f"site {step.site} measured twice")
             seen.add(step.site)
             if any(not 0 <= j < i for j in step.adapt):
-                raise ValueError(f"step {i} adapts on a step that is not an earlier one")
-        for site in self.outputs:
+                raise _RuleError("step", i, f"step {i} adapts on a step that is not an earlier one")
+        for i, site in enumerate(self.outputs):
             if site in seen:
-                raise ValueError(f"output site {site} is measured")
-        for rule in self.byproducts:
+                raise _RuleError("output", i, f"output site {site} is measured")
+        for i, rule in enumerate(self.byproducts):
             if rule.site not in self.outputs:
-                raise ValueError(f"byproduct site {rule.site} is not an output")
+                raise _RuleError("byproduct", i, f"byproduct site {rule.site} is not an output")
             if any(not 0 <= j < len(self.steps) for j in rule.steps):
-                raise ValueError(f"byproduct on {rule.site} names a step that does not exist")
+                raise _RuleError(
+                    "byproduct", i, f"byproduct on {rule.site} names a step that does not exist"
+                )
 
 
 @dataclass
@@ -284,12 +296,14 @@ def parse_pattern(text: str) -> MeasurementPattern:
     steps: list[MeasurementStep] = []
     byproducts: list[ByproductRule] = []
     outputs: list[Site] = []
+    lines: dict[str, list[int]] = {"step": [], "byproduct": [], "output": []}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "byproduct":
+        kind = parts[0] if parts[0] in ("byproduct", "output") else "step"
+        if kind == "byproduct":
             if len(parts) != 5:
                 raise PatternParseError(line_no, "byproduct needs: m n X|Z steps")
             try:
@@ -301,7 +315,7 @@ def parse_pattern(text: str) -> MeasurementPattern:
             byproducts.append(
                 ByproductRule(site=site, pauli=parts[3], steps=_parse_indices(parts[4], line_no))
             )
-        elif parts[0] == "output":
+        elif kind == "output":
             if len(parts) != 3:
                 raise PatternParseError(line_no, "output needs: m n")
             try:
@@ -330,12 +344,13 @@ def parse_pattern(text: str) -> MeasurementPattern:
                     site=site, basis=basis, angle=angle, adapt=_parse_indices(parts[4], line_no)
                 )
             )
+        lines[kind].append(line_no)
     try:
         return MeasurementPattern(
             steps=tuple(steps), byproducts=tuple(byproducts), outputs=tuple(outputs)
         )
-    except ValueError as exc:
-        raise PatternParseError(0, str(exc)) from None
+    except _RuleError as exc:
+        raise PatternParseError(lines[exc.kind][exc.index], str(exc)) from None
 
 
 def format_pattern(pattern: MeasurementPattern) -> str:

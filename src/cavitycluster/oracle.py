@@ -20,8 +20,13 @@ field of configuration c therefore stays exactly a product over modes, and
 the oracle integrates one (n_max+1)-dimensional state per (mode,
 configuration) pair, batched as one array psi[f, mode, configuration].
 The joint vacuum amplitude of a configuration is the product of its
-factors' vacuum amplitudes.  The size cap counts exactly that array:
-2^{MN} configurations x MN modes x (n_max+1) Fock levels.
+factors' vacuum amplitudes.
+
+Each factor's drive obeys H(t) = R(t) H(0) R(t)^dag, R(t) = diag(e^{i omega t
+f}) over the Fock number f, in the truncated space too; so an RK4 run of N
+steps is one matrix power of the step from t = 0, O(log N) batched products.
+The size cap counts the largest array, that propagator: 2^{MN}
+configurations x MN modes x (n_max+1)^2 Fock matrix elements.
 
 Because [H(t1), H(t2)] is a qubit-only operator that commutes with H, the
 propagator closes at second Magnus order and the integrated dynamics must
@@ -64,9 +69,9 @@ class InvalidExtractionError(RuntimeError):
 
 
 def total_dimension(config: LatticeConfig, n_max: int) -> int:
-    """Amplitudes in one field block: configurations x modes x Fock levels."""
+    """Elements of the field propagator: configurations x modes x Fock levels^2."""
     nq = config.n_sites
-    return 2**nq * nq * (n_max + 1)
+    return 2**nq * nq * (n_max + 1) ** 2
 
 
 def _check_dims(config: LatticeConfig, n_max: int) -> None:
@@ -143,16 +148,24 @@ def _apply_h(ws: np.ndarray, lam: np.ndarray, t: float, psi: np.ndarray) -> np.n
 def _rk4_run(
     ws: np.ndarray, lam: np.ndarray, tau: float, block: np.ndarray, steps: int, t0: float
 ) -> np.ndarray:
+    """`steps` RK4 steps over [t0, t0 + tau] applied to block.  The step from
+    t is R(t) Q R(t)^dag, Q the step from 0, so the run telescopes to
+    R(t0 + tau - dt) (Q R(-dt))^steps R(dt - t0)."""
     dt = tau / steps
-    psi = block.copy()
-    for i in range(steps):
-        t = t0 + i * dt
-        k1 = -1j * _apply_h(ws, lam, t, psi)
-        k2 = -1j * _apply_h(ws, lam, t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = -1j * _apply_h(ws, lam, t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = -1j * _apply_h(ws, lam, t + dt, psi + dt * k3)
-        psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+    fock = np.arange(block.shape[0])
+    eye = np.eye(fock.size, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
+    k1 = -1j * _apply_h(ws, lam, 0.0, eye)
+    k2 = -1j * _apply_h(ws, lam, 0.5 * dt, eye + 0.5 * dt * k1)
+    k3 = -1j * _apply_h(ws, lam, 0.5 * dt, eye + 0.5 * dt * k2)
+    k4 = -1j * _apply_h(ws, lam, dt, eye + dt * k3)
+    q = np.moveaxis(eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (0, 1), (2, 3))
+
+    def rot(t: float) -> np.ndarray:  # R(t) diagonals, [mode, 1, f]
+        return np.exp(1j * np.multiply.outer(ws * t, fock))[:, None]
+
+    power = np.linalg.matrix_power(q * rot(-dt)[..., None, :], steps)
+    u = rot(t0 + tau - dt)[..., :, None] * power * rot(dt - t0)[..., None, :]
+    return np.einsum("mcfj,j...mc->f...mc", u, block)
 
 
 def _integrate_block(
@@ -173,8 +186,8 @@ def _integrate_block(
     product of its mode factors, so its Richardson error is bounded by the
     sum of the factors' errors and its norm is the product of their norms.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:  # NaN fails both comparisons
+        raise ValueError("tolerance must be positive and finite")
     if tau == 0:
         return block.copy(), 0, 0.0
     scale = max(1.0, float(np.max(np.abs(ws))) * tau, g * tau)

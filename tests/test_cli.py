@@ -132,6 +132,30 @@ class TestConfigParsing:
         assert f"line 5: [{section}] tau must be finite and non-negative" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,section,key",
+        [
+            ("gamma-sweep", "gamma-sweep", "tau_max"),
+            ("gamma-sweep", "gamma-sweep", "delta_step"),
+            ("cluster", "cluster", "fidelity_min"),
+            ("cluster", "lattice", "J"),
+            ("oracle-verify", "oracle", "tolerance"),
+            ("mbqc", "mbqc", "theta1"),
+        ],
+    )
+    def test_non_finite_float_is_config_error(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        body = "[lattice]\nM = 1\nN = 2\n" + ("" if section == "lattice" else f"[{section}]\n")
+        body += f"{key} = {value}\n"
+        cfg = write(tmp_path, "f.ini", body)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        line = body.count("\n")
+        assert f"line {line}: [{section}] {key.lower()} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_oracle_tau_rejected_on_load(self, tmp_path):
         # a NaN interaction time would send the integrator's step doubling to its cap
         cfg = write(tmp_path, "t.ini", "[oracle]\ntau = nan\n")
@@ -334,6 +358,13 @@ class TestOracleVerify:
         assert "exceeds cap" in capsys.readouterr().err
         assert not (tmp_path / "oracle_report.txt").exists()
 
+    def test_propagator_cap_is_config_error(self, tmp_path, capsys):
+        # 2x2 at n_max = 60 holds 1344 amplitudes but a 238144-element propagator
+        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 2\n[oracle]\nn_max = 60\n")
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "[oracle] total dimension 238144 exceeds cap" in capsys.readouterr().err
+        assert not (tmp_path / "oracle_report.txt").exists()
+
     def test_zero_tolerance_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\n[oracle]\ntolerance = 0\n")
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -384,14 +415,14 @@ class TestMbqc:
         out = tmp_path / "out"
         argv = ["mbqc", "--pattern", str(pat), "--out", str(out), "--seed", seed]
         assert main(argv) == EXIT_USAGE
-        assert "byproduct" in capsys.readouterr().err
+        assert "bad.pat: line 2: byproduct" in capsys.readouterr().err
         assert not (out / "mbqc_report.txt").exists()
 
     def test_negative_site_is_config_error(self, tmp_path, capsys):
         pat = tmp_path / "bad.pat"
         pat.write_text("0 -1 X - -\noutput 0 1\n")
         assert main(["mbqc", "--pattern", str(pat), "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        assert "(0, -1) has a negative coordinate" in capsys.readouterr().err
+        assert "line 1: site (0, -1) has a negative coordinate" in capsys.readouterr().err
 
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "out"

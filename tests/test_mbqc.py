@@ -342,25 +342,32 @@ class TestPatternFiles:
             parse_pattern("0 1 EQ 0.5 a,b\n")
 
     @pytest.mark.parametrize(
-        "text,named",
+        "text,named,line",
         [
-            ("0 0 X - -\nbyproduct 0 1 X 3\noutput 0 1\n", "step that does not exist"),
-            ("0 0 X - -\nbyproduct 0 1 X -1\noutput 0 1\n", "step that does not exist"),
-            ("0 0 X - -\nbyproduct 3 3 X 0\noutput 0 1\n", "(3, 3) is not an output"),
-            ("0 0 X - -\nbyproduct 0 0 Z 0\noutput 0 1\n", "(0, 0) is not an output"),
-            ("0 0 X - -\n0 1 EQ 0.5 -1\noutput 0 2\n", "not an earlier one"),
-            ("0 -1 X - -\noutput 0 1\n", "(0, -1) has a negative coordinate"),
-            ("0 0 X - -\noutput -1 0\n", "(-1, 0) has a negative coordinate"),
+            ("0 0 X - -\nbyproduct 0 1 X 3\noutput 0 1\n", "step that does not exist", 2),
+            ("0 0 X - -\nbyproduct 0 1 X -1\noutput 0 1\n", "step that does not exist", 2),
+            ("0 0 X - -\nbyproduct 3 3 X 0\noutput 0 1\n", "(3, 3) is not an output", 2),
+            ("0 0 X - -\nbyproduct 0 0 Z 0\noutput 0 1\n", "(0, 0) is not an output", 2),
+            ("0 0 X - -\n0 1 EQ 0.5 -1\noutput 0 2\n", "not an earlier one", 2),
+            ("0 -1 X - -\noutput 0 1\n", "(0, -1) has a negative coordinate", 1),
+            ("0 0 X - -\noutput -1 0\n", "(-1, 0) has a negative coordinate", 2),
+            ("0 0 X - -\noutput 0 1\noutput 0 0\nbyproduct 0 1 Z 0\n", "(0, 0) is measured", 3),
         ],
-        ids=["late-step", "negative-step", "off-grid", "measured", "adapt", "step-site", "output"],
+        ids=[
+            "late-step", "negative-step", "off-grid", "measured", "adapt", "step-site", "output",
+            "measured-output",
+        ],
     )
-    def test_invalid_pattern_rejected(self, text, named):
-        with pytest.raises(PatternParseError, match=re.escape(named)):
+    def test_invalid_pattern_rejected(self, text, named, line):
+        # the error names the line of the offending step, rule or output
+        with pytest.raises(PatternParseError, match=re.escape(named)) as exc:
             parse_pattern(text)
+        assert exc.value.line_no == line
 
     def test_site_collision_reported(self):
-        with pytest.raises(PatternParseError):
-            parse_pattern("0 0 X - -\n0 0 Z - -\n")
+        with pytest.raises(PatternParseError) as exc:
+            parse_pattern("# two steps on one site\n0 0 X - -\n\n0 0 Z - -\n")
+        assert exc.value.line_no == 4
 
     def test_parsed_pattern_runs(self):
         text = format_pattern(wire_rotation_pattern(0.4, 0.0, -0.4))

@@ -52,13 +52,13 @@ class TestGenerator:
         assert np.max(np.abs(got[:, :, 0, 1] + want)) < 1e-13
 
     def test_dimension_cap(self):
-        # a lattice over the site cap and an n_max over the amplitude cap
-        # are both refused by the size check, before the field block exists
-        over_n_max = 3200
-        assert oracle.total_dimension(LatticeConfig(M=2, N=2, J=0.1), over_n_max) > (
-            oracle.MAX_TOTAL_DIMENSION
-        )
-        for M, N, n_max in ((2, 3, 2), (2, 2, over_n_max)):
+        # a lattice over the site cap and an n_max over the cap are both
+        # refused by the size check, before the field block exists; the cap
+        # counts the (n_max+1)^2 propagator, so 2x2 fits n_max = 54, not 60
+        cfg = LatticeConfig(M=2, N=2, J=0.1)
+        assert oracle.total_dimension(cfg, 54) <= oracle.MAX_TOTAL_DIMENSION
+        assert oracle.total_dimension(cfg, 60) == 16 * 4 * 61**2 > oracle.MAX_TOTAL_DIMENSION
+        for M, N, n_max in ((2, 3, 2), (2, 2, 60), (2, 2, 3200)):
             cfg = LatticeConfig(M=M, N=N, J=0.1)
             tracemalloc.start()
             try:
@@ -70,7 +70,45 @@ class TestGenerator:
             assert peak < 100_000
 
 
+def rk4_step_loop(ws, lam, tau, block, steps, t0):
+    """`steps` fixed RK4 steps of H(t), one Python step at a time: the
+    reference that the oracle's matrix-power form must reproduce."""
+    dt = tau / steps
+    psi = block.copy()
+    for i in range(steps):
+        t = t0 + i * dt
+        k1 = -1j * oracle._apply_h(ws, lam, t, psi)
+        k2 = -1j * oracle._apply_h(ws, lam, t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = -1j * oracle._apply_h(ws, lam, t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = -1j * oracle._apply_h(ws, lam, t + dt, psi + dt * k3)
+        psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
 class TestIntegrator:
+    @pytest.mark.parametrize("block_kind", ["vacuum", "identity"])
+    @pytest.mark.parametrize("late_start", [False, True], ids=["t0=0", "t0=tau"])
+    @pytest.mark.parametrize(
+        "cfg,n_max,tau,steps",
+        [
+            (LatticeConfig(M=2, N=2, J=0.1, delta=20.0), 4, 3.0, 4096),
+            (LatticeConfig(M=1, N=2, J=0.1, delta=0.0), 30, 1.5, 1024),
+        ],
+        ids=["2x2-delta20", "1x2-delta0"],
+    )
+    def test_power_form_matches_step_loop(self, cfg, n_max, tau, steps, late_start, block_kind):
+        ws, lam = oracle._drive(cfg)
+        if block_kind == "vacuum":
+            block = np.zeros((n_max + 1,) + lam.shape, dtype=complex)
+            block[0] = 1.0
+        else:  # one propagator column per Fock state: an extra axis
+            block = np.eye(n_max + 1, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
+        t0 = tau if late_start else 0.0
+        got = oracle._rk4_run(ws, lam, tau, block, steps, t0)
+        want = rk4_step_loop(ws, lam, tau, block, steps, t0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-11
+
     def test_tau_zero_identity(self):
         ws, lam = oracle._drive(DETUNED_1x2)
         block = np.random.default_rng(0).normal(size=(3,) + lam.shape) + 0j
@@ -105,6 +143,12 @@ class TestIntegrator:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             oracle.echo_evolve(DETUNED_1x2, 1.0, 2, 0.0)
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # NaN would otherwise double the step count until max_steps
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            oracle.echo_evolve(DETUNED_1x2, 1.0, 2, tolerance)
 
 
 def dense_echo_vacuum(cfg, tau, n_max):
