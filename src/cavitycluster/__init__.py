@@ -8,7 +8,7 @@ and measurement patterns for one-way computation on the generated states.
 
 __version__ = "0.1.0"
 
-from .lattice import LatticeConfig, Mode, enumerate_modes, min_abs_frequency, mode_frequency
+from .lattice import LatticeConfig
 from .geomphase import (
     HardwarePreset,
     PhaseShiftTable,
@@ -23,10 +23,6 @@ from .effective import QubitRegister, cluster_phase, reference_cluster, verify_c
 
 __all__ = [
     "LatticeConfig",
-    "Mode",
-    "mode_frequency",
-    "enumerate_modes",
-    "min_abs_frequency",
     "beta",
     "gamma_mode",
     "gamma_total",

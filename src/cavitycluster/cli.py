@@ -3,11 +3,11 @@ cross-checks and measurement-pattern runs.
 
 Subcommands: gamma-sweep, cluster, oracle-verify, mbqc.  Configuration is
 flat INI (sections [lattice], [gamma-sweep], [cluster], [oracle], [mbqc]);
-unknown keys are rejected with their line number.  All output files carry
-a header comment with the fully resolved configuration, the artifact
-version and the seed, and are byte-identical across reruns with the same
-inputs.  Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error.
+unknown keys are rejected with their line number.  Every output file starts
+with a header comment giving the artifact version, the seed, the [lattice]
+parameters and the hardware preset (if any), and is byte-identical across
+reruns with the same inputs.  Exit codes: 0 success, 1 verification
+failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ _SCHEMA: dict[str, set[str]] = {
         "separations",
     },
     "cluster": {"tau", "nn_only", "periodic", "snapshot", "fidelity_min"},
-    "oracle": {"n_max", "tolerance", "tau", "corrupt_identity"},
+    "oracle": {"n_max", "tolerance", "tau"},
     "mbqc": {"pattern", "builtin", "theta1", "theta2", "theta3", "source"},
 }
 
@@ -108,7 +108,6 @@ class RunConfig:
     n_max: int = 4
     tolerance: float = 1e-9
     oracle_tau: float = 3.0
-    corrupt_identity: bool = False
     # mbqc
     pattern_path: str | None = None
     builtin: str | None = "wire"
@@ -142,15 +141,6 @@ def _key_line_number(path: Path, section: str, key: str) -> int:
             if name == key:
                 return line_no
     return 0
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{where}: expected boolean, got {text!r}")
 
 
 def _parse_separations(text: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -198,7 +188,7 @@ def load_run_config(path: Path | None) -> RunConfig:
             return default
         raw = parser.get(sec, key)
         try:
-            value = _parse_bool(raw, key) if cast is bool else cast(raw)
+            value = parser.getboolean(sec, key) if cast is bool else cast(raw)
         except (ValueError, TypeError):
             raise key_error(sec, key, f"cannot parse {key} = {raw!r}") from None
         if cast is float and not (math.isfinite(value) and (value >= 0 or not non_negative)):
@@ -239,7 +229,6 @@ def load_run_config(path: Path | None) -> RunConfig:
     run.n_max = get("oracle", "n_max", int, run.n_max)
     run.tolerance = get("oracle", "tolerance", float, run.tolerance)
     run.oracle_tau = get("oracle", "tau", float, run.oracle_tau, non_negative=True)
-    run.corrupt_identity = get("oracle", "corrupt_identity", bool, run.corrupt_identity)
 
     run.pattern_path = get("mbqc", "pattern", str, run.pattern_path)
     run.builtin = get("mbqc", "builtin", str, run.builtin)
@@ -279,16 +268,13 @@ def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
 def _feasibility_lines(run: RunConfig) -> list[str]:
     preset = PRESETS[run.preset]
     rep = feasibility_report(preset, run.lattice)
-    lines = [
+    return [
         f"feasibility preset = {rep.preset}",
         f"gate_time_g_units = {_fmt(rep.gate_time_g_units)}",
         f"gate_time_seconds = {_fmt(rep.gate_time_seconds)}",
         f"ratio_T_cavity = {_fmt(rep.ratio_cavity)}",
         f"ratio_T_qubit = {_fmt(rep.ratio_qubit)}",
     ]
-    if rep.strong_driving_ok is not None:
-        lines.append(f"strong_driving_ok = {rep.strong_driving_ok}")
-    return lines
 
 
 def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
@@ -377,24 +363,16 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         raise ConfigError(
             f"{cfg.M}x{cfg.N} exceeds the {oracle.MAX_ORACLE_QUBITS}-qubit brute-force cap"
         )
-    rows: list[tuple[str, float, float, bool, bool]] = []  # name, value, bound, ok, expected_fail
+    rows: list[tuple[str, float, float, bool]] = []  # name, value, bound, ok
 
     ids = oracle.check_identities(cfg.M, cfg.N)
     for name, defect in ids.items():
-        rows.append((f"identity.{name}", defect, 1e-14, defect <= 1e-14, False))
-    if run.corrupt_identity:
-        # deliberately wrong identity ({S_z, J_X^dag J_X} = 0 is false);
-        # exercises the failure-reporting path
-        jx = oracle.collective_x_operator(cfg, 0, 0)
-        sz = oracle.sz_operator(cfg)
-        bad = sz @ (jx.conj().T @ jx) + (jx.conj().T @ jx) @ sz
-        defect = float(np.max(np.abs(bad)))
-        rows.append(("identity.self_test_corrupted", defect, 1e-14, defect <= 1e-14, True))
+        rows.append((f"identity.{name}", defect, 1e-14, defect <= 1e-14))
 
     try:
         rep = oracle.echo_evolve(cfg, run.oracle_tau, run.n_max, run.tolerance)
     except oracle.IntegratorError as exc:
-        rows.append(("echo.integrator", math.inf, 0.0, False, False))
+        rows.append(("echo.integrator", math.inf, 0.0, False))
         body = [f"integrator failure: {exc}"] + _report_rows(rows)
         _write_report(out / "oracle_report.txt", run, "oracle-verify", body)
         return EXIT_VERIFY
@@ -402,32 +380,28 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         raise ConfigError(f"[oracle] {exc}") from None
 
     rows.append(("echo.residual_excitation", rep.residual_excitation, 1e-8,
-                 rep.residual_excitation < 1e-8, False))
+                 rep.residual_excitation < 1e-8))
     sites = [(m, n) for m in range(cfg.M) for n in range(cfg.N)]
     for i, a in enumerate(sites):
         for b in sites[i + 1:]:
             measured = oracle.extract_pair_phase(rep, a, b)
             analytic = pairwise_phase(cfg, run.oracle_tau, b[0] - a[0], b[1] - a[1])
             delta = abs(measured - analytic)
-            rows.append((f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}", delta, 1e-6, delta < 1e-6, False))
+            rows.append((f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}", delta, 1e-6, delta < 1e-6))
 
     body = [f"steps = {rep.steps}", f"error_estimate = {_fmt(rep.error_estimate)}"]
     body += _report_rows(rows)
-    ok = all(r[3] or r[4] for r in rows)
-    expected_fail_rows = [r for r in rows if r[4]]
-    if expected_fail_rows and any(r[3] for r in expected_fail_rows):
-        ok = False  # the self-test row was supposed to fail
+    ok = all(r[3] for r in rows)
     body.append(f"verdict = {'pass' if ok else 'fail'}")
     _write_report(out / "oracle_report.txt", run, "oracle-verify", body)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _report_rows(rows: list[tuple[str, float, float, bool, bool]]) -> list[str]:
-    out = []
-    for name, value, bound, ok, expected_fail in rows:
-        status = "pass" if ok else ("expected-fail" if expected_fail else "FAIL")
-        out.append(f"{name}: value={_fmt(value)} bound={_fmt(bound)} {status}")
-    return out
+def _report_rows(rows: list[tuple[str, float, float, bool]]) -> list[str]:
+    return [
+        f"{name}: value={_fmt(value)} bound={_fmt(bound)} {'pass' if ok else 'FAIL'}"
+        for name, value, bound, ok in rows
+    ]
 
 
 def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
@@ -497,7 +471,7 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     max_dev = max(_phase_aligned_dev(st) for st in outputs)
     deterministic = max_dev < 1e-10
 
-    state_sampled, record = run_pattern(cluster, pattern, seed=run.seed)
+    _, record = run_pattern(cluster, pattern, seed=run.seed)
     body = [
         f"source = {run.source}",
         f"cluster_shape = {M}x{N}",

@@ -112,9 +112,6 @@ class QubitRegister:
     def view(self) -> np.ndarray:
         return self.amps.reshape([2] * self.n_qubits)
 
-    def copy(self) -> "QubitRegister":
-        return QubitRegister(self.M, self.N, self.amps.copy(), self.sites)
-
 
 def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray) -> None:
     """Apply a 2x2 operator to one site, in place."""

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeConfig, Mode, mode_grid
+from .lattice import LatticeConfig, mode_grid
 
 __all__ = [
     "beta",
@@ -83,13 +83,12 @@ _SERIES_THRESHOLD = 0.05
 _SCAN_BLOCK = 16384
 
 
-def beta(config: LatticeConfig, mode: Mode, tau: float) -> complex:
-    """Per-mode displacement amplitude after one interval tau."""
+def beta(config: LatticeConfig, w: float, tau: float) -> complex:
+    """Displacement amplitude of the mode at frequency w after one interval tau."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
     g = config.g
     root = math.sqrt(config.n_sites)
-    w = mode.omega
     if abs(w) < _ZERO_MODE_TOL:
         return -1j * g * tau / root
     return g / (root * w) * (1.0 - np.exp(1j * w * tau))
@@ -112,13 +111,8 @@ def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def gamma_mode(config: LatticeConfig, mode: Mode, tau: float) -> float:
-    """Geometric phase contributed by one mode over a single interval."""
-    return float(_gamma_modes(config, np.float64(mode.omega), tau))
-
-
-def _gamma_modes(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
-    """gamma over the mode frequencies ``omega`` of ``config``'s lattice."""
+def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
+    """Geometric phase over one interval of the modes at frequencies ``omega``."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
     return config.g**2 / config.n_sites * _gamma_bracket(omega, tau)
@@ -126,7 +120,7 @@ def _gamma_modes(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.nda
 
 def gamma_total(config: LatticeConfig, tau: float) -> float:
     """Mode-summed geometric phase; compensated (exact) summation."""
-    return math.fsum(_gamma_modes(config, mode_grid(config)[2], tau))
+    return math.fsum(gamma_mode(config, mode_grid(config)[2], tau))
 
 
 def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
@@ -147,7 +141,7 @@ def pairwise_phase(config: LatticeConfig, tau: float, dm: int, dn: int) -> float
     """Echoed pairwise phase Gamma between sites separated by (dm, dn)."""
     _check_separation(config, dm, dn)
     L, K, W = mode_grid(config)
-    return math.fsum(4.0 * _gamma_modes(config, W, tau) * np.cos(L * dm + K * dn))
+    return math.fsum(4.0 * gamma_mode(config, W, tau) * np.cos(L * dm + K * dn))
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ class PhaseShiftTable:
 
 def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:
     """Gamma over every separation of the lattice, by one FFT."""
-    gam = _gamma_modes(config, mode_grid(config)[2], tau)
+    gam = gamma_mode(config, mode_grid(config)[2], tau)
     grid = 4.0 * np.fft.fft2(gam.reshape(config.M, config.N)).real
     grid.flags.writeable = False
     return PhaseShiftTable(config=config, tau=tau, grid=grid)
@@ -258,7 +252,7 @@ def sweep_delta(
     L, K, W0 = mode_grid(replace(config, delta=0.0))
     cos_nn = np.cos(L * dm + K * dn)
     return [
-        (float(d), math.fsum(4.0 * _gamma_modes(config, W0 + float(d), tau) * cos_nn))
+        (float(d), math.fsum(4.0 * gamma_mode(config, W0 + float(d), tau) * cos_nn))
         for d in delta_grid
     ]
 
@@ -277,7 +271,7 @@ def sweep_tau(
     cosines = {(dm, dn): np.cos(L * dm + K * dn) for dm, dn in separations}
     rows = []
     for tau in tau_grid:
-        gam = _gamma_modes(config, W, float(tau))
+        gam = gamma_mode(config, W, float(tau))
         rows.append((float(tau), {s: math.fsum(4.0 * gam * c) for s, c in cosines.items()}))
     return rows
 
@@ -286,17 +280,15 @@ def sweep_tau(
 class HardwarePreset:
     """Physical parameter set for feasibility arithmetic.
 
-    Frequencies are angular (rad/s), times in seconds.  Omega is the
-    classical drive Rabi frequency; the strong-driving regime needs
-    2*Omega >> g, checked as a ratio >= 10 when Omega is given.
+    Frequencies are angular (rad/s), times in seconds.  A preset fixes only
+    the coupling scale g and the coherence times; J/g and delta/g come from
+    the lattice configuration.
     """
 
     name: str
     g_phys: float
-    J_phys: float
     T_cavity: float
     T_qubit: float
-    Omega: float | None = None
 
     def __post_init__(self) -> None:
         if self.T_cavity <= 0 or self.T_qubit <= 0:
@@ -311,21 +303,18 @@ PRESETS: dict[str, HardwarePreset] = {
     "cpb": HardwarePreset(
         name="cpb",
         g_phys=2 * math.pi * 50e6,
-        J_phys=2 * math.pi * 5e6,
         T_cavity=20e-6,
         T_qubit=1e-6,
     ),
     "qdot": HardwarePreset(
         name="qdot",
         g_phys=2 * math.pi * 125e6,
-        J_phys=2 * math.pi * 12.5e6,
         T_cavity=50e-6,
         T_qubit=1e-6,
     ),
     "toroid": HardwarePreset(
         name="toroid",
         g_phys=1e8,
-        J_phys=1e7,
         T_cavity=25e-6,
         T_qubit=6e-6,
     ),
@@ -339,21 +328,16 @@ class FeasibilityReport:
     gate_time_seconds: float
     ratio_cavity: float
     ratio_qubit: float
-    strong_driving_ok: bool | None
 
 
 def feasibility_report(preset: HardwarePreset, config: LatticeConfig) -> FeasibilityReport:
     """Gate time in physical units and coherence-time ratios for a preset."""
     gtau = solve_gate_time(config)
     t_phys = gtau / preset.g_phys
-    ok: bool | None = None
-    if preset.Omega is not None:
-        ok = 2.0 * preset.Omega / preset.g_phys >= 10.0
     return FeasibilityReport(
         preset=preset.name,
         gate_time_g_units=gtau,
         gate_time_seconds=t_phys,
         ratio_cavity=t_phys / preset.T_cavity,
         ratio_qubit=t_phys / preset.T_qubit,
-        strong_driving_ok=ok,
     )

@@ -18,9 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "LatticeConfig", "Mode", "mode_frequency", "mode_grid", "enumerate_modes", "min_abs_frequency"
-]
+__all__ = ["LatticeConfig", "mode_grid"]
 
 
 @dataclass(frozen=True)
@@ -54,26 +52,6 @@ class LatticeConfig:
         return self.M * self.N
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One Fourier mode of the cavity lattice."""
-
-    l: int
-    k: int
-    L: float
-    K: float
-    omega: float
-
-
-def mode_frequency(config: LatticeConfig, l: int, k: int) -> float:
-    """Frequency omega_{L,K} = delta + 2J(cos L + cos K), units of g."""
-    if not (0 <= l < config.M and 0 <= k < config.N):
-        raise ValueError(
-            f"mode index ({l},{k}) out of range for {config.M}x{config.N} lattice"
-        )
-    return float(mode_grid(config)[2][l * config.N + k])
-
-
 @lru_cache(maxsize=64)
 def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, K, omega) over all M*N modes, flat in row-major (l, k) order; read-only."""
@@ -85,13 +63,3 @@ def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
         a.flags.writeable = False
     return grid
 
-
-def enumerate_modes(config: LatticeConfig) -> list[Mode]:
-    """All M*N modes in row-major (l, k) order."""
-    L, K, omega = (a.tolist() for a in mode_grid(config))
-    return [Mode(i // config.N, i % config.N, *lkw) for i, lkw in enumerate(zip(L, K, omega))]
-
-
-def min_abs_frequency(config: LatticeConfig) -> float:
-    """Smallest |omega| over all modes; 0 signals an exact zero mode."""
-    return float(np.min(np.abs(mode_grid(config)[2])))

@@ -291,6 +291,13 @@ def _parse_indices(text: str, line_no: int) -> tuple[int, ...]:
         raise PatternParseError(line_no, f"bad index list {text!r}") from None
 
 
+def _parse_site(m: str, n: str, line_no: int) -> Site:
+    try:
+        return (int(m), int(n))
+    except ValueError:
+        raise PatternParseError(line_no, f"bad site {m} {n}") from None
+
+
 def parse_pattern(text: str) -> MeasurementPattern:
     """Parse the plain-text pattern grammar (docs/pattern_format.md)."""
     steps: list[MeasurementStep] = []
@@ -303,47 +310,30 @@ def parse_pattern(text: str) -> MeasurementPattern:
             continue
         parts = line.split()
         kind = parts[0] if parts[0] in ("byproduct", "output") else "step"
-        if kind == "byproduct":
-            if len(parts) != 5:
-                raise PatternParseError(line_no, "byproduct needs: m n X|Z steps")
-            try:
-                site = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise PatternParseError(line_no, f"bad site {parts[1]} {parts[2]}") from None
-            if parts[3] not in ("X", "Z"):
-                raise PatternParseError(line_no, f"bad byproduct operator {parts[3]!r}")
-            byproducts.append(
-                ByproductRule(site=site, pauli=parts[3], steps=_parse_indices(parts[4], line_no))
-            )
-        elif kind == "output":
-            if len(parts) != 3:
-                raise PatternParseError(line_no, "output needs: m n")
-            try:
-                outputs.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise PatternParseError(line_no, f"bad site {parts[1]} {parts[2]}") from None
-        else:
-            if len(parts) != 5:
-                raise PatternParseError(line_no, "step needs: m n basis angle adapt")
-            try:
-                site = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise PatternParseError(line_no, f"bad site {parts[0]} {parts[1]}") from None
-            basis = parts[2]
-            if basis not in ("X", "Y", "Z", "EQ"):
-                raise PatternParseError(line_no, f"unknown basis {basis!r}")
-            if parts[3] == "-":
-                angle = 0.0
+        try:
+            if kind == "byproduct":
+                if len(parts) != 5:
+                    raise PatternParseError(line_no, "byproduct needs: m n X|Z steps")
+                site = _parse_site(parts[1], parts[2], line_no)
+                byproducts.append(ByproductRule(site, parts[3], _parse_indices(parts[4], line_no)))
+            elif kind == "output":
+                if len(parts) != 3:
+                    raise PatternParseError(line_no, "output needs: m n")
+                outputs.append(_parse_site(parts[1], parts[2], line_no))
             else:
+                if len(parts) != 5:
+                    raise PatternParseError(line_no, "step needs: m n basis angle adapt")
+                site = _parse_site(parts[0], parts[1], line_no)
                 try:
-                    angle = float(parts[3])
+                    angle = 0.0 if parts[3] == "-" else float(parts[3])
                 except ValueError:
                     raise PatternParseError(line_no, f"bad angle {parts[3]!r}") from None
-            steps.append(
-                MeasurementStep(
-                    site=site, basis=basis, angle=angle, adapt=_parse_indices(parts[4], line_no)
-                )
-            )
+                adapt = _parse_indices(parts[4], line_no)
+                steps.append(MeasurementStep(site, parts[2], angle, adapt))
+        except PatternParseError:
+            raise
+        except ValueError as exc:  # a MeasurementStep or ByproductRule check
+            raise PatternParseError(line_no, str(exc)) from None
         lines[kind].append(line_no)
     try:
         return MeasurementPattern(

@@ -58,6 +58,8 @@ __all__ = [
 
 MAX_ORACLE_QUBITS = 4
 MAX_TOTAL_DIMENSION = 200_000
+# largest residual field excitation at which a pair phase is still read out
+_RESIDUAL_THRESHOLD = 1e-6
 
 
 class IntegratorError(RuntimeError):
@@ -292,7 +294,6 @@ def extract_pair_phase(
     report: EvolutionReport,
     site_a: tuple[int, int],
     site_b: tuple[int, int],
-    residual_threshold: float = 1e-6,
 ) -> float:
     """Realized pairwise phase between two sites, others held in |+x>.
 
@@ -300,10 +301,10 @@ def extract_pair_phase(
     eigenbasis of the pair, computed from a phase product so that global
     and single-qubit phases drop out exactly.  Valid for |Gamma| < pi/4.
     """
-    if report.residual_excitation > residual_threshold:
+    if report.residual_excitation > _RESIDUAL_THRESHOLD:
         raise InvalidExtractionError(
             f"residual field excitation {report.residual_excitation:g} "
-            f"exceeds {residual_threshold:g}"
+            f"exceeds {_RESIDUAL_THRESHOLD:g}"
         )
     cfg = report.config
     sa, sb = _site_index(cfg, site_a), _site_index(cfg, site_b)

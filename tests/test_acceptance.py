@@ -234,7 +234,7 @@ def _branch_deviation(cluster, pattern, expected):
     for branch in range(2 ** len(pattern.steps)):
         forced = [(branch >> i) & 1 for i in range(len(pattern.steps))]
         try:
-            state, _ = run_pattern(cluster.copy(), pattern, forced_outcomes=forced)
+            state, _ = run_pattern(cluster, pattern, forced_outcomes=forced)
         except ValueError:
             continue
         ov = np.vdot(expected, state)

@@ -2,6 +2,7 @@ import textwrap
 
 import pytest
 
+from cavitycluster import oracle
 from cavitycluster.cli import (
     _SCHEMA,
     EXIT_OK,
@@ -62,7 +63,6 @@ NON_DEFAULT = {
     ("oracle", "n_max"): "6",
     ("oracle", "tolerance"): "1e-8",
     ("oracle", "tau"): "1.5",
-    ("oracle", "corrupt_identity"): "true",
     ("mbqc", "pattern"): "wire.pat",
     ("mbqc", "builtin"): "cnot",
     ("mbqc", "theta1"): "0.3",
@@ -170,6 +170,16 @@ class TestConfigParsing:
         value = NON_DEFAULT[section, key]
         cfg = write(tmp_path, "k.ini", f"[{section}]\n{key} = {value}\n")
         assert load_run_config(cfg) != RunConfig()
+
+    @pytest.mark.parametrize("word", ["1", "Yes", "true", "ON", "0", "no", "False", "off"])
+    def test_boolean_words(self, tmp_path, word):
+        cfg = write(tmp_path, "b.ini", f"[cluster]\nsnapshot = {word}\n")
+        assert load_run_config(cfg).snapshot is (word.lower() in ("1", "yes", "true", "on"))
+
+    def test_bad_boolean_names_line(self, tmp_path):
+        cfg = write(tmp_path, "b.ini", "[lattice]\nM = 3\n[cluster]\nperiodic = maybe\n")
+        with pytest.raises(ConfigError, match="line 4: cannot parse periodic = 'maybe'"):
+            load_run_config(cfg)
 
     def test_missing_config_file(self, tmp_path):
         assert (
@@ -332,7 +342,10 @@ class TestOracleVerify:
         assert "identity.anticommutator_sz_jx" in report
         assert "phase.00-01" in report
 
-    def test_corrupted_identity_expected_fail_row(self, tmp_path):
+    def test_failed_identity_fails_the_run(self, tmp_path, monkeypatch):
+        # a defect far over the bound must fail the whole run
+        ids = {**oracle.check_identities(1, 2), "mutual_commutator_jx": 1.0}
+        monkeypatch.setattr(oracle, "check_identities", lambda M, N: ids)
         cfg = write(tmp_path, "o.ini", """\
             [lattice]
             M = 1
@@ -342,11 +355,12 @@ class TestOracleVerify:
 
             [oracle]
             tolerance = 1e-8
-            corrupt_identity = true
             """)
         out = tmp_path / "out"
-        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert "expected-fail" in (out / "oracle_report.txt").read_text()
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+        report = (out / "oracle_report.txt").read_text()
+        assert "identity.mutual_commutator_jx: value=1.0 bound=1e-14 FAIL" in report
+        assert "phase.00-01" in report and "verdict = fail" in report
 
     def test_cap(self, tmp_path):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 3\n")

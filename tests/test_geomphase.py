@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitycluster import geomphase
-from cavitycluster.lattice import LatticeConfig, Mode, enumerate_modes, mode_grid
+from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
     PRESETS,
@@ -29,8 +29,9 @@ REF = LatticeConfig(M=19, N=19, J=0.1, delta=0.0)
 GATE_TIME_PIN = 2.2933987105637783
 
 
-def mode_at(cfg, l, k):
-    return next(m for m in enumerate_modes(cfg) if (m.l, m.k) == (l, k))
+def omega_at(cfg, l, k):
+    """Frequency of mode (l, k)."""
+    return mode_grid(cfg)[2][l * cfg.N + k]
 
 
 def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
@@ -72,28 +73,28 @@ def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
 class TestBeta:
     def test_closed_loop_zero(self):
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0)  # omega = 2
-        m = mode_at(cfg, 0, 0)
-        tau = 2 * math.pi / m.omega
-        assert abs(beta(cfg, m, tau)) < 1e-14
+        w = omega_at(cfg, 0, 0)
+        tau = 2 * math.pi / w
+        assert abs(beta(cfg, w, tau)) < 1e-14
 
     def test_tau_zero(self):
-        m = mode_at(REF, 1, 0)
-        assert beta(REF, m, 0.0) == 0
+        w = omega_at(REF, 1, 0)
+        assert beta(REF, w, 0.0) == 0
 
     def test_half_period_magnitude(self):
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0)
-        m = mode_at(cfg, 0, 0)
-        tau = math.pi / m.omega
-        assert abs(beta(cfg, m, tau)) == pytest.approx(2 * cfg.g / abs(m.omega), rel=1e-12)
+        w = omega_at(cfg, 0, 0)
+        tau = math.pi / w
+        assert abs(beta(cfg, w, tau)) == pytest.approx(2 * cfg.g / abs(w), rel=1e-12)
 
     def test_zero_mode_limit(self):
         cfg = LatticeConfig(M=2, N=2, J=0.1, delta=0.0)
-        m = mode_at(cfg, 1, 0)  # exact zero mode
-        assert beta(cfg, m, 3.0) == pytest.approx(-3j / 2.0, abs=1e-12)
+        w = omega_at(cfg, 1, 0)  # exact zero mode
+        assert beta(cfg, w, 3.0) == pytest.approx(-3j / 2.0, abs=1e-12)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            beta(REF, mode_at(REF, 0, 0), -1.0)
+            beta(REF, omega_at(REF, 0, 0), -1.0)
 
     @given(
         omega=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -102,8 +103,8 @@ class TestBeta:
     @settings(max_examples=80)
     def test_amplitude_bound(self, omega, tau):
         cfg = LatticeConfig(M=1, N=1, J=0.0, delta=omega)
-        m = mode_at(cfg, 0, 0)
-        b = beta(cfg, m, tau)
+        w = omega_at(cfg, 0, 0)
+        b = beta(cfg, w, tau)
         if abs(omega) > 1e-9:
             assert abs(b) <= 2 * cfg.g / abs(omega) + 1e-12
         assert abs(b) <= cfg.g * tau + 1e-12  # linear-growth envelope
@@ -112,18 +113,18 @@ class TestBeta:
 class TestGammaMode:
     def test_zero_frequency_limit(self):
         cfg = LatticeConfig(M=2, N=2, J=0.1, delta=0.0)
-        m = mode_at(cfg, 1, 0)
-        assert gamma_mode(cfg, m, 3.0) == pytest.approx(0.0, abs=1e-14)
+        w = omega_at(cfg, 1, 0)
+        assert gamma_mode(cfg, w, 3.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_full_period_sine_vanishes(self):
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0)  # omega = 2
-        m = mode_at(cfg, 0, 0)
-        tau = 2 * math.pi / m.omega  # omega tau = 2 pi
-        expected = cfg.g**2 * tau / (cfg.n_sites * m.omega)
-        assert gamma_mode(cfg, m, tau) == pytest.approx(expected, rel=1e-12)
+        w = omega_at(cfg, 0, 0)
+        tau = 2 * math.pi / w  # omega tau = 2 pi
+        expected = cfg.g**2 * tau / (cfg.n_sites * w)
+        assert gamma_mode(cfg, w, tau) == pytest.approx(expected, rel=1e-12)
 
     def test_reference_mode_pin(self):
-        assert gamma_mode(REF, mode_at(REF, 1, 0), 3.0) == pytest.approx(
+        assert gamma_mode(REF, omega_at(REF, 1, 0), 3.0) == pytest.approx(
             0.0045309881369641385, rel=1e-12
         )
 
@@ -131,8 +132,8 @@ class TestGammaMode:
         for w in (0.3, 1.7, 0.04, 0.004):
             cp = LatticeConfig(M=1, N=1, J=0.0, delta=w)
             cm = LatticeConfig(M=1, N=1, J=0.0, delta=-w)
-            gp = gamma_mode(cp, mode_at(cp, 0, 0), 3.0)
-            gm = gamma_mode(cm, mode_at(cm, 0, 0), 3.0)
+            gp = gamma_mode(cp, omega_at(cp, 0, 0), 3.0)
+            gm = gamma_mode(cm, omega_at(cm, 0, 0), 3.0)
             assert gp == pytest.approx(-gm, rel=1e-12)
 
     def test_series_matches_direct_at_crossover(self):
@@ -142,9 +143,21 @@ class TestGammaMode:
         tau = 3.0
         for w in (0.049 / tau, 0.051 / tau):
             cfg = LatticeConfig(M=1, N=1, J=0.0, delta=w)
-            got = gamma_mode(cfg, mode_at(cfg, 0, 0), tau)
+            got = gamma_mode(cfg, omega_at(cfg, 0, 0), tau)
             direct = cfg.g**2 / w * (tau - math.sin(w * tau) / w)
             assert got == pytest.approx(direct, rel=1e-9)
+
+    def test_array_of_modes(self):
+        # one call over the mode grid gives each mode's own phase
+        omega = mode_grid(REF)[2]
+        table = gamma_mode(REF, omega, 3.0)
+        assert table.shape == omega.shape
+        each = [gamma_mode(REF, w, 3.0) for w in omega[:40]]
+        assert np.allclose(table[:40], each, rtol=1e-14, atol=0.0)
+
+    def test_negative_tau_rejected(self):
+        with pytest.raises(ValueError):
+            gamma_mode(REF, mode_grid(REF)[2], -1.0)
 
 
 class TestGammaTotal:
@@ -154,7 +167,7 @@ class TestGammaTotal:
     def test_single_mode_lattice(self):
         cfg = LatticeConfig(M=1, N=1, J=0.3, delta=0.4)
         assert gamma_total(cfg, 2.0) == pytest.approx(
-            gamma_mode(cfg, mode_at(cfg, 0, 0), 2.0), rel=1e-14
+            gamma_mode(cfg, omega_at(cfg, 0, 0), 2.0), rel=1e-14
         )
 
     def test_reference_pin_symmetric_spectrum(self):

@@ -65,7 +65,7 @@ def all_branches(cluster, pattern):
     for branch in range(2**n):
         forced = [(branch >> i) & 1 for i in range(n)]
         try:
-            yield run_pattern(cluster.copy(), pattern, forced_outcomes=forced)
+            yield run_pattern(cluster, pattern, forced_outcomes=forced)
         except ValueError:
             continue
 
@@ -325,8 +325,9 @@ class TestPatternFiles:
         assert exc.value.line_no == 2
 
     def test_bad_basis(self):
-        with pytest.raises(PatternParseError):
-            parse_pattern("0 0 W - -\n")
+        with pytest.raises(PatternParseError, match="unknown basis 'W'") as exc:
+            parse_pattern("0 0 X - -\n0 1 W - -\n")
+        assert exc.value.line_no == 2
 
     def test_bad_field_count(self):
         with pytest.raises(PatternParseError) as exc:
@@ -334,8 +335,14 @@ class TestPatternFiles:
         assert exc.value.line_no == 1
 
     def test_bad_byproduct(self):
-        with pytest.raises(PatternParseError):
-            parse_pattern("byproduct 0 1 Y 0\n")
+        with pytest.raises(PatternParseError, match="must be X or Z") as exc:
+            parse_pattern("0 0 X - -\noutput 0 1\nbyproduct 0 1 Y 0\n")
+        assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("text", ["a 0 X - -\n", "output 0 b\n", "byproduct 0 x Z 0\n"])
+    def test_bad_site(self, text):
+        with pytest.raises(PatternParseError, match="line 1: bad site"):
+            parse_pattern(text)
 
     def test_bad_adapt_list(self):
         with pytest.raises(PatternParseError):

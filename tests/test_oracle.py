@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cavitycluster.lattice import LatticeConfig, enumerate_modes
+from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import gamma_total, pairwise_phase
 from cavitycluster import oracle
 
@@ -161,15 +161,14 @@ def dense_echo_vacuum(cfg, tau, n_max):
     code with the oracle's factorized RK4 path.
     """
     nq = cfg.n_sites
-    modes = enumerate_modes(cfg)
     dimf = n_max + 1
     a = np.diag(np.sqrt(np.arange(1.0, dimf)), 1)
     pref = cfg.g / math.sqrt(nq)
     terms = []
-    for i, mode in enumerate(modes):
-        a_m = reduce(np.kron, [a if j == i else np.eye(dimf) for j in range(len(modes))])
-        jxd = oracle.collective_x_operator(cfg, mode.l, mode.k).conj().T
-        terms.append((mode.omega, np.kron(pref * jxd, a_m)))
+    for i, w in enumerate(mode_grid(cfg)[2]):
+        a_m = reduce(np.kron, [a if j == i else np.eye(dimf) for j in range(nq)])
+        jxd = oracle.collective_x_operator(cfg, *divmod(i, cfg.N)).conj().T
+        terms.append((w, np.kron(pref * jxd, a_m)))
 
     def rhs(t, y):
         h = sum(np.exp(-1j * w * t) * c + np.exp(1j * w * t) * c.conj().T for w, c in terms)
