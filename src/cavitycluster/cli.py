@@ -2,11 +2,13 @@
 cross-checks and measurement-pattern runs.
 
 Subcommands: gamma-sweep, cluster, oracle-verify, mbqc.  Configuration is
-flat INI (sections [lattice], [gamma-sweep], [cluster], [oracle], [mbqc]);
-unknown keys are rejected with their line number.  Every output file starts
-with a header comment giving the artifact version, the seed, the [lattice]
-parameters and the hardware preset (if any), and is byte-identical across
-reruns with the same inputs.  Exit codes: 0 success, 1 verification
+flat INI, read key by key through one table: sections [lattice],
+[gamma-sweep], [cluster], [oracle] and [mbqc], matched exactly, and no
+[DEFAULT].  An unknown section or key, or a value that does not parse or
+breaks its key's rule, is refused with its line number.  Every output file
+starts with a header comment giving the artifact version, the seed, the
+[lattice] parameters and the hardware preset (if any), and is byte-identical
+across reruns with the same inputs.  Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error.
 """
 
@@ -16,6 +18,7 @@ import argparse
 import configparser
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -57,27 +60,83 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
-# every key the INI schema accepts, per section
-_SCHEMA: dict[str, set[str]] = {
-    "lattice": {"m", "n", "j", "delta", "g"},
-    "gamma-sweep": {
-        "tau",
-        "delta_min",
-        "delta_max",
-        "delta_step",
-        "tau_min",
-        "tau_max",
-        "tau_step",
-        "separations",
-    },
-    "cluster": {"tau", "nn_only", "periodic", "snapshot", "fidelity_min"},
-    "oracle": {"n_max", "tolerance", "tau"},
-    "mbqc": {"pattern", "builtin", "theta1", "theta2", "theta3", "source"},
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+class _BrokenRule(ValueError):
+    """A value that parses but breaks its key's rule; the message states the rule."""
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise _BrokenRule("finite")
+    return value
+
+
+def _non_negative(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value >= 0):
+        raise _BrokenRule("finite and non-negative")
+    return value
+
+
+def _gate_time(raw: str) -> float | None:
+    """[cluster] tau; 'auto' (None) solves the gate time."""
+    return None if raw == "auto" else _non_negative(raw)
+
+
+def _boolean(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]  # KeyError if no boolean
+
+
+def _separations(raw: str) -> tuple[tuple[int, int], ...]:
+    pairs = [chunk.split(",") for chunk in raw.replace(";", " ").split()]
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise _BrokenRule("integer pairs 'dm,dn'")
+    return tuple((int(dm), int(dn)) for dm, dn in pairs)
+
+
+def _one_of(*words: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in words:
+            raise _BrokenRule(" or ".join(map(repr, words)))
+        return raw
+
+    return parse
+
+
+# every INI key: section -> key -> (field it sets, parser); [lattice] keys set
+# LatticeConfig fields, the others RunConfig fields.  A section or key that is
+# not here is refused, so none can be accepted and then ignored.
+_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "lattice": {
+        "m": ("M", int), "n": ("N", int), "j": ("J", _finite), "delta": ("delta", _finite),
+        "g": ("g", _finite),
+    },
+    "gamma-sweep": {
+        "tau": ("sweep_tau_value", _non_negative), "separations": ("separations", _separations),
+        "delta_min": ("delta_min", _finite), "delta_max": ("delta_max", _finite),
+        "delta_step": ("delta_step", _finite), "tau_min": ("tau_min", _finite),
+        "tau_max": ("tau_max", _finite), "tau_step": ("tau_step", _finite),
+    },
+    "cluster": {
+        "tau": ("cluster_tau", _gate_time), "fidelity_min": ("fidelity_min", _finite),
+        "nn_only": ("nn_only", _boolean), "periodic": ("periodic", _boolean),
+        "snapshot": ("snapshot", _boolean),
+    },
+    "oracle": {
+        "n_max": ("n_max", int), "tolerance": ("tolerance", _finite),
+        "tau": ("oracle_tau", _non_negative),
+    },
+    "mbqc": {
+        "pattern": ("pattern_path", str), "builtin": ("builtin", _one_of("wire", "cnot")),
+        "theta1": ("theta1", _finite), "theta2": ("theta2", _finite), "theta3": ("theta3", _finite),
+        "source": ("source", _one_of("reference", "generated")),
+    },
+}
 
 
 @dataclass
@@ -110,136 +169,67 @@ class RunConfig:
     oracle_tau: float = 3.0
     # mbqc
     pattern_path: str | None = None
-    builtin: str | None = "wire"
-    thetas: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    builtin: str = "wire"
+    theta1: float = 0.0
+    theta2: float = 0.0
+    theta3: float = 0.0
     source: str = "reference"
 
-    def header_items(self) -> list[tuple[str, str]]:
-        lat = self.lattice
-        items: list[tuple[str, str]] = [
-            ("version", __version__),
-            ("seed", str(self.seed)),
-            ("lattice.M", str(lat.M)),
-            ("lattice.N", str(lat.N)),
-            ("lattice.J", repr(lat.J)),
-            ("lattice.delta", repr(lat.delta)),
-            ("lattice.g", repr(lat.g)),
-        ]
-        if self.preset:
-            items.append(("preset", self.preset))
-        return items
 
-
-def _key_line_number(path: Path, section: str, key: str) -> int:
+def _line_number(path: Path, section: str, key: str | None = None) -> int:
+    """Line of the [section] header, or of key within it, as configparser reads them."""
     current = None
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-        elif current == section and ("=" in line or ":" in line):
-            name = line.replace(":", "=").split("=", 1)[0].strip().lower()
-            if name == key:
+        header = configparser.ConfigParser.SECTCRE.match(line)
+        if header:
+            current = header.group("header")
+            if current == section and key is None:
                 return line_no
+        elif current == section and line.replace(":", "=").split("=", 1)[0].strip().lower() == key:
+            return line_no
     return 0
 
 
-def _parse_separations(text: str, where: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for chunk in text.replace(";", " ").split():
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{where}: separation {chunk!r} is not 'dm,dn'")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ConfigError(f"{where}: separation {chunk!r} is not integer") from None
-    if not out:
-        raise ConfigError(f"{where}: separation list is empty")
-    return tuple(out)
-
-
 def load_run_config(path: Path | None) -> RunConfig:
-    """Parse and validate an INI file into a RunConfig (defaults if None)."""
+    """Parse and validate an INI file into a RunConfig (defaults if None).
+
+    Each key in the file is looked up in _KEYS, parsed, checked and stored.
+    Section names match _KEYS exactly, as configparser matches them.
+    """
     run = RunConfig()
     if path is None:
         return run
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] reads as an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    def key_error(sec: str, key: str, message: str) -> ConfigError:
-        return ConfigError(f"{path}, line {_key_line_number(path, sec, key)}: {message}")
+    def refuse(message: str, section: str, key: str | None = None) -> ConfigError:
+        return ConfigError(f"{path}, line {_line_number(path, section, key)}: {message}")
 
     for section in parser.sections():
-        sec = section.lower()
-        if sec not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key.lower() not in _SCHEMA[sec]:
-                raise key_error(sec, key.lower(), f"unknown key {key!r} in section [{section}]")
-
-    def get(sec: str, key: str, cast, default, non_negative: bool = False):
-        """The key's value or default; a float must be finite (and >= 0 if asked)."""
-        if not parser.has_option(sec, key):
-            return default
-        raw = parser.get(sec, key)
-        try:
-            value = parser.getboolean(sec, key) if cast is bool else cast(raw)
-        except (ValueError, TypeError):
-            raise key_error(sec, key, f"cannot parse {key} = {raw!r}") from None
-        if cast is float and not (math.isfinite(value) and (value >= 0 or not non_negative)):
-            rule = "finite and non-negative" if non_negative else "finite"
-            raise key_error(sec, key, f"[{sec}] {key} must be {rule}")
-        return value
-
-    try:
-        run.lattice = LatticeConfig(
-            M=get("lattice", "m", int, run.lattice.M),
-            N=get("lattice", "n", int, run.lattice.N),
-            J=get("lattice", "j", float, run.lattice.J),
-            delta=get("lattice", "delta", float, run.lattice.delta),
-            g=get("lattice", "g", float, run.lattice.g),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    run.sweep_tau_value = get("gamma-sweep", "tau", float, run.sweep_tau_value, non_negative=True)
-    run.delta_min = get("gamma-sweep", "delta_min", float, run.delta_min)
-    run.delta_max = get("gamma-sweep", "delta_max", float, run.delta_max)
-    run.delta_step = get("gamma-sweep", "delta_step", float, run.delta_step)
-    run.tau_min = get("gamma-sweep", "tau_min", float, run.tau_min)
-    run.tau_max = get("gamma-sweep", "tau_max", float, run.tau_max)
-    run.tau_step = get("gamma-sweep", "tau_step", float, run.tau_step)
-    if parser.has_option("gamma-sweep", "separations"):
-        run.separations = _parse_separations(
-            parser.get("gamma-sweep", "separations"), f"{path} [gamma-sweep] separations"
-        )
-
-    if parser.get("cluster", "tau", fallback="auto") != "auto":
-        run.cluster_tau = get("cluster", "tau", float, run.cluster_tau, non_negative=True)
-    run.nn_only = get("cluster", "nn_only", bool, run.nn_only)
-    run.periodic = get("cluster", "periodic", bool, run.periodic)
-    run.snapshot = get("cluster", "snapshot", bool, run.snapshot)
-    run.fidelity_min = get("cluster", "fidelity_min", float, run.fidelity_min)
-
-    run.n_max = get("oracle", "n_max", int, run.n_max)
-    run.tolerance = get("oracle", "tolerance", float, run.tolerance)
-    run.oracle_tau = get("oracle", "tau", float, run.oracle_tau, non_negative=True)
-
-    run.pattern_path = get("mbqc", "pattern", str, run.pattern_path)
-    run.builtin = get("mbqc", "builtin", str, run.builtin)
-    run.thetas = (
-        get("mbqc", "theta1", float, run.thetas[0]),
-        get("mbqc", "theta2", float, run.thetas[1]),
-        get("mbqc", "theta3", float, run.thetas[2]),
-    )
-    run.source = get("mbqc", "source", str, run.source)
-    if run.source not in ("reference", "generated"):
-        raise ConfigError(f"{path}: mbqc source must be 'reference' or 'generated'")
+        if section not in _KEYS:
+            raise refuse(f"unknown section [{section}]", section)
+        for key, raw in parser.items(section):
+            if key not in _KEYS[section]:
+                raise refuse(f"unknown key {key!r} in section [{section}]", section, key)
+            name, parse = _KEYS[section][key]
+            try:
+                value = parse(raw)
+            except _BrokenRule as exc:
+                raise refuse(f"[{section}] {key} must be {exc}", section, key) from None
+            except (ValueError, KeyError):
+                raise refuse(f"cannot parse {key} = {raw!r}", section, key) from None
+            if section != "lattice":
+                setattr(run, name, value)
+                continue
+            try:
+                run.lattice = replace(run.lattice, **{name: value})
+            except ValueError as exc:
+                raise refuse(str(exc), section, key) from None
     return run
 
 
@@ -249,11 +239,13 @@ def _fmt(value: float) -> str:
 
 
 def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> None:
-    lines = [f"# cavitycluster {command}"]
-    for key, val in run.header_items():
-        lines.append(f"# {key} = {val}")
-    lines.extend(body)
-    path.write_text("\n".join(lines) + "\n")
+    lat = run.lattice
+    header = [f"cavitycluster {command}", f"version = {__version__}", f"seed = {run.seed}",
+              f"lattice.M = {lat.M}", f"lattice.N = {lat.N}", f"lattice.J = {lat.J!r}",
+              f"lattice.delta = {lat.delta!r}", f"lattice.g = {lat.g!r}"]
+    if run.preset:
+        header.append(f"preset = {run.preset}")
+    path.write_text("".join(f"# {line}\n" for line in header) + "\n".join(body) + "\n")
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
@@ -266,8 +258,7 @@ def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
 
 
 def _feasibility_lines(run: RunConfig) -> list[str]:
-    preset = PRESETS[run.preset]
-    rep = feasibility_report(preset, run.lattice)
+    rep = feasibility_report(PRESETS[run.preset], run.lattice)
     return [
         f"feasibility preset = {rep.preset}",
         f"gate_time_g_units = {_fmt(rep.gate_time_g_units)}",
@@ -334,9 +325,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
         f"fidelity = {_fmt(fid)}",
         f"fidelity_deficit = {_fmt(1.0 - fid)}",
     ]
-    for m in range(cfg.M):
-        for n in range(cfg.N):
-            body.append(f"stabilizer_{m}_{n} = {_fmt(report.stabilizers[m, n])}")
+    body += [f"stabilizer_{m}_{n} = {_fmt(s)}" for (m, n), s in np.ndenumerate(report.stabilizers)]
     # each site's reduced density matrix is [[1/2, c], [c*, 1/2]]
     max_purity_dev = np.max(np.abs(report.coherences))
     body.append(f"min_stabilizer = {_fmt(np.min(report.stabilizers))}")
@@ -363,45 +352,42 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         raise ConfigError(
             f"{cfg.M}x{cfg.N} exceeds the {oracle.MAX_ORACLE_QUBITS}-qubit brute-force cap"
         )
-    rows: list[tuple[str, float, float, bool]] = []  # name, value, bound, ok
+    rows = [  # name, value, bound, ok
+        (f"identity.{name}", defect, 1e-14, defect <= 1e-14)
+        for name, defect in oracle.check_identities(cfg.M, cfg.N).items()
+    ]
 
-    ids = oracle.check_identities(cfg.M, cfg.N)
-    for name, defect in ids.items():
-        rows.append((f"identity.{name}", defect, 1e-14, defect <= 1e-14))
-
+    body: list[str] = []
     try:
         rep = oracle.echo_evolve(cfg, run.oracle_tau, run.n_max, run.tolerance)
     except oracle.IntegratorError as exc:
+        body.append(f"integrator failure: {exc}")
         rows.append(("echo.integrator", math.inf, 0.0, False))
-        body = [f"integrator failure: {exc}"] + _report_rows(rows)
-        _write_report(out / "oracle_report.txt", run, "oracle-verify", body)
-        return EXIT_VERIFY
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}") from None
+    else:
+        body += [f"steps = {rep.steps}", f"error_estimate = {_fmt(rep.error_estimate)}"]
+        rows.append(("echo.residual_excitation", rep.residual_excitation, 1e-8,
+                     rep.residual_excitation < 1e-8))
+        sites = [(m, n) for m in range(cfg.M) for n in range(cfg.N)]
+        try:
+            for i, a in enumerate(sites):
+                for b in sites[i + 1:]:
+                    measured = oracle.extract_pair_phase(rep, a, b)
+                    analytic = pairwise_phase(cfg, run.oracle_tau, b[0] - a[0], b[1] - a[1])
+                    delta = abs(measured - analytic)
+                    rows.append((f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}", delta, 1e-6, delta < 1e-6))
+        except oracle.InvalidExtractionError as exc:
+            body.append(f"phase extraction failure: {exc}")
 
-    rows.append(("echo.residual_excitation", rep.residual_excitation, 1e-8,
-                 rep.residual_excitation < 1e-8))
-    sites = [(m, n) for m in range(cfg.M) for n in range(cfg.N)]
-    for i, a in enumerate(sites):
-        for b in sites[i + 1:]:
-            measured = oracle.extract_pair_phase(rep, a, b)
-            analytic = pairwise_phase(cfg, run.oracle_tau, b[0] - a[0], b[1] - a[1])
-            delta = abs(measured - analytic)
-            rows.append((f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}", delta, 1e-6, delta < 1e-6))
-
-    body = [f"steps = {rep.steps}", f"error_estimate = {_fmt(rep.error_estimate)}"]
-    body += _report_rows(rows)
+    body += [
+        f"{name}: value={_fmt(value)} bound={_fmt(bound)} {'pass' if ok else 'FAIL'}"
+        for name, value, bound, ok in rows
+    ]
     ok = all(r[3] for r in rows)
     body.append(f"verdict = {'pass' if ok else 'fail'}")
     _write_report(out / "oracle_report.txt", run, "oracle-verify", body)
     return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _report_rows(rows: list[tuple[str, float, float, bool]]) -> list[str]:
-    return [
-        f"{name}: value={_fmt(value)} bound={_fmt(bound)} {'pass' if ok else 'FAIL'}"
-        for name, value, bound, ok in rows
-    ]
 
 
 def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
@@ -419,28 +405,19 @@ def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
     return phase_register(cluster_phase(M, N, table.grid, nn_only=True, periodic=False))
 
 
-def _builtin_pattern(run: RunConfig):
-    if run.builtin == "wire":
-        return wire_rotation_pattern(*run.thetas), (1, 5)
-    if run.builtin == "cnot":
-        return cnot_pattern(), (3, 2)
-    raise ConfigError(f"unknown builtin pattern {run.builtin!r}")
-
-
 def cmd_mbqc(run: RunConfig, out: Path) -> int:
     if run.pattern_path:
         path = Path(run.pattern_path)
-        if not path.is_file():
-            raise ConfigError(f"pattern file not found: {path}")
         try:
             pattern = parse_pattern(path.read_text())
         except PatternParseError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-        sites = [s.site for s in pattern.steps] + list(pattern.outputs)
-        shape = (1 + max(s[0] for s in sites), 1 + max(s[1] for s in sites))
+    elif run.builtin == "wire":
+        pattern = wire_rotation_pattern(run.theta1, run.theta2, run.theta3)
     else:
-        pattern, shape = _builtin_pattern(run)
-    M, N = shape
+        pattern = cnot_pattern()
+    sites = [s.site for s in pattern.steps] + list(pattern.outputs)
+    M, N = 1 + max(s[0] for s in sites), 1 + max(s[1] for s in sites)
     if M * N > MAX_QUBITS:
         raise ConfigError(f"pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap")
 
@@ -464,9 +441,8 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
 
     def _phase_aligned_dev(st: np.ndarray) -> float:
         ov = np.vdot(ref, st)
-        if abs(ov) < 1e-12:
-            return float(np.linalg.norm(st - ref))
-        return float(np.linalg.norm(st - ref * (ov / abs(ov))))
+        phase = ov / abs(ov) if abs(ov) >= 1e-12 else 1.0
+        return float(np.linalg.norm(st - ref * phase))
 
     max_dev = max(_phase_aligned_dev(st) for st in outputs)
     deterministic = max_dev < 1e-10
@@ -480,10 +456,17 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
         f"deterministic = {'pass' if deterministic else 'fail'}",
         f"sampled_outcomes = {''.join(map(str, record.outcomes))}",
     ]
-    for i, amp in enumerate(ref):
-        body.append(f"logical_amp_{i} = {_fmt(amp.real)} {_fmt(amp.imag)}")
+    body += [f"logical_amp_{i} = {_fmt(amp.real)} {_fmt(amp.imag)}" for i, amp in enumerate(ref)]
     _write_report(out / "mbqc_report.txt", run, "mbqc", body)
     return EXIT_OK if deterministic else EXIT_VERIFY
+
+
+_COMMANDS = {
+    "gamma-sweep": cmd_gamma_sweep,
+    "cluster": cmd_cluster,
+    "oracle-verify": cmd_oracle_verify,
+    "mbqc": cmd_mbqc,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -492,14 +475,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Geometric-phase cluster-state generation in coupled-cavity arrays",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gamma-sweep", "cluster", "oracle-verify", "mbqc"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
-        p.add_argument(
-            "--preset", choices=sorted(PRESETS), default=None, help="hardware parameter set"
-        )
+        p.add_argument("--preset", choices=sorted(PRESETS), help="hardware parameter set")
         if name == "mbqc":
             p.add_argument("--pattern", type=Path, default=None, help="pattern file")
     return parser
@@ -521,13 +502,7 @@ def main(argv: list[str] | None = None) -> int:
             run.pattern_path = str(args.pattern)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "gamma-sweep":
-            return cmd_gamma_sweep(run, out)
-        if args.command == "cluster":
-            return cmd_cluster(run, out)
-        if args.command == "oracle-verify":
-            return cmd_oracle_verify(run, out)
-        return cmd_mbqc(run, out)
+        return _COMMANDS[args.command](run, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

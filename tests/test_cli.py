@@ -4,7 +4,7 @@ import pytest
 
 from cavitycluster import oracle
 from cavitycluster.cli import (
-    _SCHEMA,
+    _KEYS,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
@@ -111,6 +111,25 @@ class TestConfigParsing:
         cfg = write(tmp_path, "bad.ini", "[wat]\nx = 1\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("header", ["[Lattice]", "[Cluster]", "[DEFAULT]"])
+    def test_section_must_match_exactly(self, tmp_path, capsys, header):
+        # configparser matches sections by exact name; [DEFAULT] would feed every section
+        body = f"# a 2x2 run\n{header}\nM = 2\nN = 2\n[cluster]\ntau = 2.0\n"
+        cfg = write(tmp_path, "s.ini", body)
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"line 2: unknown section {header}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_separation_names_line(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s1.ini", "[lattice]\nM = 3\nN = 3\n"
+                    "[gamma-sweep]\nseparations = 1,0 2\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "s1.ini, line 5: [gamma-sweep] separations must be integer pairs 'dm,dn'" in err
+        assert not out.exists()
+
     def test_unparseable_value(self, tmp_path):
         cfg = write(tmp_path, "bad.ini", "[lattice]\nM = banana\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -163,7 +182,7 @@ class TestConfigParsing:
             load_run_config(cfg)
 
     @pytest.mark.parametrize(
-        "section,key", [(sec, key) for sec in sorted(_SCHEMA) for key in sorted(_SCHEMA[sec])]
+        "section,key", [(sec, key) for sec in sorted(_KEYS) for key in sorted(_KEYS[sec])]
     )
     def test_every_key_reaches_run_config(self, tmp_path, section, key):
         # no key is accepted but ignored: a non-default value changes the RunConfig
@@ -284,6 +303,19 @@ class TestCluster:
         snap = (out / "cluster_state.csv").read_text()
         assert "basis_index,real,imag" in snap
 
+    def test_preset_appends_feasibility(self, tmp_path):
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\n")
+        out = tmp_path / "out"
+        argv = ["cluster", "--config", str(cfg), "--out", str(out), "--preset", "cpb"]
+        assert main(argv) == EXIT_OK
+        tail = (out / "cluster_report.txt").read_text().splitlines()[-6:]
+        assert tail[0] == "verdict = pass"
+        assert [line.split(" = ")[0] for line in tail[1:]] == [
+            "feasibility preset", "gate_time_g_units", "gate_time_seconds",
+            "ratio_T_cavity", "ratio_T_qubit",
+        ]
+        assert tail[1] == "feasibility preset = cpb"
+
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -362,6 +394,28 @@ class TestOracleVerify:
         assert "identity.mutual_commutator_jx: value=1.0 bound=1e-14 FAIL" in report
         assert "phase.00-01" in report and "verdict = fail" in report
 
+    def test_unreadable_phase_fails_the_run(self, tmp_path):
+        # at zero detuning a short echo leaves the field excited, so no pair phase can be read
+        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\ndelta = 0.0\n"
+                    "[oracle]\nn_max = 2\ntolerance = 1e-6\n")
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+        report = (out / "oracle_report.txt").read_text()
+        assert "phase extraction failure: residual field excitation 0.320736" in report
+        assert "echo.residual_excitation: value=0.3207" in report and "bound=1e-08 FAIL" in report
+        assert "phase." not in report and report.endswith("verdict = fail\n")
+
+    def test_integrator_failure_fails_the_run(self, tmp_path):
+        # no step count under the cap reaches a 1e-16 tolerance
+        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\ndelta = 20.0\n"
+                    "[oracle]\ntolerance = 1e-16\n")
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+        report = (out / "oracle_report.txt").read_text()
+        assert "integrator failure: no convergence to tolerance 1e-16" in report
+        assert "echo.integrator: value=inf bound=0.0 FAIL" in report
+        assert report.endswith("verdict = fail\n")
+
     def test_cap(self, tmp_path):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 3\n")
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -402,6 +456,20 @@ class TestMbqc:
         out = tmp_path / "out"
         assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert "deterministic = pass" in (out / "mbqc_report.txt").read_text()
+
+    def test_unknown_builtin_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "m.ini", "[mbqc]\nbuiltin = foo\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "line 2: [mbqc] builtin must be 'wire' or 'cnot'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("builtin,shape", [("wire", "1x5"), ("cnot", "3x2")])
+    def test_builtin_shape_from_its_sites(self, tmp_path, builtin, shape):
+        cfg = write(tmp_path, "m.ini", f"[mbqc]\nbuiltin = {builtin}\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert f"cluster_shape = {shape}" in (out / "mbqc_report.txt").read_text()
 
     def test_pattern_file(self, tmp_path):
         from cavitycluster.mbqc import format_pattern, wire_rotation_pattern
