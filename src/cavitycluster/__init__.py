@@ -12,10 +12,8 @@ from .lattice import LatticeConfig
 from .geomphase import (
     HardwarePreset,
     PhaseShiftTable,
-    beta,
     build_phase_table,
     gamma_mode,
-    gamma_total,
     pairwise_phase,
     solve_gate_time,
 )
@@ -23,9 +21,7 @@ from .effective import QubitRegister, cluster_phase, reference_cluster, verify_c
 
 __all__ = [
     "LatticeConfig",
-    "beta",
     "gamma_mode",
-    "gamma_total",
     "pairwise_phase",
     "build_phase_table",
     "solve_gate_time",

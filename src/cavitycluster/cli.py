@@ -417,6 +417,8 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     else:
         pattern = cnot_pattern()
     sites = [s.site for s in pattern.steps] + list(pattern.outputs)
+    if not sites:  # only a pattern file can be empty
+        raise ConfigError(f"{run.pattern_path}: pattern has no steps and no outputs")
     M, N = 1 + max(s[0] for s in sites), 1 + max(s[1] for s in sites)
     if M * N > MAX_QUBITS:
         raise ConfigError(f"pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap")

@@ -39,12 +39,14 @@ the worst beyond-nearest-neighbour phase is about 0.15 (J tau)^2 Gamma_nn.
 On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
-:func:`pairwise_phase`, :func:`gamma_total`, every sweep row and the gate-time
-bisection add the per-mode terms with ``math.fsum``.  :func:`build_phase_table`
-keeps the M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
-[dm mod M, dn mod N], and the scan that brackets the gate time is a float64
-(tau x modes) product; both agree with fsum to ~1e-15.  The FFT's real part
-is even only to rounding: cells [d] and [-d] may differ in the last bit.
+:func:`pairwise_phase`, every sweep row and the gate-time bisection are one
+float64 dot of the per-mode phases with the separation's weights
+4 cos(L dm + K dn); the scan that brackets the gate time multiplies
+(tau x modes) blocks by the same weights.  :func:`build_phase_table` keeps
+the M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
+[dm mod M, dn mod N].  Each agrees with the exact (compensated) mode sum to
+~1e-15.  The FFT's real part is even only to rounding: cells [d] and [-d]
+may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ import numpy as np
 from .lattice import LatticeConfig, mode_grid
 
 __all__ = [
-    "beta",
     "gamma_mode",
-    "gamma_total",
     "pairwise_phase",
     "nn_separation",
     "PhaseShiftTable",
@@ -74,24 +74,15 @@ __all__ = [
     "feasibility_report",
 ]
 
-_ZERO_MODE_TOL = 1e-12
 # below this |omega*tau| the bracket tau - sin(omega tau)/omega is evaluated
 # by its Taylor series; direct evaluation loses ~(omega tau)^-2 digits
 _SERIES_THRESHOLD = 0.05
+# the gate-time search: tau in (0, _WINDOW], scanned every _GRID_STEP
+_WINDOW = 20.0
+_GRID_STEP = 0.01
 # elements of one (tau x modes) block of the gate-time scan: a few 128 kB
 # temporaries, so the scan's peak memory does not grow with the window
 _SCAN_BLOCK = 16384
-
-
-def beta(config: LatticeConfig, w: float, tau: float) -> complex:
-    """Displacement amplitude of the mode at frequency w after one interval tau."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    g = config.g
-    root = math.sqrt(config.n_sites)
-    if abs(w) < _ZERO_MODE_TOL:
-        return -1j * g * tau / root
-    return g / (root * w) * (1.0 - np.exp(1j * w * tau))
 
 
 def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
@@ -118,14 +109,16 @@ def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarr
     return config.g**2 / config.n_sites * _gamma_bracket(omega, tau)
 
 
-def gamma_total(config: LatticeConfig, tau: float) -> float:
-    """Mode-summed geometric phase; compensated (exact) summation."""
-    return math.fsum(gamma_mode(config, mode_grid(config)[2], tau))
-
-
 def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
     if dm % config.M == 0 and dn % config.N == 0:
         raise ValueError(f"separation ({dm}, {dn}) is zero on the {config.M}x{config.N} lattice")
+
+
+def _weights(config: LatticeConfig, dm: int, dn: int) -> np.ndarray:
+    """Per-mode weights 4 cos(L dm + K dn) of the separation (dm, dn)."""
+    _check_separation(config, dm, dn)
+    L, K, _ = mode_grid(config)
+    return 4.0 * np.cos(L * dm + K * dn)
 
 
 def nn_separation(config: LatticeConfig) -> tuple[int, int]:
@@ -139,9 +132,7 @@ def nn_separation(config: LatticeConfig) -> tuple[int, int]:
 
 def pairwise_phase(config: LatticeConfig, tau: float, dm: int, dn: int) -> float:
     """Echoed pairwise phase Gamma between sites separated by (dm, dn)."""
-    _check_separation(config, dm, dn)
-    L, K, W = mode_grid(config)
-    return math.fsum(4.0 * gamma_mode(config, W, tau) * np.cos(L * dm + K * dn))
+    return float(gamma_mode(config, mode_grid(config)[2], tau) @ _weights(config, dm, dn))
 
 
 @dataclass(frozen=True)
@@ -188,13 +179,8 @@ class GateTimeNotFoundError(RuntimeError):
         )
 
 
-def solve_gate_time(
-    config: LatticeConfig,
-    target: float = math.pi / 4,
-    window: float = 20.0,
-    grid_step: float = 0.01,
-) -> float:
-    """Smallest tau in (0, window] with Gamma_nn(tau) = target.
+def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float:
+    """Smallest tau in (0, _WINDOW] with Gamma_nn(tau) = target.
 
     Scans a coarse grid in (tau x modes) blocks up to the first block with a
     sign change or exact zero (the whole window only when there is no root),
@@ -207,9 +193,9 @@ def solve_gate_time(
     def f(tau: float) -> float:
         return pairwise_phase(config, tau, *sep) - target
 
-    L, K, W = mode_grid(config)
-    weights = 4.0 * config.g**2 / config.n_sites * np.cos(L * sep[0] + K * sep[1])
-    taus = np.arange(grid_step, window + grid_step / 2, grid_step)
+    W = mode_grid(config)[2]
+    weights = config.g**2 / config.n_sites * _weights(config, *sep)
+    taus = np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
     rows = max(1, _SCAN_BLOCK // W.size)
     achieved = 0.0
     vals = np.empty(0)
@@ -226,7 +212,7 @@ def solve_gate_time(
         if idx.size:
             break
     else:
-        raise GateTimeNotFoundError(target, achieved, window)
+        raise GateTimeNotFoundError(target, achieved, _WINDOW)
     lo, hi = float(taus[first + idx[0]]), float(taus[first + idx[0] + 1])
     flo = f(lo)
     while (hi - lo) > 1e-13 * hi:
@@ -247,12 +233,9 @@ def sweep_delta(
     """Rows (delta/g, Gamma_nn) over a detuning grid."""
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
-    dm, dn = nn_separation(config)
-    # omega(delta) = omega(0) + delta is bitwise delta + 2J(cos L + cos K)
-    L, K, W0 = mode_grid(replace(config, delta=0.0))
-    cos_nn = np.cos(L * dm + K * dn)
+    sep = nn_separation(config)
     return [
-        (float(d), math.fsum(4.0 * gamma_mode(config, W0 + float(d), tau) * cos_nn))
+        (float(d), pairwise_phase(replace(config, delta=float(d)), tau, *sep))
         for d in delta_grid
     ]
 
@@ -265,14 +248,12 @@ def sweep_tau(
     """Rows (g tau, {separation: Gamma}) over an interaction-time grid."""
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
-    for dm, dn in separations:
-        _check_separation(config, dm, dn)
-    L, K, W = mode_grid(config)
-    cosines = {(dm, dn): np.cos(L * dm + K * dn) for dm, dn in separations}
+    weights = {s: _weights(config, *s) for s in separations}
+    W = mode_grid(config)[2]
     rows = []
     for tau in tau_grid:
         gam = gamma_mode(config, W, float(tau))
-        rows.append((float(tau), {s: math.fsum(4.0 * gam * c) for s, c in cosines.items()}))
+        rows.append((float(tau), {s: float(gam @ w) for s, w in weights.items()}))
     return rows
 
 
@@ -332,7 +313,7 @@ class FeasibilityReport:
 
 def feasibility_report(preset: HardwarePreset, config: LatticeConfig) -> FeasibilityReport:
     """Gate time in physical units and coherence-time ratios for a preset."""
-    gtau = solve_gate_time(config)
+    gtau = config.g * solve_gate_time(config)
     t_phys = gtau / preset.g_phys
     return FeasibilityReport(
         preset=preset.name,

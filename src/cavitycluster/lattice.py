@@ -52,7 +52,9 @@ class LatticeConfig:
         return self.M * self.N
 
 
-@lru_cache(maxsize=64)
+# small: a detuning sweep builds one grid per delta, and a large cache would
+# keep every one of them alive
+@lru_cache(maxsize=4)
 def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, K, omega) over all M*N modes, flat in row-major (l, k) order; read-only."""
     L = 2.0 * np.pi * np.arange(config.M) / config.M

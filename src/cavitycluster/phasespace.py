@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "PhasePath",
@@ -80,9 +79,14 @@ def closed_path_phase(path: PhasePath) -> float:
 
 
 def displacement_matrix(alpha: complex, n_max: int) -> np.ndarray:
-    """D(alpha) on the Fock space truncated at photon number n_max."""
+    """D(alpha) on the Fock space truncated at photon number n_max.
+
+    D = exp(alpha a^dag - alpha^* a) = exp(-iH) with the Hermitian generator
+    H = i(alpha a^dag - alpha^* a), exponentiated through its eigenbasis.
+    """
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    lam, v = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def verify_displacement_law(alpha: complex, beta: complex, n_max: int) -> float:

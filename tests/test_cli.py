@@ -316,6 +316,21 @@ class TestCluster:
         ]
         assert tail[1] == "feasibility preset = cpb"
 
+    def test_preset_reads_gate_time_as_g_tau(self, tmp_path):
+        # scaling g, J and delta together leaves g tau, and so the time in
+        # seconds, unchanged
+        seconds = []
+        for g in (1.0, 2.0):
+            cfg = write(tmp_path, "c.ini",
+                        f"[lattice]\nM = 2\nN = 2\nJ = {0.1 * g}\ndelta = {0.05 * g}\ng = {g}\n")
+            out = tmp_path / f"out{g}"
+            main(["cluster", "--config", str(cfg), "--out", str(out), "--preset", "cpb"])
+            report = (out / "cluster_report.txt").read_text().splitlines()
+            lines = dict(line.split(" = ") for line in report if not line.startswith("#"))
+            assert lines["gate_time_g_units"] == lines["g_tau"]
+            seconds.append(float(lines["gate_time_seconds"]))
+        assert seconds[1] == pytest.approx(seconds[0], rel=1e-12)
+
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -498,6 +513,15 @@ class TestMbqc:
         argv = ["mbqc", "--pattern", str(pat), "--out", str(out), "--seed", seed]
         assert main(argv) == EXIT_USAGE
         assert "bad.pat: line 2: byproduct" in capsys.readouterr().err
+        assert not (out / "mbqc_report.txt").exists()
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_pattern_is_config_error(self, tmp_path, capsys, text):
+        pat = tmp_path / "empty.pat"
+        pat.write_text(text)
+        out = tmp_path / "out"
+        assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
+        assert f"{pat}: pattern has no steps and no outputs" in capsys.readouterr().err
         assert not (out / "mbqc_report.txt").exists()
 
     def test_negative_site_is_config_error(self, tmp_path, capsys):

@@ -4,18 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cavitycluster import geomphase
 from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
     PRESETS,
-    beta,
     build_phase_table,
     feasibility_report,
     gamma_mode,
-    gamma_total,
     nn_separation,
     pairwise_phase,
     solve_gate_time,
@@ -70,46 +67,6 @@ def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
     return 0.5 * (lo + hi)
 
 
-class TestBeta:
-    def test_closed_loop_zero(self):
-        cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0)  # omega = 2
-        w = omega_at(cfg, 0, 0)
-        tau = 2 * math.pi / w
-        assert abs(beta(cfg, w, tau)) < 1e-14
-
-    def test_tau_zero(self):
-        w = omega_at(REF, 1, 0)
-        assert beta(REF, w, 0.0) == 0
-
-    def test_half_period_magnitude(self):
-        cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0)
-        w = omega_at(cfg, 0, 0)
-        tau = math.pi / w
-        assert abs(beta(cfg, w, tau)) == pytest.approx(2 * cfg.g / abs(w), rel=1e-12)
-
-    def test_zero_mode_limit(self):
-        cfg = LatticeConfig(M=2, N=2, J=0.1, delta=0.0)
-        w = omega_at(cfg, 1, 0)  # exact zero mode
-        assert beta(cfg, w, 3.0) == pytest.approx(-3j / 2.0, abs=1e-12)
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            beta(REF, omega_at(REF, 0, 0), -1.0)
-
-    @given(
-        omega=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-        tau=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    )
-    @settings(max_examples=80)
-    def test_amplitude_bound(self, omega, tau):
-        cfg = LatticeConfig(M=1, N=1, J=0.0, delta=omega)
-        w = omega_at(cfg, 0, 0)
-        b = beta(cfg, w, tau)
-        if abs(omega) > 1e-9:
-            assert abs(b) <= 2 * cfg.g / abs(omega) + 1e-12
-        assert abs(b) <= cfg.g * tau + 1e-12  # linear-growth envelope
-
-
 class TestGammaMode:
     def test_zero_frequency_limit(self):
         cfg = LatticeConfig(M=2, N=2, J=0.1, delta=0.0)
@@ -160,26 +117,6 @@ class TestGammaMode:
             gamma_mode(REF, mode_grid(REF)[2], -1.0)
 
 
-class TestGammaTotal:
-    def test_tau_zero(self):
-        assert gamma_total(REF, 0.0) == 0.0
-
-    def test_single_mode_lattice(self):
-        cfg = LatticeConfig(M=1, N=1, J=0.3, delta=0.4)
-        assert gamma_total(cfg, 2.0) == pytest.approx(
-            gamma_mode(cfg, omega_at(cfg, 0, 0), 2.0), rel=1e-14
-        )
-
-    def test_reference_pin_symmetric_spectrum(self):
-        # at delta=0 the odd-lattice spectrum is symmetric in omega and the
-        # odd-in-omega summands cancel to rounding
-        assert abs(gamma_total(REF, 3.0)) < 1e-12
-
-    def test_reference_pin_detuned(self):
-        cfg = replace(REF, delta=0.5)
-        assert gamma_total(cfg, 3.0) == pytest.approx(1.9118951569418818, rel=1e-12)
-
-
 class TestPairwisePhase:
     def test_zero_separation_rejected(self):
         with pytest.raises(ValueError):
@@ -215,6 +152,16 @@ class TestPairwisePhase:
         assert pairwise_phase(REF, 3.0, 1, 0) == pytest.approx(
             1.7288094158124032, rel=1e-12
         )
+
+    @pytest.mark.parametrize("size", [19, 61])
+    @pytest.mark.parametrize("sep", [(1, 0), (2, 1), (3, 0)])
+    @pytest.mark.parametrize("tau", [0.5, GATE_TIME_PIN, 3.0])
+    def test_matches_exact_mode_sum(self, size, sep, tau):
+        # the float64 dot against the correctly rounded sum of the same terms
+        cfg = LatticeConfig(M=size, N=size, J=0.1)
+        L, K, W = mode_grid(cfg)
+        terms = 4.0 * gamma_mode(cfg, W, tau) * np.cos(L * sep[0] + K * sep[1])
+        assert abs(pairwise_phase(cfg, tau, *sep) - math.fsum(terms)) <= 1e-15
 
     @pytest.mark.parametrize("delta", [0.0, 20.0])
     def test_matches_realspace_sum(self, delta, realspace_gamma):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from cavitycluster.phasespace import (
     PhasePath,
     closed_path_phase,
     compose_displacements,
+    displacement_matrix,
     path_phase,
     verify_displacement_law,
 )
@@ -124,6 +126,16 @@ class TestClosedPathPhase:
         assert net == pytest.approx(a + b + c, abs=1e-12)
         expected = compose_displacements(b, a)[1] + compose_displacements(c, a + b)[1]
         assert gamma == pytest.approx(expected, abs=1e-10)
+
+
+class TestDisplacementMatrix:
+    @pytest.mark.parametrize("alpha", [0.5 + 0.3j, -1.5j, 2.0 + 2.0j, 2.5])
+    @pytest.mark.parametrize("n_max", [0, 1, 20, 60])
+    def test_matches_expm(self, alpha, n_max):
+        # the eigenbasis exponential against scipy's Pade expm of the generator
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+        want = expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.max(np.abs(displacement_matrix(alpha, n_max) - want)) <= 1e-13
 
 
 class TestDisplacementLaw:
