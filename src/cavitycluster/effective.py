@@ -100,10 +100,6 @@ class QubitRegister:
     def n_qubits(self) -> int:
         return len(self.sites)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def site_axis(self, site: tuple[int, int]) -> int:
         if site not in self.sites:
             raise ValueError(f"site {site} is outside the {self.M}x{self.N} grid or measured")

@@ -144,7 +144,6 @@ class PhaseShiftTable:
     """
 
     config: LatticeConfig
-    tau: float
     grid: np.ndarray
 
     def gamma(self, dm: int, dn: int) -> float:
@@ -164,14 +163,13 @@ def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:
     gam = gamma_mode(config, mode_grid(config)[2], tau)
     grid = 4.0 * np.fft.fft2(gam.reshape(config.M, config.N)).real
     grid.flags.writeable = False
-    return PhaseShiftTable(config=config, tau=tau, grid=grid)
+    return PhaseShiftTable(config=config, grid=grid)
 
 
 class GateTimeNotFoundError(RuntimeError):
     """No interaction time in the search window reaches the target phase."""
 
     def __init__(self, target: float, achieved_max: float, window: float):
-        self.target = target
         self.achieved_max = achieved_max
         super().__init__(
             f"no tau in (0, {window:g}] reaches Gamma_nn = {target:g}; "
@@ -230,7 +228,7 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
 def sweep_delta(
     config: LatticeConfig, tau: float, delta_grid: list[float]
 ) -> list[tuple[float, float]]:
-    """Rows (delta/g, Gamma_nn) over a detuning grid."""
+    """Rows (delta, Gamma_nn) over a detuning grid."""
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
     sep = nn_separation(config)
@@ -245,7 +243,7 @@ def sweep_tau(
     tau_grid: list[float],
     separations: list[tuple[int, int]],
 ) -> list[tuple[float, dict[tuple[int, int], float]]]:
-    """Rows (g tau, {separation: Gamma}) over an interaction-time grid."""
+    """Rows (tau, {separation: Gamma}) over an interaction-time grid."""
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
     weights = {s: _weights(config, *s) for s in separations}

@@ -6,9 +6,10 @@ integer pair (l, k) with angles L = 2*pi*l/M, K = 2*pi*k/N and frequency
 
     omega_{L,K} = delta + 2 J cos L + 2 J cos K.
 
-All frequencies are expressed in units of the qubit-cavity coupling g
-(g = 1 internally); physical-unit conversion lives with the hardware
-presets in :mod:`cavitycluster.geomphase`.
+g, J, delta and omega are angular frequencies in one common unit and tau
+is a time in its inverse; nothing fixes g = 1, so a dimensionless reading
+takes the products g tau, J/g and delta/g.  Physical-unit conversion lives
+with the hardware presets in :mod:`cavitycluster.geomphase`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ class LatticeConfig:
     """Physical parameters of the M x N coupled-cavity array.
 
     M, N    lattice rows / columns
-    g       qubit-cavity coupling (reference frequency unit, > 0)
-    J       photon tunneling rate, units of g
-    delta   cavity-qubit detuning, units of g
+    g       qubit-cavity coupling (> 0)
+    J       photon tunneling rate, same unit as g
+    delta   cavity-qubit detuning, same unit as g
     """
 
     M: int

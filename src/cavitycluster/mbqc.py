@@ -51,6 +51,8 @@ __all__ = [
 Site = tuple[int, int]
 
 _PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex), "Z": np.diag([1.0, -1.0])}
+# X and Y are the equatorial measurements at these angles
+_EQ_ANGLE = {"X": 0.0, "Y": math.pi / 2}
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,11 @@ class MeasurementStep:
     def __post_init__(self) -> None:
         if self.basis not in ("X", "Y", "Z", "EQ"):
             raise ValueError(f"unknown basis {self.basis!r}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle!r}")
 
     def effective_angle(self, outcomes: list[int]) -> float:
-        if self.basis == "X":
-            theta = 0.0
-        elif self.basis == "Y":
-            theta = math.pi / 2
-        else:
-            theta = self.angle
+        theta = _EQ_ANGLE.get(self.basis, self.angle)
         parity = sum(outcomes[i] for i in self.adapt) % 2
         return -theta if parity else theta
 
@@ -139,7 +138,6 @@ class MeasurementPattern:
 class MeasurementRecord:
     outcomes: list[int] = field(default_factory=list)
     probabilities: list[float] = field(default_factory=list)
-    seed: int | None = None
 
 
 class ZeroProbabilityError(ValueError):
@@ -166,7 +164,7 @@ def measure_qubit(
     if basis == "Z":
         eigvecs = np.eye(2, dtype=complex)
     elif basis in ("X", "Y", "EQ"):
-        phase = np.exp(1j * {"X": 0.0, "Y": math.pi / 2}.get(basis, angle))
+        phase = np.exp(1j * _EQ_ANGLE.get(basis, angle))
         eigvecs = np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2.0)
     else:
         raise ValueError(f"unknown basis {basis!r}")
@@ -202,7 +200,7 @@ def run_pattern(
     the pattern names no outputs.  reg is not changed.
     """
     rng = random.Random(seed)
-    record = MeasurementRecord(seed=seed)
+    record = MeasurementRecord()
     work = reg
     for i, step in enumerate(pattern.steps):
         outcome, probability, work = measure_qubit(

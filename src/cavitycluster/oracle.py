@@ -8,7 +8,9 @@ Integrates the time-dependent interaction Hamiltonian
 on truncated Fock spaces for tiny arrays, applies the sigma_z echo
 S_z U(tau) S_z U(tau), and extracts the realized pairwise phases for
 comparison against the analytic mode sums in
-:mod:`cavitycluster.geomphase`.
+:mod:`cavitycluster.geomphase`.  Both drive intervals U(tau) start from
+t = 0: that is the echo whose displacements close the loop and leave only
+the geometric phase.
 
 In the per-site sigma_x eigenbasis every collective operator J_X is
 diagonal, so a qubit configuration c is never mixed with another and sees
@@ -24,7 +26,8 @@ factors' vacuum amplitudes.
 
 Each factor's drive obeys H(t) = R(t) H(0) R(t)^dag, R(t) = diag(e^{i omega t
 f}) over the Fock number f, in the truncated space too; so an RK4 run of N
-steps is one matrix power of the step from t = 0, O(log N) batched products.
+steps over [0, tau] is one matrix power of the step from t = 0, O(log N)
+batched products.
 The size cap counts the largest array, that propagator: 2^{MN}
 configurations x MN modes x (n_max+1)^2 Fock matrix elements.
 
@@ -60,6 +63,8 @@ MAX_ORACLE_QUBITS = 4
 MAX_TOTAL_DIMENSION = 200_000
 # largest residual field excitation at which a pair phase is still read out
 _RESIDUAL_THRESHOLD = 1e-6
+# step budget of one drive interval's RK4 halving
+_MAX_STEPS = 1 << 19
 
 
 class IntegratorError(RuntimeError):
@@ -111,12 +116,12 @@ def collective_x_operator(config: LatticeConfig, l: int, k: int) -> np.ndarray:
     return out
 
 
-def sz_operator(config: LatticeConfig, skip_site: tuple[int, int] | None = None) -> np.ndarray:
-    """S_z = prod_sites sigma_z on the qubit space (skip_site corrupts it)."""
+def sz_operator(config: LatticeConfig) -> np.ndarray:
+    """S_z = prod_sites sigma_z on the qubit space."""
     sz = np.diag([1.0, -1.0]).astype(complex)
     out = np.array([[1]], dtype=complex)
-    for m, n in _sites(config):
-        out = np.kron(out, np.eye(2) if (m, n) == skip_site else sz)
+    for _ in range(config.n_sites):
+        out = np.kron(out, sz)
     return out
 
 
@@ -148,11 +153,11 @@ def _apply_h(ws: np.ndarray, lam: np.ndarray, t: float, psi: np.ndarray) -> np.n
 
 
 def _rk4_run(
-    ws: np.ndarray, lam: np.ndarray, tau: float, block: np.ndarray, steps: int, t0: float
+    ws: np.ndarray, lam: np.ndarray, tau: float, block: np.ndarray, steps: int
 ) -> np.ndarray:
-    """`steps` RK4 steps over [t0, t0 + tau] applied to block.  The step from
-    t is R(t) Q R(t)^dag, Q the step from 0, so the run telescopes to
-    R(t0 + tau - dt) (Q R(-dt))^steps R(dt - t0)."""
+    """`steps` RK4 steps over [0, tau] applied to block.  The step from t is
+    R(t) Q R(t)^dag, Q the step from 0, so the run telescopes to
+    R(tau - dt) (Q R(-dt))^steps R(dt)."""
     dt = tau / steps
     fock = np.arange(block.shape[0])
     eye = np.eye(fock.size, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
@@ -166,19 +171,12 @@ def _rk4_run(
         return np.exp(1j * np.multiply.outer(ws * t, fock))[:, None]
 
     power = np.linalg.matrix_power(q * rot(-dt)[..., None, :], steps)
-    u = rot(t0 + tau - dt)[..., :, None] * power * rot(dt - t0)[..., None, :]
+    u = rot(tau - dt)[..., :, None] * power * rot(dt)[..., None, :]
     return np.einsum("mcfj,j...mc->f...mc", u, block)
 
 
 def _integrate_block(
-    ws: np.ndarray,
-    lam: np.ndarray,
-    g: float,
-    tau: float,
-    block: np.ndarray,
-    tolerance: float,
-    t0: float = 0.0,
-    max_steps: int = 1 << 19,
+    ws: np.ndarray, lam: np.ndarray, g: float, tau: float, block: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, int, float]:
     """Fixed-step RK4 with step halving until the Richardson estimate and the
     norm defect both drop below tolerance.  Returns (states, steps, err).
@@ -199,14 +197,14 @@ def _integrate_block(
     steps = 64
     while steps * 4 < predicted:
         steps *= 2
-    coarse = _rk4_run(ws, lam, tau, block, steps, t0)
+    coarse = _rk4_run(ws, lam, tau, block, steps)
     while True:
         steps *= 2
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise IntegratorError(
-                f"no convergence to tolerance {tolerance:g} within {max_steps} steps"
+                f"no convergence to tolerance {tolerance:g} within {_MAX_STEPS} steps"
             )
-        fine = _rk4_run(ws, lam, tau, block, steps, t0)
+        fine = _rk4_run(ws, lam, tau, block, steps)
         factor_err = np.linalg.norm(fine - coarse, axis=0)
         err = float(np.max(np.sum(factor_err, axis=-2))) / 15.0
         norm2 = np.prod(np.linalg.norm(fine, axis=0) ** 2, axis=-2)
@@ -227,28 +225,17 @@ class EvolutionReport:
     """
 
     config: LatticeConfig
-    tau: float
-    n_max: int
-    tolerance: float
     vacuum: np.ndarray
     residual_excitation: float
     steps: int
     error_estimate: float
-    time_origin_reset: bool = True
 
 
-def echo_evolve(
-    config: LatticeConfig,
-    tau: float,
-    n_max: int,
-    tolerance: float,
-    time_origin_reset: bool = True,
-) -> EvolutionReport:
+def echo_evolve(config: LatticeConfig, tau: float, n_max: int, tolerance: float) -> EvolutionReport:
     """S_z U(tau) S_z U(tau) applied to sigma_x basis states x field vacuum.
 
-    With time_origin_reset (the physical reading of the echo sequence) the
-    second interval integrates the drive from a re-zeroed time origin; the
-    no-reset variant is exposed for comparison only.
+    Each interval integrates the drive from t = 0, so the second undoes the
+    first's displacement of every mode and only the geometric phase stays.
     """
     _check_dims(config, n_max)
     ws, lam = _drive(config)
@@ -259,10 +246,7 @@ def echo_evolve(
     # S_z complements every x bit, leaving the field untouched: the factors
     # started in configuration c now sit in ~c, so the second interval runs
     # with the drive coefficients in complemented (reversed) order
-    t0 = 0.0 if time_origin_reset else tau
-    psi, steps2, err2 = _integrate_block(
-        ws, lam[:, ::-1], config.g, tau, psi, tolerance, t0=t0
-    )
+    psi, steps2, err2 = _integrate_block(ws, lam[:, ::-1], config.g, tau, psi, tolerance)
     # the trailing S_z returns every factor to its original configuration
 
     # the joint vacuum amplitude is the product of the per-mode ones
@@ -272,14 +256,10 @@ def echo_evolve(
     residual = float(np.max(np.abs(1.0 - np.abs(vacuum) ** 2)))
     return EvolutionReport(
         config=config,
-        tau=tau,
-        n_max=n_max,
-        tolerance=tolerance,
         vacuum=vacuum,
         residual_excitation=residual,
         steps=steps1 + steps2,
         error_estimate=err1 + err2,
-        time_origin_reset=time_origin_reset,
     )
 
 
@@ -319,19 +299,16 @@ def extract_pair_phase(
     return float(np.angle(prod)) / 4.0
 
 
-def check_identities(
-    M: int, N: int, skip_site: tuple[int, int] | None = None
-) -> dict[str, float]:
+def check_identities(M: int, N: int) -> dict[str, float]:
     """Exact operator identities behind the echo cancellation.
 
     Returns max-abs defects for: [S_z, J_X^dag J_X], {S_z, J_X},
-    {S_z, J_X^dag}, and mutual commutation of all J_X modes.  skip_site
-    deliberately corrupts S_z (test of the test).
+    {S_z, J_X^dag}, and mutual commutation of all J_X modes.
     """
     config = LatticeConfig(M=M, N=N, J=0.1)
     if config.n_sites > MAX_ORACLE_QUBITS:
         raise ValueError(f"identity checks capped at {MAX_ORACLE_QUBITS} sites")
-    sz = sz_operator(config, skip_site=skip_site)
+    sz = sz_operator(config)
     jxs = [collective_x_operator(config, l, k) for l in range(M) for k in range(N)]
 
     def maxabs(x: np.ndarray) -> float:

@@ -250,6 +250,49 @@ class TestGammaSweep:
         assert f"separation {named} is zero" in capsys.readouterr().err
         assert not (out / "gamma_vs_delta.csv").exists()
 
+    @pytest.mark.parametrize("step", ["1e-320", "1.5e-5"])
+    def test_grid_size_cap(self, tmp_path, capsys, step):
+        # 1e-320 overflows the point count; 1.5e-5 asks for 200 001 points
+        cfg = write(tmp_path, "sweep.ini", "[lattice]\nM = 2\nN = 2\n"
+                    f"[gamma-sweep]\ntau_step = {step}\nseparations = 1,0\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "tau grid: more than 100000 points" in capsys.readouterr().err
+        assert not (out / "gamma_vs_tau.csv").exists()
+
+    def test_columns_are_dimensionless(self, tmp_path):
+        # doubling g, J and every detuning while halving every time leaves
+        # g tau, delta/g and Gamma unchanged, so every data row is the same
+        scaled = """\
+            [lattice]
+            M = 5
+            N = 5
+            J = 0.2
+            delta = 0.0
+            g = 2.0
+
+            [gamma-sweep]
+            tau = 1.5
+            delta_min = 0.0
+            delta_max = 4.0
+            delta_step = 1.0
+            tau_min = 0.0
+            tau_max = 0.5
+            tau_step = 0.125
+            separations = 1,0 1,1
+            """
+        rows = []
+        for name, body in (("base", SMALL_SWEEP), ("scaled", scaled)):
+            out = tmp_path / name
+            assert main(["gamma-sweep", "--config", str(write(tmp_path, f"{name}.ini", body)),
+                         "--out", str(out)]) == EXIT_OK
+            rows.append([
+                [line for line in (out / csv).read_text().splitlines() if not line.startswith("#")]
+                for csv in ("gamma_vs_delta.csv", "gamma_vs_tau.csv")
+            ])
+        assert rows[0] == rows[1]
+        assert rows[0][1][2].startswith("0.25,")  # g tau, not tau
+
     def test_single_row(self, tmp_path):
         cfg = write(tmp_path, "sweep.ini", "[lattice]\nM = 1\nN = 5\n"
                     "[gamma-sweep]\nseparations = 0,1 0,2\n")
@@ -529,6 +572,15 @@ class TestMbqc:
         pat.write_text("0 -1 X - -\noutput 0 1\n")
         assert main(["mbqc", "--pattern", str(pat), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert "line 1: site (0, -1) has a negative coordinate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_is_config_error(self, tmp_path, capsys, angle):
+        pat = tmp_path / "bad.pat"
+        pat.write_text(f"0 0 EQ {angle} -\noutput 0 1\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
+        assert f"bad.pat: line 1: angle must be finite, got {angle}" in capsys.readouterr().err
+        assert not (out / "mbqc_report.txt").exists()
 
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "out"

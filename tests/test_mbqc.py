@@ -82,7 +82,7 @@ class TestMeasureQubit:
             outcome, probability, out = measure_qubit(reg, (0, 0), "X", forced_outcome=forced)
             assert outcome == forced
             assert probability == pytest.approx(0.5, abs=1e-15)
-            assert out.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_measurement_rejected(self):
         reg = all_up(1, 2)
