@@ -9,7 +9,8 @@ breaks its key's rule, is refused with its line number.  Every output file
 starts with a header comment giving the artifact version, the seed, the
 [lattice] parameters and the hardware preset (if any), and is byte-identical
 across reruns with the same inputs.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+failure or no gate time in the search window, 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 # points of one gamma-sweep grid
 _MAX_GRID_POINTS = 100_000
+# measurement steps of an mbqc pattern: all 2^steps outcome branches are run
+_MAX_PATTERN_STEPS = 12
 
 
 class ConfigError(ValueError):
@@ -82,6 +85,13 @@ def _non_negative(raw: str) -> float:
     value = float(raw)
     if not (math.isfinite(value) and value >= 0):
         raise _BrokenRule("finite and non-negative")
+    return value
+
+
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise _BrokenRule("finite and positive")
     return value
 
 
@@ -121,8 +131,8 @@ _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "gamma-sweep": {
         "tau": ("sweep_tau_value", _non_negative), "separations": ("separations", _separations),
         "delta_min": ("delta_min", _finite), "delta_max": ("delta_max", _finite),
-        "delta_step": ("delta_step", _finite), "tau_min": ("tau_min", _finite),
-        "tau_max": ("tau_max", _finite), "tau_step": ("tau_step", _finite),
+        "delta_step": ("delta_step", _positive), "tau_min": ("tau_min", _non_negative),
+        "tau_max": ("tau_max", _finite), "tau_step": ("tau_step", _positive),
     },
     "cluster": {
         "tau": ("cluster_tau", _gate_time), "fidelity_min": ("fidelity_min", _finite),
@@ -251,8 +261,6 @@ def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> 
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
-    if step <= 0:
-        raise ConfigError(f"{what}: step must be positive")
     if hi < lo:
         raise ConfigError(f"{what}: empty grid (max < min)")
     span = (hi - lo) / step  # inf when the step underflows the division
@@ -302,14 +310,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
         nn_sep = nn_separation(cfg)
     except ValueError as exc:
         raise ConfigError(f"[lattice] {exc}") from None
-    tau = run.cluster_tau
-    if tau is None:
-        try:
-            tau = solve_gate_time(cfg)
-        except GateTimeNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
-
+    tau = solve_gate_time(cfg) if run.cluster_tau is None else run.cluster_tau
     table = build_phase_table(cfg, tau)
     try:
         phi = cluster_phase(cfg.M, cfg.N, table.grid, run.nn_only, run.periodic)
@@ -422,13 +423,16 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     M, N = 1 + max(s[0] for s in sites), 1 + max(s[1] for s in sites)
     if M * N > MAX_QUBITS:
         raise ConfigError(f"pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap")
+    n_meas = len(pattern.steps)
+    if n_meas > _MAX_PATTERN_STEPS:  # only a pattern file can be this long
+        raise ConfigError(f"{run.pattern_path}: pattern has {n_meas} measurement steps, over "
+                          f"the {_MAX_PATTERN_STEPS}-step cap on branch enumeration")
 
     if run.source == "reference":
         cluster = reference_cluster(M, N, periodic=False)
     else:
         cluster = generated_cluster_patch(run.lattice, M, N)
 
-    n_meas = len(pattern.steps)
     outputs: list[np.ndarray] = []
     for branch in range(2**n_meas):
         forced = [(branch >> i) & 1 for i in range(n_meas)]
@@ -508,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except GateTimeNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

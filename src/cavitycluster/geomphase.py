@@ -39,10 +39,9 @@ the worst beyond-nearest-neighbour phase is about 0.15 (J tau)^2 Gamma_nn.
 On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
-:func:`pairwise_phase`, every sweep row and the gate-time bisection are one
-float64 dot of the per-mode phases with the separation's weights
-4 cos(L dm + K dn); the scan that brackets the gate time multiplies
-(tau x modes) blocks by the same weights.  :func:`build_phase_table` keeps
+:func:`pairwise_phase`, every sweep row and every point of the gate-time
+walk and bisection are one float64 dot of the per-mode phases with the
+separation's weights 4 cos(L dm + K dn).  :func:`build_phase_table` keeps
 the M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
 [dm mod M, dn mod N].  Each agrees with the exact (compensated) mode sum to
 ~1e-15.  The FFT's real part is even only to rounding: cells [d] and [-d]
@@ -77,12 +76,9 @@ __all__ = [
 # below this |omega*tau| the bracket tau - sin(omega tau)/omega is evaluated
 # by its Taylor series; direct evaluation loses ~(omega tau)^-2 digits
 _SERIES_THRESHOLD = 0.05
-# the gate-time search: tau in (0, _WINDOW], scanned every _GRID_STEP
+# the gate-time search: g*tau in (0, _WINDOW], walked every _GRID_STEP
 _WINDOW = 20.0
 _GRID_STEP = 0.01
-# elements of one (tau x modes) block of the gate-time scan: a few 128 kB
-# temporaries, so the scan's peak memory does not grow with the window
-_SCAN_BLOCK = 16384
 
 
 def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
@@ -114,11 +110,14 @@ def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
         raise ValueError(f"separation ({dm}, {dn}) is zero on the {config.M}x{config.N} lattice")
 
 
-def _weights(config: LatticeConfig, dm: int, dn: int) -> np.ndarray:
-    """Per-mode weights 4 cos(L dm + K dn) of the separation (dm, dn)."""
-    _check_separation(config, dm, dn)
-    L, K, _ = mode_grid(config)
-    return 4.0 * np.cos(L * dm + K * dn)
+def _modes(
+    config: LatticeConfig, *separations: tuple[int, int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Mode frequencies omega and each separation's weights 4 cos(L dm + K dn)."""
+    for dm, dn in separations:
+        _check_separation(config, dm, dn)
+    L, K, omega = mode_grid(config)
+    return omega, [4.0 * np.cos(L * dm + K * dn) for dm, dn in separations]
 
 
 def nn_separation(config: LatticeConfig) -> tuple[int, int]:
@@ -132,7 +131,8 @@ def nn_separation(config: LatticeConfig) -> tuple[int, int]:
 
 def pairwise_phase(config: LatticeConfig, tau: float, dm: int, dn: int) -> float:
     """Echoed pairwise phase Gamma between sites separated by (dm, dn)."""
-    return float(gamma_mode(config, mode_grid(config)[2], tau) @ _weights(config, dm, dn))
+    omega, (weights,) = _modes(config, (dm, dn))
+    return float(gamma_mode(config, omega, tau) @ weights)
 
 
 @dataclass(frozen=True)
@@ -169,57 +169,46 @@ def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:
 class GateTimeNotFoundError(RuntimeError):
     """No interaction time in the search window reaches the target phase."""
 
-    def __init__(self, target: float, achieved_max: float, window: float):
+    def __init__(self, target: float, achieved_max: float):
         self.achieved_max = achieved_max
         super().__init__(
-            f"no tau in (0, {window:g}] reaches Gamma_nn = {target:g}; "
+            f"no g*tau in (0, {_WINDOW:g}] reaches Gamma_nn = {target:g}; "
             f"max |Gamma_nn| achieved = {achieved_max:g}"
         )
 
 
 def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float:
-    """Smallest tau in (0, _WINDOW] with Gamma_nn(tau) = target.
+    """Smallest tau with g*tau in (0, _WINDOW] and Gamma_nn(tau) = target.
 
-    Scans a coarse grid in (tau x modes) blocks up to the first block with a
-    sign change or exact zero (the whole window only when there is no root),
-    then bisects the bracketing interval with :func:`pairwise_phase`.
+    Walks from tau = 0, where Gamma_nn = 0 < target, over g*tau = k*_GRID_STEP
+    to the first point with Gamma_nn >= target, then bisects that interval.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
-    sep = nn_separation(config)
+    omega, (weights,) = _modes(config, nn_separation(config))
 
     def f(tau: float) -> float:
-        return pairwise_phase(config, tau, *sep) - target
+        return float(gamma_mode(config, omega, tau) @ weights) - target
 
-    W = mode_grid(config)[2]
-    weights = config.g**2 / config.n_sites * _weights(config, *sep)
-    taus = np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
-    rows = max(1, _SCAN_BLOCK // W.size)
-    achieved = 0.0
-    vals = np.empty(0)
-    for start in range(0, taus.size, rows):
-        gamma_nn = _gamma_bracket(W, taus[start:start + rows, None]) @ weights
-        achieved = max(achieved, float(np.max(np.abs(gamma_nn))))
-        # carry the previous block's last point so a straddling root counts
-        first = start - vals[-1:].size
-        vals = np.concatenate((vals[-1:], gamma_nn - target))
-        idx = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        exact = np.nonzero(vals == 0.0)[0]
-        if exact.size and (not idx.size or exact[0] <= idx[0]):
-            return float(taus[first + exact[0]])
-        if idx.size:
+    lo, achieved = 0.0, 0.0
+    for hi in (np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP) / config.g).tolist():
+        fhi = f(hi)
+        if fhi == 0.0:
+            return hi
+        if fhi > 0.0:
             break
+        achieved = max(achieved, abs(fhi + target))
+        lo = hi
     else:
-        raise GateTimeNotFoundError(target, achieved, _WINDOW)
-    lo, hi = float(taus[first + idx[0]]), float(taus[first + idx[0] + 1])
-    flo = f(lo)
+        raise GateTimeNotFoundError(target, achieved)
+    # f(lo) < 0 < f(hi)
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
+        if fm < 0.0:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -246,12 +235,11 @@ def sweep_tau(
     """Rows (tau, {separation: Gamma}) over an interaction-time grid."""
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
-    weights = {s: _weights(config, *s) for s in separations}
-    W = mode_grid(config)[2]
+    omega, weights = _modes(config, *separations)
     rows = []
     for tau in tau_grid:
-        gam = gamma_mode(config, W, float(tau))
-        rows.append((float(tau), {s: float(gam @ w) for s, w in weights.items()}))
+        gam = gamma_mode(config, omega, float(tau))
+        rows.append((float(tau), {s: float(gam @ w) for s, w in zip(separations, weights)}))
     return rows
 
 

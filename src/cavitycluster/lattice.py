@@ -15,7 +15,6 @@ with the hardware presets in :mod:`cavitycluster.geomphase`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,16 +52,10 @@ class LatticeConfig:
         return self.M * self.N
 
 
-# small: a detuning sweep builds one grid per delta, and a large cache would
-# keep every one of them alive
-@lru_cache(maxsize=4)
 def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, K, omega) over all M*N modes, flat in row-major (l, k) order; read-only."""
+    """(L, K, omega) over all M*N modes, flat in row-major (l, k) order."""
     L = 2.0 * np.pi * np.arange(config.M) / config.M
     K = 2.0 * np.pi * np.arange(config.N) / config.N
     omega = config.delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
-    grid = (np.repeat(L, config.N), np.tile(K, config.M), omega.ravel())
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+    return np.repeat(L, config.N), np.tile(K, config.M), omega.ravel()
 

@@ -175,6 +175,22 @@ class TestConfigParsing:
         assert f"line {line}: [{section}] {key.lower()} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value,rule",
+        [
+            ("tau_min", "-1", "finite and non-negative"),
+            ("delta_step", "0", "finite and positive"),
+            ("tau_step", "0", "finite and positive"),
+            ("tau_step", "-0.5", "finite and positive"),
+        ],
+    )
+    def test_bad_grid_key_names_line(self, tmp_path, capsys, key, value, rule):
+        cfg = write(tmp_path, "g.ini", f"[lattice]\nM = 3\nN = 3\n[gamma-sweep]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"g.ini, line 5: [gamma-sweep] {key} must be {rule}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_oracle_tau_rejected_on_load(self, tmp_path):
         # a NaN interaction time would send the integrator's step doubling to its cap
         cfg = write(tmp_path, "t.ini", "[oracle]\ntau = nan\n")
@@ -363,16 +379,17 @@ class TestCluster:
         # scaling g, J and delta together leaves g tau, and so the time in
         # seconds, unchanged
         seconds = []
-        for g in (1.0, 2.0):
+        for g in (1.0, 2.0, 1000.0, 0.01):
             cfg = write(tmp_path, "c.ini",
                         f"[lattice]\nM = 2\nN = 2\nJ = {0.1 * g}\ndelta = {0.05 * g}\ng = {g}\n")
             out = tmp_path / f"out{g}"
-            main(["cluster", "--config", str(cfg), "--out", str(out), "--preset", "cpb"])
+            argv = ["cluster", "--config", str(cfg), "--out", str(out), "--preset", "cpb"]
+            assert main(argv) == EXIT_OK
             report = (out / "cluster_report.txt").read_text().splitlines()
             lines = dict(line.split(" = ") for line in report if not line.startswith("#"))
             assert lines["gate_time_g_units"] == lines["g_tau"]
             seconds.append(float(lines["gate_time_seconds"]))
-        assert seconds[1] == pytest.approx(seconds[0], rel=1e-12)
+        assert seconds[1:] == pytest.approx(seconds[:1] * 3, rel=1e-12)
 
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
@@ -401,15 +418,23 @@ class TestCluster:
         assert "1x1 lattice has no pairs" in capsys.readouterr().err
         assert not (tmp_path / "cluster_report.txt").exists()
 
-    def test_gate_time_failure_exit(self, tmp_path):
-        cfg = write(tmp_path, "c.ini", """\
-            [lattice]
-            M = 2
-            N = 2
-            J = 0.1
-            delta = 50.0
-            """)
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VERIFY
+    @pytest.mark.parametrize(
+        "command,extra,preset",
+        [
+            ("cluster", "", False),
+            ("cluster", "[cluster]\ntau = 2.0\n", True),
+            ("gamma-sweep", "[gamma-sweep]\nseparations = 1,0\n", True),
+            ("mbqc", "[mbqc]\nsource = generated\n", False),
+        ],
+        ids=["cluster", "cluster-tau-preset", "gamma-sweep-preset", "mbqc-generated"],
+    )
+    def test_gate_time_failure_exit(self, tmp_path, capsys, command, extra, preset):
+        # at delta = 50 no g tau in the window reaches pi/4: every subcommand
+        # that needs the gate time exits 1 with one line, no traceback
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\nJ = 0.1\ndelta = 50.0\n" + extra)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv + (["--preset", "cpb"] if preset else [])) == EXIT_VERIFY
+        assert capsys.readouterr().err.startswith("error: no g*tau in (0, 20] reaches Gamma_nn")
 
 
 class TestOracleVerify:
@@ -580,6 +605,16 @@ class TestMbqc:
         out = tmp_path / "out"
         assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
         assert f"bad.pat: line 1: angle must be finite, got {angle}" in capsys.readouterr().err
+        assert not (out / "mbqc_report.txt").exists()
+
+    def test_step_cap(self, tmp_path, capsys):
+        # a 1x14 X wire has 13 steps, 2^13 branches: refused before any runs
+        pat = tmp_path / "long.pat"
+        pat.write_text("".join(f"0 {n} X - -\n" for n in range(13)) + "output 0 13\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "long.pat: pattern has 13 measurement steps, over the 12-step cap" in err
         assert not (out / "mbqc_report.txt").exists()
 
     def test_seed_recorded(self, tmp_path):

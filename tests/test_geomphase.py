@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavitycluster import geomphase
 from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
@@ -53,7 +52,7 @@ def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
         if vals[i] == 0.0:
             return tau
     else:
-        raise GateTimeNotFoundError(target, max(abs(v + target) for v in vals), window)
+        raise GateTimeNotFoundError(target, max(abs(v + target) for v in vals))
     flo = f(lo)
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
@@ -247,7 +246,7 @@ class TestSolveGateTime:
 
     def test_large_detuning_not_found(self):
         cfg = replace(REF, delta=50.0)
-        with pytest.raises(GateTimeNotFoundError) as exc:
+        with pytest.raises(GateTimeNotFoundError, match=r"no g\*tau in \(0, 20\]") as exc:
             solve_gate_time(cfg)
         assert exc.value.achieved_max < math.pi / 4
 
@@ -265,14 +264,12 @@ class TestSolveGateTime:
     def test_matches_per_point_scan_bitwise(self, cfg):
         assert solve_gate_time(cfg) == naive_gate_time(cfg)
 
-    def test_root_straddling_scan_blocks(self):
-        # a target crossed between the last point of the first scan block
-        # and the first point of the second
-        rows = geomphase._SCAN_BLOCK // REF.n_sites
-        target = pairwise_phase(REF, (rows + 0.5) * 0.01, 1, 0)
-        tau = solve_gate_time(REF, target=target)
-        assert rows * 0.01 < tau < (rows + 1) * 0.01
-        assert tau == naive_gate_time(REF, target=target)
+    def test_root_below_first_grid_point(self):
+        # Gamma_nn = 2 J tau^3 / 3 reaches 1e-8 near tau = 0.005, inside the
+        # walk's first step from tau = 0
+        tau = solve_gate_time(REF, target=1e-8)
+        assert 0 < tau < 0.01
+        assert pairwise_phase(REF, tau, 1, 0) == pytest.approx(1e-8, rel=1e-12)
 
     @pytest.mark.parametrize(
         "cfg", [replace(REF, delta=50.0), LatticeConfig(M=1, N=7, J=0.1, delta=50.0)]
@@ -285,8 +282,8 @@ class TestSolveGateTime:
         assert abs(got.value.achieved_max - want.value.achieved_max) < 1e-12
 
     def test_scan_memory_bounded(self):
-        # the scan works in bounded (tau x modes) blocks: no window-sized
-        # matrix (2000 x 10201 doubles = 163 MB here), root found or not
+        # the walk evaluates one tau at a time: no window-sized matrix
+        # (2000 x 10201 doubles = 163 MB here), root found or not
         big = LatticeConfig(M=101, N=101, J=0.1)
         for cfg in (big, replace(big, delta=50.0)):
             tracemalloc.start()
