@@ -47,9 +47,9 @@ from .geomphase import (
 from .lattice import LatticeConfig
 from .mbqc import (
     PatternParseError,
-    ZeroProbabilityError,
     cnot_pattern,
     parse_pattern,
+    pattern_branches,
     run_pattern,
     wire_rotation_pattern,
 )
@@ -62,7 +62,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 # points of one gamma-sweep grid
 _MAX_GRID_POINTS = 100_000
-# measurement steps of an mbqc pattern: all 2^steps outcome branches are run
+# measurement steps of an mbqc pattern: its outcome tree has up to 2^steps
+# branches, and every branch of nonzero probability is run
 _MAX_PATTERN_STEPS = 12
 
 
@@ -289,6 +290,8 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
         rows_t = sweep_tau(run.lattice, taus, list(run.separations))
     except ValueError as exc:
         raise ConfigError(f"[gamma-sweep] {exc}") from None
+    # a failed gate-time solve exits before any file is written
+    feasibility = _feasibility_lines(run) if run.preset else None
     g = run.lattice.g
     body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d / g)},{_fmt(gam)}" for d, gam in rows_d]
     _write_report(out / "gamma_vs_delta.csv", run, "gamma-sweep", body)
@@ -297,8 +300,8 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
     for tau, row in rows_t:
         body.append(",".join(_fmt(v) for v in [g * tau] + [row[s] for s in run.separations]))
     _write_report(out / "gamma_vs_tau.csv", run, "gamma-sweep", body)
-    if run.preset:
-        _write_report(out / "feasibility.txt", run, "gamma-sweep", _feasibility_lines(run))
+    if feasibility:
+        _write_report(out / "feasibility.txt", run, "gamma-sweep", feasibility)
     return EXIT_OK
 
 
@@ -433,16 +436,7 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     else:
         cluster = generated_cluster_patch(run.lattice, M, N)
 
-    outputs: list[np.ndarray] = []
-    for branch in range(2**n_meas):
-        forced = [(branch >> i) & 1 for i in range(n_meas)]
-        try:
-            state, _ = run_pattern(cluster, pattern, forced_outcomes=forced)
-        except ZeroProbabilityError:
-            continue
-        outputs.append(state)
-    if not outputs:
-        raise ConfigError("no branch of the pattern has nonzero probability")
+    outputs = [state for _, _, state in pattern_branches(cluster, pattern)]
     ref = outputs[0]
 
     def _phase_aligned_dev(st: np.ndarray) -> float:
@@ -453,14 +447,14 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     max_dev = max(_phase_aligned_dev(st) for st in outputs)
     deterministic = max_dev < 1e-10
 
-    _, record = run_pattern(cluster, pattern, seed=run.seed)
+    _, sampled = run_pattern(cluster, pattern, seed=run.seed)
     body = [
         f"source = {run.source}",
         f"cluster_shape = {M}x{N}",
         f"branches_evaluated = {len(outputs)}",
         f"max_branch_deviation = {_fmt(max_dev)}",
         f"deterministic = {'pass' if deterministic else 'fail'}",
-        f"sampled_outcomes = {''.join(map(str, record.outcomes))}",
+        f"sampled_outcomes = {''.join(map(str, sampled))}",
     ]
     body += [f"logical_amp_{i} = {_fmt(amp.real)} {_fmt(amp.imag)}" for i, amp in enumerate(ref)]
     _write_report(out / "mbqc_report.txt", run, "mbqc", body)
@@ -486,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="hardware parameter set")
+        if name in ("gamma-sweep", "cluster"):  # the only reports with feasibility lines
+            p.add_argument("--preset", choices=sorted(PRESETS), help="hardware parameter set")
         if name == "mbqc":
             p.add_argument("--pattern", type=Path, default=None, help="pattern file")
     return parser
@@ -503,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         run.seed = args.seed
         if run.seed < 0 or run.seed >= 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        run.preset = args.preset
+        run.preset = getattr(args, "preset", None)
         if getattr(args, "pattern", None) is not None:
             run.pattern_path = str(args.pattern)
         out = args.out

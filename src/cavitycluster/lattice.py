@@ -20,6 +20,10 @@ import numpy as np
 
 __all__ = ["LatticeConfig", "mode_grid"]
 
+# every mode array is M*N long; a solve and sweep keep about 100 bytes per
+# mode live, so this cap holds them near 100 MB
+MAX_MODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -42,6 +46,8 @@ class LatticeConfig:
             raise ValueError("lattice dimensions must be integers")
         if self.M < 1 or self.N < 1:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.M}x{self.N}")
+        if self.M * self.N > MAX_MODES:
+            raise ValueError(f"a {self.M}x{self.N} lattice has over {MAX_MODES} modes")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
         if self.J < 0:

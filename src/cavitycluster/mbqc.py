@@ -18,6 +18,8 @@ test suite):
   outcome parity is odd.  A pattern is refused if a rule names a site that
   is not an output or a step that does not exist, or if any site has a
   negative coordinate.
+* One measurement yields both outcomes, so pattern_branches runs every
+  branch of nonzero probability as one walk of the outcome tree.
 
 Pattern files are plain text, one directive per line; see
 docs/pattern_format.md for the grammar.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +39,9 @@ __all__ = [
     "MeasurementStep",
     "ByproductRule",
     "MeasurementPattern",
-    "MeasurementRecord",
     "PatternParseError",
-    "ZeroProbabilityError",
     "measure_qubit",
+    "pattern_branches",
     "run_pattern",
     "wire_rotation_pattern",
     "cnot_pattern",
@@ -75,7 +76,7 @@ class MeasurementStep:
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
 
-    def effective_angle(self, outcomes: list[int]) -> float:
+    def effective_angle(self, outcomes: tuple[int, ...]) -> float:
         theta = _EQ_ANGLE.get(self.basis, self.angle)
         parity = sum(outcomes[i] for i in self.adapt) % 2
         return -theta if parity else theta
@@ -134,31 +135,16 @@ class MeasurementPattern:
                 )
 
 
-@dataclass
-class MeasurementRecord:
-    outcomes: list[int] = field(default_factory=list)
-    probabilities: list[float] = field(default_factory=list)
-
-
-class ZeroProbabilityError(ValueError):
-    """A forced measurement outcome has zero Born probability."""
-
-
 def measure_qubit(
-    reg: QubitRegister,
-    site: Site,
-    basis: str,
-    angle: float = 0.0,
-    forced_outcome: int | None = None,
-    rng: random.Random | None = None,
-) -> tuple[int, float, QubitRegister]:
+    reg: QubitRegister, site: Site, basis: str, angle: float = 0.0
+) -> tuple[tuple[float, QubitRegister | None], tuple[float, QubitRegister | None]]:
     """Projectively measure one site and remove it from the register.
 
-    Returns (outcome bit, its Born probability, the register on the other
-    live sites): the amplitudes contracted with <v_outcome| on the site's
-    axis, divided by the square root of the probability.  reg is not
-    changed.  forced_outcome (0 or 1) selects a branch deterministically; a
-    zero-probability branch raises ZeroProbabilityError.
+    Returns, for outcome bits 0 and 1, (Born probability, the register on
+    the other live sites): the amplitudes contracted with <v_bit| on the
+    site's axis, divided by the square root of the probability.  An outcome
+    with probability below 1e-24 cannot occur: it reads probability 0 and
+    has no register (None).  reg is not changed.
     """
     # row b of eigvecs is the eigenvector of outcome bit b
     if basis == "Z":
@@ -170,59 +156,77 @@ def measure_qubit(
         raise ValueError(f"unknown basis {basis!r}")
 
     ax = reg.site_axis(site)
-    branches = [np.tensordot(v.conj(), reg.view(), axes=([0], [ax])) for v in eigvecs]
-    probs = [float(np.linalg.norm(amp) ** 2) for amp in branches]
-    if forced_outcome is None:
-        r = (rng or random).random()
-        outcome = 0 if r < probs[0] / (probs[0] + probs[1]) else 1
-    else:
-        outcome = int(forced_outcome)
-        if probs[outcome] < 1e-24:
-            raise ZeroProbabilityError(f"forced outcome {outcome} has zero probability")
-
-    amps = branches[outcome] / math.sqrt(probs[outcome])
     sites = reg.sites[:ax] + reg.sites[ax + 1 :]
-    return outcome, probs[outcome], QubitRegister(reg.M, reg.N, amps, sites)
+    outcomes = []
+    for v in eigvecs:
+        amps = np.tensordot(v.conj(), reg.view(), axes=([0], [ax]))
+        p = float(np.linalg.norm(amps) ** 2)
+        child = QubitRegister(reg.M, reg.N, amps / math.sqrt(p), sites) if p >= 1e-24 else None
+        outcomes.append((0.0 if child is None else p, child))
+    return outcomes[0], outcomes[1]
 
 
-def run_pattern(
-    reg: QubitRegister,
-    pattern: MeasurementPattern,
-    forced_outcomes: list[int] | None = None,
-    seed: int | None = None,
-) -> tuple[np.ndarray, MeasurementRecord]:
-    """Execute a pattern with feedforward; returns (output state, record).
+def _measure_step(reg: QubitRegister, step: MeasurementStep, outcomes: tuple[int, ...]):
+    basis = "Z" if step.basis == "Z" else "EQ"
+    return measure_qubit(reg, step.site, basis, step.effective_angle(outcomes))
 
-    Each measurement removes its site, so after the byproduct corrections
-    the register holds only unmeasured sites.  The output state is that
-    register, normalized, with pattern.outputs first in their order and any
-    other unmeasured site after them in row-major order; it is empty when
-    the pattern names no outputs.  reg is not changed.
-    """
-    rng = random.Random(seed)
-    record = MeasurementRecord()
-    work = reg
-    for i, step in enumerate(pattern.steps):
-        outcome, probability, work = measure_qubit(
-            work,
-            step.site,
-            "Z" if step.basis == "Z" else "EQ",
-            angle=step.effective_angle(record.outcomes),
-            forced_outcome=None if forced_outcomes is None else forced_outcomes[i],
-            rng=rng,
-        )
-        record.outcomes.append(outcome)
-        record.probabilities.append(probability)
-    # with no steps no rule's parity is odd, so reg itself is never changed
+
+def _output_state(
+    work: QubitRegister, pattern: MeasurementPattern, outcomes: tuple[int, ...]
+) -> np.ndarray:
+    """Apply a branch's byproducts to work, in place, and return its output state."""
+    # with no steps no rule's parity is odd, so the caller's register is never changed
     for rule in pattern.byproducts:
-        if sum(record.outcomes[i] for i in rule.steps) % 2:
+        if sum(outcomes[i] for i in rule.steps) % 2:
             apply_single_qubit(work, rule.site, _PAULI[rule.pauli])
     if not pattern.outputs:
-        return np.array([], dtype=complex), record
+        return np.array([], dtype=complex)
     first = [work.site_axis(site) for site in pattern.outputs]
     rest = [ax for ax in range(work.n_qubits) if ax not in first]
     state = np.transpose(work.view(), first + rest).reshape(-1)
-    return state / np.linalg.norm(state), record
+    return state / np.linalg.norm(state)
+
+
+def pattern_branches(
+    reg: QubitRegister, pattern: MeasurementPattern
+) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
+    """Every branch of nonzero probability: (outcomes, probability, output state).
+
+    Each live branch is measured once per step.  Branches are ordered by the
+    integer whose bit i is the outcome of step i.  The output state is
+    normalized, with pattern.outputs first in their order, then any other
+    unmeasured site in row-major order; it is empty when the pattern names
+    no outputs.  reg is not changed.
+    """
+    nodes = [((), 1.0, reg)]
+    for step in pattern.steps:
+        children: tuple[list, list] = ([], [])
+        for outcomes, prob, work in nodes:
+            for bit, (p, child) in enumerate(_measure_step(work, step, outcomes)):
+                if child is not None:
+                    children[bit].append((outcomes + (bit,), prob * p, child))
+        # the new bit is the most significant so far
+        nodes = children[0] + children[1]
+    return [(outcomes, prob, _output_state(work, pattern, outcomes))
+            for outcomes, prob, work in nodes]
+
+
+def run_pattern(
+    reg: QubitRegister, pattern: MeasurementPattern, seed: int | None = None
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One branch, drawn with random.Random(seed): (output state, outcomes).
+
+    A step's outcome is 0 when rng.random() < p0 / (p0 + p1).  The output
+    state is as in pattern_branches.  The caller's reg is not changed.
+    """
+    rng = random.Random(seed)
+    outcomes: tuple[int, ...] = ()
+    for step in pattern.steps:
+        (p0, reg0), (p1, reg1) = _measure_step(reg, step, outcomes)
+        bit = 0 if rng.random() < p0 / (p0 + p1) else 1
+        outcomes += (bit,)
+        reg = reg1 if bit else reg0
+    return _output_state(reg, pattern, outcomes), outcomes
 
 
 def wire_rotation_pattern(theta1: float, theta2: float, theta3: float) -> MeasurementPattern:

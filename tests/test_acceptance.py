@@ -24,7 +24,7 @@ from cavitycluster.geomphase import (
     sweep_delta,
 )
 from cavitycluster.lattice import LatticeConfig
-from cavitycluster.mbqc import cnot_pattern, run_pattern, wire_rotation_pattern
+from cavitycluster.mbqc import cnot_pattern, pattern_branches, wire_rotation_pattern
 from cavitycluster.phasespace import (
     PhasePath,
     closed_path_phase,
@@ -230,17 +230,11 @@ def test_criterion_08_displacement_algebra(request):
 def _branch_deviation(cluster, pattern, expected):
     """Worst phase-aligned deviation from `expected` over all branches."""
     worst = 0.0
-    count = 0
-    for branch in range(2 ** len(pattern.steps)):
-        forced = [(branch >> i) & 1 for i in range(len(pattern.steps))]
-        try:
-            state, _ = run_pattern(cluster, pattern, forced_outcomes=forced)
-        except ValueError:
-            continue
+    branches = pattern_branches(cluster, pattern)
+    for _, _, state in branches:
         ov = np.vdot(expected, state)
         worst = max(worst, float(np.linalg.norm(state - expected * ov / abs(ov))))
-        count += 1
-    return worst, count
+    return worst, len(branches)
 
 
 def test_criterion_09_mbqc_end_to_end(request):

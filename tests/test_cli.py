@@ -97,6 +97,13 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "line 3" in err and "frobnicate" in err
 
+    def test_mode_cap_names_line(self, tmp_path):
+        # 5000 x 19 modes pass the cap; the N that makes 5000 x 5000 is refused
+        # while the config is read, so no subcommand and no mode array runs
+        cfg = write(tmp_path, "big.ini", "[lattice]\nM = 5000\nN = 5000\n")
+        with pytest.raises(ConfigError, match="big.ini, line 3: a 5000x5000 lattice has over"):
+            load_run_config(cfg)
+
     def test_mbqc_mode_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.ini", """\
             [mbqc]
@@ -435,6 +442,7 @@ class TestCluster:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
         assert main(argv + (["--preset", "cpb"] if preset else [])) == EXIT_VERIFY
         assert capsys.readouterr().err.startswith("error: no g*tau in (0, 20] reaches Gamma_nn")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ini"]  # no report, no CSV
 
 
 class TestOracleVerify:
@@ -617,6 +625,18 @@ class TestMbqc:
         assert "long.pat: pattern has 13 measurement steps, over the 12-step cap" in err
         assert not (out / "mbqc_report.txt").exists()
 
+    def test_zero_probability_branches_pruned(self, tmp_path):
+        # Z on both ends isolates (0, 1) in |+> or |->, so its X outcome is
+        # fixed: 4 of the 8 outcome strings have probability 0 and never run
+        pat = write(tmp_path, "iso.pat", "0 0 Z - -\n0 2 Z - -\n0 1 X - -\n")
+        cfg = write(tmp_path, "m.ini", "[mbqc]\nsource = reference\n")
+        out = tmp_path / "out"
+        argv = ["mbqc", "--config", str(cfg), "--pattern", str(pat), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        report = (out / "mbqc_report.txt").read_text()
+        assert "cluster_shape = 1x3" in report
+        assert "branches_evaluated = 4" in report and "deterministic = pass" in report
+
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "out"
         main(["mbqc", "--out", str(out), "--seed", "42"])
@@ -632,6 +652,17 @@ class TestUsage:
 
     def test_bad_preset(self):
         assert main(["gamma-sweep", "--preset", "alien"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["oracle-verify", "mbqc"])
+    def test_preset_only_where_read(self, tmp_path, command):
+        # no number in these reports depends on a preset, so neither takes the flag
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 1\nN = 2\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--preset", "cpb"]) == EXIT_USAGE
+        assert not out.exists()
+        main(argv)  # the same run without the flag writes its report
+        assert any(out.iterdir())
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -15,6 +15,7 @@ from cavitycluster.mbqc import (
     format_pattern,
     measure_qubit,
     parse_pattern,
+    pattern_branches,
     run_pattern,
     wire_rotation_pattern,
 )
@@ -61,46 +62,58 @@ def assert_equal_up_to_phase(got, want, tol=1e-10):
 
 
 def all_branches(cluster, pattern):
-    n = len(pattern.steps)
-    for branch in range(2**n):
-        forced = [(branch >> i) & 1 for i in range(n)]
-        try:
-            yield run_pattern(cluster, pattern, forced_outcomes=forced)
-        except ValueError:
-            continue
+    """Output states of every branch of nonzero probability."""
+    return [state for _, _, state in pattern_branches(cluster, pattern)]
+
+
+def branch(cluster, pattern, outcomes):
+    """Output state of the branch with these outcomes."""
+    (state,) = [st for o, _, st in pattern_branches(cluster, pattern) if o == tuple(outcomes)]
+    return state
+
+
+def biased_register():
+    # a 1x3 state whose measurements are not 50/50, and the pattern run on it
+    amps = np.array([1, 2j, -1, 0.5, 3, 1 - 1j, 0, 2], dtype=complex)
+    pat = MeasurementPattern(
+        steps=(
+            MeasurementStep(site=(0, 0), basis="EQ", angle=0.4),
+            MeasurementStep(site=(0, 1), basis="Z", adapt=(0,)),
+        ),
+        outputs=((0, 2),),
+    )
+    return QubitRegister(1, 3, amps / np.linalg.norm(amps)), pat
 
 
 class TestMeasureQubit:
     def test_plus_in_x_deterministic(self):
         reg = QubitRegister(1, 1, PLUS.copy())
-        outcome, _, out = measure_qubit(reg, (0, 0), "X", forced_outcome=None)
-        assert outcome == 0
+        (p0, out), (p1, _) = measure_qubit(reg, (0, 0), "X")
+        assert p0 == pytest.approx(1.0, abs=1e-15) and p1 == 0.0
+        assert out.sites == () and abs(out.amps[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_up_in_x_both_branches(self):
-        for forced in (0, 1):
-            reg = all_up(1, 1)
-            outcome, probability, out = measure_qubit(reg, (0, 0), "X", forced_outcome=forced)
-            assert outcome == forced
+        for probability, out in measure_qubit(all_up(1, 1), (0, 0), "X"):
             assert probability == pytest.approx(0.5, abs=1e-15)
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_measurement_rejected(self):
-        reg = all_up(1, 2)
-        _, _, out = measure_qubit(reg, (0, 0), "Z", forced_outcome=0)
+        (_, out), _ = measure_qubit(all_up(1, 2), (0, 0), "Z")
         with pytest.raises(ValueError):
             measure_qubit(out, (0, 0), "X")
 
-    def test_zero_probability_forced_branch_rejected(self):
+    def test_zero_probability_outcome_has_no_register(self):
         reg = all_up(1, 1)  # |up> has no |down> component
-        with pytest.raises(ValueError):
-            measure_qubit(reg, (0, 0), "Z", forced_outcome=1)
+        (p0, out0), (p1, out1) = measure_qubit(reg, (0, 0), "Z")
+        assert p0 == 1.0 and out0 is not None
+        assert p1 == 0.0 and out1 is None
 
     def test_z_measurement_detaches_site(self):
         # measuring a cluster site in Z leaves the neighbor graph state
         # with a Z byproduct on former neighbors when the outcome is 1
-        for forced, want in ((0, PLUS), (1, np.array([1, -1], dtype=complex) / math.sqrt(2))):
-            cl = reference_cluster(1, 2, periodic=False)
-            _, _, out = measure_qubit(cl, (0, 1), "Z", forced_outcome=forced)
+        cl = reference_cluster(1, 2, periodic=False)
+        minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
+        for (_, out), want in zip(measure_qubit(cl, (0, 1), "Z"), (PLUS, minus)):
             assert out.sites == ((0, 0),)  # the measured site left the register
             assert_equal_up_to_phase(out.amps, want)
 
@@ -109,9 +122,11 @@ class TestRunPattern:
     def test_empty_pattern(self):
         pat = MeasurementPattern(steps=(), outputs=((0, 0),))
         reg = all_up(1, 1)
-        state, record = run_pattern(reg, pat)
-        assert record.outcomes == []
+        state, outcomes = run_pattern(reg, pat)
+        assert outcomes == ()
         assert np.allclose(state, [1, 0])
+        ((outcomes, probability, state),) = pattern_branches(reg, pat)
+        assert outcomes == () and probability == 1.0 and np.allclose(state, [1, 0])
 
     def test_single_teleport_is_hadamard(self):
         # 1x2 cluster with arbitrary input: X-measuring the input site
@@ -124,44 +139,60 @@ class TestRunPattern:
             outputs=((0, 1),),
         )
         expected = HADAMARD @ psi
-        for state, record in all_branches(input_cluster(1, 2, {(0, 0): psi}), pat):
+        for state in all_branches(input_cluster(1, 2, {(0, 0): psi}), pat):
             assert_equal_up_to_phase(state, expected)
 
     def test_branch_probabilities_sum_to_one(self):
         pat = wire_rotation_pattern(0.4, -1.1, 0.9)
-        total = 0.0
-        for _, record in all_branches(reference_cluster(1, 5, periodic=False), pat):
-            p = 1.0
-            for q in record.probabilities:
-                p *= q
-            total += p
-        assert total == pytest.approx(1.0, abs=1e-12)
+        branches = pattern_branches(reference_cluster(1, 5, periodic=False), pat)
+        assert len(branches) == 16
+        assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
 
-    def test_record_probabilities_pinned(self):
-        # each recorded probability is the Born weight of the observed branch
-        amps = np.array([1, 2j, -1, 0.5, 3, 1 - 1j, 0, 2], dtype=complex)
-        pat = MeasurementPattern(
-            steps=(
-                MeasurementStep(site=(0, 0), basis="EQ", angle=0.4),
-                MeasurementStep(site=(0, 1), basis="Z", adapt=(0,)),
-            ),
-            outputs=((0, 2),),
+    def test_branch_probability_pinned(self):
+        # a branch's probability is the product of its steps' Born weights
+        reg, pat = biased_register()
+        (p0, _), (p1, _) = measure_qubit(reg, (0, 0), "EQ", 0.4)
+        assert p1 == pytest.approx(0.44996304454642483, rel=1e-14)
+        assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
+        probabilities = {o: p for o, p, _ in pattern_branches(reg, pat)}
+        assert probabilities[(1, 0)] == pytest.approx(
+            0.44996304454642483 * 0.8217956653108509, rel=1e-14
         )
-        reg = QubitRegister(1, 3, amps / np.linalg.norm(amps))
-        _, record = run_pattern(reg, pat, forced_outcomes=[1, 0])
-        assert record.outcomes == [1, 0]
-        assert record.probabilities == pytest.approx(
-            [0.44996304454642483, 0.8217956653108509], rel=1e-14
-        )
+        assert sum(probabilities.values()) == pytest.approx(1.0, abs=1e-14)
+
+    def test_branch_order_step_zero_least_significant(self):
+        # bit i of a branch's index is the outcome of step i; pruned branches drop out
+        wire = wire_rotation_pattern(0.4, -1.1, 0.9)
+        branches = pattern_branches(reference_cluster(1, 5, periodic=False), wire)
+        assert [sum(b << i for i, b in enumerate(o)) for o, _, _ in branches] == list(range(16))
+        iso = parse_pattern("0 0 Z - -\n0 2 Z - -\n0 1 X - -\n")
+        branches = pattern_branches(reference_cluster(1, 3, periodic=False), iso)
+        # (0, 1) is left in |+> when the Z outcomes agree and in |-> when they differ
+        assert [o for o, _, _ in branches] == [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        assert [p for _, p, _ in branches] == pytest.approx([0.25] * 4, abs=1e-15)
+
+    def test_seeded_outcomes_pinned(self):
+        # each step draws outcome 0 when random.Random(seed).random() < p0 / (p0 + p1)
+        reg, pat = biased_register()
+        drawn = ["".join(map(str, run_pattern(reg, pat, seed=s)[1])) for s in range(8)]
+        assert drawn == ["10", "01", "11", "00", "00", "10", "11", "00"]
+
+    def test_sampled_run_is_a_branch(self):
+        reg, pat = biased_register()
+        states = {o: st for o, _, st in pattern_branches(reg, pat)}
+        for seed in range(4):
+            state, outcomes = run_pattern(reg, pat, seed=seed)
+            assert np.array_equal(state, states[outcomes])
 
     def test_input_register_unchanged(self):
         # measurement builds smaller registers; the caller's register is not touched
         cluster = reference_cluster(3, 2, periodic=False)
         amps, sites = cluster.amps.copy(), cluster.sites
-        first, _ = run_pattern(cluster, cnot_pattern(), forced_outcomes=[1, 1, 1, 1])
+        first = all_branches(cluster, cnot_pattern())
+        run_pattern(cluster, cnot_pattern(), seed=1)
         assert np.array_equal(cluster.amps, amps) and cluster.sites == sites
-        again, _ = run_pattern(cluster, cnot_pattern(), forced_outcomes=[1, 1, 1, 1])
-        assert np.array_equal(again, first)
+        again = all_branches(cluster, cnot_pattern())
+        assert all(np.array_equal(a, b) for a, b in zip(again, first, strict=True))
 
     def test_trailing_unmeasured_sites_follow_outputs(self):
         # output (0, 2) first, then the unmeasured non-output (0, 1)
@@ -169,7 +200,7 @@ class TestRunPattern:
         pat = MeasurementPattern(
             steps=(MeasurementStep(site=(0, 0), basis="Z"),), outputs=((0, 2),)
         )
-        state, _ = run_pattern(QubitRegister(1, 3, amps), pat, forced_outcomes=[1])
+        state = branch(QubitRegister(1, 3, amps), pat, [1])
         want = amps[4:].reshape(2, 2).T.reshape(-1)
         assert np.allclose(state, want / np.linalg.norm(want), atol=1e-15)
 
@@ -205,15 +236,14 @@ class TestWirePattern:
         t1, t2, t3 = angles
         expected = Rx(t3) @ Rz(t2) @ Rx(t1) @ psi
         pat = wire_rotation_pattern(t1, t2, t3)
-        count = 0
-        for state, _ in all_branches(input_cluster(1, 5, {(0, 0): psi}), pat):
+        states = all_branches(input_cluster(1, 5, {(0, 0): psi}), pat)
+        for state in states:
             assert_equal_up_to_phase(state, expected)
-            count += 1
-        assert count == 16
+        assert len(states) == 16
 
     def test_identity_angles_on_reference(self):
         pat = wire_rotation_pattern(0.0, 0.0, 0.0)
-        for state, _ in all_branches(reference_cluster(1, 5, periodic=False), pat):
+        for state in all_branches(reference_cluster(1, 5, periodic=False), pat):
             assert_equal_up_to_phase(state, PLUS)
 
     def test_composition(self):
@@ -223,13 +253,9 @@ class TestWirePattern:
         psi = random_state(rng)
         a = (0.3, 0.5, -0.2)
         b = (-0.9, 0.1, 1.3)
-        state1, _ = run_pattern(
-            input_cluster(1, 5, {(0, 0): psi}), wire_rotation_pattern(*a),
-            forced_outcomes=[0, 1, 1, 0],
-        )
-        state2, _ = run_pattern(
-            input_cluster(1, 5, {(0, 0): state1}), wire_rotation_pattern(*b),
-            forced_outcomes=[1, 0, 1, 1],
+        state1 = branch(input_cluster(1, 5, {(0, 0): psi}), wire_rotation_pattern(*a), [0, 1, 1, 0])
+        state2 = branch(
+            input_cluster(1, 5, {(0, 0): state1}), wire_rotation_pattern(*b), [1, 0, 1, 1]
         )
         expected = (
             Rx(b[2]) @ Rz(b[1]) @ Rx(b[0]) @ Rx(a[2]) @ Rz(a[1]) @ Rx(a[0]) @ psi
@@ -251,11 +277,10 @@ class TestCnotPattern:
         for _ in range(3):
             a, b = random_state(rng), random_state(rng)
             expected = self.CNOT @ np.kron(a, b)
-            count = 0
-            for state, _ in all_branches(self.cluster(a, b), pat):
+            states = all_branches(self.cluster(a, b), pat)
+            for state in states:
                 assert_equal_up_to_phase(state, expected)
-                count += 1
-            assert count == 16
+            assert len(states) == 16
 
     def test_computational_basis(self):
         zero = np.array([1, 0], dtype=complex)
@@ -266,15 +291,13 @@ class TestCnotPattern:
             (one, zero, np.kron(one, one)),
             (one, one, np.kron(one, zero)),
         ]:
-            state, _ = run_pattern(self.cluster(ctrl, tgt), pat,
-                                   forced_outcomes=[0, 1, 1, 0])
+            state = branch(self.cluster(ctrl, tgt), pat, [0, 1, 1, 0])
             assert_equal_up_to_phase(state, want)
 
     def test_entangling(self):
         zero = np.array([1, 0], dtype=complex)
         pat = cnot_pattern()
-        state, _ = run_pattern(self.cluster(PLUS, zero), pat,
-                               forced_outcomes=[1, 0, 0, 1])
+        state = branch(self.cluster(PLUS, zero), pat, [1, 0, 0, 1])
         bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
         assert_equal_up_to_phase(state, bell)
         # entanglement entropy of the control = 1 bit
@@ -297,10 +320,8 @@ class TestGeneratedClusterEquivalence:
         table = build_phase_table(cfg, tau)
         generated = phase_register(cluster_phase(1, 5, table.grid, nn_only=True, periodic=False))
         pat = wire_rotation_pattern(0.6, -0.3, 1.0)
-        ref_state, _ = run_pattern(
-            reference_cluster(1, 5, periodic=False), pat, forced_outcomes=[0, 0, 0, 0]
-        )
-        gen_state, _ = run_pattern(generated, pat, forced_outcomes=[0, 0, 0, 0])
+        ref_state = branch(reference_cluster(1, 5, periodic=False), pat, [0, 0, 0, 0])
+        gen_state = branch(generated, pat, [0, 0, 0, 0])
         assert_equal_up_to_phase(gen_state, ref_state)
 
 
@@ -379,5 +400,5 @@ class TestPatternFiles:
     def test_parsed_pattern_runs(self):
         text = format_pattern(wire_rotation_pattern(0.4, 0.0, -0.4))
         pat = parse_pattern(text)
-        for state, _ in all_branches(reference_cluster(1, 5, periodic=False), pat):
-            pass  # determinism already covered; just confirm it executes
+        # determinism is covered above; this confirms the parsed pattern runs
+        assert len(all_branches(reference_cluster(1, 5, periodic=False), pat)) == 16
