@@ -96,6 +96,13 @@ def _positive(raw: str) -> float:
     return value
 
 
+def _at_least_one(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise _BrokenRule("at least 1")
+    return value
+
+
 def _gate_time(raw: str) -> float | None:
     """[cluster] tau; 'auto' (None) solves the gate time."""
     return None if raw == "auto" else _non_negative(raw)
@@ -141,7 +148,7 @@ _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
         "snapshot": ("snapshot", _boolean),
     },
     "oracle": {
-        "n_max": ("n_max", int), "tolerance": ("tolerance", _finite),
+        "n_max": ("n_max", _at_least_one), "tolerance": ("tolerance", _positive),
         "tau": ("oracle_tau", _non_negative),
     },
     "mbqc": {

@@ -16,8 +16,8 @@ test suite):
   a Z byproduct on each former neighbor.
 * Byproduct rules apply X or Z to an output site when the referenced
   outcome parity is odd.  A pattern is refused if a rule names a site that
-  is not an output or a step that does not exist, or if any site has a
-  negative coordinate.
+  is not an output or a step that does not exist, if an output is declared
+  twice, or if any site has a negative coordinate.
 * One measurement yields both outcomes, so pattern_branches runs every
   branch of nonzero probability as one walk of the outcome tree.
 
@@ -126,6 +126,8 @@ class MeasurementPattern:
         for i, site in enumerate(self.outputs):
             if site in seen:
                 raise _RuleError("output", i, f"output site {site} is measured")
+            if site in self.outputs[:i]:
+                raise _RuleError("output", i, f"output site {site} is declared twice")
         for i, rule in enumerate(self.byproducts):
             if rule.site not in self.outputs:
                 raise _RuleError("byproduct", i, f"byproduct site {rule.site} is not an output")

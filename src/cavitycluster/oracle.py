@@ -20,7 +20,7 @@ diagonal, so a qubit configuration c is never mixed with another and sees
 a sum of commuting single-mode drives.  Started in the field vacuum, the
 field of configuration c therefore stays exactly a product over modes, and
 the oracle integrates one (n_max+1)-dimensional state per (mode,
-configuration) pair, batched as one array psi[f, mode, configuration].
+configuration) pair, batched as one array psi[mode, configuration, f].
 The joint vacuum amplitude of a configuration is the product of its
 factors' vacuum amplitudes.
 
@@ -30,6 +30,13 @@ steps over [0, tau] is one matrix power of the step from t = 0, O(log N)
 batched products.
 The size cap counts the largest array, that propagator: 2^{MN}
 configurations x MN modes x (n_max+1)^2 Fock matrix elements.
+
+S_z flips every x bit, and lambda_{m,~c} = -lambda_{m,c}; the photon parity
+P = (-1)^f maps a to -a, so the second interval's propagator is P u P, u the
+first's, bit for bit.  Each factor's echo is P u P u|0>, one step-halving
+loop tests it, and error_estimate is its Richardson estimate: the largest
+sum over one configuration's modes of the factor errors, a bound on that
+configuration's joint-field error.
 
 Because [H(t1), H(t2)] is a qubit-only operator that commutes with H, the
 propagator closes at second Magnus order and the integrated dynamics must
@@ -152,14 +159,12 @@ def _apply_h(ws: np.ndarray, lam: np.ndarray, t: float, psi: np.ndarray) -> np.n
     return out
 
 
-def _rk4_run(
-    ws: np.ndarray, lam: np.ndarray, tau: float, block: np.ndarray, steps: int
-) -> np.ndarray:
-    """`steps` RK4 steps over [0, tau] applied to block.  The step from t is
-    R(t) Q R(t)^dag, Q the step from 0, so the run telescopes to
-    R(tau - dt) (Q R(-dt))^steps R(dt)."""
+def _rk4_run(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int, steps: int) -> np.ndarray:
+    """Propagator u[mode, configuration, f, j] of `steps` RK4 steps over
+    [0, tau].  The step from t is R(t) Q R(t)^dag, Q the step from 0, so the
+    run telescopes to R(tau - dt) (Q R(-dt))^steps R(dt)."""
     dt = tau / steps
-    fock = np.arange(block.shape[0])
+    fock = np.arange(n_max + 1)
     eye = np.eye(fock.size, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
     k1 = -1j * _apply_h(ws, lam, 0.0, eye)
     k2 = -1j * _apply_h(ws, lam, 0.5 * dt, eye + 0.5 * dt * k1)
@@ -171,47 +176,14 @@ def _rk4_run(
         return np.exp(1j * np.multiply.outer(ws * t, fock))[:, None]
 
     power = np.linalg.matrix_power(q * rot(-dt)[..., None, :], steps)
-    u = rot(tau - dt)[..., :, None] * power * rot(dt)[..., None, :]
-    return np.einsum("mcfj,j...mc->f...mc", u, block)
+    return rot(tau - dt)[..., :, None] * power * rot(dt)[..., None, :]
 
 
-def _integrate_block(
-    ws: np.ndarray, lam: np.ndarray, g: float, tau: float, block: np.ndarray, tolerance: float
-) -> tuple[np.ndarray, int, float]:
-    """Fixed-step RK4 with step halving until the Richardson estimate and the
-    norm defect both drop below tolerance.  Returns (states, steps, err).
-
-    block[f, ..., mode, configuration] holds single-mode field factors; its
-    trailing axes match lam.  The joint field of one configuration is the
-    product of its mode factors, so its Richardson error is bounded by the
-    sum of the factors' errors and its norm is the product of their norms.
-    """
-    if not 0 < tolerance < math.inf:  # NaN fails both comparisons
-        raise ValueError("tolerance must be positive and finite")
-    if tau == 0:
-        return block.copy(), 0, 0.0
-    scale = max(1.0, float(np.max(np.abs(ws))) * tau, g * tau)
-    # RK4 error is roughly 0.03 (scale/steps)^4 for these drives; start one
-    # halving below the predicted requirement so the doubling loop is short
-    predicted = scale * (0.03 / tolerance) ** 0.25
-    steps = 64
-    while steps * 4 < predicted:
-        steps *= 2
-    coarse = _rk4_run(ws, lam, tau, block, steps)
-    while True:
-        steps *= 2
-        if steps > _MAX_STEPS:
-            raise IntegratorError(
-                f"no convergence to tolerance {tolerance:g} within {_MAX_STEPS} steps"
-            )
-        fine = _rk4_run(ws, lam, tau, block, steps)
-        factor_err = np.linalg.norm(fine - coarse, axis=0)
-        err = float(np.max(np.sum(factor_err, axis=-2))) / 15.0
-        norm2 = np.prod(np.linalg.norm(fine, axis=0) ** 2, axis=-2)
-        defect = float(np.max(np.abs(norm2 - 1.0)))
-        if err < tolerance and defect < tolerance:
-            return fine, steps, err
-        coarse = fine
+def _echo(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int, steps: int) -> np.ndarray:
+    """Echoed field factors psi[mode, configuration, f] = P u P u|0>."""
+    parity = (-1.0) ** np.arange(n_max + 1)
+    u = _rk4_run(ws, lam, tau, n_max, steps)
+    return parity * np.einsum("mcfj,mcj->mcf", u, parity * u[..., 0])
 
 
 @dataclass
@@ -232,35 +204,47 @@ class EvolutionReport:
 
 
 def echo_evolve(config: LatticeConfig, tau: float, n_max: int, tolerance: float) -> EvolutionReport:
-    """S_z U(tau) S_z U(tau) applied to sigma_x basis states x field vacuum.
-
-    Each interval integrates the drive from t = 0, so the second undoes the
-    first's displacement of every mode and only the geometric phase stays.
+    """S_z U(tau) S_z U(tau) applied to sigma_x basis states x field vacuum,
+    as P u P u|0> per factor.  RK4 steps double until the Richardson estimate
+    and the norm defect of the echoed field both drop below tolerance; the
+    joint norm of a configuration is the product of its factors' norms.
     """
     _check_dims(config, n_max)
+    if not 0 < tolerance < math.inf:  # NaN fails both comparisons
+        raise ValueError("tolerance must be positive and finite")
     ws, lam = _drive(config)
-    block = np.zeros((n_max + 1,) + lam.shape, dtype=complex)
-    block[0] = 1.0
-
-    psi, steps1, err1 = _integrate_block(ws, lam, config.g, tau, block, tolerance)
-    # S_z complements every x bit, leaving the field untouched: the factors
-    # started in configuration c now sit in ~c, so the second interval runs
-    # with the drive coefficients in complemented (reversed) order
-    psi, steps2, err2 = _integrate_block(ws, lam[:, ::-1], config.g, tau, psi, tolerance)
-    # the trailing S_z returns every factor to its original configuration
+    psi = np.zeros(lam.shape + (n_max + 1,), dtype=complex)
+    psi[..., 0] = 1.0
+    steps, err = 0, 0.0
+    if tau != 0:
+        scale = max(1.0, float(np.max(np.abs(ws))) * tau, config.g * tau)
+        # RK4 error is roughly 0.03 (scale/steps)^4 for these drives; start one
+        # halving below the predicted requirement so the doubling loop is short
+        predicted = scale * (0.03 / tolerance) ** 0.25
+        steps = 64
+        while steps * 4 < predicted:
+            steps *= 2
+        coarse = _echo(ws, lam, tau, n_max, steps)
+        while True:
+            steps *= 2
+            if steps > _MAX_STEPS:
+                raise IntegratorError(
+                    f"no convergence to tolerance {tolerance:g} within {_MAX_STEPS} steps"
+                )
+            psi = _echo(ws, lam, tau, n_max, steps)
+            err = float(np.max(np.sum(np.linalg.norm(psi - coarse, axis=-1), axis=0))) / 15.0
+            norm2 = np.prod(np.linalg.norm(psi, axis=-1) ** 2, axis=0)
+            if err < tolerance and float(np.max(np.abs(norm2 - 1.0))) < tolerance:
+                break
+            coarse = psi
 
     # the joint vacuum amplitude is the product of the per-mode ones
-    vacuum = np.prod(psi[0], axis=0)
+    vacuum = np.prod(psi[..., 0], axis=0)
     # |1 - norm^2| so that norm inflation (pure integrator error) is
     # reported as a defect instead of being silently clipped away
     residual = float(np.max(np.abs(1.0 - np.abs(vacuum) ** 2)))
-    return EvolutionReport(
-        config=config,
-        vacuum=vacuum,
-        residual_excitation=residual,
-        steps=steps1 + steps2,
-        error_estimate=err1 + err2,
-    )
+    return EvolutionReport(config=config, vacuum=vacuum, residual_excitation=residual,
+                           steps=2 * steps, error_estimate=err)
 
 
 def _site_index(config: LatticeConfig, site: tuple[int, int]) -> int:

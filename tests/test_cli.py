@@ -524,10 +524,21 @@ class TestOracleVerify:
         assert "[oracle] total dimension 238144 exceeds cap" in capsys.readouterr().err
         assert not (tmp_path / "oracle_report.txt").exists()
 
-    def test_zero_tolerance_is_config_error(self, tmp_path, capsys):
-        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\n[oracle]\ntolerance = 0\n")
-        assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "tolerance must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "key,value,rule",
+        [
+            ("tolerance", "0", "finite and positive"),
+            ("tolerance", "-1", "finite and positive"),
+            ("n_max", "0", "at least 1"),
+        ],
+        ids=["tolerance-zero", "tolerance-negative", "n_max-zero"],
+    )
+    def test_oracle_rule_names_line(self, tmp_path, capsys, key, value, rule):
+        cfg = write(tmp_path, "o.ini", f"[lattice]\nM = 1\nN = 2\n[oracle]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"o.ini, line 5: [oracle] {key} must be {rule}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMbqc:
@@ -605,6 +616,12 @@ class TestMbqc:
         pat.write_text("0 -1 X - -\noutput 0 1\n")
         assert main(["mbqc", "--pattern", str(pat), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert "line 1: site (0, -1) has a negative coordinate" in capsys.readouterr().err
+
+    def test_duplicate_output_is_config_error(self, tmp_path, capsys):
+        pat = tmp_path / "bad.pat"
+        pat.write_text("0 0 X - -\n0 1 X - -\noutput 0 2\noutput 0 2\n")
+        assert main(["mbqc", "--pattern", str(pat), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "bad.pat: line 4: output site (0, 2) is declared twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("angle", ["nan", "inf"])
     def test_non_finite_angle_is_config_error(self, tmp_path, capsys, angle):

@@ -380,10 +380,11 @@ class TestPatternFiles:
             ("0 -1 X - -\noutput 0 1\n", "(0, -1) has a negative coordinate", 1),
             ("0 0 X - -\noutput -1 0\n", "(-1, 0) has a negative coordinate", 2),
             ("0 0 X - -\noutput 0 1\noutput 0 0\nbyproduct 0 1 Z 0\n", "(0, 0) is measured", 3),
+            ("0 0 X - -\n0 1 X - -\noutput 0 2\noutput 0 2\n", "(0, 2) is declared twice", 4),
         ],
         ids=[
             "late-step", "negative-step", "off-grid", "measured", "adapt", "step-site", "output",
-            "measured-output",
+            "measured-output", "duplicate-output",
         ],
     )
     def test_invalid_pattern_rejected(self, text, named, line):

@@ -85,6 +85,22 @@ def rk4_step_loop(ws, lam, tau, block, steps):
     return psi
 
 
+def interval_steps(cfg, tau, n_max, tolerance):
+    """RK4 steps of one drive interval, as the echo's halving loop picks them."""
+    return oracle.echo_evolve(cfg, tau, n_max, tolerance).steps // 2
+
+
+# fixed step counts at which both echo intervals are compared
+ECHO_CASES = pytest.mark.parametrize(
+    "cfg,n_max,tau,steps",
+    [
+        (LatticeConfig(M=2, N=2, J=0.1, delta=20.0), 4, 3.0, 4096),
+        (LatticeConfig(M=1, N=2, J=0.1, delta=0.0), 30, 1.5, 512),
+    ],
+    ids=["2x2-delta20", "1x2-delta0"],
+)
+
+
 class TestIntegrator:
     @pytest.mark.parametrize("block_kind", ["vacuum", "identity"])
     @pytest.mark.parametrize(
@@ -97,33 +113,56 @@ class TestIntegrator:
     )
     def test_power_form_matches_step_loop(self, cfg, n_max, tau, steps, block_kind):
         ws, lam = oracle._drive(cfg)
-        if block_kind == "vacuum":
-            block = np.zeros((n_max + 1,) + lam.shape, dtype=complex)
-            block[0] = 1.0
-        else:  # one propagator column per Fock state: an extra axis
-            block = np.eye(n_max + 1, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
-        got = oracle._rk4_run(ws, lam, tau, block, steps)
+        u = oracle._rk4_run(ws, lam, tau, n_max, steps)
+        eye = np.eye(n_max + 1, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
+        if block_kind == "vacuum":  # the column the echo starts from
+            got, block = u[..., 0], eye[:, 0]
+        else:  # the whole propagator, one column per Fock state
+            got, block = u, eye
         want = rk4_step_loop(ws, lam, tau, block, steps)
+        got = np.moveaxis(got, (0, 1), (-2, -1))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-11
 
+    @pytest.mark.parametrize("M,N", [(1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("delta", [20.0, 0.0])
+    def test_complement_negates_drive(self, M, N, delta):
+        # S_z sends configuration c to ~c, whose drive is -lambda
+        _, lam = oracle._drive(LatticeConfig(M=M, N=N, J=0.1, delta=delta))
+        assert np.array_equal(lam[:, ::-1], -lam)
+
+    @ECHO_CASES
+    def test_negated_drive_is_parity_conjugate(self, cfg, n_max, tau, steps):
+        # bit for bit: P = (-1)^f only flips signs, which RK4 carries exactly
+        ws, lam = oracle._drive(cfg)
+        parity = (-1.0) ** np.arange(n_max + 1)
+        u = oracle._rk4_run(ws, lam, tau, n_max, steps)
+        flipped = oracle._rk4_run(ws, -lam, tau, n_max, steps)
+        assert np.array_equal(flipped, parity[:, None] * u * parity)
+
+    @ECHO_CASES
+    def test_echo_matches_two_step_loops(self, cfg, n_max, tau, steps):
+        # the reference runs both intervals with no parity argument: the
+        # second with the complemented configurations' drive
+        ws, lam = oracle._drive(cfg)
+        vac = np.zeros((n_max + 1,) + lam.shape, dtype=complex)
+        vac[0] = 1.0
+        want = rk4_step_loop(ws, lam[:, ::-1], tau, rk4_step_loop(ws, lam, tau, vac, steps), steps)
+        got = np.moveaxis(oracle._echo(ws, lam, tau, n_max, steps), -1, 0)
+        assert np.max(np.abs(got - want)) < 1e-11
+
     def test_tau_zero_identity(self):
-        ws, lam = oracle._drive(DETUNED_1x2)
-        block = np.random.default_rng(0).normal(size=(3,) + lam.shape) + 0j
-        out, steps, err = oracle._integrate_block(ws, lam, 1.0, 0.0, block, 1e-9)
-        assert np.array_equal(out, block) and out is not block
-        assert steps == 0 and err == 0.0
+        rep = oracle.echo_evolve(DETUNED_1x2, 0.0, 2, 1e-9)
+        assert np.array_equal(rep.vacuum, np.ones(4))
+        assert rep.steps == 0 and rep.error_estimate == 0.0 and rep.residual_excitation == 0.0
 
     def test_unitarity(self):
-        # fed the identity, every (mode, configuration) factor's propagator
-        # comes back unitary
+        # every (mode, configuration) factor's propagator is unitary
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)
         ws, lam = oracle._drive(cfg)
-        eye = np.eye(11, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
-        U, _, _ = oracle._integrate_block(ws, lam, cfg.g, 1.3, eye, 1e-10)
+        u = oracle._rk4_run(ws, lam, 1.3, 10, interval_steps(cfg, 1.3, 10, 1e-10))
         for c in range(lam.shape[1]):
-            u = U[:, :, 0, c]
-            assert np.max(np.abs(u.conj().T @ u - np.eye(11))) < 1e-9
+            assert np.max(np.abs(u[0, c].conj().T @ u[0, c] - np.eye(11))) < 1e-9
 
     def test_closed_loop_phase_matches_mode_sum(self):
         # one full drive period: the field returns to vacuum and each sigma_x
@@ -131,12 +170,16 @@ class TestIntegrator:
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)  # omega = 2
         tau = math.pi  # omega tau = 2 pi
         ws, lam = oracle._drive(cfg)
-        vac = np.zeros((13,) + lam.shape, dtype=complex)
-        vac[0] = 1.0
-        out, _, _ = oracle._integrate_block(ws, lam, cfg.g, tau, vac, 1e-10)
-        amp = out[0, 0, :]
+        u = oracle._rk4_run(ws, lam, tau, 12, interval_steps(cfg, tau, 12, 1e-10))
+        amp = u[0, :, 0, 0]
         assert np.abs(amp) ** 2 == pytest.approx(np.ones(2), abs=1e-9)
         assert np.angle(amp) == pytest.approx(np.full(2, gamma_mode(cfg, mode_grid(cfg)[2], tau).sum()), abs=1e-8)
+
+    def test_error_estimate_within_tolerance(self):
+        # the reported estimate is the one the halving loop held to tolerance
+        cfg = LatticeConfig(M=1, N=3, J=0.1, delta=0.0)
+        rep = oracle.echo_evolve(cfg, 1.5, 30, 1e-9)
+        assert rep.error_estimate < 1e-9
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -214,12 +257,11 @@ class TestEchoEvolve:
         # at t = 0 sees the drive phase-shifted by e^{-i omega tau}, and the
         # displacements no longer cancel
         ws, lam = oracle._drive(DETUNED_1x2)
-        block = np.zeros((5,) + lam.shape, dtype=complex)
-        block[0] = 1.0
-        psi, _, _ = oracle._integrate_block(ws, lam, DETUNED_1x2.g, 3.0, block, 1e-8)
+        steps = interval_steps(DETUNED_1x2, 3.0, 4, 1e-8)
+        first = oracle._rk4_run(ws, lam, 3.0, 4, steps)[..., 0]
         late = lam[:, ::-1] * np.exp(-1j * ws * 3.0)[:, None]
-        psi, _, _ = oracle._integrate_block(ws, late, DETUNED_1x2.g, 3.0, psi, 1e-8)
-        vacuum = np.prod(psi[0], axis=0)
+        psi = np.einsum("mcfj,mcj->mcf", oracle._rk4_run(ws, late, 3.0, 4, steps), first)
+        vacuum = np.prod(psi[..., 0], axis=0)
         assert np.max(np.abs(1.0 - np.abs(vacuum) ** 2)) > 1e-3
 
     def test_truncation_robustness(self, echo_1x2):
