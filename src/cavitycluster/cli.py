@@ -65,6 +65,8 @@ _MAX_GRID_POINTS = 100_000
 # measurement steps of an mbqc pattern: its outcome tree has up to 2^steps
 # branches, and every branch of nonzero probability is run
 _MAX_PATTERN_STEPS = 12
+# qubits of a [cluster] snapshot: it writes one CSV row per basis state
+_MAX_SNAPSHOT_QUBITS = 20
 
 
 class ConfigError(ValueError):
@@ -258,6 +260,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _fmt_each(values: np.ndarray) -> list[str]:
+    """_fmt of every float in values, formatting each distinct one once.
+
+    Floats are keyed by their bits: equal bits have an equal repr, and -0.0
+    stays apart from 0.0, which a key on the float value would merge.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    strings = [_fmt(v) for v in distinct.view(np.float64).tolist()]
+    return [strings[i] for i in inverse.ravel().tolist()]
+
+
 def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> None:
     lat = run.lattice
     header = [f"cavitycluster {command}", f"version = {__version__}", f"seed = {run.seed}",
@@ -265,6 +279,7 @@ def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> 
               f"lattice.delta = {lat.delta!r}", f"lattice.g = {lat.g!r}"]
     if run.preset:
         header.append(f"preset = {run.preset}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(f"# {line}\n" for line in header) + "\n".join(body) + "\n")
 
 
@@ -316,6 +331,11 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
     if cfg.n_sites > MAX_QUBITS:
         raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the {MAX_QUBITS}-qubit cap")
+    if run.snapshot and cfg.n_sites > _MAX_SNAPSHOT_QUBITS:
+        raise ConfigError(
+            f"[cluster] snapshot = true on {cfg.M}x{cfg.N} would write 2^{cfg.n_sites} = "
+            f"{2**cfg.n_sites} rows, over the {_MAX_SNAPSHOT_QUBITS}-qubit snapshot cap"
+        )
     try:
         nn_sep = nn_separation(cfg)
     except ValueError as exc:
@@ -355,9 +375,10 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
     if run.snapshot:
         amps = phase_register(phi).amps
-        # 2^n rows: format the Python floats directly; f"{i}.0" is _fmt(float(i))
-        rows = enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
-        body = ["basis_index,real,imag"] + [f"{i}.0,{re!r},{im!r}" for i, (re, im) in rows]
+        # 2^n rows of a few distinct floats; "{}.0" of an int i is _fmt(float(i))
+        real, imag = _fmt_each(amps.real), _fmt_each(amps.imag)
+        rows = map("{}.0,{},{}".format, range(amps.size), real, imag)
+        body = ["basis_index,real,imag", *rows]
         _write_report(out / "cluster_state.csv", run, "cluster", body)
     return EXIT_OK if verdict else EXIT_VERIFY
 
@@ -508,9 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         run.preset = getattr(args, "preset", None)
         if getattr(args, "pattern", None) is not None:
             run.pattern_path = str(args.pattern)
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](run, out)
+        return _COMMANDS[args.command](run, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

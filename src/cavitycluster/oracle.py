@@ -97,7 +97,8 @@ def _check_dims(config: LatticeConfig, n_max: int) -> None:
         raise ValueError("n_max must be at least 1")
     dim = total_dimension(config, n_max)
     if dim > MAX_TOTAL_DIMENSION:
-        raise ValueError(f"total dimension {dim} exceeds cap {MAX_TOTAL_DIMENSION}")
+        raise ValueError(f"total dimension {dim} exceeds cap {MAX_TOTAL_DIMENSION} "
+                         f"(n_max = {n_max} on the {config.M}x{config.N} lattice)")
 
 
 def _sites(config: LatticeConfig) -> list[tuple[int, int]]:

@@ -1,8 +1,9 @@
 import textwrap
 
+import numpy as np
 import pytest
 
-from cavitycluster import oracle
+from cavitycluster import __version__, oracle
 from cavitycluster.cli import (
     _KEYS,
     EXIT_OK,
@@ -10,9 +11,13 @@ from cavitycluster.cli import (
     EXIT_VERIFY,
     ConfigError,
     RunConfig,
+    _fmt_each,
     load_run_config,
     main,
 )
+from cavitycluster.effective import cluster_phase, phase_register
+from cavitycluster.geomphase import build_phase_table, solve_gate_time
+from cavitycluster.lattice import LatticeConfig
 
 
 def write(tmp_path, name, body):
@@ -354,20 +359,56 @@ class TestCluster:
         assert 0.99999 <= float(fidelity.split(" = ")[1]) <= 1.0
         assert "verdict = pass" in report
 
-    def test_snapshot_csv(self, tmp_path):
-        cfg = write(tmp_path, "c.ini", """\
-            [lattice]
-            M = 1
-            N = 2
-            J = 0.1
+    @staticmethod
+    def expected_snapshot(M, N, nn_only, periodic):
+        """cluster_state.csv of a default-J run, formatted row by row with repr."""
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=0.0, g=1.0)
+        table = build_phase_table(cfg, solve_gate_time(cfg))
+        amps = phase_register(cluster_phase(M, N, table.grid, nn_only, periodic)).amps
+        header = ["cavitycluster cluster", f"version = {__version__}", "seed = 0",
+                  f"lattice.M = {M}", f"lattice.N = {N}", "lattice.J = 0.1",
+                  "lattice.delta = 0.0", "lattice.g = 1.0"]
+        rows = [f"{i}.0,{re!r},{im!r}" for i, (re, im) in
+                enumerate(zip(amps.real.tolist(), amps.imag.tolist()))]
+        return "".join(f"# {line}\n" for line in header) + "\n".join(
+            ["basis_index,real,imag", *rows]) + "\n"
 
-            [cluster]
-            snapshot = true
-            """)
+    def test_snapshot_csv(self, tmp_path):
+        for M, N, nn_only, periodic in [(1, 2, True, True), (3, 3, False, True),
+                                        (4, 4, True, False)]:
+            cfg = write(tmp_path, "c.ini", f"[lattice]\nM = {M}\nN = {N}\nJ = 0.1\n[cluster]\n"
+                        f"nn_only = {nn_only}\nperiodic = {periodic}\nsnapshot = true\n")
+            out = tmp_path / f"out{M}x{N}"
+            assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            snap = (out / "cluster_state.csv").read_text()
+            assert snap == self.expected_snapshot(M, N, nn_only, periodic), f"{M}x{N}"
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, -0.25, 0.5, 0.5, -0.25, 0.1, 0.1],
+            [0.0, -0.0, 0.0, -0.0, -0.0],
+            [5e-324, -5e-324, 1e16, -1e22, 1e16, 0.0, -0.0, 5e-324],
+        ],
+        ids=["repeated", "signed-zeros", "extremes"],
+    )
+    def test_fmt_each_matches_repr(self, values):
+        x = np.array(values)
+        assert _fmt_each(x) == [repr(v) for v in x.tolist()]
+        z = x + 1j * x[::-1]  # the snapshot formats strided views of a complex vector
+        assert _fmt_each(z.imag) == [repr(v) for v in z.imag.tolist()]
+
+    def test_snapshot_cap(self, tmp_path, capsys):
+        # 2^24 rows would take gigabytes to format; refused before the gate-time solve
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 4\nN = 6\n[cluster]\nsnapshot = true\n")
         out = tmp_path / "out"
-        main(["cluster", "--config", str(cfg), "--out", str(out)])
-        snap = (out / "cluster_state.csv").read_text()
-        assert "basis_index,real,imag" in snap
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert ("[cluster] snapshot = true on 4x6 would write 2^24 = 16777216 rows, over the "
+                "20-qubit snapshot cap") in capsys.readouterr().err
+        assert not (out / "cluster_report.txt").exists()
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 4\nN = 5\n[cluster]\nsnapshot = true\n")
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert (out / "cluster_state.csv").read_text().count("\n") == 9 + 2**20
 
     def test_preset_appends_feasibility(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\n")
@@ -664,6 +705,27 @@ class TestMbqc:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "command,ini,pattern,message",
+        [
+            ("oracle-verify", "[lattice]\nM = 2\nN = 2\n[oracle]\nn_max = 60\n", None,
+             "[oracle] total dimension 238144 exceeds cap 200000 (n_max = 60 on the 2x2 lattice)"),
+            ("mbqc", "[mbqc]\nsource = reference\n", "0 0 X - -\n0 1 EQ oops -\n",
+             "bad.pat: line 2"),
+            ("cluster", "[lattice]\nM = 4\nN = 6\n[cluster]\nsnapshot = true\n", None,
+             "[cluster] snapshot = true on 4x6"),
+        ],
+        ids=["oracle-cap", "bad-pattern", "snapshot-cap"],
+    )
+    def test_refusal_leaves_no_out_dir(self, tmp_path, capsys, command, ini, pattern, message):
+        argv = [command, "--config", str(write(tmp_path, "c.ini", ini)),
+                "--out", str(tmp_path / "out")]
+        if pattern is not None:
+            argv += ["--pattern", str(write(tmp_path, "bad.pat", pattern))]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_subcommand(self):
         assert main([]) == EXIT_USAGE
 
