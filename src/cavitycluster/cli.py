@@ -264,11 +264,15 @@ def _fmt_each(values: np.ndarray) -> list[str]:
     """_fmt of every float in values, formatting each distinct one once.
 
     Floats are keyed by their bits: equal bits have an equal repr, and -0.0
-    stays apart from 0.0, which a key on the float value would merge.
+    stays apart from 0.0, which a key on the float value would merge.  When
+    most values are distinct, the gather costs more than it saves, so each
+    value is formatted in place.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    strings = [_fmt(v) for v in distinct.view(np.float64).tolist()]
+    if 2 * distinct.size > bits.size:
+        return list(map(repr, values.tolist()))
+    strings = list(map(repr, distinct.view(np.float64).tolist()))
     return [strings[i] for i in inverse.ravel().tolist()]
 
 
@@ -375,10 +379,11 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
     if run.snapshot:
         amps = phase_register(phi).amps
-        # 2^n rows of a few distinct floats; "{}.0" of an int i is _fmt(float(i))
+        # 2^n rows, on a cluster state of a few distinct floats; f"{i}.0" of an
+        # int i is _fmt(float(i))
         real, imag = _fmt_each(amps.real), _fmt_each(amps.imag)
-        rows = map("{}.0,{},{}".format, range(amps.size), real, imag)
-        body = ["basis_index,real,imag", *rows]
+        rows = zip(range(amps.size), real, imag)
+        body = ["basis_index,real,imag", *(f"{i}.0,{re},{im}" for i, re, im in rows)]
         _write_report(out / "cluster_state.csv", run, "cluster", body)
     return EXIT_OK if verdict else EXIT_VERIFY
 

@@ -32,7 +32,7 @@ STUB = textwrap.dedent("""\
         "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}))
     """)
 
-BENCHMARK = {"end_to_end": [
+BENCHMARK = {"run_seconds": 0, "end_to_end": [
     {"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
@@ -55,7 +55,7 @@ def test_pairs_alternate_and_aggregate(tmp_path):
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "cluster-verify",
-            "--pairs", "4", "--seconds", "0", "--seed", "11", "--out", str(out)]
+            "--pairs", "4", "--seed", "11", "--out", str(out)]
     assert bench_record.main(argv) == 0
 
     order = (tmp_path / "order.log").read_text().split("\n")[:-1]
@@ -64,6 +64,7 @@ def test_pairs_alternate_and_aggregate(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["workloads"]["other"] == {"kept": True}
     entry = doc["workloads"]["cluster-verify"]
+    assert entry["seconds"] == 0  # the parent's run_seconds
     assert entry["claim"] == {"metric": "pass_s", "better": "lower", "won": 2, "lost": 1,
                               "tied": 1}
     assert entry["failed"] == {"parent": 0, "change": 0}
@@ -85,7 +86,7 @@ def test_failed_run_is_kept_and_counted(tmp_path):
     change = stub_tree(tmp_path, "change", {"1": 0.5, "2": None})
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "w",
-            "--pairs", "2", "--seconds", "0", "--out", str(out)]
+            "--pairs", "2", "--out", str(out)]
     assert bench_record.main(argv) == 0
     entry = json.loads(out.read_text())["workloads"]["w"]
     assert entry["failed"] == {"parent": 0, "change": 1}
@@ -95,9 +96,3 @@ def test_failed_run_is_kept_and_counted(tmp_path):
     assert broken["returncode"] == 1 and broken["lines"] == []
     assert "no pass completed" in broken["stderr"]
 
-
-def test_claim_must_be_end_to_end(tmp_path):
-    tree = stub_tree(tmp_path, "t", {})
-    with pytest.raises(SystemExit):
-        bench_record.main(["--parent", str(tree), "--change", str(tree), "--workload", "w",
-                           "--claim", "job.cpu_s", "--out", str(tmp_path / "B.json")])

@@ -3,7 +3,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from cavitycluster import __version__, oracle
+from cavitycluster import __version__, cli, oracle
 from cavitycluster.cli import (
     _KEYS,
     EXIT_OK,
@@ -389,8 +389,9 @@ class TestCluster:
             [0.5, -0.25, 0.5, 0.5, -0.25, 0.1, 0.1],
             [0.0, -0.0, 0.0, -0.0, -0.0],
             [5e-324, -5e-324, 1e16, -1e22, 1e16, 0.0, -0.0, 5e-324],
+            [0.1, -0.2, 0.3, 1e-300, -0.0, 0.0, 0.1],
         ],
-        ids=["repeated", "signed-zeros", "extremes"],
+        ids=["repeated", "signed-zeros", "extremes", "mostly-distinct"],
     )
     def test_fmt_each_matches_repr(self, values):
         x = np.array(values)
@@ -398,17 +399,20 @@ class TestCluster:
         z = x + 1j * x[::-1]  # the snapshot formats strided views of a complex vector
         assert _fmt_each(z.imag) == [repr(v) for v in z.imag.tolist()]
 
-    def test_snapshot_cap(self, tmp_path, capsys):
-        # 2^24 rows would take gigabytes to format; refused before the gate-time solve
-        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 4\nN = 6\n[cluster]\nsnapshot = true\n")
-        out = tmp_path / "out"
-        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        assert ("[cluster] snapshot = true on 4x6 would write 2^24 = 16777216 rows, over the "
-                "20-qubit snapshot cap") in capsys.readouterr().err
-        assert not (out / "cluster_report.txt").exists()
-        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 4\nN = 5\n[cluster]\nsnapshot = true\n")
-        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert (out / "cluster_state.csv").read_text().count("\n") == 9 + 2**20
+    def test_snapshot_cap(self, tmp_path, capsys, monkeypatch):
+        # 21 qubits are refused; 20 pass the cap and reach the lattice checks, stubbed
+        # here to stop the run before it writes 2^20 rows
+        def stop(cfg):
+            raise ValueError("stopped past the snapshot cap")
+
+        monkeypatch.setattr(cli, "nn_separation", stop)
+        for (M, N), message in [((3, 7), "[cluster] snapshot = true on 3x7 would write 2^21 = "
+                                 "2097152 rows, over the 20-qubit snapshot cap"),
+                                ((4, 5), "[lattice] stopped past the snapshot cap")]:
+            ini = f"[lattice]\nM = {M}\nN = {N}\n[cluster]\nsnapshot = true\n"
+            cfg = write(tmp_path, "c.ini", ini)
+            assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     def test_preset_appends_feasibility(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\n")

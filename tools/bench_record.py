@@ -3,15 +3,16 @@
 Usage, from the repository root:
 
   python3 tools/bench_record.py --parent <tree> --change <tree> --workload <name> \\
-      --pairs 10 --seconds 20 --seed 301 --claim pass_s --out BENCH_<n>.json
+      --pairs 10 --seed 301 --out BENCH_<n>.json
 
 Each tree is a checkout holding its own perfbench/run.py.  Pair i runs both
-trees with ``--trace 0 --seed <seed + i>``: the parent first when i is even,
-the change first when i is odd.  Every run keeps the two JSON lines that
+trees with ``--trace 0 --seed <seed + i>`` for the parent's BENCHMARK.json
+``run_seconds``: the parent first when i is even, the change first when i is
+odd.  Every run keeps the two JSON lines that
 run.py prints (environment stamp, then result), verbatim.  For each
 end-to-end metric that the parent's BENCHMARK.json declares, the record
 gives each side's median and quartiles over its runs, and for the claimed
-metric the pairs the change won, lost and tied.  The workload's entry
+metric, pass_s, the pairs the change won, lost and tied.  The workload's entry
 replaces any earlier entry for that workload in --out, and entries for other
 workloads are kept, so one file can gather every workload of a change.
 Standard library only.
@@ -28,6 +29,7 @@ from pathlib import Path
 
 # run.py stops starting passes 170 s after it begins; this covers set-up too
 _RUN_TIMEOUT_S = 200.0
+CLAIM = "pass_s"
 
 
 def run_tree(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -59,6 +61,8 @@ def failed(run: dict) -> int:
         return 1
 
 
+# a copy of perfbench/run.py's quartiles(); run.py imports its sibling modules
+# at load time, so the record keeps its own to stay importable on its own
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         q1 = q3 = values[0]
@@ -67,7 +71,7 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str], claim: str) -> dict:
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
     """Per-metric quartiles of both sides and the claimed metric's pair count."""
     side_metrics = {"parent": [metrics(r) for r in parent], "change": [metrics(r) for r in change]}
     summary = {}
@@ -77,26 +81,24 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str], cl
             values = [m[name] for m in ms if name in m]
             summary[name][side] = quartiles(values) if values else None
     won = lost = tied = 0
-    sign = 1.0 if better[claim] == "lower" else -1.0
+    sign = 1.0 if better[CLAIM] == "lower" else -1.0
     for p, c in zip(side_metrics["parent"], side_metrics["change"]):
-        if claim not in p or claim not in c:
+        if CLAIM not in p or CLAIM not in c:
             continue
-        gain = sign * (p[claim] - c[claim])
+        gain = sign * (p[CLAIM] - c[CLAIM])
         won, lost, tied = won + (gain > 0), lost + (gain < 0), tied + (gain == 0)
     return {
         "metrics": summary,
         "failed": {"parent": sum(map(failed, parent)), "change": sum(map(failed, change))},
-        "claim": {"metric": claim, "better": better[claim], "won": won, "lost": lost,
+        "claim": {"metric": CLAIM, "better": better[CLAIM], "won": won, "lost": lost,
                   "tied": tied},
     }
 
 
-def record(parent: Path, change: Path, workload: str, pairs: int, seconds: float,
-           seed: int, claim: str) -> dict:
+def record(parent: Path, change: Path, workload: str, pairs: int, seed: int) -> dict:
     bench = json.loads((parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    if claim not in better:
-        raise ValueError(f"--claim {claim!r} is not an end-to-end metric of {sorted(better)}")
+    seconds = bench["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -107,7 +109,7 @@ def record(parent: Path, change: Path, workload: str, pairs: int, seconds: float
             print(f"{workload} pair {i + 1}/{pairs} {side}: {metrics(runs[side][-1])}",
                   file=sys.stderr)
     return {"pairs": pairs, "seconds": seconds, "seeds": [seed, seed + pairs - 1],
-            **summarize(runs["parent"], runs["change"], better, claim), "runs": runs}
+            **summarize(runs["parent"], runs["change"], better), "runs": runs}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,23 +118,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="change checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--claim", default="pass_s", help="end-to-end metric the change claims")
     ap.add_argument("--out", type=Path, required=True, help="JSON record to write or extend")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    try:
-        entry = record(args.parent, args.change, args.workload, args.pairs, args.seconds,
-                       args.seed, args.claim)
-    except ValueError as exc:
-        ap.error(str(exc))
+    entry = record(args.parent, args.change, args.workload, args.pairs, args.seed)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     claim = entry["claim"]
-    print(f"{args.workload}: change won {claim['won']} of {args.pairs} pairs on {args.claim}; "
+    print(f"{args.workload}: change won {claim['won']} of {args.pairs} pairs on {CLAIM}; "
           + "; ".join(f"{name} {s['parent']} -> {s['change']}"
                       for name, s in entry["metrics"].items()))
     return 0
