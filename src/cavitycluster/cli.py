@@ -19,7 +19,7 @@ import argparse
 import configparser
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -67,6 +67,8 @@ _MAX_GRID_POINTS = 100_000
 _MAX_PATTERN_STEPS = 12
 # qubits of a [cluster] snapshot: it writes one CSV row per basis state
 _MAX_SNAPSHOT_QUBITS = 20
+# snapshot rows formatted and written at a time
+_SNAPSHOT_ROWS_PER_WRITE = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -276,7 +278,8 @@ def _fmt_each(values: np.ndarray) -> list[str]:
     return [strings[i] for i in inverse.ravel().tolist()]
 
 
-def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> None:
+def _write_report(path: Path, run: RunConfig, command: str, body: Iterable[str]) -> None:
+    """Write the header, then each item of body and a newline, item by item."""
     lat = run.lattice
     header = [f"cavitycluster {command}", f"version = {__version__}", f"seed = {run.seed}",
               f"lattice.M = {lat.M}", f"lattice.N = {lat.N}", f"lattice.J = {lat.J!r}",
@@ -284,7 +287,22 @@ def _write_report(path: Path, run: RunConfig, command: str, body: list[str]) -> 
     if run.preset:
         header.append(f"preset = {run.preset}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(f"# {line}\n" for line in header) + "\n".join(body) + "\n")
+    with path.open("w") as fh:
+        fh.write("".join(f"# {line}\n" for line in header))
+        for item in body:
+            fh.write(item + "\n")
+
+
+def _snapshot_rows(amps: np.ndarray) -> Iterator[str]:
+    """cluster_state.csv's lines, _SNAPSHOT_ROWS_PER_WRITE rows joined per item.
+
+    f"{i}.0" of an int i is _fmt(float(i)).
+    """
+    yield "basis_index,real,imag"
+    for start in range(0, amps.size, _SNAPSHOT_ROWS_PER_WRITE):
+        chunk = amps[start : start + _SNAPSHOT_ROWS_PER_WRITE]
+        rows = zip(range(start, start + chunk.size), _fmt_each(chunk.real), _fmt_each(chunk.imag))
+        yield "\n".join(f"{i}.0,{re},{im}" for i, re, im in rows)
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
@@ -378,13 +396,9 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     _write_report(out / "cluster_report.txt", run, "cluster", body)
 
     if run.snapshot:
+        # 2^n rows, on a cluster state of a few distinct floats
         amps = phase_register(phi).amps
-        # 2^n rows, on a cluster state of a few distinct floats; f"{i}.0" of an
-        # int i is _fmt(float(i))
-        real, imag = _fmt_each(amps.real), _fmt_each(amps.imag)
-        rows = zip(range(amps.size), real, imag)
-        body = ["basis_index,real,imag", *(f"{i}.0,{re},{im}" for i, re, im in rows)]
-        _write_report(out / "cluster_state.csv", run, "cluster", body)
+        _write_report(out / "cluster_state.csv", run, "cluster", _snapshot_rows(amps))
     return EXIT_OK if verdict else EXIT_VERIFY
 
 

@@ -40,12 +40,14 @@ On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
 :func:`pairwise_phase`, every sweep row and every point of the gate-time
-walk and bisection are one float64 dot of the per-mode phases with the
-separation's weights 4 cos(L dm + K dn).  :func:`build_phase_table` keeps
-the M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
-[dm mod M, dn mod N].  Each agrees with the exact (compensated) mode sum to
-~1e-15.  The FFT's real part is even only to rounding: cells [d] and [-d]
-may differ in the last bit.
+walk and bisection are one float64 dot over the quarter Brillouin zone
+l = 0..M//2, k = 0..N//2: omega is even in L and in K, so the four modes
+(+-l, +-k) fold into one with weight 4 m_l m_k cos(L dm) cos(K dn) (m = 1
+at l = 0 and l = M/2, else 2).  :func:`build_phase_table` keeps the full-grid
+M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
+[dm mod M, dn mod N].  For short separations each agrees with the exact
+(compensated) full-grid mode sum to ~1e-15.  The FFT's real part is even
+only to rounding: cells [d] and [-d] may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -87,15 +89,19 @@ def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
     Direct evaluation loses roughly (w tau)^-2 digits to cancellation, so
     small arguments use the Taylor series
     (1/w^2)(w tau - sin(w tau)) = w tau^3/6 - w^3 tau^5/120 + ...
+    Each entry evaluates only its own branch.
     """
     w = np.asarray(w, dtype=float)
     x = w * tau
     small = np.abs(x) < _SERIES_THRESHOLD
-    x2 = x * x
-    series = w * tau**3 * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0 - x2 * x2 * x2 / 362880.0)
-    w_safe = np.where(small, 1.0, w)
-    direct = (tau - np.sin(x) / w_safe) / w_safe
-    return np.where(small, series, direct)
+    out = np.empty_like(x)
+    ws, xs = w[small], x[small]
+    x2 = xs * xs
+    out[small] = ws * tau**3 * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0 - x2 * x2 * x2 / 362880.0)
+    big = ~small
+    wb = w[big]
+    out[big] = (tau - np.sin(x[big]) / wb) / wb
+    return out
 
 
 def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
@@ -113,11 +119,37 @@ def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
 def _modes(
     config: LatticeConfig, *separations: tuple[int, int]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Mode frequencies omega and each separation's weights 4 cos(L dm + K dn)."""
+    """Quarter-zone frequencies omega and each separation's folded weights.
+
+    Modes (+-l, +-k) share one frequency, and their weights 4 cos(L dm + K dn)
+    sum to 4 m_l m_k cos(L dm) cos(K dn), the sines cancelling in pairs.  So
+    omega covers l = 0..M//2, k = 0..N//2 only, with m_l = 1 where -l is l
+    (l = 0, and l = M/2 on even M) and 2 elsewhere.  The weights are even and
+    periodic in dm and dn, which enter as their shortest equivalents
+    (|dm| <= M/2) to keep the cosines' arguments, and rounding, small.
+    """
     for dm, dn in separations:
         _check_separation(config, dm, dn)
+    M, N = config.M, config.N
     L, K, omega = mode_grid(config)
-    return omega, [4.0 * np.cos(L * dm + K * dn) for dm, dn in separations]
+    L, K = L[::N][: M // 2 + 1], K[: N // 2 + 1]
+    omega = omega.reshape(M, N)[: M // 2 + 1, : N // 2 + 1].ravel()
+    m_l, m_k = _multiplicity(M), _multiplicity(N)
+    weights = []
+    for dm, dn in separations:
+        along_l = m_l * np.cos(L * min(dm % M, -dm % M))
+        along_k = m_k * np.cos(K * min(dn % N, -dn % N))
+        weights.append(4.0 * (along_l[:, None] * along_k).ravel())
+    return omega, weights
+
+
+def _multiplicity(size: int) -> np.ndarray:
+    """How many of the modes l and size - l, l = 0..size//2, are distinct."""
+    m = np.full(size // 2 + 1, 2.0)
+    m[0] = 1.0
+    if size % 2 == 0:
+        m[-1] = 1.0
+    return m
 
 
 def nn_separation(config: LatticeConfig) -> tuple[int, int]:

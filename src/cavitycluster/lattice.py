@@ -20,8 +20,9 @@ import numpy as np
 
 __all__ = ["LatticeConfig", "mode_grid"]
 
-# every mode array is M*N long; a solve and sweep keep about 100 bytes per
-# mode live, so this cap holds them near 100 MB
+# the full mode grid takes 24 bytes per mode; a solve or sweep, which reads
+# its quarter zone, peaks near 30 bytes per mode and the FFT phase table near
+# 50, so this cap holds each near 50 MB
 MAX_MODES = 1_000_000
 
 

@@ -383,6 +383,17 @@ class TestCluster:
             snap = (out / "cluster_state.csv").read_text()
             assert snap == self.expected_snapshot(M, N, nn_only, periodic), f"{M}x{N}"
 
+    @pytest.mark.parametrize("rows_per_write", [1000, cli._SNAPSHOT_ROWS_PER_WRITE])
+    def test_snapshot_streamed_bytes(self, tmp_path, monkeypatch, rows_per_write):
+        # written a chunk of rows at a time, the 4x4 file has the joined form's bytes,
+        # a short last chunk included
+        monkeypatch.setattr(cli, "_SNAPSHOT_ROWS_PER_WRITE", rows_per_write)
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 4\nN = 4\nJ = 0.1\n[cluster]\n"
+                    "nn_only = true\nperiodic = false\nsnapshot = true\n")
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        snap = (tmp_path / "out" / "cluster_state.csv").read_bytes()
+        assert snap == self.expected_snapshot(4, 4, True, False).encode()
+
     @pytest.mark.parametrize(
         "values",
         [

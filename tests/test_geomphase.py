@@ -9,6 +9,7 @@ from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
     PRESETS,
+    _gamma_bracket,
     build_phase_table,
     feasibility_report,
     gamma_mode,
@@ -30,8 +31,31 @@ def omega_at(cfg, l, k):
     return mode_grid(cfg)[2][l * cfg.N + k]
 
 
+def two_branch_bracket(w, tau):
+    """(1/w) [tau - sin(w tau)/w]: the series and the direct form on every entry, one picked."""
+    w = np.asarray(w, dtype=float)
+    x = w * tau
+    small = np.abs(x) < 0.05
+    x2 = x * x
+    series = w * tau**3 * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0 - x2 * x2 * x2 / 362880.0)
+    w_safe = np.where(small, 1.0, w)
+    direct = (tau - np.sin(x) / w_safe) / w_safe
+    return np.where(small, series, direct)
+
+
+def full_grid_phase(cfg, tau, dm, dn):
+    """Gamma(dm, dn) as one float64 dot over all M*N modes with 4 cos(L dm + K dn).
+
+    Shares neither the quarter-zone fold nor the one-branch bracket with
+    pairwise_phase.
+    """
+    L, K, W = mode_grid(cfg)
+    gam = cfg.g**2 / cfg.n_sites * two_branch_bracket(W, tau)
+    return float(gam @ (4.0 * np.cos(L * dm + K * dn)))
+
+
 def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
-    """Reference solve: one compensated pairwise_phase sum per grid point.
+    """Reference solve: one full-grid mode sum per grid point.
 
     Walks the grid point by point to the first sign change (or a zero at
     the first point), then bisects as solve_gate_time does; with no root it
@@ -40,7 +64,7 @@ def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
     sep = (1, 0) if cfg.M > 1 else (0, 1)
 
     def f(tau):
-        return pairwise_phase(cfg, tau, *sep) - target
+        return full_grid_phase(cfg, tau, *sep) - target
 
     taus = np.arange(grid_step, window + grid_step / 2, grid_step).tolist()
     vals = []
@@ -115,6 +139,25 @@ class TestGammaMode:
         with pytest.raises(ValueError):
             gamma_mode(REF, mode_grid(REF)[2], -1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, GATE_TIME_PIN])
+    def test_one_branch_bracket_bitwise(self, tau):
+        # each entry takes only its own branch, and keeps the bits of the
+        # two-branch form: zero and signed-zero frequencies, |omega tau| just
+        # below, at and just above the switchover, negative omega
+        edge = 0.05 / tau if tau else 0.05
+        near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        mixed = np.array([0.0, -0.0, 1e-300, 0.3, -1.7, *near, *(-v for v in near), 0.05, -0.05])
+        small = np.array([0.0, -0.0, 1e-3, -2e-3, 1e-300])
+        large = np.array([0.3, -0.4, 1.7, -25.0, 1e3])
+        for w in (mixed, small, large, mode_grid(REF)[2], small[:0]):
+            got, want = _gamma_bracket(w, tau), two_branch_bracket(w, tau)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if tau:
+            # the arrays hold entries of both branches, of one only, and of none
+            assert 0 < np.sum(np.abs(mixed * tau) < 0.05) < mixed.size
+            assert np.all(np.abs(small * tau) < 0.05)
+            assert not np.any(np.abs(large * tau) < 0.05)
+
 
 class TestPairwisePhase:
     def test_zero_separation_rejected(self):
@@ -161,6 +204,23 @@ class TestPairwisePhase:
         L, K, W = mode_grid(cfg)
         terms = 4.0 * gamma_mode(cfg, W, tau) * np.cos(L * sep[0] + K * sep[1])
         assert abs(pairwise_phase(cfg, tau, *sep) - math.fsum(terms)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "M,N", [(5, 7), (4, 6), (1, 6), (1, 5), (6, 1), (7, 1), (2, 2), (19, 19)]
+    )
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_quarter_zone_fold_matches_full_grid(self, M, N, delta):
+        # the folded quarter-zone sum against the unfolded full-grid one, over
+        # negative separations, separations of a lattice length or more and
+        # the zone corner (M/2, N/2)
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        seps = [(1, 0), (0, 1), (-1, 2), (2, -3), (-M, 1), (M + 1, 0), (0, N + 2),
+                (3 * M - 1, -2 * N - 1), (M // 2, N // 2), (-(M // 2), N // 2 + 1)]
+        seps = [(dm, dn) for dm, dn in seps if dm % M or dn % N]
+        for tau in (0.5, GATE_TIME_PIN, 3.0):
+            for dm, dn in seps:
+                want = full_grid_phase(cfg, tau, dm, dn)
+                assert abs(pairwise_phase(cfg, tau, dm, dn) - want) < 1e-14, (tau, dm, dn)
 
     @pytest.mark.parametrize("delta", [0.0, 20.0])
     def test_matches_realspace_sum(self, delta, realspace_gamma):
@@ -258,8 +318,15 @@ class TestSolveGateTime:
             LatticeConfig(M=1, N=7, J=0.1),
             replace(REF, delta=0.7),
             replace(REF, J=0.003),
+            LatticeConfig(M=4, N=5, J=0.1),
+            LatticeConfig(M=4, N=4, J=0.1),
+            LatticeConfig(M=3, N=2, J=0.1),
+            LatticeConfig(M=2, N=2, J=0.1),
+            LatticeConfig(M=1, N=5, J=0.1),
+            LatticeConfig(M=6, N=1, J=0.1),
         ],
-        ids=["ref19", "61x61", "1x7", "delta0.7", "J0.003"],
+        ids=["ref19", "61x61", "1x7", "delta0.7", "J0.003", "4x5", "4x4", "3x2", "2x2", "1x5",
+             "6x1"],
     )
     def test_matches_per_point_scan_bitwise(self, cfg):
         assert solve_gate_time(cfg) == naive_gate_time(cfg)
