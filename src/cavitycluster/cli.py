@@ -314,8 +314,8 @@ def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     return [lo + i * step for i in range(round(span) + 1)]
 
 
-def _feasibility_lines(run: RunConfig) -> list[str]:
-    rep = feasibility_report(PRESETS[run.preset], run.lattice)
+def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
+    rep = feasibility_report(PRESETS[run.preset], run.lattice, gate_time)
     return [
         f"feasibility preset = {rep.preset}",
         f"gate_time_g_units = {_fmt(rep.gate_time_g_units)}",
@@ -335,7 +335,7 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"[gamma-sweep] {exc}") from None
     # a failed gate-time solve exits before any file is written
-    feasibility = _feasibility_lines(run) if run.preset else None
+    feasibility = _feasibility_lines(run, solve_gate_time(run.lattice)) if run.preset else None
     g = run.lattice.g
     body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d / g)},{_fmt(gam)}" for d, gam in rows_d]
     _write_report(out / "gamma_vs_delta.csv", run, "gamma-sweep", body)
@@ -392,7 +392,9 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     body.append(f"fidelity_min = {_fmt(run.fidelity_min)}")
     body.append(f"verdict = {'pass' if verdict else 'fail'}")
     if run.preset:
-        body.extend(_feasibility_lines(run))
+        # the feasibility lines report the solved gate time, also under [cluster] tau
+        gate_time = tau if run.cluster_tau is None else solve_gate_time(cfg)
+        body.extend(_feasibility_lines(run, gate_time))
     _write_report(out / "cluster_report.txt", run, "cluster", body)
 
     if run.snapshot:

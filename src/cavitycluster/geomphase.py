@@ -48,16 +48,27 @@ M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
 [dm mod M, dn mod N].  For short separations each agrees with the exact
 (compensated) full-grid mode sum to ~1e-15.  The FFT's real part is even
 only to rounding: cells [d] and [-d] may differ in the last bit.
+:func:`sweep_delta` builds these modes once at delta = 0 and adds each row's
+delta to omega, which gives the same bits as building them at that delta.
+
+:func:`solve_gate_time` walks g*tau = 0.01, 0.02, ... to the first point with
+Gamma_nn >= target and bisects that step.  Since |1 - cos x| <= x^2/2, the
+slope of Gamma_nn is at most c tau^2 with c = (g^2/2MN) sum |w omega|, so from
+a walked point s short of the target by F the walk jumps every grid point with
+tau^3 < s^3 + 1.5 F/c, which lie at least F/2 short.  It meets the same first
+point as a point-by-point walk, so tau is the same; a solve takes about 8
+walk points and 36 bisection steps instead of about 230 and 36.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeConfig, mode_grid
+from .lattice import LatticeConfig, band_frequencies, mode_angles, mode_grid
 
 __all__ = [
     "gamma_mode",
@@ -131,9 +142,8 @@ def _modes(
     for dm, dn in separations:
         _check_separation(config, dm, dn)
     M, N = config.M, config.N
-    L, K, omega = mode_grid(config)
-    L, K = L[::N][: M // 2 + 1], K[: N // 2 + 1]
-    omega = omega.reshape(M, N)[: M // 2 + 1, : N // 2 + 1].ravel()
+    L, K = mode_angles(M)[: M // 2 + 1], mode_angles(N)[: N // 2 + 1]
+    omega = band_frequencies(config, L, K).ravel()
     m_l, m_k = _multiplicity(M), _multiplicity(N)
     weights = []
     for dm, dn in separations:
@@ -214,26 +224,52 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
 
     Walks from tau = 0, where Gamma_nn = 0 < target, over g*tau = k*_GRID_STEP
     to the first point with Gamma_nn >= target, then bisects that interval.
+    The walk skips grid points that a derivative bound proves short of the
+    target.  f = Gamma_nn - target has f'(tau) = (g^2/MN) sum w (1 - cos
+    omega tau)/omega, and |1 - cos x| <= x^2/2, so |f'(tau)| <= c tau^2 with
+    c = (g^2/2MN) sum |w omega| over the quarter zone.  From a walked point
+    s with f(s) < 0, every tau with tau^3 < s^3 - 1.5 f(s)/c therefore has
+    f(tau) <= f(s)/2 < 0, and the walk moves on to the first grid point past
+    that, at least one step.  The f(s)/2 margin keeps rounding out of the
+    skip.  So the walk meets the same first point with f >= 0 as a
+    point-by-point walk, and bisects the same step to the same tau.  With
+    c = 0, Gamma_nn is 0 throughout and the walk goes straight to the end.
+    With no root, the skipped points are evaluated too, once each, for the
+    largest |Gamma_nn| that the error reports.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
     omega, (weights,) = _modes(config, nn_separation(config))
+    g = config.g
+    # c / g^3, the bound in units of 1/g, so that its size does not follow the scale of g
+    c = float(np.abs(weights * omega).sum()) / (2 * config.n_sites * g)
 
     def f(tau: float) -> float:
         return float(gamma_mode(config, omega, tau) @ weights) - target
 
-    lo, achieved = 0.0, 0.0
-    for hi in (np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP) / config.g).tolist():
+    grid = (np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP) / g).tolist()
+    s, fs, i = 0.0, -target, 0
+    achieved, skipped = 0.0, []
+    while True:
+        # every grid point below reach has f <= fs/2 < 0
+        reach = ((g * s) ** 3 - 1.5 * fs / c) ** (1.0 / 3.0) / g if c > 0.0 else math.inf
+        start, i = i, bisect.bisect_left(grid, reach, i)
+        skipped.append(range(start, i))
+        if i == len(grid):
+            # no root in the window
+            for k in (k for points in skipped for k in points):
+                achieved = max(achieved, abs(f(grid[k]) + target))
+            raise GateTimeNotFoundError(target, achieved)
+        hi = grid[i]
         fhi = f(hi)
         if fhi == 0.0:
             return hi
         if fhi > 0.0:
             break
         achieved = max(achieved, abs(fhi + target))
-        lo = hi
-    else:
-        raise GateTimeNotFoundError(target, achieved)
-    # f(lo) < 0 < f(hi)
+        s, fs, i = hi, fhi, i + 1
+    # f < 0 on every grid point below hi, so the bracket is the step before it
+    lo = grid[i - 1] if i else 0.0
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -249,12 +285,16 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
 def sweep_delta(
     config: LatticeConfig, tau: float, delta_grid: list[float]
 ) -> list[tuple[float, float]]:
-    """Rows (delta, Gamma_nn) over a detuning grid."""
+    """Rows (delta, Gamma_nn) over a detuning grid.
+
+    The modes are built once at delta = 0; each row adds its delta to those
+    frequencies, which gives the bits of building them at that delta.
+    """
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
-    sep = nn_separation(config)
+    omega, (weights,) = _modes(replace(config, delta=0.0), nn_separation(config))
     return [
-        (float(d), pairwise_phase(replace(config, delta=float(d)), tau, *sep))
+        (float(d), float(gamma_mode(config, omega + float(d), tau) @ weights))
         for d in delta_grid
     ]
 
@@ -329,9 +369,14 @@ class FeasibilityReport:
     ratio_qubit: float
 
 
-def feasibility_report(preset: HardwarePreset, config: LatticeConfig) -> FeasibilityReport:
-    """Gate time in physical units and coherence-time ratios for a preset."""
-    gtau = config.g * solve_gate_time(config)
+def feasibility_report(
+    preset: HardwarePreset, config: LatticeConfig, gate_time: float
+) -> FeasibilityReport:
+    """Physical-unit gate time and coherence-time ratios of a preset.
+
+    gate_time is the lattice's solved gate time, ``solve_gate_time(config)``.
+    """
+    gtau = config.g * gate_time
     t_phys = gtau / preset.g_phys
     return FeasibilityReport(
         preset=preset.name,

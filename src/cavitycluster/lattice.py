@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LatticeConfig", "mode_grid"]
+__all__ = ["LatticeConfig", "mode_angles", "band_frequencies", "mode_grid"]
 
 # the full mode grid takes 24 bytes per mode; a solve or sweep, which reads
 # its quarter zone, peaks near 30 bytes per mode and the FFT phase table near
@@ -59,10 +59,18 @@ class LatticeConfig:
         return self.M * self.N
 
 
+def mode_angles(size: int) -> np.ndarray:
+    """The Bloch angles 2*pi*l/size, l = 0..size-1, along one lattice axis."""
+    return 2.0 * np.pi * np.arange(size) / size
+
+
+def band_frequencies(config: LatticeConfig, L: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """omega = delta + 2 J cos L + 2 J cos K as a len(L) x len(K) array."""
+    return config.delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
+
+
 def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, K, omega) over all M*N modes, flat in row-major (l, k) order."""
-    L = 2.0 * np.pi * np.arange(config.M) / config.M
-    K = 2.0 * np.pi * np.arange(config.N) / config.N
-    omega = config.delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
+    L, K = mode_angles(config.M), mode_angles(config.N)
+    omega = band_frequencies(config, L, K)
     return np.repeat(L, config.N), np.tile(K, config.M), omega.ravel()
-

@@ -274,7 +274,7 @@ def test_criterion_09_mbqc_end_to_end(request):
 
 
 def test_criterion_10_feasibility_arithmetic(request):
-    rep = feasibility_report(PRESETS["cpb"], REF19)
+    rep = feasibility_report(PRESETS["cpb"], REF19, solve_gate_time(REF19))
     t_us = rep.gate_time_seconds * 1e6
     ok = 0.005 <= t_us <= 0.05 and rep.ratio_cavity <= 1e-3
     _record(

@@ -438,6 +438,28 @@ class TestCluster:
         ]
         assert tail[1] == "feasibility preset = cpb"
 
+    @pytest.mark.parametrize("tau_line", ["", "[cluster]\ntau = 2.0\n"], ids=["solved", "given"])
+    def test_preset_solves_gate_time_once(self, tmp_path, monkeypatch, tau_line):
+        # the cluster and its feasibility lines share one solve; with
+        # [cluster] tau given, the feasibility lines still read the solved one
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return solve_gate_time(config)
+
+        monkeypatch.setattr(cli, "solve_gate_time", counted)
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 3\nJ = 0.1\n" + tau_line)
+        out = tmp_path / "out"
+        argv = ["cluster", "--config", str(cfg), "--out", str(out), "--preset", "cpb"]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
+        report = (out / "cluster_report.txt").read_text().splitlines()
+        lines = dict(line.split(" = ") for line in report if not line.startswith("#"))
+        solved = solve_gate_time(LatticeConfig(M=2, N=3, J=0.1))
+        assert lines["gate_time_g_units"] == repr(solved)
+        assert lines["tau"] == (repr(solved) if not tau_line else "2.0")
+
     def test_preset_reads_gate_time_as_g_tau(self, tmp_path):
         # scaling g, J and delta together leaves g tau, and so the time in
         # seconds, unchanged

@@ -1,15 +1,19 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cavitycluster import geomphase
 from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
     PRESETS,
     _gamma_bracket,
+    _modes,
     build_phase_table,
     feasibility_report,
     gamma_mode,
@@ -43,51 +47,81 @@ def two_branch_bracket(w, tau):
     return np.where(small, series, direct)
 
 
+@lru_cache(maxsize=16)
+def full_grid_terms(cfg, dm, dn):
+    """Every mode's frequency and weight 4 cos(L dm + K dn), read-only."""
+    L, K, W = mode_grid(cfg)
+    weights = 4.0 * np.cos(L * dm + K * dn)
+    W.flags.writeable = weights.flags.writeable = False
+    return W, weights
+
+
 def full_grid_phase(cfg, tau, dm, dn):
     """Gamma(dm, dn) as one float64 dot over all M*N modes with 4 cos(L dm + K dn).
 
     Shares neither the quarter-zone fold nor the one-branch bracket with
     pairwise_phase.
     """
-    L, K, W = mode_grid(cfg)
+    W, weights = full_grid_terms(cfg, dm, dn)
     gam = cfg.g**2 / cfg.n_sites * two_branch_bracket(W, tau)
-    return float(gam @ (4.0 * np.cos(L * dm + K * dn)))
+    return float(gam @ weights)
 
 
-def naive_gate_time(cfg, target=math.pi / 4, window=20.0, grid_step=0.01):
-    """Reference solve: one full-grid mode sum per grid point.
+def naive_gate_time(
+    cfg, target=math.pi / 4, window=20.0, grid_step=0.01, phase=full_grid_phase
+):
+    """Reference solve: one ``phase`` sum (by default over the full grid) per grid point.
 
-    Walks the grid point by point to the first sign change (or a zero at
-    the first point), then bisects as solve_gate_time does; with no root it
-    raises with the largest |Gamma_nn| over the whole window.
+    Walks the g*tau grid point by point to the first point with
+    Gamma_nn >= target (returned if it is a zero), then bisects as
+    solve_gate_time does; with no root it raises with the largest
+    |Gamma_nn| over the whole window.
     """
     sep = (1, 0) if cfg.M > 1 else (0, 1)
 
     def f(tau):
-        return full_grid_phase(cfg, tau, *sep) - target
+        return phase(cfg, tau, *sep) - target
 
-    taus = np.arange(grid_step, window + grid_step / 2, grid_step).tolist()
+    taus = (np.arange(grid_step, window + grid_step / 2, grid_step) / cfg.g).tolist()
     vals = []
     for i, tau in enumerate(taus):
         vals.append(f(tau))
-        if i and np.sign(vals[i]) != np.sign(vals[i - 1]):
-            lo, hi = taus[i - 1], taus[i]
-            break
         if vals[i] == 0.0:
             return tau
+        if vals[i] > 0.0:
+            lo, hi = taus[i - 1] if i else 0.0, tau
+            break
     else:
         raise GateTimeNotFoundError(target, max(abs(v + target) for v in vals))
-    flo = f(lo)
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
+        if fm < 0.0:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def walk_bound(cfg):
+    """c in |d Gamma_nn / d tau| <= c tau^2: (g^2 / 2MN) sum |w omega| over the quarter zone."""
+    omega, (weights,) = _modes(cfg, nn_separation(cfg))
+    return cfg.g**2 / (2 * cfg.n_sites) * float(np.sum(np.abs(weights * omega)))
+
+
+def count_gamma_calls(monkeypatch):
+    """Counts gamma_mode calls, one per Gamma_nn evaluation of the solve."""
+    calls = []
+    inner = geomphase.gamma_mode
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(geomphase, "gamma_mode", counted)
+    return calls
 
 
 class TestGammaMode:
@@ -204,6 +238,19 @@ class TestPairwisePhase:
         L, K, W = mode_grid(cfg)
         terms = 4.0 * gamma_mode(cfg, W, tau) * np.cos(L * sep[0] + K * sep[1])
         assert abs(pairwise_phase(cfg, tau, *sep) - math.fsum(terms)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "M,N", [(5, 7), (4, 6), (6, 5), (1, 6), (1, 5), (6, 1), (7, 1), (2, 2), (19, 19),
+                (61, 61), (100, 101)]
+    )
+    @pytest.mark.parametrize("delta", [0.0, 0.7, -3.3])
+    def test_quarter_zone_frequencies_bitwise(self, M, N, delta):
+        # _modes builds only the quarter zone; its omega is the corner
+        # l <= M/2, k <= N/2 of the full grid's, bit for bit
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        omega, _ = _modes(cfg, nn_separation(cfg))
+        corner = mode_grid(cfg)[2].reshape(M, N)[: M // 2 + 1, : N // 2 + 1]
+        assert omega.tobytes() == corner.tobytes()
 
     @pytest.mark.parametrize(
         "M,N", [(5, 7), (4, 6), (1, 6), (1, 5), (6, 1), (7, 1), (2, 2), (19, 19)]
@@ -348,6 +395,95 @@ class TestSolveGateTime:
             naive_gate_time(cfg)
         assert abs(got.value.achieved_max - want.value.achieved_max) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda s: s != (1, 1)),
+        j=st.floats(0.0, 3.0),
+        delta=st.floats(-5.0, 5.0),
+        g=st.sampled_from([0.5, 1.0, 2.5]),
+    )
+    # Gamma_nn oscillates below zero before its root at g tau = 17.46; it
+    # swings to -7.2 and -1.3 without ever reaching pi/4; it rises steeply
+    @example(shape=(4, 5), j=3.0, delta=-3.0, g=1.0)
+    @example(shape=(4, 5), j=3.0, delta=5.0, g=1.0)
+    @example(shape=(1, 7), j=0.3, delta=-5.0, g=2.5)
+    @example(shape=(6, 6), j=2.0, delta=0.0, g=0.5)
+    def test_skipping_walk_matches_per_point_walk(self, shape, j, delta, g):
+        # bitwise against a point-by-point walk of the same Gamma_nn; the
+        # full-grid walk sums the modes in another order, and in about one
+        # lattice of 400 a bisection midpoint where the folded Gamma_nn is
+        # exactly pi/4 and its own is not sends it a few 1e-13 away
+        cfg = LatticeConfig(M=shape[0], N=shape[1], J=j * g, delta=delta * g, g=g)
+        outcomes = []
+        for solve in (solve_gate_time, lambda c: naive_gate_time(c, phase=pairwise_phase),
+                      naive_gate_time):
+            try:
+                outcomes.append(solve(cfg))
+            except GateTimeNotFoundError as exc:
+                outcomes.append(exc)
+        got, same_sum, full_grid = outcomes
+        if isinstance(got, float):
+            assert got == same_sum
+            assert abs(got - full_grid) <= 1e-12 * got
+        else:
+            assert str(got) == str(same_sum)
+            assert got.achieved_max == same_sum.achieved_max
+            assert abs(got.achieved_max - full_grid.achieved_max) < 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg,root", [(REF, 0.028), (LatticeConfig(M=4, N=5, J=0.1), 0.026)], ids=["ref19", "4x5"]
+    )
+    def test_jump_onto_the_root_step(self, cfg, root):
+        # the first jump from tau = 0 passes 0.01 and 0.02 and lands on 0.03,
+        # past the root, so the bisection starts from 0.02, not the walked 0
+        target = pairwise_phase(cfg, root, 1, 0)
+        tau = solve_gate_time(cfg, target)
+        assert 0.02 < tau < 0.03
+        assert tau == naive_gate_time(cfg, target=target, phase=pairwise_phase)
+
+    @pytest.mark.parametrize(
+        "cfg", [REF, LatticeConfig(M=61, N=61, J=0.1), LatticeConfig(M=4, N=5, J=0.1)],
+        ids=["ref19", "61x61", "4x5"],
+    )
+    def test_walk_skips_most_grid_points(self, cfg, monkeypatch):
+        # the point-by-point walk took about 230 points and 36 bisection steps
+        calls = count_gamma_calls(monkeypatch)
+        solve_gate_time(cfg)
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            REF,
+            LatticeConfig(M=4, N=5, J=3.0, delta=5.0),
+            LatticeConfig(M=1, N=7, J=0.75, delta=-12.5, g=2.5),
+            LatticeConfig(M=2, N=2, J=0.1),
+            LatticeConfig(M=6, N=1, J=1.0, delta=0.3),
+        ],
+        ids=["ref19", "4x5-oscillating", "1x7-g2.5", "2x2", "6x1"],
+    )
+    def test_derivative_bound(self, cfg):
+        # |Gamma_nn(t) - Gamma_nn(s)| <= c (t^3 - s^3) / 3, the bound that
+        # the walk's skips rest on
+        c = walk_bound(cfg)
+        rng = np.random.default_rng(7)
+        s, t = np.sort(rng.uniform(0.0, 20.0 / cfg.g, size=(2, 200)), axis=0)
+        sep = nn_separation(cfg)
+        for a, b in zip(s.tolist(), t.tolist()):
+            rise = pairwise_phase(cfg, b, *sep) - pairwise_phase(cfg, a, *sep)
+            assert abs(rise) <= c * (b**3 - a**3) / 3 + 1e-13
+
+    def test_constant_phase_not_found(self, monkeypatch):
+        # J = 0 and delta = 0: every mode sits at omega = 0, so c = 0 and
+        # Gamma_nn stays 0; the error still reads every grid point
+        cfg = LatticeConfig(M=3, N=4, J=0.0)
+        assert walk_bound(cfg) == 0.0
+        calls = count_gamma_calls(monkeypatch)
+        with pytest.raises(GateTimeNotFoundError) as exc:
+            solve_gate_time(cfg)
+        assert exc.value.achieved_max == 0.0
+        assert len(calls) == 2000
+
     def test_scan_memory_bounded(self):
         # the walk evaluates one tau at a time: no window-sized matrix
         # (2000 x 10201 doubles = 163 MB here), root found or not
@@ -432,18 +568,18 @@ class TestSweeps:
 
 class TestFeasibility:
     def test_cpb(self):
-        rep = feasibility_report(PRESETS["cpb"], REF)
+        rep = feasibility_report(PRESETS["cpb"], REF, solve_gate_time(REF))
         assert 5e-9 <= rep.gate_time_seconds <= 5e-8  # order 0.01 us
         assert rep.ratio_cavity <= 1e-3
         assert rep.ratio_qubit < 0.05
 
     def test_qdot(self):
-        rep = feasibility_report(PRESETS["qdot"], REF)
+        rep = feasibility_report(PRESETS["qdot"], REF, solve_gate_time(REF))
         assert 1e-9 <= rep.gate_time_seconds <= 1e-8  # order 5 ns
         assert rep.gate_time_seconds < PRESETS["qdot"].T_cavity / 1e3
 
     def test_toroid(self):
-        rep = feasibility_report(PRESETS["toroid"], REF)
+        rep = feasibility_report(PRESETS["toroid"], REF, solve_gate_time(REF))
         # order 1e-8..1e-7 s; comfortably below the photon lifetime
         assert 1e-8 <= rep.gate_time_seconds <= 1e-7
         assert rep.ratio_cavity < 1e-2
