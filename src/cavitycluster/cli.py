@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .effective import (
     MAX_QUBITS,
+    PhasePolynomial,
     cluster_phase,
     phase_register,
     reference_cluster,
@@ -262,22 +263,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_each(values: np.ndarray) -> list[str]:
-    """_fmt of every float in values, formatting each distinct one once.
-
-    Floats are keyed by their bits: equal bits have an equal repr, and -0.0
-    stays apart from 0.0, which a key on the float value would merge.  When
-    most values are distinct, the gather costs more than it saves, so each
-    value is formatted in place.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    if 2 * distinct.size > bits.size:
-        return list(map(repr, values.tolist()))
-    strings = list(map(repr, distinct.view(np.float64).tolist()))
-    return [strings[i] for i in inverse.ravel().tolist()]
-
-
 def _write_report(path: Path, run: RunConfig, command: str, body: Iterable[str]) -> None:
     """Write the header, then each item of body and a newline, item by item."""
     lat = run.lattice
@@ -293,16 +278,29 @@ def _write_report(path: Path, run: RunConfig, command: str, body: Iterable[str])
             fh.write(item + "\n")
 
 
-def _snapshot_rows(amps: np.ndarray) -> Iterator[str]:
+def _snapshot_rows(phi: PhasePolynomial) -> Iterator[str]:
     """cluster_state.csv's lines, _SNAPSHOT_ROWS_PER_WRITE rows joined per item.
 
-    f"{i}.0" of an int i is _fmt(float(i)).
+    Each row holds the amplitude 2^{-n/2} exp(i Phi) of phase_register,
+    computed elementwise, so equal bits of Phi give an equal row: each
+    distinct Phi, keyed by its bits (which keep -0.0 apart from 0.0), is
+    exponentiated and formatted once, and each chunk of rows finds its
+    strings by binary search in the sorted keys (an index over all 2^n rows
+    would add 24 MB to a 20-qubit snapshot).  "%d.0" of an int i is
+    _fmt(float(i)).
     """
+    bits = phi.values().view(np.uint64)
+    distinct = np.unique(bits)
+    amps = 2.0 ** (-phi.M * phi.N / 2.0) * np.exp(1j * distinct.view(np.float64))
+    pairs = np.array([f"{re!r},{im!r}" for re, im in zip(amps.real.tolist(), amps.imag.tolist())],
+                     dtype=object)
     yield "basis_index,real,imag"
-    for start in range(0, amps.size, _SNAPSHOT_ROWS_PER_WRITE):
-        chunk = amps[start : start + _SNAPSHOT_ROWS_PER_WRITE]
-        rows = zip(range(start, start + chunk.size), _fmt_each(chunk.real), _fmt_each(chunk.imag))
-        yield "\n".join(f"{i}.0,{re},{im}" for i, re, im in rows)
+    for start in range(0, bits.size, _SNAPSHOT_ROWS_PER_WRITE):
+        chunk = np.searchsorted(distinct, bits[start : start + _SNAPSHOT_ROWS_PER_WRITE])
+        flat: list[object] = [None] * (2 * chunk.size)
+        flat[0::2] = range(start, start + chunk.size)
+        flat[1::2] = pairs[chunk].tolist()
+        yield ("%d.0,%s\n" * chunk.size)[:-1] % tuple(flat)
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
@@ -398,9 +396,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     _write_report(out / "cluster_report.txt", run, "cluster", body)
 
     if run.snapshot:
-        # 2^n rows, on a cluster state of a few distinct floats
-        amps = phase_register(phi).amps
-        _write_report(out / "cluster_state.csv", run, "cluster", _snapshot_rows(amps))
+        _write_report(out / "cluster_state.csv", run, "cluster", _snapshot_rows(phi))
     return EXIT_OK if verdict else EXIT_VERIFY
 
 

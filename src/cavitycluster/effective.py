@@ -24,7 +24,13 @@ Verification works on the deviation polynomial D = Phi - pi E.  With
 s = 1 - 2x, pi E = (pi/4) sum_edges s_a s_b - (pi/4) sum_a deg_a s_a +
 const, so D has coupling eps = W - (pi/4) A (A the grid adjacency) and
 field dh = h + (pi/4) deg, and dh is exactly 0 for every cluster_phase
-output.  The fidelity is |mean e^{i D}|^2 over bitstrings.  The graph
+output.  The fidelity is |mean e^{i D}|^2 over bitstrings.  With dh exactly
+0, D(s) = D(-s), so the mean over the half with s_0 = +1 is the whole mean;
+fixing s_0 = +1 turns row 0 of eps into a field on the other n - 1 spins,
+and the half is built bit by bit like Phi.  It sums half as many numbers in
+another order than the full cube, so the fidelity's last digit can differ by
+a few ulp.  A nonzero dh (a cluster verified under the other boundary, or
+a polynomial that cluster_phase did not build) takes the full sum.  The graph
 stabilizer X_a prod_{b~a} Z_b flips bit a and takes the sign s_b of each
 neighbour; the flip changes pi E by a phase that those signs cancel, so
 its expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)),
@@ -172,14 +178,19 @@ class PhasePolynomial:
         same way, so the cost is a few passes over 2^(M*N) numbers whatever
         the number of pairs.
         """
-        nq = _check_cap(self.M, self.N)
-        phi = np.zeros(1)
-        for j in range(nq):
-            term = np.full(1, self.field[j])
-            for w in self.coupling[j, :j]:
-                term = _add_bit(term, w)
-            phi = _add_bit(phi, term)
-        return phi
+        _check_cap(self.M, self.N)
+        return _bit_values(self.coupling, self.field)
+
+
+def _bit_values(coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """The polynomial of this coupling and field at every bitstring, bit 0 most significant."""
+    phi = np.zeros(1)
+    for j in range(field.size):
+        term = np.full(1, field[j])
+        for w in coupling[j, :j]:
+            term = _add_bit(term, w)
+        phi = _add_bit(phi, term)
+    return phi
 
 
 def cluster_phase(
@@ -250,7 +261,13 @@ def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport
     # so the field is exactly 0 for cluster_phase's h = -(pi/4) deg
     coupling = phi.coupling - (math.pi / 4) * adjacency
     dev = PhasePolynomial(M, N, coupling, phi.field + (math.pi / 4) * adjacency.sum(axis=1))
-    values = dev.values()
+    if dev.field.any():
+        values = dev.values()
+    else:
+        # with no field D(s) = D(-s), so the s_0 = +1 half holds the whole mean;
+        # fixing s_0 = +1 turns row 0 of the coupling into a field on the rest
+        _check_cap(M, N)
+        values = _bit_values(coupling[1:, 1:], coupling[0, 1:])
     fidelity = float(np.cos(values).mean()) ** 2 + float(np.sin(values, out=values).mean()) ** 2
     # an entry of 0 (a site's own, or an uncoupled pair) contributes cos 0 = 1
     stabilizers = np.cos(2.0 * dev.field) * np.prod(np.cos(2.0 * dev.coupling), axis=1)

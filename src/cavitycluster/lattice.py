@@ -31,7 +31,7 @@ class LatticeConfig:
     """Physical parameters of the M x N coupled-cavity array.
 
     M, N    lattice rows / columns
-    g       qubit-cavity coupling (> 0)
+    g       qubit-cavity coupling, 1e-100 <= g <= 1e100
     J       photon tunneling rate, same unit as g
     delta   cavity-qubit detuning, same unit as g
     """
@@ -49,8 +49,10 @@ class LatticeConfig:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.M}x{self.N}")
         if self.M * self.N > MAX_MODES:
             raise ValueError(f"a {self.M}x{self.N} lattice has over {MAX_MODES} modes")
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
+        # results depend on g only through J/g, delta/g and g*tau, and far outside
+        # this range the g*tau grid points or g**2 overflow a float
+        if not 1e-100 <= self.g <= 1e100:
+            raise ValueError(f"coupling g must lie in [1e-100, 1e100], got {self.g!r}")
         if self.J < 0:
             raise ValueError("tunneling rate J must be non-negative")
 

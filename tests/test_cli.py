@@ -11,11 +11,11 @@ from cavitycluster.cli import (
     EXIT_VERIFY,
     ConfigError,
     RunConfig,
-    _fmt_each,
+    _snapshot_rows,
     load_run_config,
     main,
 )
-from cavitycluster.effective import cluster_phase, phase_register
+from cavitycluster.effective import PhasePolynomial, cluster_phase, phase_register
 from cavitycluster.geomphase import build_phase_table, solve_gate_time
 from cavitycluster.lattice import LatticeConfig
 
@@ -341,6 +341,24 @@ class TestGammaSweep:
         assert "gate_time_seconds" in text
 
 
+class GivenPhi:
+    """Stands in for a 1 x n PhasePolynomial whose Phi at the 2^n bitstrings is
+    given; values() never yields -0.0, since an exact zero it rounds to is +0.0."""
+
+    def __init__(self, values):
+        self.M, self.N = 1, len(values).bit_length() - 1
+        self._values = np.array(values, dtype=float)
+
+    def values(self):
+        return self._values.copy()
+
+
+def random_field_4x4():
+    rng = np.random.default_rng(16)
+    w = np.triu(rng.uniform(-1.5, 1.5, (16, 16)), 1)
+    return PhasePolynomial(4, 4, w + w.T, rng.uniform(-2, 2, 16))
+
+
 class TestCluster:
     def test_2x2_report(self, tmp_path):
         cfg = write(tmp_path, "c.ini", """\
@@ -395,20 +413,26 @@ class TestCluster:
         assert snap == self.expected_snapshot(4, 4, True, False).encode()
 
     @pytest.mark.parametrize(
-        "values",
+        "make_phi",
         [
-            [0.5, -0.25, 0.5, 0.5, -0.25, 0.1, 0.1],
-            [0.0, -0.0, 0.0, -0.0, -0.0],
-            [5e-324, -5e-324, 1e16, -1e22, 1e16, 0.0, -0.0, 5e-324],
-            [0.1, -0.2, 0.3, 1e-300, -0.0, 0.0, 0.1],
+            lambda: cluster_phase(3, 3, np.full((3, 3), np.pi / 4), periodic=False),
+            lambda: GivenPhi([0.5, -0.25, 0.5, 0.5, -0.25, 0.1, 0.1, 0.5]),
+            lambda: GivenPhi([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0]),
+            lambda: GivenPhi([5e-324, -5e-324, 1e16, -1e22, 1e16, 0.0, -0.0, 5e-324]),
+            random_field_4x4,
         ],
-        ids=["repeated", "signed-zeros", "extremes", "mostly-distinct"],
+        ids=["cluster-3x3", "repeated", "signed-zeros", "extremes", "all-distinct"],
     )
-    def test_fmt_each_matches_repr(self, values):
-        x = np.array(values)
-        assert _fmt_each(x) == [repr(v) for v in x.tolist()]
-        z = x + 1j * x[::-1]  # the snapshot formats strided views of a complex vector
-        assert _fmt_each(z.imag) == [repr(v) for v in z.imag.tolist()]
+    def test_snapshot_rows_match_repr(self, make_phi):
+        # each distinct Phi is formatted once; every row must equal phase_register's
+        # amplitude formatted on its own
+        phi = make_phi()
+        amps = phase_register(phi).amps
+        want = ["basis_index,real,imag"] + [
+            f"{i}.0,{re!r},{im!r}" for i, (re, im) in
+            enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
+        ]
+        assert "\n".join(_snapshot_rows(phi)).split("\n") == want
 
     def test_snapshot_cap(self, tmp_path, capsys, monkeypatch):
         # 21 qubits are refused; 20 pass the cap and reach the lattice checks, stubbed
@@ -475,6 +499,23 @@ class TestCluster:
             assert lines["gate_time_g_units"] == lines["g_tau"]
             seconds.append(float(lines["gate_time_seconds"]))
         assert seconds[1:] == pytest.approx(seconds[:1] * 3, rel=1e-12)
+
+    @pytest.mark.parametrize("g,J", [("1e-103", "1e-104"), ("1e300", "1e299")])
+    def test_coupling_out_of_range_names_line(self, tmp_path, capsys, g, J):
+        # past these ends the g*tau grid points or g**2 overflowed into a traceback
+        cfg = write(tmp_path, "c.ini", f"[lattice]\nM = 2\nN = 2\ng = {g}\nJ = {J}\n")
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"c.ini, line 4: coupling g must lie in [1e-100, 1e100], got {float(g)!r}" in err
+
+    @pytest.mark.parametrize(
+        "g,J,g_tau", [("1e-100", "1e-101", "1.8220669087574788"), ("1e100", "1e99", "1.822066908757479")]
+    )
+    def test_coupling_range_ends_run(self, tmp_path, g, J, g_tau):
+        # J/g = 0.1 at either end solves as at g = 1, with no RuntimeWarning
+        cfg = write(tmp_path, "c.ini", f"[lattice]\nM = 2\nN = 2\ng = {g}\nJ = {J}\n")
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert f"g_tau = {g_tau}\n" in (tmp_path / "cluster_report.txt").read_text()
 
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")

@@ -227,6 +227,43 @@ class TestClusterFidelity:
         assert 0.0 < fid < 1.0
         assert 1.0 - fid > 1e-6  # distant-pair phases leave a real deficit
 
+    @staticmethod
+    def full_cube_fidelity(phi, periodic):
+        """|mean e^{i D}|^2, D = Phi - pi E evaluated from s at all 2^n bitstrings;
+        the second value says whether the deviation field is exactly 0."""
+        nq = phi.M * phi.N
+        adjacency = grid_adjacency(phi.M, phi.N, periodic)
+        eps = phi.coupling - (math.pi / 4) * adjacency
+        dh = phi.field + (math.pi / 4) * adjacency.sum(axis=1)
+        s = 1 - 2 * ((np.arange(2**nq)[:, None] >> np.arange(nq)) & 1)
+        d = 0.5 * np.einsum("ka,ab,kb->k", s, eps, s) + s @ dh
+        return abs(np.exp(1j * d).mean()) ** 2, not dh.any()
+
+    @pytest.mark.parametrize(
+        "M,N,nn_only,periodic",
+        [(1, 1, True, True), (1, 2, True, False), (2, 3, True, False), (3, 3, False, True),
+         (4, 4, True, False)],
+    )
+    def test_half_cube_matches_full_cube(self, M, N, nn_only, periodic):
+        # cluster_phase leaves no deviation field, so the fidelity is taken over
+        # the s_0 = +1 half; Gamma near pi/4 keeps it far from 0
+        rng = np.random.default_rng(M * N)
+        phi = cluster_phase(M, N, math.pi / 4 + rng.uniform(-0.3, 0.3, (M, N)), nn_only, periodic)
+        want, no_field = self.full_cube_fidelity(phi, periodic)
+        assert no_field
+        assert verify_cluster(phi, periodic).fidelity == pytest.approx(want, abs=1e-15)
+
+    def test_half_cube_random_coupling(self):
+        # any symmetric coupling, with the field that cancels (pi/4) deg exactly
+        M, N = 3, 4
+        rng = np.random.default_rng(12)
+        w = np.triu(rng.uniform(-1.5, 1.5, (M * N, M * N)), 1)
+        field = -(math.pi / 4) * grid_adjacency(M, N, True).sum(axis=1)
+        phi = PhasePolynomial(M, N, w + w.T, field)
+        want, no_field = self.full_cube_fidelity(phi, True)
+        assert no_field and want > 1e-4
+        assert verify_cluster(phi).fidelity == pytest.approx(want, abs=1e-15)
+
     def test_full_table_open_boundary_rejected(self):
         # the table's separations are periodic on the patch: on an open 3x3
         # patch the all-pairs form would alias distant pairs onto them

@@ -33,6 +33,17 @@ class TestLatticeConfig:
         with pytest.raises(ValueError):
             LatticeConfig(M=2, N=2, J=0.1, g=0.0)
 
+    @pytest.mark.parametrize(
+        "g", [1e-103, math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf), 1e300, math.nan]
+    )
+    def test_coupling_out_of_range(self, g):
+        with pytest.raises(ValueError, match=r"coupling g must lie in \[1e-100, 1e100\]"):
+            LatticeConfig(M=2, N=2, J=0.1 * g, g=g)
+
+    @pytest.mark.parametrize("g", [1e-100, 1e100])
+    def test_coupling_range_ends(self, g):
+        assert LatticeConfig(M=2, N=2, J=0.1 * g, g=g).g == g
+
 
 def frequencies(cfg):
     """The mode frequencies as an M x N array indexed by (l, k)."""
