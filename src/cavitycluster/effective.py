@@ -25,19 +25,20 @@ s = 1 - 2x, pi E = (pi/4) sum_edges s_a s_b - (pi/4) sum_a deg_a s_a +
 const, so D has coupling eps = W - (pi/4) A (A the grid adjacency) and
 field dh = h + (pi/4) deg, and dh is exactly 0 for every cluster_phase
 output.  The fidelity is |mean e^{i D}|^2 over bitstrings.  With dh exactly
-0, D(s) = D(-s), so the mean over the half with s_0 = +1 is the whole mean;
-fixing s_0 = +1 turns row 0 of eps into a field on the other n - 1 spins,
-and the half is built bit by bit like Phi.  It sums half as many numbers in
-another order than the full cube, so the fidelity's last digit can differ by
-a few ulp.  A nonzero dh (a cluster verified under the other boundary, or
-a polynomial that cluster_phase did not build) takes the full sum.  The graph
+0, D(s) = D(-s), so the half with s_0 = +1 holds the whole mean, and fixing
+s_0 = +1 turns row 0 of eps into a field on the other n - 1 spins (a nonzero
+dh, as for a cluster verified under the other boundary, keeps all n).  That
+polynomial is built like Phi up to its last spin, A + s t, and the last spin
+is summed in closed form, mean_s e^{i(A + s t)} = e^{i A} cos t: 2^(n-2)
+numbers with no field, in another order than the full cube, so the
+fidelity's last digit can differ from that sum by a few ulp.  The graph
 stabilizer X_a prod_{b~a} Z_b flips bit a and takes the sign s_b of each
-neighbour; the flip changes pi E by a phase that those signs cancel, so
-its expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)),
-which factorizes over the spins (mean e^{i w s} = cos w) into
-cos(2 dh_a) prod_b cos(2 eps_ab).  A single site's reduced density matrix
-has diagonal exactly 1/2 and coherence <0|rho_a|1> = (1/2) e^{2 i h_a}
-prod_b cos(2 W_ab), by the same factorization on Phi.
+neighbour; the flip changes pi E by a phase that those signs cancel, so its
+expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)), which
+factorizes over the spins (mean e^{i w s} = cos w) into cos(2 dh_a)
+prod_b cos(2 eps_ab).  A single site's reduced density matrix has diagonal
+exactly 1/2 and coherence <0|rho_a|1> = (1/2) e^{2 i h_a} prod_b cos(2 W_ab),
+by the same factorization on Phi.
 
 The grid is one boolean adjacency matrix (grid_adjacency) and the pair
 phases one table array, Gamma(dm, dn) = grid[dm % Mt, dn % Nt]; W is one
@@ -120,7 +121,7 @@ def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray)
     ax = reg.site_axis(site)
     t = reg.view()
     t = np.tensordot(np.asarray(u, dtype=complex), t, axes=([1], [ax]))
-    reg.amps = np.moveaxis(t, 0, ax).reshape(-1).copy()
+    reg.amps = np.moveaxis(t, 0, ax).reshape(-1)
 
 
 def grid_adjacency(M: int, N: int, periodic: bool) -> np.ndarray:
@@ -144,12 +145,10 @@ def _both_set(nq: int, i: int, j: int) -> tuple:
     return tuple(idx)
 
 
-def _add_bit(values: np.ndarray, term: np.ndarray | float) -> np.ndarray:
-    """Extend values over bits 0..j-1 by a last bit j, adding s_j * term."""
-    out = np.empty((values.size, 2))
-    np.add(values, term, out=out[:, 0])
-    np.subtract(values, term, out=out[:, 1])
-    return out.reshape(-1)
+def _double(buf: np.ndarray, size: int, term: np.ndarray | float) -> None:
+    """In place, buf[:2 size] = buf[:size] + s_j term over spins 0..j; s_j = -1 fills the top."""
+    np.subtract(buf[:size], term, out=buf[size : 2 * size])
+    np.add(buf[:size], term, out=buf[:size])
 
 
 @dataclass(frozen=True)
@@ -173,24 +172,30 @@ class PhasePolynomial:
     def values(self) -> np.ndarray:
         """Phi at every bitstring, indexed like QubitRegister.amps.
 
-        Bit by bit: Phi over bits 0..j is Phi over bits 0..j-1 plus
-        s_j (h_j + sum_{i<j} W_ij s_i), and that linear form is built the
-        same way, so the cost is a few passes over 2^(M*N) numbers whatever
-        the number of pairs.
+        Spin by spin: Phi over spins 0..j is Phi over 0..j-1 plus s_j (h_j +
+        sum_{i<j} W_ij s_i), with that linear form built the same way, so the
+        cost is a few passes over 2^(M*N) numbers whatever the number of pairs.
         """
-        _check_cap(self.M, self.N)
-        return _bit_values(self.coupling, self.field)
+        nq = _check_cap(self.M, self.N)
+        phi, last = _halves(self.coupling, self.field)
+        _double(phi, last.size, last)
+        del last
+        # spin j sits at bit j; reversing the bits puts spin 0 most significant
+        return phi.reshape([2] * nq).transpose(tuple(range(nq))[::-1]).reshape(-1)
 
 
-def _bit_values(coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """The polynomial of this coupling and field at every bitstring, bit 0 most significant."""
-    phi = np.zeros(1)
+def _halves(coupling: np.ndarray, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(buf, t): buf[:t.size] holds the polynomial over every spin but the last, t
+    that spin's linear form, both with spin j at bit j; buf[t.size:] is spare."""
+    term = np.zeros(2 ** max(field.size - 1, 0))
+    buf = np.zeros(2 * term.size)
     for j in range(field.size):
-        term = np.full(1, field[j])
-        for w in coupling[j, :j]:
-            term = _add_bit(term, w)
-        phi = _add_bit(phi, term)
-    return phi
+        term[0] = field[j]
+        for i, w in enumerate(coupling[j, :j]):
+            _double(term, 2**i, w)
+        if j < field.size - 1:
+            _double(buf, 2**j, term[: 2**j])
+    return buf, term
 
 
 def cluster_phase(
@@ -261,14 +266,18 @@ def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport
     # so the field is exactly 0 for cluster_phase's h = -(pi/4) deg
     coupling = phi.coupling - (math.pi / 4) * adjacency
     dev = PhasePolynomial(M, N, coupling, phi.field + (math.pi / 4) * adjacency.sum(axis=1))
-    if dev.field.any():
-        values = dev.values()
-    else:
-        # with no field D(s) = D(-s), so the s_0 = +1 half holds the whole mean;
-        # fixing s_0 = +1 turns row 0 of the coupling into a field on the rest
-        _check_cap(M, N)
-        values = _bit_values(coupling[1:, 1:], coupling[0, 1:])
-    fidelity = float(np.cos(values).mean()) ** 2 + float(np.sin(values, out=values).mean()) ** 2
+    _check_cap(M, N)
+    # with no field D(s) = D(-s), so the s_0 = +1 half holds the whole mean;
+    # fixing s_0 = +1 turns row 0 of the coupling into a field on the rest
+    spins = (coupling, dev.field) if dev.field.any() else (coupling[1:, 1:], coupling[0, 1:])
+    buf, term = _halves(*spins)
+    # the last spin in closed form: mean_s e^{i(A + s t)} = e^{i A} cos t
+    cosines, sines = np.split(buf, 2)
+    np.sin(cosines, out=sines)
+    weight = np.cos(term, out=term)
+    real = np.multiply(np.cos(cosines, out=cosines), weight, out=cosines).mean()
+    imag = np.multiply(sines, weight, out=sines).mean()
+    fidelity = float(real) ** 2 + float(imag) ** 2
     # an entry of 0 (a site's own, or an uncoupled pair) contributes cos 0 = 1
     stabilizers = np.cos(2.0 * dev.field) * np.prod(np.cos(2.0 * dev.coupling), axis=1)
     coherences = 0.5 * np.exp(2j * phi.field) * np.prod(np.cos(2.0 * phi.coupling), axis=1)

@@ -53,6 +53,9 @@ class LatticeConfig:
         # this range the g*tau grid points or g**2 overflow a float
         if not 1e-100 <= self.g <= 1e100:
             raise ValueError(f"coupling g must lie in [1e-100, 1e100], got {self.g!r}")
+        for name in ("J", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.J < 0:
             raise ValueError("tunneling rate J must be non-negative")
 

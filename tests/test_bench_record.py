@@ -25,7 +25,8 @@ STUB = textwrap.dedent("""\
     if pass_s is None:
         print("error: no pass completed", file=sys.stderr)
         sys.exit(1)
-    print(json.dumps({"workload": args[args.index("--workload") + 1], "seed": int(seed)}))
+    print(json.dumps({"workload": args[args.index("--workload") + 1], "seed": int(seed),
+                      "job_s": {"a": pass_s / 4, "b": pass_s - pass_s / 4}}))
     print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
         "pass_s": {"value": pass_s, "unit": "s"},
         "setup_s": {"value": 0.3, "unit": "s"},
@@ -74,9 +75,13 @@ def test_pairs_alternate_and_aggregate(tmp_path):
     assert entry["metrics"]["pass_s"]["change"]["median"] == pytest.approx(1.0)
     assert entry["metrics"]["setup_s"]["change"] == pytest.approx(
         {"median": 0.3, "q1": 0.3, "q3": 0.3, "n": 4})
+    # per job, the median over each side's runs of the environment line's job_s
+    assert entry["job_s"]["parent"] == pytest.approx({"a": 1.05 / 4, "b": 1.05 * 3 / 4})
+    assert entry["job_s"]["change"] == pytest.approx({"a": 0.25, "b": 0.75})
     first = entry["runs"]["parent"][0]
     assert first["first"] and first["seed"] == 11 and first["returncode"] == 0
-    assert json.loads(first["lines"][0]) == {"workload": "cluster-verify", "seed": 11}
+    assert json.loads(first["lines"][0]) == {"workload": "cluster-verify", "seed": 11,
+                                             "job_s": {"a": 0.25, "b": 0.75}}
     assert json.loads(first["lines"][1])["metrics"]["pass_s"]["value"] == 1.0
     assert not entry["runs"]["parent"][1]["first"]
 
@@ -92,6 +97,7 @@ def test_failed_run_is_kept_and_counted(tmp_path):
     assert entry["failed"] == {"parent": 0, "change": 1}
     assert entry["claim"]["won"] == 1 and entry["claim"]["tied"] == 0  # no pair for seed 2
     assert entry["metrics"]["pass_s"]["change"]["n"] == 1
+    assert entry["job_s"]["change"] == pytest.approx({"a": 0.125, "b": 0.375})  # seed 1 only
     broken = entry["runs"]["change"][1]
     assert broken["returncode"] == 1 and broken["lines"] == []
     assert "no pass completed" in broken["stderr"]

@@ -106,6 +106,52 @@ class TestProductState:
             phase_register(phi)
 
 
+def interleaved_values(coupling, field):
+    """Phi bit by bit as it was first built: each spin j is appended as the
+    least significant bit of a fresh array, Phi +- s_j (h_j + sum_{i<j} W_ij s_i),
+    with the linear form built the same way.  values() must match it bitwise."""
+
+    def add_bit(values, term):
+        out = np.empty((values.size, 2))
+        np.add(values, term, out=out[:, 0])
+        np.subtract(values, term, out=out[:, 1])
+        return out.reshape(-1)
+
+    phi = np.zeros(1)
+    for j in range(field.size):
+        term = np.full(1, field[j])
+        for w in coupling[j, :j]:
+            term = add_bit(term, w)
+        phi = add_bit(phi, term)
+    return phi
+
+
+class TestPhaseValues:
+    @pytest.mark.parametrize("nq", range(1, 13))
+    def test_bits_match_interleaved_build(self, nq):
+        # coefficients of mixed scale, some exactly +-0.0, so rounding and the
+        # sign of zero both show if the order of operations changes
+        rng = np.random.default_rng(100 + nq)
+        w = np.triu(rng.uniform(-2, 2, (nq, nq)) * 10.0 ** rng.integers(-8, 3, (nq, nq)), 1)
+        w[rng.random((nq, nq)) < 0.2] = 0.0
+        w[np.triu(rng.random((nq, nq)) < 0.2, 1)] = -0.0
+        w = w + w.T
+        field = rng.uniform(-3, 3, nq)
+        field[rng.random(nq) < 0.3] = rng.choice([0.0, -0.0])
+        for M, N in {(1, nq), (nq, 1)}:
+            got = PhasePolynomial(M, N, w, field).values()
+            assert np.array_equal(got.view(np.uint64), interleaved_values(w, field).view(np.uint64))
+
+    def test_bits_match_on_benchmark_cluster(self):
+        # the open nearest-neighbour 4x4 patch at its gate time, as the cluster
+        # snapshot writes it
+        cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0)
+        table = build_phase_table(cfg, solve_gate_time(cfg))
+        phi = cluster_phase(4, 4, table.grid, nn_only=True, periodic=False)
+        want = interleaved_values(phi.coupling, phi.field)
+        assert np.array_equal(phi.values().view(np.uint64), want.view(np.uint64))
+
+
 class TestDenseEquivalence:
     @pytest.mark.parametrize(
         "M,N,nn_only,periodic", [(2, 3, True, False), (3, 3, True, True), (2, 3, False, True)]
@@ -241,12 +287,13 @@ class TestClusterFidelity:
 
     @pytest.mark.parametrize(
         "M,N,nn_only,periodic",
-        [(1, 1, True, True), (1, 2, True, False), (2, 3, True, False), (3, 3, False, True),
-         (4, 4, True, False)],
+        [(1, 1, True, True), (1, 2, True, False), (2, 1, True, False), (2, 3, True, False),
+         (3, 3, False, True), (4, 4, True, False)],
     )
     def test_half_cube_matches_full_cube(self, M, N, nn_only, periodic):
         # cluster_phase leaves no deviation field, so the fidelity is taken over
-        # the s_0 = +1 half; Gamma near pi/4 keeps it far from 0
+        # the s_0 = +1 half, whose last spin is summed in closed form (1x1 leaves
+        # no spin, 1x2 and 2x1 one); Gamma near pi/4 keeps it far from 0
         rng = np.random.default_rng(M * N)
         phi = cluster_phase(M, N, math.pi / 4 + rng.uniform(-0.3, 0.3, (M, N)), nn_only, periodic)
         want, no_field = self.full_cube_fidelity(phi, periodic)
@@ -263,6 +310,29 @@ class TestClusterFidelity:
         want, no_field = self.full_cube_fidelity(phi, True)
         assert no_field and want > 1e-4
         assert verify_cluster(phi).fidelity == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("M,N,periodic", [(1, 1, False), (1, 2, False), (2, 1, False), (3, 4, True)])
+    def test_deviation_field_full_cube(self, M, N, periodic):
+        # a field left on the deviation polynomial keeps every spin; the last
+        # one is summed in closed form, and 1x1 leaves no other spin
+        nq = M * N
+        rng = np.random.default_rng(10 * M + N)
+        w = np.triu(rng.uniform(-1.5, 1.5, (nq, nq)), 1)
+        field = -(math.pi / 4) * grid_adjacency(M, N, periodic).sum(axis=1) + rng.uniform(-1, 1, nq)
+        phi = PhasePolynomial(M, N, w + w.T, field)
+        want, no_field = self.full_cube_fidelity(phi, periodic)
+        assert not no_field and want > 1e-4
+        assert verify_cluster(phi, periodic).fidelity == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("M,N,nn_only", [(3, 3, True), (3, 4, False), (4, 4, True)])
+    def test_periodic_cluster_verified_as_open(self, M, N, nn_only):
+        # the wrap edges leave a deviation field, so the full cube is summed,
+        # with its last spin in closed form
+        table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1, delta=0.0), 2.0)
+        phi = cluster_phase(M, N, table.grid, nn_only=nn_only, periodic=True)
+        want, no_field = self.full_cube_fidelity(phi, False)
+        assert not no_field and want > 1e-5
+        assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(want, abs=1e-15)
 
     def test_full_table_open_boundary_rejected(self):
         # the table's separations are periodic on the patch: on an open 3x3

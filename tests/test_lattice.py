@@ -29,6 +29,13 @@ class TestLatticeConfig:
         with pytest.raises(ValueError):
             LatticeConfig(M=2, N=2, J=-0.1)
 
+    @pytest.mark.parametrize("field", ["J", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates(self, field, value):
+        # NaN passes J < 0, and max() then drops it from the gate-time search
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+            LatticeConfig(M=2, N=2, **{"J": 0.1, field: value})
+
     def test_nonpositive_coupling(self):
         with pytest.raises(ValueError):
             LatticeConfig(M=2, N=2, J=0.1, g=0.0)

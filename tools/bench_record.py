@@ -8,13 +8,15 @@ Usage, from the repository root:
 Each tree is a checkout holding its own perfbench/run.py.  Pair i runs both
 trees with ``--trace 0 --seed <seed + i>`` for the parent's BENCHMARK.json
 ``run_seconds``: the parent first when i is even, the change first when i is
-odd.  Every run keeps the two JSON lines that
-run.py prints (environment stamp, then result), verbatim.  For each
-end-to-end metric that the parent's BENCHMARK.json declares, the record
-gives each side's median and quartiles over its runs, and for the claimed
-metric, pass_s, the pairs the change won, lost and tied.  The workload's entry
-replaces any earlier entry for that workload in --out, and entries for other
-workloads are kept, so one file can gather every workload of a change.
+odd.  Every run keeps the two JSON lines that run.py prints (environment
+stamp, then result), verbatim.  For each end-to-end metric that the parent's
+BENCHMARK.json declares, the record gives each side's median and quartiles
+over its runs, and for the claimed metric, pass_s, the pairs the change won,
+lost and tied.  Under job_s it gives, for each job, each side's median over
+its runs of the job time that the environment line holds, so a record shows
+which job moved.  The workload's entry replaces any earlier entry for that
+workload in --out, and entries for other workloads are kept, so one file can
+gather every workload of a change.
 Standard library only.
 """
 
@@ -53,6 +55,14 @@ def metrics(run: dict) -> dict[str, float]:
         return {}
 
 
+def job_times(run: dict) -> dict[str, float]:
+    """Per-job median job_s of a run's environment line; none for a run that printed none."""
+    try:
+        return dict(json.loads(run["lines"][-2])["job_s"])
+    except (IndexError, ValueError, KeyError, TypeError):
+        return {}
+
+
 def failed(run: dict) -> int:
     """Failed operations of a run; a run with no result line counts as one."""
     try:
@@ -80,6 +90,12 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         for side, ms in side_metrics.items():
             values = [m[name] for m in ms if name in m]
             summary[name][side] = quartiles(values) if values else None
+    jobs = {}
+    for side, runs in (("parent", parent), ("change", change)):
+        times = [job_times(r) for r in runs]
+        names = sorted({name for t in times for name in t})
+        jobs[side] = {name: statistics.median(t[name] for t in times if name in t)
+                      for name in names}
     won = lost = tied = 0
     sign = 1.0 if better[CLAIM] == "lower" else -1.0
     for p, c in zip(side_metrics["parent"], side_metrics["change"]):
@@ -89,6 +105,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         won, lost, tied = won + (gain > 0), lost + (gain < 0), tied + (gain == 0)
     return {
         "metrics": summary,
+        "job_s": jobs,
         "failed": {"parent": sum(map(failed, parent)), "change": sum(map(failed, change))},
         "claim": {"metric": CLAIM, "better": better[CLAIM], "won": won, "lost": lost,
                   "tied": tied},
