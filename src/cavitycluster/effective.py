@@ -179,7 +179,7 @@ class PhasePolynomial:
         nq = _check_cap(self.M, self.N)
         phi, last = _halves(self.coupling, self.field)
         _double(phi, last.size, last)
-        del last
+        del last  # freed before the bit-reversed copy, so the peak stays at two 2^n arrays
         # spin j sits at bit j; reversing the bits puts spin 0 most significant
         return phi.reshape([2] * nq).transpose(tuple(range(nq))[::-1]).reshape(-1)
 
