@@ -272,10 +272,10 @@ def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport
     spins = (coupling, dev.field) if dev.field.any() else (coupling[1:, 1:], coupling[0, 1:])
     buf, term = _halves(*spins)
     # the last spin in closed form: mean_s e^{i(A + s t)} = e^{i A} cos t
-    cosines, sines = np.split(buf, 2)
-    np.sin(cosines, out=sines)
+    values, sines = np.split(buf, 2)
+    np.sin(values, out=sines)
     weight = np.cos(term, out=term)
-    real = np.multiply(np.cos(cosines, out=cosines), weight, out=cosines).mean()
+    real = np.multiply(np.cos(values, out=values), weight, out=values).mean()
     imag = np.multiply(sines, weight, out=sines).mean()
     fidelity = float(real) ** 2 + float(imag) ** 2
     # an entry of 0 (a site's own, or an uncoupled pair) contributes cos 0 = 1
