@@ -1,6 +1,6 @@
 """Brute-force validation of the driven qubit-cavity dynamics.
 
-Integrates the time-dependent interaction Hamiltonian
+Propagates the time-dependent interaction Hamiltonian
 
     H(t) = 1/sqrt(MN) sum_sites sigma_x_{m,n}
            sum_modes [ g e^{-i(omega t + L m + K n)} a_{L,K} + h.c. ]
@@ -19,29 +19,22 @@ diagonal, so a qubit configuration c is never mixed with another and sees
 
 a sum of commuting single-mode drives.  Started in the field vacuum, the
 field of configuration c therefore stays exactly a product over modes, and
-the oracle integrates one (n_max+1)-dimensional state per (mode,
+the oracle propagates one (n_max+1)-dimensional state per (mode,
 configuration) pair, batched as one array psi[mode, configuration, f].
 The joint vacuum amplitude of a configuration is the product of its
 factors' vacuum amplitudes.
 
 Each factor's drive obeys H(t) = R(t) H(0) R(t)^dag, R(t) = diag(e^{i omega t
-f}) over the Fock number f, in the truncated space too; so an RK4 run of N
-steps over [0, tau] is one matrix power of the step from t = 0, O(log N)
-batched products.
-The size cap counts the largest array, that propagator: 2^{MN}
-configurations x MN modes x (n_max+1)^2 Fock matrix elements.
+f}) over the Fock number f, in the truncated space too.  In the frame of R
+the generator H(0) + omega f is constant, so u(tau) = R(tau) exp(-i (H(0) +
+omega f) tau) solves the truncated dynamics exactly; one batched eigh of the
+tridiagonal generator applies it to vectors, and u is never formed.  The
+size cap counts the generator and its eigenvectors: 2^{MN} configurations x
+MN modes x (n_max+1)^2 Fock matrix elements.
 
 S_z flips every x bit, and lambda_{m,~c} = -lambda_{m,c}; the photon parity
 P = (-1)^f maps a to -a, so the second interval's propagator is P u P, u the
-first's, bit for bit.  Each factor's echo is P u P u|0>, one step-halving
-loop tests it, and error_estimate is its Richardson estimate: the largest
-sum over one configuration's modes of the factor errors, a bound on that
-configuration's joint-field error.
-
-Because [H(t1), H(t2)] is a qubit-only operator that commutes with H, the
-propagator closes at second Magnus order and the integrated dynamics must
-match the analytic displacement-plus-phase construction to integrator
-tolerance.
+first's, and each factor's echo is P u P u|0>.
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ __all__ = [
     "MAX_ORACLE_QUBITS",
     "MAX_TOTAL_DIMENSION",
     "EvolutionReport",
-    "IntegratorError",
     "InvalidExtractionError",
     "echo_evolve",
     "extract_pair_phase",
@@ -70,12 +62,6 @@ MAX_ORACLE_QUBITS = 4
 MAX_TOTAL_DIMENSION = 200_000
 # largest residual field excitation at which a pair phase is still read out
 _RESIDUAL_THRESHOLD = 1e-6
-# step budget of one drive interval's RK4 halving
-_MAX_STEPS = 1 << 19
-
-
-class IntegratorError(RuntimeError):
-    """Step-halving did not reach the requested tolerance within budget."""
 
 
 class InvalidExtractionError(RuntimeError):
@@ -83,7 +69,7 @@ class InvalidExtractionError(RuntimeError):
 
 
 def total_dimension(config: LatticeConfig, n_max: int) -> int:
-    """Elements of the field propagator: configurations x modes x Fock levels^2."""
+    """Elements of the field generator: configurations x modes x Fock levels^2."""
     nq = config.n_sites
     return 2**nq * nq * (n_max + 1) ** 2
 
@@ -149,42 +135,39 @@ def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     return ws, lam
 
 
-def _apply_h(ws: np.ndarray, lam: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
-    """H(t) applied to psi[f, ..., mode, configuration] (f: Fock number)."""
-    coef = lam * np.exp(-1j * ws * t)[:, None]
-    root = np.sqrt(np.arange(1.0, psi.shape[0])).reshape((-1,) + (1,) * (psi.ndim - 1))
-    out = np.empty_like(psi)
-    out[:-1] = root * coef * psi[1:]  # a
-    out[-1] = 0.0
-    out[1:] += root * np.conj(coef) * psi[:-1]  # a^dagger
-    return out
-
-
-def _rk4_run(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int, steps: int) -> np.ndarray:
-    """Propagator u[mode, configuration, f, j] of `steps` RK4 steps over
-    [0, tau].  The step from t is R(t) Q R(t)^dag, Q the step from 0, so the
-    run telescopes to R(tau - dt) (Q R(-dt))^steps R(dt)."""
-    dt = tau / steps
+def _generator(ws: np.ndarray, lam: np.ndarray, n_max: int) -> np.ndarray:
+    """Rotating-frame generator H(0) + omega f of every factor, as
+    gen[mode, configuration, f, f'] (f: Fock number)."""
     fock = np.arange(n_max + 1)
-    eye = np.eye(fock.size, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
-    k1 = -1j * _apply_h(ws, lam, 0.0, eye)
-    k2 = -1j * _apply_h(ws, lam, 0.5 * dt, eye + 0.5 * dt * k1)
-    k3 = -1j * _apply_h(ws, lam, 0.5 * dt, eye + 0.5 * dt * k2)
-    k4 = -1j * _apply_h(ws, lam, dt, eye + dt * k3)
-    q = np.moveaxis(eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (0, 1), (2, 3))
-
-    def rot(t: float) -> np.ndarray:  # R(t) diagonals, [mode, 1, f]
-        return np.exp(1j * np.multiply.outer(ws * t, fock))[:, None]
-
-    power = np.linalg.matrix_power(q * rot(-dt)[..., None, :], steps)
-    return rot(tau - dt)[..., :, None] * power * rot(dt)[..., None, :]
+    root = np.sqrt(fock[1:])
+    gen = np.zeros(lam.shape + (fock.size, fock.size), dtype=complex)
+    gen[..., fock[:-1], fock[1:]] = lam[..., None] * root  # a
+    gen[..., fock[1:], fock[:-1]] = np.conj(lam)[..., None] * root  # a^dagger
+    gen[..., fock, fock] = np.multiply.outer(ws, fock)[:, None]
+    return gen
 
 
-def _echo(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int, steps: int) -> np.ndarray:
+def _propagator(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int):
+    """The drive interval's propagator u = R(tau) V e^{-i E tau} V^dag, as a
+    function applying it to x[mode, configuration, f]; u is never formed."""
+    energy, vec = np.linalg.eigh(_generator(ws, lam, n_max))
+    phase = np.exp(-1j * tau * energy)
+    rot = np.exp(1j * tau * np.multiply.outer(ws, np.arange(n_max + 1)))[:, None]
+
+    def u(x: np.ndarray) -> np.ndarray:
+        coef = phase * (x[..., None, :] @ np.conj(vec))[..., 0, :]
+        return rot * (vec @ coef[..., None])[..., 0]
+
+    return u
+
+
+def _echo(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int) -> np.ndarray:
     """Echoed field factors psi[mode, configuration, f] = P u P u|0>."""
+    u = _propagator(ws, lam, tau, n_max)
     parity = (-1.0) ** np.arange(n_max + 1)
-    u = _rk4_run(ws, lam, tau, n_max, steps)
-    return parity * np.einsum("mcfj,mcj->mcf", u, parity * u[..., 0])
+    vacuum = np.zeros(lam.shape + (n_max + 1,), dtype=complex)
+    vacuum[..., 0] = 1.0
+    return parity * u(parity * u(vacuum))
 
 
 @dataclass
@@ -195,6 +178,11 @@ class EvolutionReport:
     diagonal: vacuum[c] is the joint vacuum amplitude of configuration c,
     indexed like the qubit basis with bit 1 = |-x>; residual_excitation is
     the worst-case population left outside the joint field vacuum.
+    error_estimate is the largest norm defect |prod_m |psi_mc|^2 - 1|, the
+    exact propagator's rounding; truncation_estimate is the largest change
+    of vacuum[c] when the Fock cut drops to n_max - 1.  steps is always 0,
+    as the propagator takes no time steps; perfbench's span counter
+    oracle.echo_evolve.rk4_steps reads it.
     """
 
     config: LatticeConfig
@@ -202,50 +190,25 @@ class EvolutionReport:
     residual_excitation: float
     steps: int
     error_estimate: float
+    truncation_estimate: float
 
 
-def echo_evolve(config: LatticeConfig, tau: float, n_max: int, tolerance: float) -> EvolutionReport:
+def echo_evolve(config: LatticeConfig, tau: float, n_max: int) -> EvolutionReport:
     """S_z U(tau) S_z U(tau) applied to sigma_x basis states x field vacuum,
-    as P u P u|0> per factor.  RK4 steps double until the Richardson estimate
-    and the norm defect of the echoed field both drop below tolerance; the
-    joint norm of a configuration is the product of its factors' norms.
-    """
+    as P u P u|0> per factor with the exact truncated propagator u."""
     _check_dims(config, n_max)
-    if not 0 < tolerance < math.inf:  # NaN fails both comparisons
-        raise ValueError("tolerance must be positive and finite")
     ws, lam = _drive(config)
-    psi = np.zeros(lam.shape + (n_max + 1,), dtype=complex)
-    psi[..., 0] = 1.0
-    steps, err = 0, 0.0
-    if tau != 0:
-        scale = max(1.0, float(np.max(np.abs(ws))) * tau, config.g * tau)
-        # RK4 error is roughly 0.03 (scale/steps)^4 for these drives; start one
-        # halving below the predicted requirement so the doubling loop is short
-        predicted = scale * (0.03 / tolerance) ** 0.25
-        steps = 64
-        while steps * 4 < predicted:
-            steps *= 2
-        coarse = _echo(ws, lam, tau, n_max, steps)
-        while True:
-            steps *= 2
-            if steps > _MAX_STEPS:
-                raise IntegratorError(
-                    f"no convergence to tolerance {tolerance:g} within {_MAX_STEPS} steps"
-                )
-            psi = _echo(ws, lam, tau, n_max, steps)
-            err = float(np.max(np.sum(np.linalg.norm(psi - coarse, axis=-1), axis=0))) / 15.0
-            norm2 = np.prod(np.linalg.norm(psi, axis=-1) ** 2, axis=0)
-            if err < tolerance and float(np.max(np.abs(norm2 - 1.0))) < tolerance:
-                break
-            coarse = psi
-
-    # the joint vacuum amplitude is the product of the per-mode ones
+    psi = _echo(ws, lam, tau, n_max)
+    # a configuration's joint vacuum amplitude and norm are products over modes
     vacuum = np.prod(psi[..., 0], axis=0)
-    # |1 - norm^2| so that norm inflation (pure integrator error) is
+    norm2 = np.prod(np.linalg.norm(psi, axis=-1) ** 2, axis=0)
+    coarse = np.prod(_echo(ws, lam, tau, n_max - 1)[..., 0], axis=0)
+    # |1 - norm^2| so that norm inflation (pure rounding error) is
     # reported as a defect instead of being silently clipped away
     residual = float(np.max(np.abs(1.0 - np.abs(vacuum) ** 2)))
-    return EvolutionReport(config=config, vacuum=vacuum, residual_excitation=residual,
-                           steps=2 * steps, error_estimate=err)
+    return EvolutionReport(config=config, vacuum=vacuum, residual_excitation=residual, steps=0,
+                           error_estimate=float(np.max(np.abs(norm2 - 1.0))),
+                           truncation_estimate=float(np.max(np.abs(vacuum - coarse))))
 
 
 def _site_index(config: LatticeConfig, site: tuple[int, int]) -> int:

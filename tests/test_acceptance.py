@@ -137,10 +137,12 @@ def test_criterion_05_oracle_equivalence(request):
     for label, delta, tau, n_max in regimes:
         worst_phase = 0.0
         worst_resid = 0.0
+        worst_trunc = 0.0
         for M, N in ((1, 2), (1, 3), (2, 2)):
             cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta, g=1.0)
-            rep = oracle.echo_evolve(cfg, tau, n_max=n_max, tolerance=1e-9)
+            rep = oracle.echo_evolve(cfg, tau, n_max=n_max)
             worst_resid = max(worst_resid, rep.residual_excitation)
+            worst_trunc = max(worst_trunc, rep.truncation_estimate)
             sites = [(m, n) for m in range(M) for n in range(N)]
             for i, a in enumerate(sites):
                 for b in sites[i + 1:]:
@@ -150,7 +152,8 @@ def test_criterion_05_oracle_equivalence(request):
         ok = ok and worst_phase < 1e-6 and worst_resid < 1e-8
         parts.append(
             f"{label} (g tau = {tau:g}, n_max = {n_max}): max |dGamma| = {worst_phase:.2e} "
-            f"(< 1e-6), max residual = {worst_resid:.2e} (< 1e-8)"
+            f"(< 1e-6), max residual = {worst_resid:.2e} (< 1e-8), "
+            f"max truncation estimate = {worst_trunc:.2e}"
         )
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0

@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_nan_oracle_tau_rejected_on_load(self, tmp_path):
-        # a NaN interaction time would send the integrator's step doubling to its cap
+        # a NaN interaction time would make every echoed amplitude NaN
         cfg = write(tmp_path, "t.ini", "[oracle]\ntau = nan\n")
         with pytest.raises(ConfigError, match="line 2"):
             load_run_config(cfg)
@@ -581,8 +582,10 @@ class TestOracleVerify:
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         report = (out / "oracle_report.txt").read_text()
         assert "verdict = pass" in report
-        assert "identity.anticommutator_sz_jx" in report
-        assert "phase.00-01" in report
+        rows = [line.split(":")[0] for line in report.splitlines() if ": value=" in line]
+        identities = [f"identity.{name}" for name in oracle.check_identities(1, 2)]
+        assert rows == identities + ["echo.residual_excitation", "phase.00-01"]
+        assert "\ntruncation_estimate = " in report and "steps = " not in report
 
     def test_failed_identity_fails_the_run(self, tmp_path, monkeypatch):
         # a defect far over the bound must fail the whole run
@@ -611,20 +614,22 @@ class TestOracleVerify:
         out = tmp_path / "out"
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
         report = (out / "oracle_report.txt").read_text()
-        assert "phase extraction failure: residual field excitation 0.320736" in report
+        assert "phase extraction failure: residual field excitation 0.320737" in report
         assert "echo.residual_excitation: value=0.3207" in report and "bound=1e-08 FAIL" in report
         assert "phase." not in report and report.endswith("verdict = fail\n")
 
     def test_integrator_failure_fails_the_run(self, tmp_path):
-        # no step count under the cap reaches a 1e-16 tolerance
+        # the echoed field's norm defect is rounding, about 1e-15: over a
+        # 1e-16 tolerance it fails the run, with the phase rows still written
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 2\ndelta = 20.0\n"
                     "[oracle]\ntolerance = 1e-16\n")
         out = tmp_path / "out"
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
         report = (out / "oracle_report.txt").read_text()
-        assert "integrator failure: no convergence to tolerance 1e-16" in report
-        assert "echo.integrator: value=inf bound=0.0 FAIL" in report
-        assert report.endswith("verdict = fail\n")
+        defect = float(re.search(r"^error_estimate = (\S+)$", report, re.M)[1])
+        assert 1e-16 < defect < 1e-14
+        assert f"echo.error_estimate: value={defect!r} bound=1e-16 FAIL" in report
+        assert "phase.00-01" in report and report.endswith("verdict = fail\n")
 
     def test_cap(self, tmp_path):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 3\n")
@@ -648,9 +653,11 @@ class TestOracleVerify:
         [
             ("tolerance", "0", "finite and positive"),
             ("tolerance", "-1", "finite and positive"),
+            ("tolerance", "nan", "finite and positive"),
+            ("tolerance", "inf", "finite and positive"),
             ("n_max", "0", "at least 1"),
         ],
-        ids=["tolerance-zero", "tolerance-negative", "n_max-zero"],
+        ids=["tolerance-zero", "tolerance-negative", "tolerance-nan", "tolerance-inf", "n_max-zero"],
     )
     def test_oracle_rule_names_line(self, tmp_path, capsys, key, value, rule):
         cfg = write(tmp_path, "o.ini", f"[lattice]\nM = 1\nN = 2\n[oracle]\n{key} = {value}\n")
