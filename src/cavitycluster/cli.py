@@ -157,8 +157,8 @@ _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
         "tau": ("oracle_tau", _non_negative),
     },
     "mbqc": {
-        "pattern": ("pattern_path", str), "builtin": ("builtin", _one_of("wire", "cnot")),
-        "theta1": ("theta1", _finite), "theta2": ("theta2", _finite), "theta3": ("theta3", _finite),
+        "builtin": ("builtin", _one_of("wire", "cnot")), "theta1": ("theta1", _finite),
+        "theta2": ("theta2", _finite), "theta3": ("theta3", _finite),
         "source": ("source", _one_of("reference", "generated")),
     },
 }
@@ -192,7 +192,7 @@ class RunConfig:
     n_max: int = 4
     tolerance: float = 1e-9
     oracle_tau: float = 3.0
-    # mbqc
+    # mbqc; pattern_path is set by --pattern only
     pattern_path: str | None = None
     builtin: str = "wire"
     theta1: float = 0.0
@@ -467,8 +467,10 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     if not sites:  # only a pattern file can be empty
         raise ConfigError(f"{run.pattern_path}: pattern has no steps and no outputs")
     M, N = 1 + max(s[0] for s in sites), 1 + max(s[1] for s in sites)
-    if M * N > MAX_QUBITS:
-        raise ConfigError(f"pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap")
+    if M * N > MAX_QUBITS:  # only a pattern file can span this many sites
+        raise ConfigError(
+            f"{run.pattern_path}: pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap"
+        )
     n_meas = len(pattern.steps)
     if n_meas > _MAX_PATTERN_STEPS:  # only a pattern file can be this long
         raise ConfigError(f"{run.pattern_path}: pattern has {n_meas} measurement steps, over "

@@ -39,25 +39,12 @@ the worst beyond-nearest-neighbour phase is about 0.15 (J tau)^2 Gamma_nn.
 On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
-:func:`pairwise_phase`, every sweep row and every point of the gate-time
-walk and bisection are one float64 dot over the quarter Brillouin zone
-l = 0..M//2, k = 0..N//2: omega is even in L and in K, so the four modes
-(+-l, +-k) fold into one with weight 4 m_l m_k cos(L dm) cos(K dn) (m = 1
-at l = 0 and l = M/2, else 2).  :func:`build_phase_table` keeps the full-grid
-M x N array 4 Re FFT2(gamma) itself, Gamma(dm, dn) being its cell
-[dm mod M, dn mod N].  For short separations each agrees with the exact
-(compensated) full-grid mode sum to ~1e-15.  The FFT's real part is even
-only to rounding: cells [d] and [-d] may differ in the last bit.
-:func:`sweep_delta` builds these modes once at delta = 0 and adds each row's
-delta to omega, which gives the same bits as building them at that delta.
-
-:func:`solve_gate_time` walks g*tau = 0.01, 0.02, ... to the first point with
-Gamma_nn >= target and bisects that step.  Since |1 - cos x| <= x^2/2, the
-slope of Gamma_nn is at most c tau^2 with c = (g^2/2MN) sum |w omega|, so from
-a walked point s short of the target by F the walk jumps every grid point with
-tau^3 < s^3 + 1.5 F/c, which lie at least F/2 short.  It meets the same first
-point as a point-by-point walk, so tau is the same; a solve takes about 8
-walk points and 36 bisection steps instead of about 230 and 36.
+:func:`pairwise_phase`, the sweeps and the gate-time solve sum the quarter
+Brillouin zone with folded weights (see :func:`_modes`);
+:func:`build_phase_table` takes one FFT of the full mode grid (see
+:class:`PhaseShiftTable`).  For short separations both agree with the exact
+full-grid mode sum to ~1e-15.  :func:`solve_gate_time` states why its walk
+may skip grid points.
 """
 
 from __future__ import annotations
@@ -182,7 +169,8 @@ class PhaseShiftTable:
     """Pairwise phases at a fixed tau: Gamma(dm, dn) = grid[dm % M, dn % N].
 
     grid is the read-only M x N array 4 Re FFT2(gamma); cell [0, 0] is the
-    mode-summed self term, not a pair phase.
+    mode-summed self term, not a pair phase.  The FFT's real part is even
+    only to rounding: cells [d] and [-d] may differ in the last bit.
     """
 
     config: LatticeConfig
@@ -234,8 +222,8 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
     skip.  So the walk meets the same first point with f >= 0 as a
     point-by-point walk, and bisects the same step to the same tau.  With
     c = 0, Gamma_nn is 0 throughout and the walk goes straight to the end.
-    With no root, the skipped points are evaluated too, once each, for the
-    largest |Gamma_nn| that the error reports.
+    With no root, the error reports the largest |Gamma_nn| over the whole
+    grid, so a failing solve evaluates its walked points a second time.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
@@ -249,24 +237,18 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
 
     grid = (np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP) / g).tolist()
     s, fs, i = 0.0, -target, 0
-    achieved, skipped = 0.0, []
     while True:
         # every grid point below reach has f <= fs/2 < 0
         reach = ((g * s) ** 3 - 1.5 * fs / c) ** (1.0 / 3.0) / g if c > 0.0 else math.inf
-        start, i = i, bisect.bisect_left(grid, reach, i)
-        skipped.append(range(start, i))
+        i = bisect.bisect_left(grid, reach, i)
         if i == len(grid):
-            # no root in the window
-            for k in (k for points in skipped for k in points):
-                achieved = max(achieved, abs(f(grid[k]) + target))
-            raise GateTimeNotFoundError(target, achieved)
+            raise GateTimeNotFoundError(target, max(abs(f(t) + target) for t in grid))
         hi = grid[i]
         fhi = f(hi)
         if fhi == 0.0:
             return hi
         if fhi > 0.0:
             break
-        achieved = max(achieved, abs(fhi + target))
         s, fs, i = hi, fhi, i + 1
     # f < 0 on every grid point below hi, so the bracket is the step before it
     lo = grid[i - 1] if i else 0.0

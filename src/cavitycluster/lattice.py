@@ -14,6 +14,7 @@ with the hardware presets in :mod:`cavitycluster.geomphase`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,13 @@ class LatticeConfig:
     g: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and isinstance(self.N, int)):
-            raise ValueError("lattice dimensions must be integers")
+        for name in ("M", "N"):
+            value = getattr(self, name)
+            # bool is an Integral too, but True is no lattice dimension
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("lattice dimensions must be integers")
+            # a plain int keeps reprs and report headers the same for numpy integers
+            object.__setattr__(self, name, int(value))
         if self.M < 1 or self.N < 1:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.M}x{self.N}")
         if self.M * self.N > MAX_MODES:

@@ -69,7 +69,6 @@ NON_DEFAULT = {
     ("oracle", "n_max"): "6",
     ("oracle", "tolerance"): "1e-8",
     ("oracle", "tau"): "1.5",
-    ("mbqc", "pattern"): "wire.pat",
     ("mbqc", "builtin"): "cnot",
     ("mbqc", "theta1"): "0.3",
     ("mbqc", "theta2"): "0.3",
@@ -119,6 +118,32 @@ class TestConfigParsing:
         assert main(["mbqc", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "line 3" in err and "mode" in err
+
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("[lattice]\nM = 2\nM = 3\n", 3, "option 'm' in section 'lattice' already exists"),
+            ("[lattice]\nM = 2\n[lattice]\nN = 2\n", 3, "section 'lattice' already exists"),
+            ("[lattice]\nM\nN = 2\n", 2, "parsing errors"),
+        ],
+        ids=["duplicate-key", "duplicate-section", "no-equals"],
+    )
+    def test_malformed_ini_is_config_error(self, tmp_path, capsys, body, line, message):
+        cfg = write(tmp_path, "bad.ini", body)
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: " in err and message in err
+        assert re.search(rf"\[line +{line}\]", err)
+        assert not out.exists()
+
+    def test_mbqc_pattern_key_rejected(self, tmp_path, capsys):
+        # a pattern file comes only from --pattern, so the INI has no key for it
+        cfg = write(tmp_path, "m.ini", "[mbqc]\nsource = reference\npattern = wire.pat\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "m.ini, line 3: unknown key 'pattern' in section [mbqc]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_section(self, tmp_path):
         cfg = write(tmp_path, "bad.ini", "[wat]\nx = 1\n")
@@ -767,6 +792,14 @@ class TestMbqc:
         err = capsys.readouterr().err
         assert "long.pat: pattern has 13 measurement steps, over the 12-step cap" in err
         assert not (out / "mbqc_report.txt").exists()
+
+    def test_qubit_cap_names_pattern_file(self, tmp_path, capsys):
+        pat = write(tmp_path, "wide.pat", "0 0 X - -\noutput 9 9\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{pat}: pattern needs a 10x10 cluster, over the 24-qubit cap" in err
+        assert not out.exists()
 
     def test_zero_probability_branches_pruned(self, tmp_path):
         # Z on both ends isolates (0, 1) in |+> or |->, so its X outcome is

@@ -11,6 +11,7 @@ from cavitycluster import geomphase
 from cavitycluster.lattice import LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
     GateTimeNotFoundError,
+    HardwarePreset,
     PRESETS,
     _gamma_bracket,
     _modes,
@@ -567,6 +568,20 @@ class TestSweeps:
 
 
 class TestFeasibility:
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((0.0, 1e-6, 1e-6), "coupling must be positive"),
+            ((-1.0, 1e-6, 1e-6), "coupling must be positive"),
+            ((1e8, 0.0, 1e-6), "coherence times must be positive"),
+            ((1e8, 1e-6, -1e-6), "coherence times must be positive"),
+        ],
+    )
+    def test_preset_refuses_non_positive(self, values, message):
+        g_phys, T_cavity, T_qubit = values
+        with pytest.raises(ValueError, match=message):
+            HardwarePreset(name="x", g_phys=g_phys, T_cavity=T_cavity, T_qubit=T_qubit)
+
     def test_cpb(self):
         rep = feasibility_report(PRESETS["cpb"], REF, solve_gate_time(REF))
         assert 5e-9 <= rep.gate_time_seconds <= 5e-8  # order 0.01 us

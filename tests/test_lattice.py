@@ -25,6 +25,16 @@ class TestLatticeConfig:
         with pytest.raises(ValueError):
             LatticeConfig(M=2.5, N=2, J=0.1)
 
+    @pytest.mark.parametrize("m,n", [(True, 2), (2, True), (np.bool_(True), 2)])
+    def test_boolean_dims(self, m, n):
+        with pytest.raises(ValueError, match="lattice dimensions must be integers"):
+            LatticeConfig(M=m, N=n, J=0.1)
+
+    def test_numpy_integer_dims_stored_as_int(self):
+        cfg = LatticeConfig(M=np.int64(2), N=np.uint8(3), J=0.1)
+        assert type(cfg.M) is int and type(cfg.N) is int
+        assert repr(cfg) == repr(LatticeConfig(M=2, N=3, J=0.1))
+
     def test_negative_tunneling(self):
         with pytest.raises(ValueError):
             LatticeConfig(M=2, N=2, J=-0.1)

@@ -102,6 +102,10 @@ class TestMeasureQubit:
         with pytest.raises(ValueError):
             measure_qubit(out, (0, 0), "X")
 
+    def test_unknown_basis_rejected(self):
+        with pytest.raises(ValueError, match="unknown basis 'W'"):
+            measure_qubit(all_up(1, 1), (0, 0), "W")
+
     def test_zero_probability_outcome_has_no_register(self):
         reg = all_up(1, 1)  # |up> has no |down> component
         (p0, out0), (p1, out1) = measure_qubit(reg, (0, 0), "Z")
@@ -354,6 +358,19 @@ class TestPatternFiles:
         with pytest.raises(PatternParseError) as exc:
             parse_pattern("0 0 X -\n")
         assert exc.value.line_no == 1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("byproduct 0 1 X\n", "byproduct needs: m n X|Z steps"),
+            ("byproduct 0 1 X 0 1\n", "byproduct needs: m n X|Z steps"),
+            ("output 0\n", "output needs: m n"),
+            ("output 0 1 2\n", "output needs: m n"),
+        ],
+    )
+    def test_directive_field_count(self, text, message):
+        with pytest.raises(PatternParseError, match=re.escape(f"line 2: {message}")):
+            parse_pattern("0 0 X - -\n" + text)
 
     def test_bad_byproduct(self):
         with pytest.raises(PatternParseError, match="must be X or Z") as exc:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -314,6 +315,11 @@ class TestExtractPairPhase:
         assert rep.residual_excitation == pytest.approx(0.3207, abs=1e-4)
         with pytest.raises(oracle.InvalidExtractionError):
             oracle.extract_pair_phase(rep, (0, 0), (0, 1))
+
+    @pytest.mark.parametrize("site", [(0, 2), (1, 0), (-1, 0)])
+    def test_site_off_lattice_rejected(self, echo_1x2, site):
+        with pytest.raises(ValueError, match=re.escape(f"site {site} out of range")):
+            oracle.extract_pair_phase(echo_1x2, (0, 0), site)
 
     def test_same_site_rejected(self, echo_1x2):
         with pytest.raises(ValueError):
