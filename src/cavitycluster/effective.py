@@ -119,9 +119,7 @@ class QubitRegister:
 def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray) -> None:
     """Apply a 2x2 operator to one site, in place."""
     ax = reg.site_axis(site)
-    t = reg.view()
-    t = np.tensordot(np.asarray(u, dtype=complex), t, axes=([1], [ax]))
-    reg.amps = np.moveaxis(t, 0, ax).reshape(-1)
+    reg.amps = (np.asarray(u, dtype=complex) @ reg.amps.reshape(2**ax, 2, -1)).reshape(-1)
 
 
 def grid_adjacency(M: int, N: int, periodic: bool) -> np.ndarray:

@@ -161,7 +161,7 @@ def measure_qubit(
     sites = reg.sites[:ax] + reg.sites[ax + 1 :]
     outcomes = []
     for v in eigvecs:
-        amps = np.tensordot(v.conj(), reg.view(), axes=([0], [ax]))
+        amps = v.conj() @ reg.amps.reshape(2**ax, 2, -1)
         p = float(np.linalg.norm(amps) ** 2)
         child = QubitRegister(reg.M, reg.N, amps / math.sqrt(p), sites) if p >= 1e-24 else None
         outcomes.append((0.0 if child is None else p, child))

@@ -35,6 +35,12 @@ MN modes x (n_max+1)^2 Fock matrix elements.
 S_z flips every x bit, and lambda_{m,~c} = -lambda_{m,c}; the photon parity
 P = (-1)^f maps a to -a, so the second interval's propagator is P u P, u the
 first's, and each factor's echo is P u P u|0>.
+
+check_identities uses the qubit basis, site s at bit nq-1-s of the index c.
+sigma_x of site s flips that bit, so J_X[c ^ (1 << (nq-1-s)), c] =
+e^{i(L m + K n)}; distinct sites flip distinct bits, so each entry holds
+exactly one site's phase, bit for bit the sum of Kronecker products
+sigma_x (x) 1 that it replaces.  S_z = diag((-1)^popcount(c)).
 """
 
 from __future__ import annotations
@@ -91,32 +97,23 @@ def _sites(config: LatticeConfig) -> list[tuple[int, int]]:
     return [(m, n) for m in range(config.M) for n in range(config.N)]
 
 
-def _sigma_x_site(nq: int, s: int) -> np.ndarray:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = np.array([[1]], dtype=complex)
-    for i in range(nq):
-        out = np.kron(out, sx if i == s else np.eye(2))
-    return out
-
-
 def collective_x_operator(config: LatticeConfig, l: int, k: int) -> np.ndarray:
     """J_X = sum_sites sigma_x_{m,n} e^{i(L m + K n)} on the qubit space."""
     nq = config.n_sites
     L = 2.0 * math.pi * l / config.M
     K = 2.0 * math.pi * k / config.N
+    c = np.arange(2**nq)
     out = np.zeros((2**nq, 2**nq), dtype=complex)
     for s, (m, n) in enumerate(_sites(config)):
-        out += np.exp(1j * (L * m + K * n)) * _sigma_x_site(nq, s)
+        out[c ^ (1 << (nq - 1 - s)), c] = np.exp(1j * (L * m + K * n))
     return out
 
 
 def sz_operator(config: LatticeConfig) -> np.ndarray:
     """S_z = prod_sites sigma_z on the qubit space."""
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    out = np.array([[1]], dtype=complex)
-    for _ in range(config.n_sites):
-        out = np.kron(out, sz)
-    return out
+    c = np.arange(2**config.n_sites)
+    popcount = sum((c >> s) & 1 for s in range(config.n_sites))
+    return np.diag((-1.0) ** popcount).astype(complex)
 
 
 def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:

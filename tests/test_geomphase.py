@@ -415,8 +415,14 @@ class TestSolveGateTime:
         # lattice of 400 a bisection midpoint where the folded Gamma_nn is
         # exactly pi/4 and its own is not sends it a few 1e-13 away
         cfg = LatticeConfig(M=shape[0], N=shape[1], J=j * g, delta=delta * g, g=g)
+        # pairwise_phase's sum, with the modes built once instead of per point
+        omega, (w,) = _modes(cfg, nn_separation(cfg))
+
+        def same_sum(c, tau, dm, dn):
+            return float(gamma_mode(c, omega, tau) @ w)
+
         outcomes = []
-        for solve in (solve_gate_time, lambda c: naive_gate_time(c, phase=pairwise_phase),
+        for solve in (solve_gate_time, lambda c: naive_gate_time(c, phase=same_sum),
                       naive_gate_time):
             try:
                 outcomes.append(solve(cfg))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from cavitycluster.effective import QubitRegister, reference_cluster
+from cavitycluster.effective import QubitRegister, apply_single_qubit, reference_cluster
 from cavitycluster.mbqc import (
     ByproductRule,
     MeasurementPattern,
@@ -120,6 +120,28 @@ class TestMeasureQubit:
         for (_, out), want in zip(measure_qubit(cl, (0, 1), "Z"), (PLUS, minus)):
             assert out.sites == ((0, 0),)  # the measured site left the register
             assert_equal_up_to_phase(out.amps, want)
+
+
+@pytest.mark.parametrize("nq", range(1, 7))
+def test_kernels_match_tensordot_reference(nq):
+    # apply_single_qubit and measure_qubit on every axis, against a
+    # contraction over the axis of the register's [2] * nq tensor view
+    rng = np.random.default_rng(nq)
+    amps = rng.normal(size=2**nq) + 1j * rng.normal(size=2**nq)
+    reg = QubitRegister(1, nq, amps / np.linalg.norm(amps))
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    angle = rng.uniform(-math.pi, math.pi)
+    phase = np.exp(1j * angle)
+    eigvecs = np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2.0)
+    for ax in range(nq):
+        work = QubitRegister(1, nq, reg.amps.copy())
+        apply_single_qubit(work, (0, ax), u)
+        want = np.moveaxis(np.tensordot(u, reg.view(), axes=([1], [ax])), 0, ax).reshape(-1)
+        assert np.max(np.abs(work.amps - want)) <= 1e-15
+        for (p, child), v in zip(measure_qubit(reg, (0, ax), "EQ", angle), eigvecs):
+            contracted = np.tensordot(v.conj(), reg.view(), axes=([0], [ax])).reshape(-1)
+            assert abs(p - np.linalg.norm(contracted) ** 2) <= 1e-15
+            assert np.max(np.abs(child.amps - contracted / math.sqrt(p))) <= 1e-15
 
 
 class TestRunPattern:

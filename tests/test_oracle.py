@@ -326,6 +326,58 @@ class TestExtractPairPhase:
             oracle.extract_pair_phase(echo_1x2, (0, 0), (0, 0))
 
 
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+KRON_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]
+
+
+def kron_sites(nq, ops):
+    """Kronecker product over sites 0..nq-1, site 0 leftmost, of ops.get(s, identity)."""
+    out = np.array([[1]], dtype=complex)
+    for s in range(nq):
+        out = np.kron(out, ops.get(s, np.eye(2)))
+    return out
+
+
+def kron_collective_x(cfg, l, k):
+    """J_X(l, k) as a sum of phased Kronecker products sigma_x (x) identities."""
+    nq = cfg.n_sites
+    L = 2.0 * math.pi * l / cfg.M
+    K = 2.0 * math.pi * k / cfg.N
+    out = np.zeros((2**nq, 2**nq), dtype=complex)
+    for s, (m, n) in enumerate((m, n) for m in range(cfg.M) for n in range(cfg.N)):
+        out += np.exp(1j * (L * m + K * n)) * kron_sites(nq, {s: SIGMA_X})
+    return out
+
+
+def kron_sz(cfg):
+    """S_z as the Kronecker product of sigma_z over every site."""
+    return kron_sites(cfg.n_sites, dict.fromkeys(range(cfg.n_sites), SIGMA_Z))
+
+
+@pytest.mark.parametrize("M,N", KRON_SHAPES)
+class TestOperatorsMatchKronecker:
+    def test_collective_x_bitwise(self, M, N):
+        # each entry holds one site's phase, so the bit-flip build is exact
+        cfg = LatticeConfig(M=M, N=N, J=0.1)
+        for l in range(M):
+            for k in range(N):
+                got = oracle.collective_x_operator(cfg, l, k)
+                want = kron_collective_x(cfg, l, k)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (l, k)
+
+    def test_sz_value(self, M, N):
+        cfg = LatticeConfig(M=M, N=N, J=0.1)
+        assert np.array_equal(oracle.sz_operator(cfg), kron_sz(cfg))
+
+    def test_identities_exact(self, M, N, monkeypatch):
+        got = oracle.check_identities(M, N)
+        monkeypatch.setattr(oracle, "sz_operator", kron_sz)
+        monkeypatch.setattr(oracle, "collective_x_operator", kron_collective_x)
+        assert got == oracle.check_identities(M, N)
+
+
 class TestIdentities:
     @pytest.mark.parametrize("M,N", [(1, 2), (1, 3), (2, 2)])
     def test_all_hold(self, M, N):
