@@ -35,6 +35,7 @@ from .effective import (
     verify_cluster,
 )
 from .geomphase import (
+    MAX_G_TAU,
     GateTimeNotFoundError,
     PRESETS,
     build_phase_table,
@@ -45,7 +46,7 @@ from .geomphase import (
     sweep_delta,
     sweep_tau,
 )
-from .lattice import LatticeConfig
+from .lattice import MAX_FREQUENCY_OVER_G, LatticeConfig
 from .mbqc import (
     PatternParseError,
     cnot_pattern,
@@ -258,6 +259,37 @@ def load_run_config(path: Path | None) -> RunConfig:
     return run
 
 
+# the keys each subcommand reads as a time or a detuning, bounded by g*tau <=
+# MAX_G_TAU and |delta|/g <= MAX_FREQUENCY_OVER_G, so checked once g is known
+_SCALED_KEYS = {
+    "gamma-sweep": [("gamma-sweep", key)
+                    for key in ("tau", "tau_min", "tau_max", "delta_min", "delta_max")],
+    "cluster": [("cluster", "tau")],
+    "oracle-verify": [("oracle", "tau")],
+}
+
+
+def _check_scaled(run: RunConfig, command: str, path: Path | None) -> None:
+    """Refuse a time or detuning of the subcommand's keys that is past its bound.
+
+    The defaults at the default g are within bounds, so a refusal has a file.
+    """
+    g = run.lattice.g
+    for section, key in _SCALED_KEYS.get(command, ()):
+        value = getattr(run, _KEYS[section][key][0])
+        if value is None:  # [cluster] tau = auto
+            continue
+        if key.startswith("tau"):
+            what, scaled, bound = "g*tau", g * value, MAX_G_TAU
+        else:
+            what, scaled, bound = "|delta|/g", abs(value) / g, MAX_FREQUENCY_OVER_G
+        if scaled > bound:
+            line = _line_number(path, section, key)
+            where, default = (f"{path}, line {line}", "") if line else (f"{path}", " (default)")
+            raise ConfigError(f"{where}: [{section}] {key} = {value!r}{default} puts {what} "
+                              f"at {scaled:g}, past the bound {bound:g}")
+
+
 def _fmt(value: float) -> str:
     """Shortest decimal representation that round-trips the float."""
     return repr(float(value))
@@ -422,7 +454,8 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
             for b in sites[i + 1:]:
                 measured = oracle.extract_pair_phase(rep, a, b)
                 analytic = pairwise_phase(cfg, run.oracle_tau, b[0] - a[0], b[1] - a[1])
-                delta = abs(measured - analytic)
+                # the measured phase is known only modulo pi/2 (see extract_pair_phase)
+                delta = abs(math.remainder(measured - analytic, math.pi / 2))
                 rows.append((f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}", delta, 1e-6, delta < 1e-6))
     except oracle.InvalidExtractionError as exc:
         body.append(f"phase extraction failure: {exc}")
@@ -540,6 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         run = load_run_config(args.config)
+        _check_scaled(run, args.command, args.config)
         run.seed = args.seed
         if run.seed < 0 or run.seed >= 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")

@@ -50,9 +50,9 @@ patches of a few qubits, built from Phi or as the exact reference state.
 A register holds only its live sites, so measuring a site removes its axis.
 
 Conventions: site (m, n) owns tensor axis m*N + n of an amplitude or phase
-vector reshaped to [2]*M*N (axis 0 is the most significant bit), and in a
-register its index in QubitRegister.sites; bit 0 is |up>, the +1
-eigenstate of sigma_z.
+vector reshaped to [2]*M*N (axis 0 the top bit), and in a register its index
+in QubitRegister.sites; bit 0 is |up>, the +1 eigenstate of sigma_z.  Phi is
+built over reversed site labels, so site 0 lands on the top bit too.
 """
 
 from __future__ import annotations
@@ -174,12 +174,12 @@ class PhasePolynomial:
         sum_{i<j} W_ij s_i), with that linear form built the same way, so the
         cost is a few passes over 2^(M*N) numbers whatever the number of pairs.
         """
-        nq = _check_cap(self.M, self.N)
-        phi, last = _halves(self.coupling, self.field)
+        _check_cap(self.M, self.N)
+        # the build puts spin j on bit j; over reversed labels spin j is site
+        # n-1-j, so site 0 is the top bit, with the terms summed from site n-1 down
+        phi, last = _halves(self.coupling[::-1, ::-1], self.field[::-1])
         _double(phi, last.size, last)
-        del last  # freed before the bit-reversed copy, so the peak stays at two 2^n arrays
-        # spin j sits at bit j; reversing the bits puts spin 0 most significant
-        return phi.reshape([2] * nq).transpose(tuple(range(nq))[::-1]).reshape(-1)
+        return phi
 
 
 def _halves(coupling: np.ndarray, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

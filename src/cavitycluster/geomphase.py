@@ -55,9 +55,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeConfig, band_frequencies, mode_angles, mode_grid
+from .lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, band_frequencies, mode_angles, mode_grid
 
 __all__ = [
+    "MAX_G_TAU",
     "gamma_mode",
     "pairwise_phase",
     "nn_separation",
@@ -79,6 +80,9 @@ _SERIES_THRESHOLD = 0.05
 # the gate-time search: g*tau in (0, _WINDOW], walked every _GRID_STEP
 _WINDOW = 20.0
 _GRID_STEP = 0.01
+# g*tau at most this: tau**3 stays finite down to g = 1e-100 (it overflows
+# past g*tau = 563 there), with room to spare over the search window
+MAX_G_TAU = 100.0
 
 
 def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
@@ -106,6 +110,8 @@ def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarr
     """Geometric phase over one interval of the modes at frequencies ``omega``."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
+    if not config.g * tau <= MAX_G_TAU:
+        raise ValueError(f"g*tau = {config.g * tau:g} is past the bound {MAX_G_TAU:g}")
     return config.g**2 / config.n_sites * _gamma_bracket(omega, tau)
 
 
@@ -274,6 +280,8 @@ def sweep_delta(
     """
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
+    if max(map(abs, delta_grid)) > MAX_FREQUENCY_OVER_G * config.g:
+        raise ValueError(f"a delta grid point is past |delta|/g = {MAX_FREQUENCY_OVER_G:g}")
     omega, (weights,) = _modes(replace(config, delta=0.0), nn_separation(config))
     return [
         (float(d), float(gamma_mode(config, omega + float(d), tau) @ weights))

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LatticeConfig", "mode_angles", "band_frequencies", "mode_grid"]
+__all__ = ["MAX_FREQUENCY_OVER_G", "LatticeConfig", "mode_angles", "band_frequencies", "mode_grid"]
 
 # the full mode grid takes 24 bytes per mode; a solve or sweep, which reads
 # its quarter zone, peaks near 30 bytes per mode and the FFT phase table near
 # 50, so this cap holds each near 50 MB
 MAX_MODES = 1_000_000
+# J/g and |delta|/g at most this, with g in [1e-100, 1e100], keep every mode
+# frequency and every omega*tau (g*tau <= geomphase.MAX_G_TAU) far from overflow
+MAX_FREQUENCY_OVER_G = 1e150
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,8 @@ class LatticeConfig:
 
     M, N    lattice rows / columns
     g       qubit-cavity coupling, 1e-100 <= g <= 1e100
-    J       photon tunneling rate, same unit as g
-    delta   cavity-qubit detuning, same unit as g
+    J       photon tunneling rate, same unit as g, 0 <= J/g <= MAX_FREQUENCY_OVER_G
+    delta   cavity-qubit detuning, same unit as g, |delta|/g <= MAX_FREQUENCY_OVER_G
     """
 
     M: int
@@ -64,6 +67,10 @@ class LatticeConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.J < 0:
             raise ValueError("tunneling rate J must be non-negative")
+        for name in ("J", "delta"):
+            if abs(getattr(self, name)) > MAX_FREQUENCY_OVER_G * self.g:
+                raise ValueError(f"|{name}| must be at most {MAX_FREQUENCY_OVER_G:g} g, "
+                                 f"got {name} = {getattr(self, name)!r} with g = {self.g!r}")
 
     @property
     def n_sites(self) -> int:

@@ -224,7 +224,9 @@ def extract_pair_phase(
 
     Gamma = (phi(++) + phi(--) - phi(+-) - phi(-+)) / 4 over the sigma_x
     eigenbasis of the pair, computed from a phase product so that global
-    and single-qubit phases drop out exactly.  Valid for |Gamma| < pi/4.
+    and single-qubit phases drop out exactly.  The four amplitudes fix Gamma
+    only modulo pi/2, since Gamma + pi/2 is Gamma followed by the local
+    X_a X_b; the value returned lies in (-pi/4, pi/4].
     """
     if report.residual_excitation > _RESIDUAL_THRESHOLD:
         raise InvalidExtractionError(

@@ -229,6 +229,72 @@ class TestConfigParsing:
         assert f"g.ini, line 5: [gamma-sweep] {key} must be {rule}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,section,key,value,rest,message",
+        [
+            ("cluster", "cluster", "tau", "1e120", "", "puts g*tau at 1e+120, past the bound 100"),
+            ("gamma-sweep", "gamma-sweep", "tau", "1e300", "", "puts g*tau at 1e+300"),
+            ("gamma-sweep", "gamma-sweep", "tau_min", "100.5", "tau_max = 101\n",
+             "puts g*tau at 100.5, past the bound 100"),
+            ("gamma-sweep", "gamma-sweep", "tau_max", "1e300", "tau_step = 1e296\n",
+             "puts g*tau at 1e+300"),
+            ("gamma-sweep", "gamma-sweep", "delta_min", "-1e151", "",
+             "puts |delta|/g at 1e+151, past the bound 1e+150"),
+            ("gamma-sweep", "gamma-sweep", "delta_max", "1e308", "delta_step = 1e307\n",
+             "puts |delta|/g at 1e+308"),
+            ("oracle-verify", "oracle", "tau", "1e300", "", "puts g*tau at 1e+300"),
+            ("cluster", "lattice", "J", "1e308", "", "|J| must be at most 1e+150 g"),
+            ("gamma-sweep", "lattice", "delta", "-1e308", "", "|delta| must be at most 1e+150 g"),
+        ],
+    )
+    def test_scaled_key_past_bound_names_line(
+        self, tmp_path, capsys, command, section, key, value, rest, message
+    ):
+        # these ended in an OverflowError traceback, or wrote nan rows, with exit 0 or 1
+        body = "[lattice]\nM = 2\nN = 2\n" + ("" if section == "lattice" else f"[{section}]\n")
+        cfg = write(tmp_path, "s.ini", body + f"{key} = {value}\n{rest}")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"s.ini, line {body.count(chr(10)) + 1}: " in err and message in err
+        if section != "lattice":
+            assert f"[{section}] {key} = {float(value)!r} puts" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,section", [("gamma-sweep", "gamma-sweep"),
+                                                 ("oracle-verify", "oracle")])
+    def test_default_tau_past_bound_at_large_g(self, tmp_path, capsys, command, section):
+        # the default tau = 3 is g*tau = 3000 at g = 1000; cluster solves its own tau and runs
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 1\nN = 2\nJ = 100\ng = 1000\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert (f"s.ini: [{section}] tau = 3.0 (default) puts g*tau at 3000, past the bound 100"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_delta_grid_past_bound(self, tmp_path, capsys):
+        # delta_max is at the bound, but the grid's last point rounds past it
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n[gamma-sweep]\n"
+                    "delta_max = 1e150\ndelta_step = 6e149\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "[gamma-sweep] a delta grid point is past |delta|/g = 1e+150" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_g_tau_at_smallest_g_runs(self, tmp_path):
+        # g*tau = 100 and |delta|/g = 1e150 at g = 1e-100, with no warning
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\nJ = 1e-101\ng = 1e-100\n"
+                    "[gamma-sweep]\ntau = 1e102\ntau_max = 1e102\ntau_step = 5e101\nseparations = 1,0\n"
+                    "delta_min = -1e50\ndelta_max = 1e50\ndelta_step = 1e50\n"
+                    "[oracle]\ntau = 1e102\n")
+        for command in ("gamma-sweep", "oracle-verify"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+        rows = (tmp_path / "gamma-sweep" / "gamma_vs_tau.csv").read_text().splitlines()[-3:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "50.0", "100.0"]
+        assert "nan" not in "".join(rows) and "inf" not in "".join(rows)
+
     def test_nan_oracle_tau_rejected_on_load(self, tmp_path):
         # a NaN interaction time would make every echoed amplitude NaN
         cfg = write(tmp_path, "t.ini", "[oracle]\ntau = nan\n")
@@ -655,6 +721,21 @@ class TestOracleVerify:
         assert 1e-16 < defect < 1e-14
         assert f"echo.error_estimate: value={defect!r} bound=1e-16 FAIL" in report
         assert "phase.00-01" in report and report.endswith("verdict = fail\n")
+
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9], ids=["below", "above"])
+    @pytest.mark.parametrize("M,N", [(1, 2), (2, 2)])
+    def test_gate_time_phase_compared_modulo_half_pi(self, tmp_path, M, N, scale):
+        # Gamma_nn = pi/4 sits on the edge of the readout range (-pi/4, pi/4]:
+        # just past the gate time the measured phase reads about -pi/4
+        tau = solve_gate_time(LatticeConfig(M=M, N=N, J=0.1)) * scale
+        cfg = write(tmp_path, "o.ini", f"[lattice]\nM = {M}\nN = {N}\nJ = 0.1\ndelta = 0.0\n"
+                    f"[oracle]\nn_max = 40\ntau = {tau!r}\n")
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = (out / "oracle_report.txt").read_text()
+        passed = re.findall(r"^phase\.\S+: value=\S+ bound=1e-06 pass$", report, re.M)
+        assert len(passed) == M * N * (M * N - 1) // 2
+        assert report.endswith("verdict = pass\n")
 
     def test_cap(self, tmp_path):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 3\n")

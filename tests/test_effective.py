@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestProductState:
 def interleaved_values(coupling, field):
     """Phi bit by bit as it was first built: each spin j is appended as the
     least significant bit of a fresh array, Phi +- s_j (h_j + sum_{i<j} W_ij s_i),
-    with the linear form built the same way.  values() must match it bitwise."""
+    with the linear form built the same way."""
 
     def add_bit(values, term):
         out = np.empty((values.size, 2))
@@ -126,6 +127,15 @@ def interleaved_values(coupling, field):
     return phi
 
 
+def reversed_interleaved_values(coupling, field):
+    """interleaved_values over the reversed site labels, its bits reversed
+    back so that site 0 is the top bit: Phi's terms summed from site n-1
+    down, as values() sums them.  values() must match it bitwise."""
+    nq = field.size
+    phi = interleaved_values(coupling[::-1, ::-1], field[::-1])
+    return phi.reshape([2] * nq).transpose(tuple(range(nq))[::-1]).reshape(-1)
+
+
 class TestPhaseValues:
     @pytest.mark.parametrize("nq", range(1, 13))
     def test_bits_match_interleaved_build(self, nq):
@@ -138,9 +148,10 @@ class TestPhaseValues:
         w = w + w.T
         field = rng.uniform(-3, 3, nq)
         field[rng.random(nq) < 0.3] = rng.choice([0.0, -0.0])
+        want = reversed_interleaved_values(w, field)
         for M, N in {(1, nq), (nq, 1)}:
             got = PhasePolynomial(M, N, w, field).values()
-            assert np.array_equal(got.view(np.uint64), interleaved_values(w, field).view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bits_match_on_benchmark_cluster(self):
         # the open nearest-neighbour 4x4 patch at its gate time, as the cluster
@@ -148,8 +159,23 @@ class TestPhaseValues:
         cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0)
         table = build_phase_table(cfg, solve_gate_time(cfg))
         phi = cluster_phase(4, 4, table.grid, nn_only=True, periodic=False)
-        want = interleaved_values(phi.coupling, phi.field)
+        want = reversed_interleaved_values(phi.coupling, phi.field)
         assert np.array_equal(phi.values().view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory(self):
+        # the result and the last spin's half-size linear form, with no
+        # reordering copy of the result on top
+        nq = 18
+        rng = np.random.default_rng(7)
+        w = np.triu(rng.uniform(-1, 1, (nq, nq)), 1)
+        phi = PhasePolynomial(3, 6, w + w.T, rng.uniform(-1, 1, nq))
+        tracemalloc.start()
+        try:
+            phi.values()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 8 * 2**nq
 
 
 class TestDenseEquivalence:

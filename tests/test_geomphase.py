@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cavitycluster import geomphase
-from cavitycluster.lattice import LatticeConfig, mode_grid
+from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_grid
 from cavitycluster.geomphase import (
+    MAX_G_TAU,
     GateTimeNotFoundError,
     HardwarePreset,
     PRESETS,
@@ -173,6 +175,30 @@ class TestGammaMode:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             gamma_mode(REF, mode_grid(REF)[2], -1.0)
+
+    @pytest.mark.parametrize("tau", [math.nextafter(MAX_G_TAU, math.inf), 1e120, 1e300])
+    def test_g_tau_past_bound_rejected(self, tau):
+        # tau**3 of the series branch raised a bare OverflowError from 5.7e102 on
+        with pytest.raises(ValueError, match=r"g\*tau = .* is past the bound 100"):
+            gamma_mode(REF, mode_grid(REF)[2], tau)
+
+    def test_largest_g_tau_at_smallest_g(self):
+        # tau**3 = 1e306 here, and the 2x2 modes (1, 0) and (0, 1), at omega = 0,
+        # take the series branch that computes it
+        g = 1e-100
+        cfg = LatticeConfig(M=2, N=2, J=0.1 * g, g=g)
+        tau = MAX_G_TAU / g
+        assert g * tau == MAX_G_TAU and 0.0 in mode_grid(cfg)[2]
+        edge = MAX_FREQUENCY_OVER_G * g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gam = gamma_mode(cfg, mode_grid(cfg)[2], tau)
+            rows = sweep_tau(cfg, [tau], [(1, 0), (1, 1)]) + sweep_delta(cfg, tau, [-edge, edge])
+        # the same dimensionless lattice at g = 1
+        unit = LatticeConfig(M=2, N=2, J=0.1)
+        assert gam == pytest.approx(gamma_mode(unit, mode_grid(unit)[2], MAX_G_TAU), rel=1e-12)
+        assert rows[0][1] == pytest.approx(sweep_tau(unit, [MAX_G_TAU], [(1, 0), (1, 1)])[0][1])
+        assert all(math.isfinite(gamma) for _, gamma in rows[1:])
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, GATE_TIME_PIN])
     def test_one_branch_bracket_bitwise(self, tau):
@@ -526,6 +552,12 @@ class TestSweeps:
         seps = [(1, 0), (2, 1), (0, -3), (1, 1)]
         rows = sweep_tau(REF, taus, seps)
         assert rows == [(t, {s: pairwise_phase(REF, t, *s) for s in seps}) for t in taus]
+
+    def test_delta_grid_past_bound_rejected(self):
+        edge = MAX_FREQUENCY_OVER_G * REF.g
+        assert len(sweep_delta(REF, 3.0, [-edge, edge])) == 2
+        with pytest.raises(ValueError, match=r"past \|delta\|/g = 1e\+150"):
+            sweep_delta(REF, 3.0, [0.0, -math.nextafter(edge, math.inf)])
 
     def test_delta_sweep_single_point(self):
         assert len(sweep_delta(REF, 3.0, [1.0])) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavitycluster.lattice import LatticeConfig, mode_grid
+from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_grid
 
 dims = st.integers(min_value=1, max_value=12)
 couplings = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
@@ -60,6 +60,16 @@ class TestLatticeConfig:
     @pytest.mark.parametrize("g", [1e-100, 1e100])
     def test_coupling_range_ends(self, g):
         assert LatticeConfig(M=2, N=2, J=0.1 * g, g=g).g == g
+
+    @pytest.mark.parametrize("g", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("name,sign", [("J", 1.0), ("delta", 1.0), ("delta", -1.0)])
+    def test_frequency_bound(self, g, name, sign):
+        # at the bound and the largest g every mode frequency is at most 5e250
+        edge = sign * MAX_FREQUENCY_OVER_G * g
+        assert getattr(LatticeConfig(M=2, N=2, **{"J": 0.0, "g": g, name: edge}), name) == edge
+        past = {"J": 0.0, "g": g, name: math.nextafter(edge, sign * math.inf)}
+        with pytest.raises(ValueError, match=rf"\|{name}\| must be at most 1e\+150 g"):
+            LatticeConfig(M=2, N=2, **past)
 
 
 def frequencies(cfg):
