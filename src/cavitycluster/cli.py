@@ -15,7 +15,6 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import math
 import sys
@@ -338,10 +337,11 @@ def _snapshot_rows(phi: PhasePolynomial) -> Iterator[str]:
 def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     if hi < lo:
         raise ConfigError(f"{what}: empty grid (max < min)")
-    span = (hi - lo) / step  # inf when the step underflows the division
-    if span >= _MAX_GRID_POINTS - 0.5:  # round(span) + 1 points would pass the cap
+    # the last point may pass hi by rounding (up to 1e-9 step), not by more
+    span = (hi - lo) / step + 1e-9  # inf when the step underflows the division
+    if span >= _MAX_GRID_POINTS:  # int(span) + 1 points would pass the cap
         raise ConfigError(f"{what}: more than {_MAX_GRID_POINTS} points")
-    return [lo + i * step for i in range(round(span) + 1)]
+    return [lo + i * step for i in range(int(span) + 1)]
 
 
 def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
@@ -547,40 +547,62 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cavitycluster",
-        description="Geometric-phase cluster-state generation in coupled-cavity arrays",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None, help="INI config file")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="random seed (u64)")
-        if name in ("gamma-sweep", "cluster"):  # the only reports with feasibility lines
-            p.add_argument("--preset", choices=sorted(PRESETS), help="hardware parameter set")
-        if name == "mbqc":
-            p.add_argument("--pattern", type=Path, default=None, help="pattern file")
-    return parser
+def _u64(raw: str) -> int:
+    if not 0 <= (value := int(raw)) < 2**64:
+        raise _BrokenRule("an unsigned 64-bit integer")
+    return value
+
+
+# every command-line flag and its value rule
+_FLAGS: dict[str, Callable[[str], object]] = {"--config": Path, "--out": Path, "--seed": _u64,
+                                              "--preset": _one_of(*sorted(PRESETS)), "--pattern": Path}
+# the flags each subcommand takes; gamma-sweep and cluster alone write feasibility lines
+_COMMAND_FLAGS = {name: ("--config", "--out", "--seed", *extra) for name, *extra in (
+    ("gamma-sweep", "--preset"), ("cluster", "--preset"), ("oracle-verify",), ("mbqc", "--pattern"))}
+_USAGE = "usage: cavitycluster -h | --help\n" + "\n".join(f"       cavitycluster {name}" + "".join(
+    f" [{flag} {flag[2:].upper()}]" for flag in flags) for name, flags in _COMMAND_FLAGS.items())
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, dict[str, object]]:
+    """(command, {flag: value}) of 'cavitycluster <command> [--flag value | --flag=value]...'."""
+    def refuse(message: str) -> ConfigError:
+        return ConfigError(f"{message}\n{_USAGE}")
+
+    words = iter(argv)
+    command, flags = next(words, None), {}
+    if command not in _COMMAND_FLAGS:
+        raise refuse("no command" if command is None else f"unknown command {command!r}")
+    for word in words:
+        flag, eq, raw = word.partition("=")
+        if flag not in _COMMAND_FLAGS[command]:
+            raise refuse(f"{command} does not take {word!r}")
+        if flag in flags:
+            raise refuse(f"{flag} is given twice")
+        # the end of argv reads as "--", so both lack a value
+        if not eq and (raw := next(words, "--")).startswith("--"):
+            raise refuse(f"{flag} needs a value")
+        try:
+            flags[flag] = _FLAGS[flag](raw)
+        except _BrokenRule as exc:
+            raise refuse(f"{flag} must be {exc}") from None
+        except ValueError:
+            raise refuse(f"cannot parse {flag} {raw!r}") from None
+    return command, flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        run = load_run_config(args.config)
-        _check_scaled(run, args.command, args.config)
-        run.seed = args.seed
-        if run.seed < 0 or run.seed >= 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        run.preset = getattr(args, "preset", None)
-        if getattr(args, "pattern", None) is not None:
-            run.pattern_path = str(args.pattern)
-        return _COMMANDS[args.command](run, args.out)
+        argv = sys.argv[1:] if argv is None else argv
+        if "-h" in argv or "--help" in argv:
+            print(_USAGE)
+            return EXIT_OK
+        command, flags = _parse_argv(argv)
+        run = load_run_config(flags.get("--config"))
+        _check_scaled(run, command, flags.get("--config"))
+        run.seed = flags.get("--seed", 0)
+        run.preset = flags.get("--preset")
+        run.pattern_path = str(flags["--pattern"]) if "--pattern" in flags else None
+        return _COMMANDS[command](run, flags.get("--out", Path(".")))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -230,8 +230,12 @@ def cluster_phase(
 
 def phase_register(phi: PhasePolynomial) -> QubitRegister:
     """The dense state 2^{-n/2} exp(i Phi(x)), for measurement patterns."""
-    nq = phi.M * phi.N
-    return QubitRegister(phi.M, phi.N, 2.0 ** (-nq / 2.0) * np.exp(1j * phi.values()))
+    amps = 1j * phi.values()  # the one complex array, exponentiated and scaled in place
+    np.exp(amps, out=amps)
+    # the scale as first operand keeps the bits of 2^{-n/2} * exp(...): with it second,
+    # an imaginary part that underflows to -0.0 comes out +0.0
+    np.multiply(2.0 ** (-phi.M * phi.N / 2.0), amps, out=amps)
+    return QubitRegister(phi.M, phi.N, amps)
 
 
 def reference_cluster(M: int, N: int, periodic: bool = True) -> QubitRegister:

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,9 +277,11 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_delta_grid_past_bound(self, tmp_path, capsys):
-        # delta_max is at the bound, but the grid's last point rounds past it
+        # delta_max is at the bound, and 33 steps of 1e150/33 pass it by rounding:
+        # the grid keeps that last point, 1.0000000000000002e150, and sweep_delta
+        # refuses it
         cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n[gamma-sweep]\n"
-                    "delta_max = 1e150\ndelta_step = 6e149\n")
+                    "delta_max = 1e150\ndelta_step = 3.0303030303030305e148\n")
         out = tmp_path / "out"
         assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "[gamma-sweep] a delta grid point is past |delta|/g = 1e+150" in capsys.readouterr().err
@@ -357,6 +363,26 @@ class TestGammaSweep:
         out = tmp_path / "out"
         assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert not (out / "gamma_vs_delta.csv").exists()
+
+    @pytest.mark.parametrize(
+        "lo,hi,step,count,last",
+        [(0.0, 1.0, 0.6, 2, 0.6), (0.1, 0.7, 0.2, 4, 0.7000000000000001),
+         (-0.3, 0.0, 0.1, 4, 5.551115123125783e-17), (0.0, 30.0, 0.5, 61, 30.0),
+         (0.0, 3.0, 0.02, 151, 3.0)],
+    )
+    def test_grid_ends_at_its_max(self, lo, hi, step, count, last):
+        # the last point may pass hi by rounding, never by a sizeable part of a step
+        grid = cli._grid(lo, hi, step, "grid")
+        assert (len(grid), grid[-1]) == (count, last)
+
+    def test_grids_write_no_row_past_their_max(self, tmp_path):
+        cfg = write(tmp_path, "sweep.ini", "[lattice]\nM = 5\nN = 5\n[gamma-sweep]\n"
+                    "delta_max = 1\ndelta_step = 0.6\ntau_max = 1\ntau_step = 0.6\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for csv in ("gamma_vs_delta.csv", "gamma_vs_tau.csv"):
+            rows = [line for line in (out / csv).read_text().splitlines() if line[0].isdigit()]
+            assert [row.split(",")[0] for row in rows] == ["0.0", "0.6"], csv
 
     @pytest.mark.parametrize(
         "M,N,seps,named", [(3, 3, "1,0 3,0", "(3, 0)"), (1, 4, "1,0", "(1, 0)")]
@@ -899,8 +925,13 @@ class TestMbqc:
         main(["mbqc", "--out", str(out), "--seed", "42"])
         assert "# seed = 42" in (out / "mbqc_report.txt").read_text()
 
-    def test_bad_seed(self, tmp_path):
-        assert main(["mbqc", "--out", str(tmp_path), "--seed", "-3"]) == EXIT_USAGE
+    def test_flag_equals_value(self, tmp_path):
+        # --flag=value and --flag value write the same bytes
+        assert main(["mbqc", f"--out={tmp_path / 'a'}", "--seed=7"]) == EXIT_OK
+        assert main(["mbqc", "--out", str(tmp_path / "b"), "--seed", "7"]) == EXIT_OK
+        report = (tmp_path / "a" / "mbqc_report.txt").read_bytes()
+        assert b"# seed = 7\n" in report
+        assert report == (tmp_path / "b" / "mbqc_report.txt").read_bytes()
 
 
 class TestUsage:
@@ -925,11 +956,37 @@ class TestUsage:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_no_subcommand(self):
-        assert main([]) == EXIT_USAGE
-
-    def test_bad_preset(self):
-        assert main(["gamma-sweep", "--preset", "alien"]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            ([], "no command"),
+            (["bogus"], "'bogus'"),
+            (["--seed", "1", "mbqc"], "'--seed'"),
+            (["cluster", "--pattern", "p.pat"], "cluster does not take '--pattern'"),
+            (["mbqc", "--conf", "c.ini"], "mbqc does not take '--conf'"),
+            (["mbqc", "--bogus=1"], "mbqc does not take '--bogus=1'"),
+            (["mbqc", "--out", "out", "--seed"], "--seed needs a value"),
+            (["mbqc", "--config", "--out", "out"], "--config needs a value"),
+            (["mbqc", "--out", "out", "--seed", "-3"], "--seed must be an unsigned 64-bit integer"),
+            (["mbqc", "--out", "out", "--seed", str(2**64)], "--seed must be an unsigned 64-bit"),
+            (["mbqc", "--out", "out", "--seed", "x"], "cannot parse --seed 'x'"),
+            (["gamma-sweep", "--out", "out", "--preset", "alien"], "--preset must be 'cpb'"),
+            (["mbqc", "--out", "out", "stray"], "mbqc does not take 'stray'"),
+            (["mbqc", "--out", "out", "--seed", "1", "--seed", "2"], "--seed is given twice"),
+            (["mbqc", "--seed=1", "--out", "out", "--seed", "1"], "--seed is given twice"),
+        ],
+        ids=["no-command", "unknown-command", "flag-before-command", "flag-not-taken",
+             "abbreviation", "unknown-flag-with-value", "value-at-end", "value-is-a-flag",
+             "negative-seed", "seed-past-u64", "seed-not-an-integer", "unknown-preset",
+             "stray-word", "repeated-flag", "repeated-flag-both-forms"],
+    )
+    def test_usage_refused(self, tmp_path, capsys, monkeypatch, argv, named):
+        # exit 2 before anything is written, naming the word, with the usage
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "usage: cavitycluster" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["oracle-verify", "mbqc"])
     def test_preset_only_where_read(self, tmp_path, command):
@@ -942,5 +999,21 @@ class TestUsage:
         main(argv)  # the same run without the flag writes its report
         assert any(out.iterdir())
 
-    def test_help_exits_zero(self):
-        assert main(["--help"]) == 0
+    def test_help_exits_zero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--help"], ["-h"], ["cluster", "--help"], ["mbqc", "--seed", "1", "-h"]):
+            assert main(argv) == EXIT_OK
+            usage = capsys.readouterr().out
+            assert "cavitycluster cluster [--config CONFIG] [--out OUT] [--seed SEED] " \
+                   "[--preset PRESET]\n" in usage
+            assert all(f"cavitycluster {name} " in usage for name in cli._COMMANDS)
+        assert not any(tmp_path.iterdir())
+
+    def test_import_leaves_argparse_out(self):
+        # the flags are read from one table; building an argparse tree cost more
+        # than a small job's physics
+        src = str(Path(cli.__file__).parents[1])
+        code = "import sys, cavitycluster.cli; print('argparse' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout == "False\n"

@@ -177,6 +177,21 @@ class TestPhaseValues:
             tracemalloc.stop()
         assert peak < 1.6 * 8 * 2**nq
 
+    def test_register_peak_memory(self):
+        # one complex array at a time: Phi (half its size) and the register it
+        # becomes, not a second complex copy for exp or the scale
+        nq = 18
+        rng = np.random.default_rng(7)
+        w = np.triu(rng.uniform(-1, 1, (nq, nq)), 1)
+        phi = PhasePolynomial(3, 6, w + w.T, rng.uniform(-1, 1, nq))
+        tracemalloc.start()
+        try:
+            phase_register(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 16 * 2**nq
+
 
 class TestDenseEquivalence:
     @pytest.mark.parametrize(
