@@ -355,7 +355,7 @@ def format_pattern(pattern: MeasurementPattern) -> str:
         angle = repr(step.angle) if step.basis == "EQ" else "-"
         lines.append(f"{step.site[0]} {step.site[1]} {step.basis} {angle} {adapt}")
     for rule in pattern.byproducts:
-        steps = ",".join(map(str, rule.steps))
+        steps = ",".join(map(str, rule.steps)) if rule.steps else "-"
         lines.append(f"byproduct {rule.site[0]} {rule.site[1]} {rule.pauli} {steps}")
     for site in pattern.outputs:
         lines.append(f"output {site[0]} {site[1]}")

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -550,7 +551,22 @@ class TestCluster:
             f"{i}.0,{re!r},{im!r}" for i, (re, im) in
             enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
         ]
-        assert "\n".join(_snapshot_rows(phi)).split("\n") == want
+        assert b"".join(_snapshot_rows(phi)).decode().split("\n") == want + [""]
+
+    def test_snapshot_peak_memory(self, tmp_path):
+        # the writer's working set is one chunk of rows, reused: the 4x4 file
+        # (65536 rows, 3 MB) is written with a small traced peak
+        cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0, g=1.0)
+        table = build_phase_table(cfg, solve_gate_time(cfg))
+        phi = cluster_phase(4, 4, table.grid, nn_only=True, periodic=False)
+        run = RunConfig(lattice=cfg)
+        tracemalloc.start()
+        try:
+            cli._write_report(tmp_path / "cluster_state.csv", run, "cluster", _snapshot_rows(phi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, f"{peak / 2**20:.1f} MiB"
 
     def test_snapshot_cap(self, tmp_path, capsys, monkeypatch):
         # 21 qubits are refused; 20 pass the cap and reach the lattice checks, stubbed

@@ -361,6 +361,17 @@ class TestPatternFiles:
     def test_cnot_round_trip(self):
         assert parse_pattern(format_pattern(cnot_pattern())) == cnot_pattern()
 
+    def test_empty_byproduct_round_trip(self):
+        # a rule with no steps is written as "-", the empty index list
+        pat = MeasurementPattern(
+            steps=(MeasurementStep(site=(0, 0), basis="X"),),
+            byproducts=(ByproductRule(site=(0, 1), pauli="X", steps=()),),
+            outputs=((0, 1),),
+        )
+        text = format_pattern(pat)
+        assert "byproduct 0 1 X -\n" in text
+        assert parse_pattern(text) == pat
+
     def test_comments_and_blank_lines(self):
         text = "\n# header\n0 0 X - -   # inline\n\noutput 0 1\n"
         pat = parse_pattern(text)
