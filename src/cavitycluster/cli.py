@@ -1,11 +1,14 @@
 """Command-line front end: sweeps, cluster verification, brute-force
 cross-checks and measurement-pattern runs.
 
-Subcommands: gamma-sweep, cluster, oracle-verify, mbqc.  Configuration is
-flat INI, read key by key through one table: sections [lattice],
-[gamma-sweep], [cluster], [oracle] and [mbqc], matched exactly, and no
-[DEFAULT].  An unknown section or key, or a value that does not parse or
-breaks its key's rule, is refused with its line number.  Every output file
+Subcommands: gamma-sweep, cluster, oracle-verify, mbqc, each declared once
+in _COMMANDS.  Configuration is flat INI, read key by key through one table:
+sections [lattice], [gamma-sweep], [cluster], [oracle] and [mbqc], matched
+exactly, and no [DEFAULT].  Each key outside [lattice] is declared by the one
+RunConfig field it sets, with its parser, default and g bound.  An unknown
+section or key, a value that does not parse or breaks its key's rule, and an
+[mbqc] key set although the run does not read it, are refused with the line
+number.  Every output file
 starts with a header comment giving the artifact version, the seed, the
 [lattice] parameters and the hardware preset (if any), and is byte-identical
 across reruns with the same inputs.  Exit codes: 0 success, 1 verification
@@ -19,7 +22,7 @@ import configparser
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,72 +139,61 @@ def _one_of(*words: str) -> Callable[[str], str]:
     return parse
 
 
-# every INI key: section -> key -> (field it sets, parser); [lattice] keys set
-# LatticeConfig fields, the others RunConfig fields.  A section or key that is
-# not here is refused, so none can be accepted and then ignored.
-_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
-    "lattice": {
-        "m": ("M", int), "n": ("N", int), "j": ("J", _finite), "delta": ("delta", _finite),
-        "g": ("g", _finite),
-    },
-    "gamma-sweep": {
-        "tau": ("sweep_tau_value", _non_negative), "separations": ("separations", _separations),
-        "delta_min": ("delta_min", _finite), "delta_max": ("delta_max", _finite),
-        "delta_step": ("delta_step", _positive), "tau_min": ("tau_min", _non_negative),
-        "tau_max": ("tau_max", _finite), "tau_step": ("tau_step", _positive),
-    },
-    "cluster": {
-        "tau": ("cluster_tau", _gate_time), "fidelity_min": ("fidelity_min", _finite),
-        "nn_only": ("nn_only", _boolean), "periodic": ("periodic", _boolean),
-        "snapshot": ("snapshot", _boolean),
-    },
-    "oracle": {
-        "n_max": ("n_max", _at_least_one), "tolerance": ("tolerance", _positive),
-        "tau": ("oracle_tau", _non_negative),
-    },
-    "mbqc": {
-        "builtin": ("builtin", _one_of("wire", "cnot")), "theta1": ("theta1", _finite),
-        "theta2": ("theta2", _finite), "theta3": ("theta3", _finite),
-        "source": ("source", _one_of("reference", "generated")),
-    },
-}
+def _key(section: str, key: str, parse: Callable[[str], object], default: object,
+         scaled: str | None = None):
+    """A RunConfig field set by INI key [section] key through parse; scaled, "time" or
+    "detuning", marks a value g bounds: g*tau <= MAX_G_TAU, |delta|/g <= MAX_FREQUENCY_OVER_G."""
+    return field(default=default, metadata={"ini": (section, key, parse, scaled)})
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters shared across subcommands."""
+    """Fully resolved run parameters shared across subcommands; each INI key outside
+    [lattice] is declared once, by _key on the field it sets."""
 
     lattice: LatticeConfig = field(
         default_factory=lambda: LatticeConfig(M=19, N=19, J=0.1, delta=0.0, g=1.0)
     )
     seed: int = 0
     preset: str | None = None
-    # gamma-sweep
-    sweep_tau_value: float = 3.0
-    delta_min: float = 0.0
-    delta_max: float = 30.0
-    delta_step: float = 0.5
-    tau_min: float = 0.0
-    tau_max: float = 3.0
-    tau_step: float = 0.02
-    separations: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (1, 1), (2, 0))
-    # cluster; a cluster_tau of None solves the gate time
-    cluster_tau: float | None = None
-    nn_only: bool = True
-    periodic: bool = True
-    snapshot: bool = False
-    fidelity_min: float = 0.0
-    # oracle
-    n_max: int = 4
-    tolerance: float = 1e-9
-    oracle_tau: float = 3.0
-    # mbqc; pattern_path is set by --pattern only
+    sweep_tau_value: float = _key("gamma-sweep", "tau", _non_negative, 3.0, "time")
+    tau_min: float = _key("gamma-sweep", "tau_min", _non_negative, 0.0, "time")
+    tau_max: float = _key("gamma-sweep", "tau_max", _finite, 3.0, "time")
+    tau_step: float = _key("gamma-sweep", "tau_step", _positive, 0.02)
+    delta_min: float = _key("gamma-sweep", "delta_min", _finite, 0.0, "detuning")
+    delta_max: float = _key("gamma-sweep", "delta_max", _finite, 30.0, "detuning")
+    delta_step: float = _key("gamma-sweep", "delta_step", _positive, 0.5)
+    separations: tuple[tuple[int, int], ...] = _key(
+        "gamma-sweep", "separations", _separations, ((1, 0), (0, 1), (1, 1), (2, 0)))
+    # a cluster_tau of None ('auto') solves the gate time
+    cluster_tau: float | None = _key("cluster", "tau", _gate_time, None, "time")
+    nn_only: bool = _key("cluster", "nn_only", _boolean, True)
+    periodic: bool = _key("cluster", "periodic", _boolean, True)
+    snapshot: bool = _key("cluster", "snapshot", _boolean, False)
+    fidelity_min: float = _key("cluster", "fidelity_min", _finite, 0.0)
+    n_max: int = _key("oracle", "n_max", _at_least_one, 4)
+    tolerance: float = _key("oracle", "tolerance", _positive, 1e-9)
+    oracle_tau: float = _key("oracle", "tau", _non_negative, 3.0, "time")
+    # set by --pattern only
     pattern_path: str | None = None
-    builtin: str = "wire"
-    theta1: float = 0.0
-    theta2: float = 0.0
-    theta3: float = 0.0
-    source: str = "reference"
+    builtin: str = _key("mbqc", "builtin", _one_of("wire", "cnot"), "wire")
+    theta1: float = _key("mbqc", "theta1", _finite, 0.0)
+    theta2: float = _key("mbqc", "theta2", _finite, 0.0)
+    theta3: float = _key("mbqc", "theta3", _finite, 0.0)
+    source: str = _key("mbqc", "source", _one_of("reference", "generated"), "reference")
+
+
+# (field, default, section, key, parser, scaled) of each RunConfig field an INI key sets
+_INI_FIELDS = [(f.name, f.default, *f.metadata["ini"]) for f in fields(RunConfig) if f.metadata]
+# every INI key: section -> key -> (field it sets, parser); [lattice] keys set
+# LatticeConfig fields.  A section or key that is not here is refused, so none can
+# be accepted and then ignored.
+_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {"lattice": {
+    "m": ("M", int), "n": ("N", int), "j": ("J", _finite), "delta": ("delta", _finite),
+    "g": ("g", _finite),
+}}
+for _name, _, _section, _ini_key, _parse, _ in _INI_FIELDS:
+    _KEYS.setdefault(_section, {})[_ini_key] = (_name, _parse)
 
 
 def _line_number(path: Path, section: str, key: str | None = None) -> int:
@@ -261,35 +253,35 @@ def load_run_config(path: Path | None) -> RunConfig:
     return run
 
 
-# the keys each subcommand reads as a time or a detuning, bounded by g*tau <=
-# MAX_G_TAU and |delta|/g <= MAX_FREQUENCY_OVER_G, so checked once g is known
-_SCALED_KEYS = {
-    "gamma-sweep": [("gamma-sweep", key)
-                    for key in ("tau", "tau_min", "tau_max", "delta_min", "delta_max")],
-    "cluster": [("cluster", "tau")],
-    "oracle-verify": [("oracle", "tau")],
-}
-
-
-def _check_scaled(run: RunConfig, command: str, path: Path | None) -> None:
-    """Refuse a time or detuning of the subcommand's keys that is past its bound.
+def _check_section(run: RunConfig, section: str, path: Path | None) -> None:
+    """Refuse a key of the subcommand's section that is past its bound, or that the run
+    does not read and the file sets off its default.
 
     The defaults at the default g are within bounds, so a refusal has a file.
     """
     g = run.lattice.g
-    for section, key in _SCALED_KEYS.get(command, ()):
-        value = getattr(run, _KEYS[section][key][0])
-        if value is None:  # [cluster] tau = auto
+    # [mbqc] keys, the only ones a run can leave unread: a pattern file replaces
+    # the builtin, and only the wire builtin takes angles
+    if run.pattern_path:
+        unread, why = ("builtin", "theta1", "theta2", "theta3"), "--pattern replaces the builtin"
+    else:
+        unread = ("theta1", "theta2", "theta3") if run.builtin != "wire" else ()
+        why = f"builtin = {run.builtin} takes no angles"
+    for name, default, key_section, key, _, scaled in _INI_FIELDS:
+        value = getattr(run, name)
+        if key_section != section or value is None:  # [cluster] tau = auto
             continue
-        if key.startswith("tau"):
-            what, scaled, bound = "g*tau", g * value, MAX_G_TAU
+        if name in unread and value != default:
+            problem = f"is not read: {why}"
+        elif scaled == "time" and g * value > MAX_G_TAU:
+            problem = f"puts g*tau at {g * value:g}, past the bound {MAX_G_TAU:g}"
+        elif scaled == "detuning" and abs(value) / g > MAX_FREQUENCY_OVER_G:
+            problem = f"puts |delta|/g at {abs(value) / g:g}, past the bound {MAX_FREQUENCY_OVER_G:g}"
         else:
-            what, scaled, bound = "|delta|/g", abs(value) / g, MAX_FREQUENCY_OVER_G
-        if scaled > bound:
-            line = _line_number(path, section, key)
-            where, default = (f"{path}, line {line}", "") if line else (f"{path}", " (default)")
-            raise ConfigError(f"{where}: [{section}] {key} = {value!r}{default} puts {what} "
-                              f"at {scaled:g}, past the bound {bound:g}")
+            continue
+        line = _line_number(path, section, key)
+        where, note = (f"{path}, line {line}", "") if line else (f"{path}", " (default)")
+        raise ConfigError(f"{where}: [{section}] {key} = {value!r}{note} {problem}")
 
 
 def _fmt(value: float) -> str:
@@ -369,10 +361,17 @@ def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
     ]
 
 
+def _nn_separation(cfg: LatticeConfig) -> tuple[int, int]:
+    try:
+        return nn_separation(cfg)
+    except ValueError as exc:  # a 1x1 lattice
+        raise ConfigError(f"[lattice] {exc}") from None
+
+
 def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
     deltas = _grid(run.delta_min, run.delta_max, run.delta_step, "delta grid")
     taus = _grid(run.tau_min, run.tau_max, run.tau_step, "tau grid")
-
+    _nn_separation(run.lattice)
     try:
         rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
         rows_t = sweep_tau(run.lattice, taus, list(run.separations))
@@ -402,10 +401,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
             f"[cluster] snapshot = true on {cfg.M}x{cfg.N} would write 2^{cfg.n_sites} = "
             f"{2**cfg.n_sites} rows, over the {_MAX_SNAPSHOT_QUBITS}-qubit snapshot cap"
         )
-    try:
-        nn_sep = nn_separation(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"[lattice] {exc}") from None
+    nn_sep = _nn_separation(cfg)
     tau = solve_gate_time(cfg) if run.cluster_tau is None else run.cluster_tau
     table = build_phase_table(cfg, tau)
     try:
@@ -553,14 +549,6 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     return EXIT_OK if deterministic else EXIT_VERIFY
 
 
-_COMMANDS = {
-    "gamma-sweep": cmd_gamma_sweep,
-    "cluster": cmd_cluster,
-    "oracle-verify": cmd_oracle_verify,
-    "mbqc": cmd_mbqc,
-}
-
-
 def _u64(raw: str) -> int:
     if not 0 <= (value := int(raw)) < 2**64:
         raise _BrokenRule("an unsigned 64-bit integer")
@@ -570,11 +558,16 @@ def _u64(raw: str) -> int:
 # every command-line flag and its value rule
 _FLAGS: dict[str, Callable[[str], object]] = {"--config": Path, "--out": Path, "--seed": _u64,
                                               "--preset": _one_of(*sorted(PRESETS)), "--pattern": Path}
-# the flags each subcommand takes; gamma-sweep and cluster alone write feasibility lines
-_COMMAND_FLAGS = {name: ("--config", "--out", "--seed", *extra) for name, *extra in (
-    ("gamma-sweep", "--preset"), ("cluster", "--preset"), ("oracle-verify",), ("mbqc", "--pattern"))}
+# each subcommand: its function, the section it reads (whose keys _check_section
+# checks) and its flags; gamma-sweep and cluster alone write feasibility lines
+_COMMANDS = {name: (command, section, ("--config", "--out", "--seed", *extra))
+             for name, command, section, *extra in (
+                 ("gamma-sweep", cmd_gamma_sweep, "gamma-sweep", "--preset"),
+                 ("cluster", cmd_cluster, "cluster", "--preset"),
+                 ("oracle-verify", cmd_oracle_verify, "oracle"),
+                 ("mbqc", cmd_mbqc, "mbqc", "--pattern"))}
 _USAGE = "usage: cavitycluster -h | --help\n" + "\n".join(f"       cavitycluster {name}" + "".join(
-    f" [{flag} {flag[2:].upper()}]" for flag in flags) for name, flags in _COMMAND_FLAGS.items())
+    f" [{flag} {flag[2:].upper()}]" for flag in flags) for name, (_, _, flags) in _COMMANDS.items())
 
 
 def _parse_argv(argv: list[str]) -> tuple[str, dict[str, object]]:
@@ -584,11 +577,11 @@ def _parse_argv(argv: list[str]) -> tuple[str, dict[str, object]]:
 
     words = iter(argv)
     command, flags = next(words, None), {}
-    if command not in _COMMAND_FLAGS:
+    if command not in _COMMANDS:
         raise refuse("no command" if command is None else f"unknown command {command!r}")
     for word in words:
         flag, eq, raw = word.partition("=")
-        if flag not in _COMMAND_FLAGS[command]:
+        if flag not in _COMMANDS[command][2]:
             raise refuse(f"{command} does not take {word!r}")
         if flag in flags:
             raise refuse(f"{flag} is given twice")
@@ -610,13 +603,14 @@ def main(argv: list[str] | None = None) -> int:
         if "-h" in argv or "--help" in argv:
             print(_USAGE)
             return EXIT_OK
-        command, flags = _parse_argv(argv)
+        name, flags = _parse_argv(argv)
+        command, section, _ = _COMMANDS[name]
         run = load_run_config(flags.get("--config"))
-        _check_scaled(run, command, flags.get("--config"))
         run.seed = flags.get("--seed", 0)
         run.preset = flags.get("--preset")
         run.pattern_path = str(flags["--pattern"]) if "--pattern" in flags else None
-        return _COMMANDS[command](run, flags.get("--out", Path(".")))
+        _check_section(run, section, flags.get("--config"))
+        return command(run, flags.get("--out", Path(".")))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

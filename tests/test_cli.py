@@ -277,6 +277,25 @@ class TestConfigParsing:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_scaled_keys_checked_only_by_their_subcommand(self, tmp_path):
+        # g*tau = 200 in [gamma-sweep] and [oracle] stops neither cluster nor mbqc,
+        # which read neither section
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n"
+                    "[gamma-sweep]\ntau = 200\n[oracle]\ntau = 200\n")
+        for command in ("cluster", "mbqc"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_OK
+        for command in ("gamma-sweep", "oracle-verify"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_USAGE
+
+    def test_grid_steps_are_not_g_bounded(self, tmp_path):
+        # a step is no time or detuning the physics runs at: |delta_step|/g = 1e151
+        # and g*tau_step = 101 pass their bounds, and each grid keeps its one point
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 3\nN = 3\n[gamma-sweep]\n"
+                    "delta_max = 0\ndelta_step = 1e151\ntau_max = 0\ntau_step = 101\n")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len((out / "gamma_vs_tau.csv").read_text().splitlines()) == 8 + 2
+
     def test_delta_grid_past_bound(self, tmp_path, capsys):
         # delta_max is at the bound, and 33 steps of 1e150/33 pass it by rounding:
         # the grid keeps that last point, 1.0000000000000002e150, and sweep_delta
@@ -458,6 +477,15 @@ class TestGammaSweep:
         main(["gamma-sweep", "--config", str(cfg), "--out", str(out), "--preset", "cpb"])
         text = (out / "feasibility.txt").read_text()
         assert "gate_time_seconds" in text
+
+    def test_1x1_names_lattice_like_cluster(self, tmp_path, capsys):
+        # the fault is in [lattice], whichever subcommand finds it
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 1\nN = 1\n")
+        for command in ("gamma-sweep", "cluster"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == "config error: [lattice] a 1x1 lattice has no pairs\n"
+            assert not out.exists()
 
 
 class GivenPhi:
@@ -846,6 +874,34 @@ class TestMbqc:
         out = tmp_path / "out"
         assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert f"cluster_shape = {shape}" in (out / "mbqc_report.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "ini,pattern,message",
+        [
+            ("builtin = cnot\ntheta2 = 0.5\n", False,
+             "line 3: [mbqc] theta2 = 0.5 is not read: builtin = cnot takes no angles"),
+            ("theta1 = -1\n", True, "line 2: [mbqc] theta1 = -1.0 is not read: --pattern replaces"),
+            ("source = reference\nbuiltin = cnot\n", True,
+             "line 3: [mbqc] builtin = 'cnot' is not read: --pattern replaces the builtin"),
+            ("builtin = cnot\ntheta1 = 0.0\n", False, None),
+            ("builtin = wire\ntheta3 = 0\n", True, None),
+        ],
+        ids=["cnot-angle", "pattern-angle", "pattern-builtin", "cnot-zero-angle",
+             "pattern-default-keys"],
+    )
+    def test_unread_key_off_default_is_config_error(self, tmp_path, capsys, ini, pattern, message):
+        # a key the run does not read is refused, naming its line, unless it keeps its default
+        out = tmp_path / "out"
+        argv = ["mbqc", "--config", str(write(tmp_path, "m.ini", "[mbqc]\n" + ini)),
+                "--out", str(out)]
+        if pattern:
+            argv += ["--pattern", str(write(tmp_path, "z.pat", "0 0 Z - -\n0 2 Z - -\n0 1 X - -\n"))]
+        if message is None:
+            assert main(argv) == EXIT_OK
+            return
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pattern_file(self, tmp_path):
         from cavitycluster.mbqc import format_pattern, wire_rotation_pattern

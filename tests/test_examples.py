@@ -1,6 +1,9 @@
 """Every shipped example configuration runs cleanly and reruns byte-identically."""
 
 import configparser
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,16 @@ def test_example_runs_and_reruns_identically(tmp_path, ini, extra):
         assert main(argv) == EXIT_OK
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert runs[0] and runs[0] == runs[1]
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # numpy is the only run-time dependency; scipy is installed for the tests alone
+    runs = [[command_for(ini), "--config", str(ini), "--out", str(tmp_path / ini.stem)]
+            for ini in EXAMPLES]
+    code = ("import sys\nfrom cavitycluster.cli import main\n"
+            f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
+    src = str(Path(__file__).parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout == "[]\n"
