@@ -7,8 +7,8 @@ sections [lattice], [gamma-sweep], [cluster], [oracle] and [mbqc], matched
 exactly, and no [DEFAULT].  Each key outside [lattice] is declared by the one
 RunConfig field it sets, with its parser, default and g bound.  An unknown
 section or key, a value that does not parse or breaks its key's rule, and an
-[mbqc] key set although the run does not read it, are refused with the line
-number.  Every output file
+[mbqc] key, or under mbqc's reference source a [lattice] key, set although the
+run does not read it, are refused with the line number.  Every output file
 starts with a header comment giving the artifact version, the seed, the
 [lattice] parameters and the hardware preset (if any), and is byte-identical
 across reruns with the same inputs.  Exit codes: 0 success, 1 verification
@@ -43,7 +43,6 @@ from .geomphase import (
     build_phase_table,
     feasibility_report,
     nn_separation,
-    pairwise_phase,
     solve_gate_time,
     sweep_delta,
     sweep_tau,
@@ -151,9 +150,7 @@ class RunConfig:
     """Fully resolved run parameters shared across subcommands; each INI key outside
     [lattice] is declared once, by _key on the field it sets."""
 
-    lattice: LatticeConfig = field(
-        default_factory=lambda: LatticeConfig(M=19, N=19, J=0.1, delta=0.0, g=1.0)
-    )
+    lattice: LatticeConfig = LatticeConfig(M=19, N=19, J=0.1, delta=0.0, g=1.0)
     seed: int = 0
     preset: str | None = None
     sweep_tau_value: float = _key("gamma-sweep", "tau", _non_negative, 3.0, "time")
@@ -255,10 +252,15 @@ def load_run_config(path: Path | None) -> RunConfig:
 
 def _check_section(run: RunConfig, section: str, path: Path | None) -> None:
     """Refuse a key of the subcommand's section that is past its bound, or that the run
-    does not read and the file sets off its default.
+    does not read and the file sets off its default; under mbqc, a [lattice] key too.
 
     The defaults at the default g are within bounds, so a refusal has a file.
     """
+    if section == "mbqc" and run.source == "reference":  # the reference cluster reads no [lattice]
+        for key, (name, _) in _KEYS["lattice"].items():
+            if (value := getattr(run.lattice, name)) != getattr(RunConfig.lattice, name):
+                raise ConfigError(f"{path}, line {_line_number(path, 'lattice', key)}: [lattice] "
+                                  f"{name} = {value!r} is not read: source = reference takes no lattice")
     g = run.lattice.g
     # [mbqc] keys, the only ones a run can leave unread: a pattern file replaces
     # the builtin, and only the wire builtin takes angles
@@ -444,12 +446,14 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
 def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
+    _nn_separation(cfg)
     try:
         rows = [  # name, value, bound, ok
             (f"identity.{name}", defect, 1e-14, defect <= 1e-14)
             for name, defect in oracle.check_identities(cfg.M, cfg.N).items()
         ]
         rep = oracle.echo_evolve(cfg, run.oracle_tau, run.n_max)
+        table = build_phase_table(cfg, run.oracle_tau)
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}") from None
     body = [f"error_estimate = {_fmt(rep.error_estimate)}",
@@ -463,7 +467,7 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         for i, a in enumerate(sites):
             for b in sites[i + 1:]:
                 measured = oracle.extract_pair_phase(rep, a, b)
-                analytic = pairwise_phase(cfg, run.oracle_tau, b[0] - a[0], b[1] - a[1])
+                analytic = table.gamma(b[0] - a[0], b[1] - a[1])
                 # the measured phase is known only modulo pi/2 (see extract_pair_phase)
                 delta = abs(math.remainder(measured - analytic, math.pi / 2))
                 rows.append((f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}", delta, 1e-6, delta < 1e-6))
@@ -481,17 +485,11 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
 
 
 def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
-    """Cluster state on an MxN patch carved from a large symmetric array.
-
-    The two nearest-neighbor phases are read from the phase table of a big
-    MxM == NxN lattice (so both directions carry the same Gamma) at its
-    solved gate time, and couple the patch's grid edges with open boundaries,
-    followed by the local correction.  A small asymmetric patch solved in
-    isolation could not reach Gamma = pi/4 in both directions simultaneously.
-    """
-    size = max(19, M, N)
-    sym = replace(lattice, M=size, N=size)
-    table = build_phase_table(sym, solve_gate_time(sym))
+    """Cluster state on an MxN patch of lattice: its open grid edges take the phases of
+    the lattice's table at its solved gate time, then the local correction.  The solve
+    puts pi/4 on one axis, so on a small lattice with M != N the other misses it.
+    ValueError if the patch's separations wrap round the lattice."""
+    table = build_phase_table(lattice, solve_gate_time(lattice))
     return phase_register(cluster_phase(M, N, table.grid, nn_only=True, periodic=False))
 
 
@@ -522,7 +520,12 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     if run.source == "reference":
         cluster = reference_cluster(M, N, periodic=False)
     else:
-        cluster = generated_cluster_patch(run.lattice, M, N)
+        _nn_separation(run.lattice)
+        try:
+            cluster = generated_cluster_patch(run.lattice, M, N)
+        except ValueError:  # from cluster_phase
+            raise ConfigError(f"[lattice] the pattern's {M}x{N} patch reads separations that wrap "
+                              f"round the {run.lattice.M}x{run.lattice.N} lattice") from None
 
     outputs = [state for _, _, state in pattern_branches(cluster, pattern)]
     ref = outputs[0]

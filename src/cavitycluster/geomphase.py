@@ -40,11 +40,11 @@ On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
 :func:`pairwise_phase`, the sweeps and the gate-time solve sum the quarter
-Brillouin zone with folded weights (see :func:`_modes`);
-:func:`build_phase_table` takes one FFT of the full mode grid (see
-:class:`PhaseShiftTable`).  For short separations both agree with the exact
-full-grid mode sum to ~1e-15.  :func:`solve_gate_time` states why its walk
-may skip grid points.
+Brillouin zone with folded weights (see :func:`_modes`).  Every site-resolved
+Gamma (the cluster, the oracle check, the generated patch) reads the one FFT
+table of :func:`build_phase_table` (see :class:`PhaseShiftTable`).  For short
+separations both agree with the exact full-grid mode sum to ~1e-15.
+:func:`solve_gate_time` states why its walk may skip grid points.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class PhaseShiftTable:
 
 def build_phase_table(config: LatticeConfig, tau: float) -> PhaseShiftTable:
     """Gamma over every separation of the lattice, by one FFT."""
-    gam = gamma_mode(config, mode_grid(config)[2], tau)
+    gam = gamma_mode(config, mode_grid(config), tau)
     grid = 4.0 * np.fft.fft2(gam.reshape(config.M, config.N)).real
     grid.flags.writeable = False
     return PhaseShiftTable(config=config, grid=grid)

@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["MAX_FREQUENCY_OVER_G", "LatticeConfig", "mode_angles", "band_frequencies", "mode_grid"]
 
-# the full mode grid takes 24 bytes per mode; a solve or sweep, which reads
+# the full mode grid takes 8 bytes per mode; a solve or sweep, which reads
 # its quarter zone, peaks near 30 bytes per mode and the FFT phase table near
 # 50, so this cap holds each near 50 MB
 MAX_MODES = 1_000_000
@@ -87,8 +87,6 @@ def band_frequencies(config: LatticeConfig, L: np.ndarray, K: np.ndarray) -> np.
     return config.delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
 
 
-def mode_grid(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, K, omega) over all M*N modes, flat in row-major (l, k) order."""
-    L, K = mode_angles(config.M), mode_angles(config.N)
-    omega = band_frequencies(config, L, K)
-    return np.repeat(L, config.N), np.tile(K, config.M), omega.ravel()
+def mode_grid(config: LatticeConfig) -> np.ndarray:
+    """omega over all M*N modes, flat in row-major (l, k) order."""
+    return band_frequencies(config, mode_angles(config.M), mode_angles(config.N)).ravel()

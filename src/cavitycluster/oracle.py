@@ -7,20 +7,20 @@ Propagates the time-dependent interaction Hamiltonian
 
 on truncated Fock spaces for tiny arrays, applies the sigma_z echo
 S_z U(tau) S_z U(tau), and extracts the realized pairwise phases for
-comparison against the analytic mode sums in
-:mod:`cavitycluster.geomphase`.  Both drive intervals U(tau) start from
-t = 0: that is the echo whose displacements close the loop and leave only
-the geometric phase.
+comparison against the FFT phase table of :mod:`cavitycluster.geomphase`.
+Both drive intervals U(tau) start from t = 0: that is the echo whose
+displacements close the loop and leave only the geometric phase.
 
 In the per-site sigma_x eigenbasis every collective operator J_X is
 diagonal, so a qubit configuration c is never mixed with another and sees
 
     H_c(t) = sum_modes [ lambda_{m,c} e^{-i omega_m t} a_m + h.c. ],
 
-a sum of commuting single-mode drives.  Started in the field vacuum, the
-field of configuration c therefore stays exactly a product over modes, and
-the oracle propagates one (n_max+1)-dimensional state per (mode,
-configuration) pair, batched as one array psi[mode, configuration, f].
+a sum of commuting single-mode drives; lambda_{m,c} is g/sqrt(MN) times the
+FFT2 of the +-1 spins of c, the phase table's transform.  Started in the
+field vacuum, the field of configuration c therefore stays exactly a product
+over modes, and the oracle propagates one (n_max+1)-dimensional state per
+(mode, configuration) pair, batched as one array psi[mode, configuration, f].
 The joint vacuum amplitude of a configuration is the product of its
 factors' vacuum amplitudes.
 
@@ -93,10 +93,6 @@ def _check_dims(config: LatticeConfig, n_max: int) -> None:
                          f"(n_max = {n_max} on the {config.M}x{config.N} lattice)")
 
 
-def _sites(config: LatticeConfig) -> list[tuple[int, int]]:
-    return [(m, n) for m in range(config.M) for n in range(config.N)]
-
-
 def collective_x_operator(config: LatticeConfig, l: int, k: int) -> np.ndarray:
     """J_X = sum_sites sigma_x_{m,n} e^{i(L m + K n)} on the qubit space."""
     nq = config.n_sites
@@ -104,7 +100,7 @@ def collective_x_operator(config: LatticeConfig, l: int, k: int) -> np.ndarray:
     K = 2.0 * math.pi * k / config.N
     c = np.arange(2**nq)
     out = np.zeros((2**nq, 2**nq), dtype=complex)
-    for s, (m, n) in enumerate(_sites(config)):
+    for s, (m, n) in enumerate(np.ndindex(config.M, config.N)):
         out[c ^ (1 << (nq - 1 - s)), c] = np.exp(1j * (L * m + K * n))
     return out
 
@@ -121,15 +117,13 @@ def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
 
     lam[m, c] = g/sqrt(MN) * conj(eigenvalue of J_X(m) on configuration c),
     configurations indexed like the qubit basis with bit 1 = |-x>, so that
-    H_c(t) = sum_m lam[m, c] e^{-i omega_m t} a_m + h.c.
+    H_c(t) = sum_m lam[m, c] e^{-i omega_m t} a_m + h.c.  The eigenvalue sums
+    e^{i(L m + K n)} over the M x N spins +-1, so lam is their FFT2 times g/sqrt(MN).
     """
     nq = config.n_sites
-    L, K, ws = mode_grid(config)
-    m_idx, n_idx = np.array(_sites(config), dtype=float).T
-    site_phase = np.exp(1j * (np.outer(L, m_idx) + np.outer(K, n_idx)))
-    bits = (np.arange(2**nq) >> (nq - 1 - np.arange(nq))[:, None]) & 1
-    lam = config.g / math.sqrt(nq) * np.conj(site_phase @ (1.0 - 2.0 * bits))
-    return ws, lam
+    bits = (np.arange(2**nq)[:, None] >> (nq - 1 - np.arange(nq))) & 1
+    spins = (1.0 - 2.0 * bits).reshape(-1, config.M, config.N)
+    return mode_grid(config), config.g / math.sqrt(nq) * np.fft.fft2(spins).reshape(-1, nq).T
 
 
 def _generator(ws: np.ndarray, lam: np.ndarray, n_max: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -279,11 +280,11 @@ class TestConfigParsing:
 
     def test_scaled_keys_checked_only_by_their_subcommand(self, tmp_path):
         # g*tau = 200 in [gamma-sweep] and [oracle] stops neither cluster nor mbqc,
-        # which read neither section
-        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n"
-                    "[gamma-sweep]\ntau = 200\n[oracle]\ntau = 200\n")
-        for command in ("cluster", "mbqc"):
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_OK
+        # which read neither section; mbqc's reference cluster reads no [lattice]
+        scaled = "[gamma-sweep]\ntau = 200\n[oracle]\ntau = 200\n"
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n" + scaled)
+        for command, config in (("cluster", cfg), ("mbqc", write(tmp_path, "m.ini", scaled))):
+            assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == EXIT_OK
         for command in ("gamma-sweep", "oracle-verify"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_USAGE
 
@@ -807,6 +808,31 @@ class TestOracleVerify:
         assert len(passed) == M * N * (M * N - 1) // 2
         assert report.endswith("verdict = pass\n")
 
+    @pytest.mark.parametrize("M,N", [(1, 2), (2, 1), (1, 3), (2, 2)])
+    def test_phase_rows_from_the_phase_table(self, tmp_path, M, N):
+        # each phase.* row compares the extracted phase with the lattice's FFT
+        # phase table, the one the cluster reads
+        cfg = write(tmp_path, "o.ini", f"[lattice]\nM = {M}\nN = {N}\ndelta = 20.0\n")
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = (out / "oracle_report.txt").read_text()
+        lat = LatticeConfig(M=M, N=N, J=0.1, delta=20.0)
+        rep, table = oracle.echo_evolve(lat, 3.0, 4), build_phase_table(lat, 3.0)
+        sites = [(m, n) for m in range(M) for n in range(N)]
+        for i, a in enumerate(sites):
+            for b in sites[i + 1:]:
+                gap = oracle.extract_pair_phase(rep, a, b) - table.gamma(b[0] - a[0], b[1] - a[1])
+                value = abs(math.remainder(gap, math.pi / 2))
+                assert f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}: value={value!r} bound=1e-06 pass\n" in report
+
+    def test_1x1_is_config_error(self, tmp_path, capsys):
+        # a 1x1 lattice has no pair phase to compare, so no run of it can pass
+        cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 1\ndelta = 20.0\n")
+        out = tmp_path / "out"
+        assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "config error: [lattice] a 1x1 lattice has no pairs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cap(self, tmp_path):
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 2\nN = 3\n")
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -860,6 +886,63 @@ class TestMbqc:
         out = tmp_path / "out"
         assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert "deterministic = pass" in (out / "mbqc_report.txt").read_text()
+
+    def test_generated_patch_reads_the_lattice(self, tmp_path):
+        # the patch's phases come from the configured lattice's table: 9x9 moves
+        # the report's digits and still passes, and on 4x6 the solved (1, 0)
+        # phase leaves the wire's (0, 1) edges off pi/4
+        bodies = {}
+        for name, lattice in (("19x19", ""), ("9x9", "[lattice]\nM = 9\nN = 9\n"),
+                              ("4x6", "[lattice]\nM = 4\nN = 6\n")):
+            cfg = write(tmp_path, f"{name}.ini", lattice + "[mbqc]\nsource = generated\n")
+            out = tmp_path / name
+            code = main(["mbqc", "--config", str(cfg), "--out", str(out)])
+            report = (out / "mbqc_report.txt").read_text()
+            assert code == (EXIT_VERIFY if name == "4x6" else EXIT_OK)
+            assert f"# lattice.M = {name.split('x')[0]}\n" in report
+            bodies[name] = [line for line in report.splitlines() if not line.startswith("#")]
+        assert "deterministic = pass" in bodies["9x9"] and "deterministic = fail" in bodies["4x6"]
+        assert bodies["9x9"] != bodies["19x19"]
+
+    @pytest.mark.parametrize(
+        "lattice,builtin,message",
+        [
+            ("M = 1\nN = 1\n", "wire", "[lattice] a 1x1 lattice has no pairs"),
+            ("M = 1\nN = 19\n", "cnot",
+             "[lattice] the pattern's 3x2 patch reads separations that wrap round the 1x19 lattice"),
+            ("M = 19\nN = 1\n", "wire",
+             "[lattice] the pattern's 1x5 patch reads separations that wrap round the 19x1 lattice"),
+        ],
+        ids=["1x1", "cnot-on-a-row", "wire-on-a-column"],
+    )
+    def test_generated_lattice_without_the_patch_is_config_error(self, tmp_path, capsys, lattice,
+                                                                  builtin, message):
+        cfg = write(tmp_path, "m.ini", f"[lattice]\n{lattice}[mbqc]\nbuiltin = {builtin}\n"
+                    "source = generated\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lattice,line",
+        [("M = 9\n", 2), ("N = 19\nJ = 0.3\n", 3), ("g = 2.0\n", 2), ("delta = -1\n", 2)],
+        ids=["M", "J", "g", "delta"],
+    )
+    def test_reference_source_refuses_lattice_keys(self, tmp_path, capsys, lattice, line):
+        # the reference cluster is built from no lattice, so a [lattice] key off its
+        # default would be accepted and then ignored
+        cfg = write(tmp_path, "m.ini", f"[lattice]\n{lattice}[mbqc]\nsource = reference\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"m.ini, line {line}: [lattice] " in err
+        assert "is not read: source = reference takes no lattice" in err
+        assert not out.exists()
+
+    def test_reference_source_takes_default_lattice_keys(self, tmp_path):
+        cfg = write(tmp_path, "m.ini", "[lattice]\nM = 19\nN = 19\nJ = 0.1\ndelta = 0\ng = 1\n")
+        assert main(["mbqc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_unknown_builtin_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "m.ini", "[mbqc]\nbuiltin = foo\n")
@@ -1062,8 +1145,10 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["oracle-verify", "mbqc"])
     def test_preset_only_where_read(self, tmp_path, command):
-        # no number in these reports depends on a preset, so neither takes the flag
-        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 1\nN = 2\n")
+        # no number in these reports depends on a preset, so neither takes the flag;
+        # mbqc's reference cluster reads no [lattice]
+        text = {"oracle-verify": "[lattice]\nM = 1\nN = 2\n", "mbqc": "[mbqc]\nbuiltin = wire\n"}
+        cfg = write(tmp_path, "c.ini", text[command])
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--out", str(out)]
         assert main(argv + ["--preset", "cpb"]) == EXIT_USAGE

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cavitycluster import geomphase
-from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_grid
+from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_angles, mode_grid
 from cavitycluster.geomphase import (
     MAX_G_TAU,
     GateTimeNotFoundError,
@@ -35,7 +35,7 @@ GATE_TIME_PIN = 2.2933987105637783
 
 def omega_at(cfg, l, k):
     """Frequency of mode (l, k)."""
-    return mode_grid(cfg)[2][l * cfg.N + k]
+    return mode_grid(cfg)[l * cfg.N + k]
 
 
 def two_branch_bracket(w, tau):
@@ -50,10 +50,15 @@ def two_branch_bracket(w, tau):
     return np.where(small, series, direct)
 
 
+def flat_angles(cfg):
+    """(L, K) of every mode, flat in mode_grid's row-major (l, k) order."""
+    return np.repeat(mode_angles(cfg.M), cfg.N), np.tile(mode_angles(cfg.N), cfg.M)
+
+
 @lru_cache(maxsize=16)
 def full_grid_terms(cfg, dm, dn):
     """Every mode's frequency and weight 4 cos(L dm + K dn), read-only."""
-    L, K, W = mode_grid(cfg)
+    (L, K), W = flat_angles(cfg), mode_grid(cfg)
     weights = 4.0 * np.cos(L * dm + K * dn)
     W.flags.writeable = weights.flags.writeable = False
     return W, weights
@@ -166,7 +171,7 @@ class TestGammaMode:
 
     def test_array_of_modes(self):
         # one call over the mode grid gives each mode's own phase
-        omega = mode_grid(REF)[2]
+        omega = mode_grid(REF)
         table = gamma_mode(REF, omega, 3.0)
         assert table.shape == omega.shape
         each = [gamma_mode(REF, w, 3.0) for w in omega[:40]]
@@ -174,13 +179,13 @@ class TestGammaMode:
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            gamma_mode(REF, mode_grid(REF)[2], -1.0)
+            gamma_mode(REF, mode_grid(REF), -1.0)
 
     @pytest.mark.parametrize("tau", [math.nextafter(MAX_G_TAU, math.inf), 1e120, 1e300])
     def test_g_tau_past_bound_rejected(self, tau):
         # tau**3 of the series branch raised a bare OverflowError from 5.7e102 on
         with pytest.raises(ValueError, match=r"g\*tau = .* is past the bound 100"):
-            gamma_mode(REF, mode_grid(REF)[2], tau)
+            gamma_mode(REF, mode_grid(REF), tau)
 
     def test_largest_g_tau_at_smallest_g(self):
         # tau**3 = 1e306 here, and the 2x2 modes (1, 0) and (0, 1), at omega = 0,
@@ -188,15 +193,15 @@ class TestGammaMode:
         g = 1e-100
         cfg = LatticeConfig(M=2, N=2, J=0.1 * g, g=g)
         tau = MAX_G_TAU / g
-        assert g * tau == MAX_G_TAU and 0.0 in mode_grid(cfg)[2]
+        assert g * tau == MAX_G_TAU and 0.0 in mode_grid(cfg)
         edge = MAX_FREQUENCY_OVER_G * g
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gam = gamma_mode(cfg, mode_grid(cfg)[2], tau)
+            gam = gamma_mode(cfg, mode_grid(cfg), tau)
             rows = sweep_tau(cfg, [tau], [(1, 0), (1, 1)]) + sweep_delta(cfg, tau, [-edge, edge])
         # the same dimensionless lattice at g = 1
         unit = LatticeConfig(M=2, N=2, J=0.1)
-        assert gam == pytest.approx(gamma_mode(unit, mode_grid(unit)[2], MAX_G_TAU), rel=1e-12)
+        assert gam == pytest.approx(gamma_mode(unit, mode_grid(unit), MAX_G_TAU), rel=1e-12)
         assert rows[0][1] == pytest.approx(sweep_tau(unit, [MAX_G_TAU], [(1, 0), (1, 1)])[0][1])
         assert all(math.isfinite(gamma) for _, gamma in rows[1:])
 
@@ -210,7 +215,7 @@ class TestGammaMode:
         mixed = np.array([0.0, -0.0, 1e-300, 0.3, -1.7, *near, *(-v for v in near), 0.05, -0.05])
         small = np.array([0.0, -0.0, 1e-3, -2e-3, 1e-300])
         large = np.array([0.3, -0.4, 1.7, -25.0, 1e3])
-        for w in (mixed, small, large, mode_grid(REF)[2], small[:0]):
+        for w in (mixed, small, large, mode_grid(REF), small[:0]):
             got, want = _gamma_bracket(w, tau), two_branch_bracket(w, tau)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if tau:
@@ -262,7 +267,7 @@ class TestPairwisePhase:
     def test_matches_exact_mode_sum(self, size, sep, tau):
         # the float64 dot against the correctly rounded sum of the same terms
         cfg = LatticeConfig(M=size, N=size, J=0.1)
-        L, K, W = mode_grid(cfg)
+        (L, K), W = flat_angles(cfg), mode_grid(cfg)
         terms = 4.0 * gamma_mode(cfg, W, tau) * np.cos(L * sep[0] + K * sep[1])
         assert abs(pairwise_phase(cfg, tau, *sep) - math.fsum(terms)) <= 1e-15
 
@@ -276,7 +281,7 @@ class TestPairwisePhase:
         # l <= M/2, k <= N/2 of the full grid's, bit for bit
         cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
         omega, _ = _modes(cfg, nn_separation(cfg))
-        corner = mode_grid(cfg)[2].reshape(M, N)[: M // 2 + 1, : N // 2 + 1]
+        corner = mode_grid(cfg).reshape(M, N)[: M // 2 + 1, : N // 2 + 1]
         assert omega.tobytes() == corner.tobytes()
 
     @pytest.mark.parametrize(
@@ -543,7 +548,7 @@ class TestSweeps:
     def test_delta_sweep_rows_bitwise(self):
         # -4J puts mode (0, 0) exactly at zero frequency
         deltas = [0.0, 0.7, -4 * REF.J, -3.3, 20.0]
-        assert mode_grid(replace(REF, delta=-4 * REF.J))[2][0] == 0.0
+        assert mode_grid(replace(REF, delta=-4 * REF.J))[0] == 0.0
         rows = sweep_delta(REF, 3.0, deltas)
         assert rows == [(d, pairwise_phase(replace(REF, delta=d), 3.0, 1, 0)) for d in deltas]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_grid
+from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_angles, mode_grid
 
 dims = st.integers(min_value=1, max_value=12)
 couplings = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
@@ -74,7 +74,7 @@ class TestLatticeConfig:
 
 def frequencies(cfg):
     """The mode frequencies as an M x N array indexed by (l, k)."""
-    return mode_grid(cfg)[2].reshape(cfg.M, cfg.N)
+    return mode_grid(cfg).reshape(cfg.M, cfg.N)
 
 
 class TestModeFrequency:
@@ -100,11 +100,11 @@ class TestModeFrequency:
 
 class TestModeGrid:
     def test_count_and_order(self):
+        # flat in row-major (l, k) order: (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
         cfg = LatticeConfig(M=3, N=2, J=0.2, delta=0.5)
-        L, K, omega = mode_grid(cfg)
-        assert L.shape == K.shape == omega.shape == (6,)
-        lk = np.rint(np.column_stack((L * 3, K * 2)) / (2 * math.pi)).astype(int)
-        assert lk.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]]
+        omega = mode_grid(cfg)
+        L, K = np.repeat(mode_angles(3), 2), np.tile(mode_angles(2), 3)
+        assert omega.shape == (6,)
         assert np.allclose(omega, 0.5 + 0.4 * (np.cos(L) + np.cos(K)))
 
     @given(M=dims, N=dims, J=couplings, delta=detunings)
@@ -117,7 +117,7 @@ class TestModeGrid:
     def test_trace_identity(self, M, N, J, delta):
         # sum over modes of (omega - delta) vanishes: sum of cos(2 pi l / M) = 0
         cfg = LatticeConfig(M=M, N=N, J=J, delta=delta)
-        total = math.fsum(mode_grid(cfg)[2] - delta)
+        total = math.fsum(mode_grid(cfg) - delta)
         assert abs(total) < 1e-10 * max(1.0, J * M * N)
 
     @given(M=dims, N=dims, J=st.floats(min_value=0.01, max_value=5.0))
@@ -130,14 +130,14 @@ class TestModeGrid:
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     def test_grid_holds_the_mode_angles(self, M, N, delta):
         cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
-        L, K, omega = mode_grid(cfg)
-        for i, (a, b, w) in enumerate(zip(L.tolist(), K.tolist(), omega.tolist())):
-            l, k = divmod(i, N)
-            assert (a, b) == (2 * math.pi * l / M, 2 * math.pi * k / N)
+        L, K = mode_angles(M).tolist(), mode_angles(N).tolist()
+        assert (L, K) == ([2 * math.pi * l / M for l in range(M)], [2 * math.pi * k / N for k in range(N)])
+        for i, w in enumerate(mode_grid(cfg).tolist()):
+            a, b = L[i // N], K[i % N]
             assert w == pytest.approx(delta + 0.2 * (math.cos(a) + math.cos(b)), abs=1e-15)
 
     def test_each_call_builds_its_own_grid(self):
         # no caller shares the arrays, so writing to one leaves the next intact
         cfg = LatticeConfig(M=3, N=3, J=0.1)
-        mode_grid(cfg)[2][0] = 1.0
-        assert mode_grid(cfg)[2][0] == pytest.approx(0.4)
+        mode_grid(cfg)[0] = 1.0
+        assert mode_grid(cfg)[0] == pytest.approx(0.4)

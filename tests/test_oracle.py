@@ -47,6 +47,28 @@ def columns(u, n_max, shape):
     return np.stack([u(np.broadcast_to(e, shape + e.shape)) for e in eye], axis=-1)
 
 
+def site_sum_drive(cfg):
+    """lam[m, c] = g/sqrt(MN) conj(sum_sites e^{i(L m + K n)} x_{m,n}(c)), summed
+    through an explicit (mode, site) phase matrix."""
+    nq = cfg.n_sites
+    L = 2.0 * np.pi * np.repeat(np.arange(cfg.M), cfg.N) / cfg.M
+    K = 2.0 * np.pi * np.tile(np.arange(cfg.N), cfg.M) / cfg.N
+    m_idx, n_idx = np.divmod(np.arange(nq), cfg.N)
+    site_phase = np.exp(1j * (np.outer(L, m_idx) + np.outer(K, n_idx)))
+    bits = (np.arange(2**nq) >> (nq - 1 - np.arange(nq))[:, None]) & 1
+    return cfg.g / math.sqrt(nq) * np.conj(site_phase @ (1.0 - 2.0 * bits))
+
+
+@pytest.mark.parametrize("M,N", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)])
+def test_drive_is_fft_of_the_spins(M, N):
+    # the FFT2 of each configuration's spins is the explicit site sum, to rounding
+    cfg = LatticeConfig(M=M, N=N, J=0.1, delta=20.0)
+    ws, lam = oracle._drive(cfg)
+    assert ws.tobytes() == mode_grid(cfg).tobytes()
+    assert lam.shape == (M * N, 2 ** (M * N))
+    assert np.max(np.abs(lam - site_sum_drive(cfg))) <= 1e-15
+
+
 class TestGenerator:
     @pytest.mark.parametrize("t", [0.0, 0.37, 2.9])
     def test_hermitian(self, t):
@@ -199,7 +221,7 @@ class TestIntegrator:
         vac[..., 0] = 1.0
         amp = oracle._propagator(ws, lam, tau, 12)(vac)[0, :, 0]
         assert np.abs(amp) ** 2 == pytest.approx(np.ones(2), abs=1e-9)
-        assert np.angle(amp) == pytest.approx(np.full(2, gamma_mode(cfg, mode_grid(cfg)[2], tau).sum()), abs=1e-8)
+        assert np.angle(amp) == pytest.approx(np.full(2, gamma_mode(cfg, mode_grid(cfg), tau).sum()), abs=1e-8)
 
     def test_error_estimate_within_tolerance(self):
         # the norm defect is rounding, far below the default [oracle] tolerance
@@ -222,7 +244,7 @@ def dense_echo_vacuum(cfg, tau, n_max):
     a = np.diag(np.sqrt(np.arange(1.0, dimf)), 1)
     pref = cfg.g / math.sqrt(nq)
     terms = []
-    for i, w in enumerate(mode_grid(cfg)[2]):
+    for i, w in enumerate(mode_grid(cfg)):
         a_m = reduce(np.kron, [a if j == i else np.eye(dimf) for j in range(nq)])
         jxd = oracle.collective_x_operator(cfg, *divmod(i, cfg.N)).conj().T
         terms.append((w, np.kron(pref * jxd, a_m)))
