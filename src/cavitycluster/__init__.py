@@ -7,28 +7,3 @@ and measurement patterns for one-way computation on the generated states.
 """
 
 __version__ = "0.1.0"
-
-from .lattice import LatticeConfig
-from .geomphase import (
-    HardwarePreset,
-    PhaseShiftTable,
-    build_phase_table,
-    gamma_mode,
-    pairwise_phase,
-    solve_gate_time,
-)
-from .effective import QubitRegister, cluster_phase, reference_cluster, verify_cluster
-
-__all__ = [
-    "LatticeConfig",
-    "gamma_mode",
-    "pairwise_phase",
-    "build_phase_table",
-    "solve_gate_time",
-    "PhaseShiftTable",
-    "HardwarePreset",
-    "QubitRegister",
-    "cluster_phase",
-    "reference_cluster",
-    "verify_cluster",
-]

@@ -487,8 +487,7 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
 def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
     """Cluster state on an MxN patch of lattice: its open grid edges take the phases of
     the lattice's table at its solved gate time, then the local correction.  The solve
-    puts pi/4 on one axis, so on a small lattice with M != N the other misses it.
-    ValueError if the patch's separations wrap round the lattice."""
+    puts pi/4 on one axis, so on a small lattice with M != N the other misses it."""
     table = build_phase_table(lattice, solve_gate_time(lattice))
     return phase_register(cluster_phase(M, N, table.grid, nn_only=True, periodic=False))
 
@@ -521,11 +520,10 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
         cluster = reference_cluster(M, N, periodic=False)
     else:
         _nn_separation(run.lattice)
-        try:
-            cluster = generated_cluster_patch(run.lattice, M, N)
-        except ValueError:  # from cluster_phase
-            raise ConfigError(f"[lattice] the pattern's {M}x{N} patch reads separations that wrap "
-                              f"round the {run.lattice.M}x{run.lattice.N} lattice") from None
+        if M > run.lattice.M or N > run.lattice.N:
+            raise ConfigError(f"[lattice] the pattern's {M}x{N} patch does not fit the "
+                              f"{run.lattice.M}x{run.lattice.N} lattice")
+        cluster = generated_cluster_patch(run.lattice, M, N)
 
     outputs = [state for _, _, state in pattern_branches(cluster, pattern)]
     ref = outputs[0]

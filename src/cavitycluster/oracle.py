@@ -25,16 +25,18 @@ The joint vacuum amplitude of a configuration is the product of its
 factors' vacuum amplitudes.
 
 Each factor's drive obeys H(t) = R(t) H(0) R(t)^dag, R(t) = diag(e^{i omega t
-f}) over the Fock number f, in the truncated space too.  In the frame of R
-the generator H(0) + omega f is constant, so u(tau) = R(tau) exp(-i (H(0) +
-omega f) tau) solves the truncated dynamics exactly; one batched eigh of the
-tridiagonal generator applies it to vectors, and u is never formed.  The
-size cap counts the generator and its eigenvectors: 2^{MN} configurations x
-MN modes x (n_max+1)^2 Fock matrix elements.
+f}) over the Fock number f, in the truncated space too, so u(tau) = R(tau)
+exp(-i (H(0) + omega f) tau) solves the truncated dynamics exactly.  With
+lambda = |lambda| e^{i theta}, the diagonal unitary e^{i theta f} maps H(0) +
+omega f to the real omega f + |lambda| (a + a^dag); it fixes |0>, keeps norms
+and commutes with R and the parity P = (-1)^f, so every number reported here
+depends on |lambda| alone.  One batched real eigh of that tridiagonal applies
+u, which is never formed.  The size cap counts the generator and its
+eigenvectors: 2^{MN} configurations x MN modes x (n_max+1)^2 elements.
 
-S_z flips every x bit, and lambda_{m,~c} = -lambda_{m,c}; the photon parity
-P = (-1)^f maps a to -a, so the second interval's propagator is P u P, u the
-first's, and each factor's echo is P u P u|0>.
+S_z flips every x bit, and lambda_{m,~c} = -lambda_{m,c}: in the same gauge
+the second interval drives with -|lambda|, and as P maps a to -a its
+propagator is P u P.  Each factor's echo is P u P u|0>.
 
 check_identities uses the qubit basis, site s at bit nq-1-s of the index c.
 sigma_x of site s flips that bit, so J_X[c ^ (1 << (nq-1-s)), c] =
@@ -113,52 +115,32 @@ def sz_operator(config: LatticeConfig) -> np.ndarray:
 
 
 def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Mode frequencies omega[m] and drive coefficients lam[m, c].
+    """Mode frequencies omega[m] and drive strengths lam[m, c] = |lambda_{m,c}|.
 
-    lam[m, c] = g/sqrt(MN) * conj(eigenvalue of J_X(m) on configuration c),
-    configurations indexed like the qubit basis with bit 1 = |-x>, so that
-    H_c(t) = sum_m lam[m, c] e^{-i omega_m t} a_m + h.c.  The eigenvalue sums
-    e^{i(L m + K n)} over the M x N spins +-1, so lam is their FFT2 times g/sqrt(MN).
+    lambda_{m,c} = g/sqrt(MN) * conj(eigenvalue of J_X(m) on configuration c),
+    configurations indexed like the qubit basis with bit 1 = |-x>.  The
+    eigenvalue sums e^{i(L m + K n)} over the M x N spins +-1, so lam is the
+    modulus of their FFT2 times g/sqrt(MN).
     """
     nq = config.n_sites
     bits = (np.arange(2**nq)[:, None] >> (nq - 1 - np.arange(nq))) & 1
     spins = (1.0 - 2.0 * bits).reshape(-1, config.M, config.N)
-    return mode_grid(config), config.g / math.sqrt(nq) * np.fft.fft2(spins).reshape(-1, nq).T
-
-
-def _generator(ws: np.ndarray, lam: np.ndarray, n_max: int) -> np.ndarray:
-    """Rotating-frame generator H(0) + omega f of every factor, as
-    gen[mode, configuration, f, f'] (f: Fock number)."""
-    fock = np.arange(n_max + 1)
-    root = np.sqrt(fock[1:])
-    gen = np.zeros(lam.shape + (fock.size, fock.size), dtype=complex)
-    gen[..., fock[:-1], fock[1:]] = lam[..., None] * root  # a
-    gen[..., fock[1:], fock[:-1]] = np.conj(lam)[..., None] * root  # a^dagger
-    gen[..., fock, fock] = np.multiply.outer(ws, fock)[:, None]
-    return gen
-
-
-def _propagator(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int):
-    """The drive interval's propagator u = R(tau) V e^{-i E tau} V^dag, as a
-    function applying it to x[mode, configuration, f]; u is never formed."""
-    energy, vec = np.linalg.eigh(_generator(ws, lam, n_max))
-    phase = np.exp(-1j * tau * energy)
-    rot = np.exp(1j * tau * np.multiply.outer(ws, np.arange(n_max + 1)))[:, None]
-
-    def u(x: np.ndarray) -> np.ndarray:
-        coef = phase * (x[..., None, :] @ np.conj(vec))[..., 0, :]
-        return rot * (vec @ coef[..., None])[..., 0]
-
-    return u
+    return mode_grid(config), config.g / math.sqrt(nq) * np.abs(np.fft.fft2(spins)).reshape(-1, nq).T
 
 
 def _echo(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int) -> np.ndarray:
-    """Echoed field factors psi[mode, configuration, f] = P u P u|0>."""
-    u = _propagator(ws, lam, tau, n_max)
-    parity = (-1.0) ** np.arange(n_max + 1)
-    vacuum = np.zeros(lam.shape + (n_max + 1,), dtype=complex)
-    vacuum[..., 0] = 1.0
-    return parity * u(parity * u(vacuum))
+    """Echoed field factors psi[mode, configuration, f] = P u P u|0>, with
+    u = R(tau) V e^{-i E tau} V^T from the eigenpairs (E, V) of the real
+    generator omega f + lam (a + a^dag) of every factor."""
+    fock = np.arange(n_max + 1)
+    gen = np.zeros(lam.shape + (fock.size, fock.size))
+    gen[..., fock[:-1], fock[1:]] = gen[..., fock[1:], fock[:-1]] = lam[..., None] * np.sqrt(fock[1:])
+    gen[..., fock, fock] = np.multiply.outer(ws, fock)[:, None]
+    energy, vec = np.linalg.eigh(gen)
+    phase = np.exp(-1j * tau * energy)
+    step = (-1.0) ** fock * np.exp(1j * tau * np.multiply.outer(ws, fock))[:, None]  # P R(tau)
+    once = step * (vec @ (phase * vec[..., 0, :])[..., None])[..., 0]  # P u|0>
+    return step * (vec @ (phase * (once[..., None, :] @ vec)[..., 0, :])[..., None])[..., 0]
 
 
 @dataclass

@@ -720,7 +720,7 @@ class TestCluster:
     def test_gate_time_failure_exit(self, tmp_path, capsys, command, extra, preset):
         # at delta = 50 no g tau in the window reaches pi/4: every subcommand
         # that needs the gate time exits 1 with one line, no traceback
-        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\nJ = 0.1\ndelta = 50.0\n" + extra)
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 5\nJ = 0.1\ndelta = 50.0\n" + extra)
         argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
         assert main(argv + (["--preset", "cpb"] if preset else [])) == EXIT_VERIFY
         assert capsys.readouterr().err.startswith("error: no g*tau in (0, 20] reaches Gamma_nn")
@@ -908,12 +908,13 @@ class TestMbqc:
         "lattice,builtin,message",
         [
             ("M = 1\nN = 1\n", "wire", "[lattice] a 1x1 lattice has no pairs"),
-            ("M = 1\nN = 19\n", "cnot",
-             "[lattice] the pattern's 3x2 patch reads separations that wrap round the 1x19 lattice"),
-            ("M = 19\nN = 1\n", "wire",
-             "[lattice] the pattern's 1x5 patch reads separations that wrap round the 19x1 lattice"),
+            ("M = 1\nN = 19\n", "cnot", "[lattice] the pattern's 3x2 patch does not fit the 1x19 lattice"),
+            ("M = 19\nN = 1\n", "wire", "[lattice] the pattern's 1x5 patch does not fit the 19x1 lattice"),
+            # a patch larger than the array would put two patch sites in one cavity
+            ("M = 2\nN = 2\n", "wire", "[lattice] the pattern's 1x5 patch does not fit the 2x2 lattice"),
+            ("M = 2\nN = 2\n", "cnot", "[lattice] the pattern's 3x2 patch does not fit the 2x2 lattice"),
         ],
-        ids=["1x1", "cnot-on-a-row", "wire-on-a-column"],
+        ids=["1x1", "cnot-on-a-row", "wire-on-a-column", "wire-on-2x2", "cnot-on-2x2"],
     )
     def test_generated_lattice_without_the_patch_is_config_error(self, tmp_path, capsys, lattice,
                                                                   builtin, message):
@@ -923,6 +924,16 @@ class TestMbqc:
         assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("M,N,builtin,code", [(1, 5, "wire", EXIT_OK), (3, 2, "cnot", EXIT_VERIFY)])
+    def test_patch_the_size_of_the_lattice_runs(self, tmp_path, M, N, builtin, code):
+        # a patch that fills the array exactly is carved and run; the 3x2 CNOT
+        # fails its check because the solve puts pi/4 on one axis only
+        cfg = write(tmp_path, "m.ini", f"[lattice]\nM = {M}\nN = {N}\n[mbqc]\nbuiltin = {builtin}\n"
+                    "source = generated\n")
+        out = tmp_path / "out"
+        assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == code
+        assert f"cluster_shape = {M}x{N}\n" in (out / "mbqc_report.txt").read_text()
 
     @pytest.mark.parametrize(
         "lattice,line",

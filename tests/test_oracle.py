@@ -34,9 +34,55 @@ def apply_h(ws, lam, t, psi):
     return out
 
 
+def fft_drive(cfg):
+    """Mode frequencies and the complex drive lam[m, c] = g/sqrt(MN) FFT2 of each
+    configuration's spins, the lab-frame coefficient whose modulus oracle._drive
+    returns."""
+    nq = cfg.n_sites
+    bits = (np.arange(2**nq)[:, None] >> (nq - 1 - np.arange(nq))) & 1
+    spins = (1.0 - 2.0 * bits).reshape(-1, cfg.M, cfg.N)
+    return mode_grid(cfg), cfg.g / math.sqrt(nq) * np.fft.fft2(spins).reshape(-1, nq).T
+
+
+def complex_generator(ws, lam, n_max):
+    """Rotating-frame generator H(0) + omega f of every factor with the complex
+    drive, as gen[mode, configuration, f, f'] (f: Fock number)."""
+    fock = np.arange(n_max + 1)
+    root = np.sqrt(fock[1:])
+    gen = np.zeros(lam.shape + (fock.size, fock.size), dtype=complex)
+    gen[..., fock[:-1], fock[1:]] = lam[..., None] * root  # a
+    gen[..., fock[1:], fock[:-1]] = np.conj(lam)[..., None] * root  # a^dagger
+    gen[..., fock, fock] = np.multiply.outer(ws, fock)[:, None]
+    return gen
+
+
+def complex_propagator(ws, lam, tau, n_max):
+    """One drive interval's u = R(tau) V e^{-i E tau} V^dag from a complex eigh,
+    as a function applying it to x[mode, configuration, f]."""
+    energy, vec = np.linalg.eigh(complex_generator(ws, lam, n_max))
+    phase = np.exp(-1j * tau * energy)
+    rot = np.exp(1j * tau * np.multiply.outer(ws, np.arange(n_max + 1)))[:, None]
+
+    def u(x):
+        coef = phase * (x[..., None, :] @ np.conj(vec))[..., 0, :]
+        return rot * (vec @ coef[..., None])[..., 0]
+
+    return u
+
+
+def complex_echo(ws, lam, tau, n_max):
+    """P u P u|0> with the complex drive's propagator: the reference that the
+    oracle's real gauge must reproduce."""
+    u = complex_propagator(ws, lam, tau, n_max)
+    parity = (-1.0) ** np.arange(n_max + 1)
+    vacuum = np.zeros(lam.shape + (n_max + 1,), dtype=complex)
+    vacuum[..., 0] = 1.0
+    return parity * u(parity * u(vacuum))
+
+
 def factor_generators(cfg, t, n_max):
     """H(t) of every (mode, configuration) factor, as G[:, :, mode, config]."""
-    ws, lam = oracle._drive(cfg)
+    ws, lam = fft_drive(cfg)
     eye = np.eye(n_max + 1, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
     return apply_h(ws, lam, t, eye)
 
@@ -61,12 +107,14 @@ def site_sum_drive(cfg):
 
 @pytest.mark.parametrize("M,N", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)])
 def test_drive_is_fft_of_the_spins(M, N):
-    # the FFT2 of each configuration's spins is the explicit site sum, to rounding
+    # the FFT2 of each configuration's spins is the explicit site sum, to rounding,
+    # and the oracle drives with its modulus
     cfg = LatticeConfig(M=M, N=N, J=0.1, delta=20.0)
     ws, lam = oracle._drive(cfg)
     assert ws.tobytes() == mode_grid(cfg).tobytes()
-    assert lam.shape == (M * N, 2 ** (M * N))
-    assert np.max(np.abs(lam - site_sum_drive(cfg))) <= 1e-15
+    assert lam.shape == (M * N, 2 ** (M * N)) and lam.dtype == np.float64
+    assert np.max(np.abs(lam - np.abs(site_sum_drive(cfg)))) <= 1e-15
+    assert np.max(np.abs(fft_drive(cfg)[1] - site_sum_drive(cfg))) <= 1e-15
 
 
 class TestGenerator:
@@ -77,13 +125,27 @@ class TestGenerator:
 
     @pytest.mark.parametrize("delta", [20.0, 0.0])
     def test_rotating_frame_generator(self, delta):
-        # Hermitian, and H(0) plus omega f on the diagonal
+        # the reference generator is Hermitian, H(0) plus omega f on the diagonal
         cfg = LatticeConfig(M=2, N=2, J=0.1, delta=delta)
-        ws, lam = oracle._drive(cfg)
-        gen = oracle._generator(ws, lam, 6)
+        ws, lam = fft_drive(cfg)
+        gen = complex_generator(ws, lam, 6)
         assert np.array_equal(gen, np.conj(np.swapaxes(gen, -1, -2)))
         h0 = np.moveaxis(factor_generators(cfg, 0.0, 6), (0, 1), (-2, -1))
         assert np.max(np.abs(gen - h0 - np.diag(np.arange(7.0)) * ws[:, None, None, None])) < 1e-15
+
+    @pytest.mark.parametrize("delta", [20.0, 0.0])
+    @pytest.mark.parametrize("M,N", [(2, 2), (1, 3), (1, 4)])
+    def test_gauge_makes_generator_real(self, delta, M, N):
+        # with lambda = |lambda| e^{i theta}, e^{i theta f} maps the reference
+        # generator to the real omega f + |lambda| (a + a^dag) the oracle uses
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        ws, lam = fft_drive(cfg)
+        gauge = np.exp(1j * np.multiply.outer(np.angle(lam), np.arange(7)))
+        real = gauge[..., :, None] * complex_generator(ws, lam, 6) * np.conj(gauge)[..., None, :]
+        ws, strength = oracle._drive(cfg)
+        rise = np.diag(np.sqrt(np.arange(1.0, 7)), 1)
+        want = np.diag(np.arange(7.0)) * ws[:, None, None, None] + strength[..., None, None] * (rise + rise.T)
+        assert np.max(np.abs(real - want)) < 1e-15 * np.max(np.abs(want))
 
     def test_zero_coupling(self):
         # the smallest coupling LatticeConfig accepts
@@ -160,41 +222,45 @@ class TestIntegrator:
         ids=["2x2-delta20-t0=0", "1x2-delta0-t0=0"],
     )
     def test_power_form_matches_step_loop(self, cfg, n_max, tau, steps, block_kind):
-        # one drive interval's u, in its eigen form, against the RK4 loop;
-        # the bound is the loop's own step error on the highest Fock columns
-        ws, lam = oracle._drive(cfg)
+        # the reference's one drive interval u, in its eigen form, against the RK4
+        # loop; the bound is the loop's own step error on the highest Fock columns
+        ws, lam = fft_drive(cfg)
         eye = np.eye(n_max + 1, dtype=complex)[:, :, None, None] * np.ones(lam.shape)
         # the column the echo starts from, or one column per Fock state
         block = eye[:, :1] if block_kind == "vacuum" else eye
         want = rk4_step_loop(ws, lam, tau, block, steps)
-        got = columns(oracle._propagator(ws, lam, tau, n_max), n_max, lam.shape)
+        got = columns(complex_propagator(ws, lam, tau, n_max), n_max, lam.shape)
         got = np.moveaxis(got[..., : block.shape[1]], (-2, -1), (0, 1))
         assert np.max(np.abs(got - want)) < 1e-9
 
     @pytest.mark.parametrize("M,N", [(1, 2), (1, 3), (2, 2)])
     @pytest.mark.parametrize("delta", [20.0, 0.0])
     def test_complement_negates_drive(self, M, N, delta):
-        # S_z sends configuration c to ~c, whose drive is -lambda
-        _, lam = oracle._drive(LatticeConfig(M=M, N=N, J=0.1, delta=delta))
+        # S_z sends configuration c to ~c, whose drive is -lambda, of the same strength
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        _, lam = fft_drive(cfg)
         assert np.array_equal(lam[:, ::-1], -lam)
+        _, strength = oracle._drive(cfg)
+        assert np.array_equal(strength[:, ::-1], strength)
 
     @ECHO_CASES
     def test_negated_drive_is_parity_conjugate(self, cfg, n_max, tau, steps):
         # P = (-1)^f maps a to -a, so the negated drive's u is P u P
-        ws, lam = oracle._drive(cfg)
+        ws, lam = fft_drive(cfg)
         parity = (-1.0) ** np.arange(n_max + 1)
-        u = columns(oracle._propagator(ws, lam, tau, n_max), n_max, lam.shape)
-        flipped = columns(oracle._propagator(ws, -lam, tau, n_max), n_max, lam.shape)
+        u = columns(complex_propagator(ws, lam, tau, n_max), n_max, lam.shape)
+        flipped = columns(complex_propagator(ws, -lam, tau, n_max), n_max, lam.shape)
         assert np.max(np.abs(flipped - parity[:, None] * u * parity)) < 1e-13
 
     @ECHO_CASES
     def test_echo_matches_two_step_loops(self, cfg, n_max, tau, steps):
         # the reference runs both intervals with no parity argument: the
-        # second with the complemented configurations' drive
+        # second with the complemented configurations' drive, -|lambda| in the
+        # gauge of the first
         ws, lam = oracle._drive(cfg)
         vac = np.zeros((n_max + 1,) + lam.shape, dtype=complex)
         vac[0] = 1.0
-        want = rk4_step_loop(ws, lam[:, ::-1], tau, rk4_step_loop(ws, lam, tau, vac, steps), steps)
+        want = rk4_step_loop(ws, -lam, tau, rk4_step_loop(ws, lam, tau, vac, steps), steps)
         got = np.moveaxis(oracle._echo(ws, lam, tau, n_max), -1, 0)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -204,30 +270,49 @@ class TestIntegrator:
         assert rep.steps == 0
 
     def test_unitarity(self):
-        # every (mode, configuration) factor's propagator is unitary
+        # every (mode, configuration) factor's reference propagator is unitary
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)
-        ws, lam = oracle._drive(cfg)
-        u = columns(oracle._propagator(ws, lam, 1.3, 10), 10, lam.shape)
+        ws, lam = fft_drive(cfg)
+        u = columns(complex_propagator(ws, lam, 1.3, 10), 10, lam.shape)
         for c in range(lam.shape[1]):
             assert np.max(np.abs(u[0, c].conj().T @ u[0, c] - np.eye(11))) < 1e-13
 
     def test_closed_loop_phase_matches_mode_sum(self):
-        # one full drive period: the field returns to vacuum and each sigma_x
-        # configuration picks up exactly the accumulated per-mode phase
+        # one full drive period per interval: each loop closes, the field returns
+        # to vacuum and each sigma_x configuration picks up the accumulated
+        # per-mode phase twice
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)  # omega = 2
         tau = math.pi  # omega tau = 2 pi
         ws, lam = oracle._drive(cfg)
-        vac = np.zeros(lam.shape + (13,), dtype=complex)
-        vac[..., 0] = 1.0
-        amp = oracle._propagator(ws, lam, tau, 12)(vac)[0, :, 0]
+        amp = oracle._echo(ws, lam, tau, 12)[0, :, 0]
         assert np.abs(amp) ** 2 == pytest.approx(np.ones(2), abs=1e-9)
-        assert np.angle(amp) == pytest.approx(np.full(2, gamma_mode(cfg, mode_grid(cfg), tau).sum()), abs=1e-8)
+        want = 2.0 * gamma_mode(cfg, mode_grid(cfg), tau).sum()
+        assert np.angle(amp) == pytest.approx(np.full(2, want), abs=1e-8)
 
     def test_error_estimate_within_tolerance(self):
         # the norm defect is rounding, far below the default [oracle] tolerance
         cfg = LatticeConfig(M=1, N=3, J=0.1, delta=0.0)
         rep = oracle.echo_evolve(cfg, 1.5, 30)
         assert rep.error_estimate < 1e-12
+
+
+@pytest.mark.parametrize("M,N", [(1, 2), (2, 1), (1, 3), (2, 2), (1, 4)])
+@pytest.mark.parametrize("delta,tau,n_max", [(20.0, 3.0, 4), (0.0, 1.5, 30), (0.0, 3.0, 12)])
+def test_echo_matches_complex_reference(M, N, delta, tau, n_max, monkeypatch):
+    # the real |lambda| echo reports what the complex drive's echo reports, and
+    # bit for bit where the FFT of the spins is already real
+    cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+    got = oracle.echo_evolve(cfg, tau, n_max)
+    monkeypatch.setattr(oracle, "_drive", fft_drive)
+    monkeypatch.setattr(oracle, "_echo", complex_echo)
+    want = oracle.echo_evolve(cfg, tau, n_max)
+    assert np.max(np.abs(got.vacuum - want.vacuum)) <= 1e-14
+    for name in ("residual_excitation", "error_estimate", "truncation_estimate"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, name
+    if (M, N) in [(1, 2), (2, 1), (2, 2)]:
+        assert got.vacuum.tobytes() == want.vacuum.tobytes()
+        assert (got.residual_excitation, got.error_estimate, got.truncation_estimate) == (
+            want.residual_excitation, want.error_estimate, want.truncation_estimate)
 
 
 def dense_echo_vacuum(cfg, tau, n_max):
@@ -292,15 +377,15 @@ class TestEchoEvolve:
 
     def test_no_time_reset_breaks_echo(self):
         # a second interval that carries on from t = tau instead of restarting
-        # at t = 0 sees the drive phase-shifted by e^{-i omega tau}, and the
-        # displacements no longer cancel
-        ws, lam = oracle._drive(DETUNED_1x2)
-        vac = np.zeros(lam.shape + (5,), dtype=complex)
-        vac[..., 0] = 1.0
-        first = oracle._propagator(ws, lam, 3.0, 4)(vac)
+        # at t = 0 sees the lab-frame drive phase-shifted by e^{-i omega tau},
+        # and the displacements no longer cancel
+        ws, lam = fft_drive(DETUNED_1x2)
+        vac = np.zeros((5,) + lam.shape, dtype=complex)
+        vac[0] = 1.0
+        first = rk4_step_loop(ws, lam, 3.0, vac, 1024)
         late = lam[:, ::-1] * np.exp(-1j * ws * 3.0)[:, None]
-        psi = oracle._propagator(ws, late, 3.0, 4)(first)
-        vacuum = np.prod(psi[..., 0], axis=0)
+        psi = rk4_step_loop(ws, late, 3.0, first, 1024)
+        vacuum = np.prod(psi[0], axis=0)
         assert np.max(np.abs(1.0 - np.abs(vacuum) ** 2)) > 1e-3
 
     def test_truncation_robustness(self, echo_1x2):
