@@ -26,16 +26,27 @@ const, so D has coupling eps = W - (pi/4) A (A the grid adjacency) and
 field dh = h + (pi/4) deg, and dh is exactly 0 for every cluster_phase
 output.  The fidelity is |mean e^{i D}|^2 over bitstrings.  With dh exactly
 0, D(s) = D(-s), so the half with s_0 = +1 holds the whole mean, and fixing
-s_0 = +1 turns row 0 of eps into a field on the other n - 1 spins (a nonzero
-dh, as for a cluster verified under the other boundary, keeps all n).  That
-polynomial is built like Phi up to its last spin, A + s t, and the last spin
-is summed in closed form, mean_s e^{i(A + s t)} = e^{i A} cos t: 2^(n-2)
-numbers with no field, in another order than the full cube, so the
-fidelity's last digit can differ from that sum by a few ulp.  The graph
-stabilizer X_a prod_{b~a} Z_b flips bit a and takes the sign s_b of each
-neighbour; the flip changes pi E by a phase that those signs cancel, so its
-expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)), which
-factorizes over the spins (mean e^{i w s} = cos w) into cos(2 dh_a)
+s_0 = +1 turns row 0 of eps into a field on the other n' = n - 1 spins (a
+nonzero dh, as for a cluster verified under the other boundary, keeps all
+n' = n).  A block of the first m <= 13 of them is held as arrays of 2^m
+numbers: its polynomial P, built like Phi, and for each of the k = n' - m
+spins b past it the linear form t_b, b's field plus its coupling to the
+block.  Then D = P + s.t + Q, with Q(s) = sum_{a<b} eps_ab s_a s_b over the
+k spins, and Q(s) = Q(-s) pairs each sign pattern with its negation:
+
+    mean_s e^{i(s.t + Q)} = 2^{1-k} sum_{s_last = +1} e^{i Q(s)} cos(s.t).
+
+So the 2^(k-1) patterns are summed one at a time, each through cos(s.t) at
+the 2^m block points (k = 1, Q = 0, is the closed last spin e^{i P} cos t),
+and no array is longer than 2^13 numbers: 2^(n'-1) + 2^(m+1) cosines and
+sines in all.  Each pattern's sum has a fixed order and the pattern sums
+are added exactly (math.fsum): the fidelity is the same bits on every run,
+though its last digit can differ from the full-cube sum by a few ulp.
+
+The graph stabilizer X_a prod_{b~a} Z_b flips bit a and takes the sign s_b
+of each neighbour; the flip changes pi E by a phase that those signs cancel,
+so its expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)),
+which factorizes over the spins (mean e^{i w s} = cos w) into cos(2 dh_a)
 prod_b cos(2 eps_ab).  A single site's reduced density matrix has diagonal
 exactly 1/2 and coherence <0|rho_a|1> = (1/2) e^{2 i h_a} prod_b cos(2 W_ab),
 by the same factorization on Phi.
@@ -76,6 +87,9 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
+# spins that verify_cluster holds as arrays of 2^13 numbers (64 KiB); it sums
+# the rest one sign pattern at a time
+_BLOCK_SPINS = 13
 
 
 def _check_cap(M: int, N: int) -> int:
@@ -177,23 +191,23 @@ class PhasePolynomial:
         _check_cap(self.M, self.N)
         # the build puts spin j on bit j; over reversed labels spin j is site
         # n-1-j, so site 0 is the top bit, with the terms summed from site n-1 down
-        phi, last = _halves(self.coupling[::-1, ::-1], self.field[::-1])
-        _double(phi, last.size, last)
-        return phi
+        return _polynomial(self.coupling[::-1, ::-1], self.field[::-1])
 
 
-def _halves(coupling: np.ndarray, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(buf, t): buf[:t.size] holds the polynomial over every spin but the last, t
-    that spin's linear form, both with spin j at bit j; buf[t.size:] is spare."""
-    term = np.zeros(2 ** max(field.size - 1, 0))
-    buf = np.zeros(2 * term.size)
+def _linear(row: np.ndarray, const: float, out: np.ndarray) -> np.ndarray:
+    """out[:2^len(row)] = const + sum_i row_i s_i over spins 0..len(row)-1, spin i at bit i."""
+    out[0] = const
+    for i, w in enumerate(row):
+        _double(out, 2**i, w)
+    return out[: 2**row.size]
+
+
+def _polynomial(coupling: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """sum_{i<j} W_ij s_i s_j + sum_j h_j s_j at every bitstring, spin j at bit j."""
+    buf, term = np.zeros(2**field.size), np.empty(2**field.size // 2)
     for j in range(field.size):
-        term[0] = field[j]
-        for i, w in enumerate(coupling[j, :j]):
-            _double(term, 2**i, w)
-        if j < field.size - 1:
-            _double(buf, 2**j, term[: 2**j])
-    return buf, term
+        _double(buf, 2**j, _linear(coupling[j, :j], field[j], term))
+    return buf
 
 
 def cluster_phase(
@@ -271,15 +285,29 @@ def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport
     _check_cap(M, N)
     # with no field D(s) = D(-s), so the s_0 = +1 half holds the whole mean;
     # fixing s_0 = +1 turns row 0 of the coupling into a field on the rest
-    spins = (coupling, dev.field) if dev.field.any() else (coupling[1:, 1:], coupling[0, 1:])
-    buf, term = _halves(*spins)
-    # the last spin in closed form: mean_s e^{i(A + s t)} = e^{i A} cos t
-    values, sines = np.split(buf, 2)
-    np.sin(values, out=sines)
-    weight = np.cos(term, out=term)
-    real = np.multiply(np.cos(values, out=values), weight, out=values).mean()
-    imag = np.multiply(sines, weight, out=sines).mean()
-    fidelity = float(real) ** 2 + float(imag) ** 2
+    w, h = (coupling, dev.field) if dev.field.any() else (coupling[1:, 1:], coupling[0, 1:])
+    # the block's polynomial P and each later spin b's linear form t_b over it;
+    # at least one spin is left past the block, whose cos t costs half the
+    # transcendentals that holding it would
+    m = min(max(h.size - 1, 0), _BLOCK_SPINS)
+    values = _polynomial(w[:m, :m], h[:m])
+    sines, cosines = np.sin(values), np.cos(values, out=values)
+    forms = [_linear(w[b, :m], h[b], np.empty(2**m)) for b in range(m, h.size)]
+    # Q over the spins past the block at the patterns p with the last spin +1;
+    # each adds e^{iQ} sum_x e^{iP} cos(s.t) (bit j of p set: s_j = -1)
+    qs = _polynomial(w[m:, m:], np.zeros(len(forms)))[: max(2 ** len(forms) // 2, 1)]
+    weight, product = np.empty(2**m), np.empty(2**m)
+    reals, imags = [], []
+    for p, q in enumerate(qs.tolist()):
+        weight.fill(0.0)
+        for j, form in enumerate(forms):
+            (np.subtract if p >> j & 1 else np.add)(weight, form, out=weight)
+        np.cos(weight, out=weight)
+        c, s = (np.multiply(x, weight, out=product).sum() for x in (cosines, sines))
+        reals.append(math.cos(q) * c - math.sin(q) * s)
+        imags.append(math.sin(q) * c + math.cos(q) * s)
+    # the mean over the block points and the patterns, a power of 2
+    fidelity = (math.fsum(reals) ** 2 + math.fsum(imags) ** 2) / (2**m * qs.size) ** 2
     # an entry of 0 (a site's own, or an uncoupled pair) contributes cos 0 = 1
     stabilizers = np.cos(2.0 * dev.field) * np.prod(np.cos(2.0 * dev.coupling), axis=1)
     coherences = 0.5 * np.exp(2j * phi.field) * np.prod(np.cos(2.0 * phi.coupling), axis=1)

@@ -582,6 +582,17 @@ class TestCluster:
         ]
         assert b"".join(_snapshot_rows(phi)).decode().split("\n") == want + [""]
 
+    def test_snapshot_six_digit_indices(self):
+        # 2^17 rows: two index digits above the low four, the top one NUL below
+        # 10^5, in chunks of 10^4 rows; a wrong row is named rather than diffed
+        phi = GivenPhi(np.tile([0.5, -0.25, 0.0, 1.0], 2**15))
+        amps = phase_register(phi).amps.tolist()
+        got = b"".join(_snapshot_rows(phi)).decode().split("\n")[1:-1]
+        want = [f"{i}.0,{z.real!r},{z.imag!r}" for i, z in enumerate(amps)]
+        assert len(got) == len(want)
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, (got[bad], want[bad])
+
     def test_snapshot_peak_memory(self, tmp_path):
         # the writer's working set is one chunk of rows, reused: the 4x4 file
         # (65536 rows, 3 MB) is written with a small traced peak

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cavitycluster import effective
 from cavitycluster.lattice import LatticeConfig
 from cavitycluster.geomphase import build_phase_table, solve_gate_time
 from cavitycluster.effective import (
@@ -285,6 +286,12 @@ class TestReferenceCluster:
             assert np.array_equal(adj, want)
 
 
+HALF_CUBE_CASES = [(1, 1, True, True), (1, 2, True, False), (2, 1, True, False),
+                   (2, 3, True, False), (3, 3, False, True), (4, 4, True, False)]
+DEVIATION_FIELD_CASES = [(1, 1, False), (1, 2, False), (2, 1, False), (3, 4, True)]
+VERIFIED_AS_OPEN_CASES = [(3, 3, True), (3, 4, False), (4, 4, True)]
+
+
 class TestClusterFidelity:
     def test_1x2_generated(self):
         phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 4), periodic=False)
@@ -326,15 +333,11 @@ class TestClusterFidelity:
         d = 0.5 * np.einsum("ka,ab,kb->k", s, eps, s) + s @ dh
         return abs(np.exp(1j * d).mean()) ** 2, not dh.any()
 
-    @pytest.mark.parametrize(
-        "M,N,nn_only,periodic",
-        [(1, 1, True, True), (1, 2, True, False), (2, 1, True, False), (2, 3, True, False),
-         (3, 3, False, True), (4, 4, True, False)],
-    )
+    @pytest.mark.parametrize("M,N,nn_only,periodic", HALF_CUBE_CASES)
     def test_half_cube_matches_full_cube(self, M, N, nn_only, periodic):
         # cluster_phase leaves no deviation field, so the fidelity is taken over
-        # the s_0 = +1 half, whose last spin is summed in closed form (1x1 leaves
-        # no spin, 1x2 and 2x1 one); Gamma near pi/4 keeps it far from 0
+        # the s_0 = +1 half, whose spins past the block are summed in closed form
+        # (1x1 leaves no spin, 1x2 and 2x1 one); Gamma near pi/4 keeps it far from 0
         rng = np.random.default_rng(M * N)
         phi = cluster_phase(M, N, math.pi / 4 + rng.uniform(-0.3, 0.3, (M, N)), nn_only, periodic)
         want, no_field = self.full_cube_fidelity(phi, periodic)
@@ -352,10 +355,10 @@ class TestClusterFidelity:
         assert no_field and want > 1e-4
         assert verify_cluster(phi).fidelity == pytest.approx(want, abs=1e-15)
 
-    @pytest.mark.parametrize("M,N,periodic", [(1, 1, False), (1, 2, False), (2, 1, False), (3, 4, True)])
+    @pytest.mark.parametrize("M,N,periodic", DEVIATION_FIELD_CASES)
     def test_deviation_field_full_cube(self, M, N, periodic):
-        # a field left on the deviation polynomial keeps every spin; the last
-        # one is summed in closed form, and 1x1 leaves no other spin
+        # a field left on the deviation polynomial keeps every spin; those past
+        # the block are summed in closed form, and 1x1 leaves no other spin
         nq = M * N
         rng = np.random.default_rng(10 * M + N)
         w = np.triu(rng.uniform(-1.5, 1.5, (nq, nq)), 1)
@@ -365,15 +368,43 @@ class TestClusterFidelity:
         assert not no_field and want > 1e-4
         assert verify_cluster(phi, periodic).fidelity == pytest.approx(want, abs=1e-15)
 
-    @pytest.mark.parametrize("M,N,nn_only", [(3, 3, True), (3, 4, False), (4, 4, True)])
+    @pytest.mark.parametrize("M,N,nn_only", VERIFIED_AS_OPEN_CASES)
     def test_periodic_cluster_verified_as_open(self, M, N, nn_only):
         # the wrap edges leave a deviation field, so the full cube is summed,
-        # with its last spin in closed form
+        # with the spins past the block in closed form
         table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1, delta=0.0), 2.0)
         phi = cluster_phase(M, N, table.grid, nn_only=nn_only, periodic=True)
         want, no_field = self.full_cube_fidelity(phi, False)
         assert not no_field and want > 1e-5
         assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 3])
+    def test_every_block_size_matches_full_cube(self, block, monkeypatch):
+        # with a block of a few spins the small lattices take every path: no spin
+        # past the block, one (the closed last spin) and many, with e^{iQ} and the
+        # pattern mean, with and without a deviation field
+        monkeypatch.setattr(effective, "_BLOCK_SPINS", block)
+        for case in HALF_CUBE_CASES:
+            self.test_half_cube_matches_full_cube(*case)
+        self.test_half_cube_random_coupling()
+        for case in DEVIATION_FIELD_CASES:
+            self.test_deviation_field_full_cube(*case)
+        for case in VERIFIED_AS_OPEN_CASES:
+            self.test_periodic_cluster_verified_as_open(*case)
+
+    @pytest.mark.parametrize("M,N,bound", [(4, 5, 1 << 20), (4, 6, 2 << 20)])
+    def test_peak_memory(self, M, N, bound):
+        # the block's arrays of 2^13 numbers, one per spin past it plus four,
+        # not arrays of 2^(n-2)
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=0.0)
+        phi = cluster_phase(M, N, build_phase_table(cfg, solve_gate_time(cfg)).grid, nn_only=False)
+        tracemalloc.start()
+        try:
+            verify_cluster(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{peak / 2**20:.2f} MiB"
 
     def test_full_table_open_boundary_rejected(self):
         # the table's separations are periodic on the patch: on an open 3x3
