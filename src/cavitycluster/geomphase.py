@@ -39,12 +39,12 @@ the worst beyond-nearest-neighbour phase is about 0.15 (J tau)^2 Gamma_nn.
 On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
-:func:`pairwise_phase`, the sweeps and the gate-time solve sum the quarter
-Brillouin zone with folded weights (see :func:`_modes`).  Every site-resolved
+:func:`pairwise_phase`, the sweeps and the gate-time solve fold the quarter
+Brillouin zone onto its distinct frequencies (see :func:`_modes`); a sweep
+sums a block of rows at once, each row as one point is.  Every site-resolved
 Gamma (the cluster, the oracle check, the generated patch) reads the one FFT
-table of :func:`build_phase_table` (see :class:`PhaseShiftTable`).  For short
-separations both agree with the exact full-grid mode sum to ~1e-15.
-:func:`solve_gate_time` states why its walk may skip grid points.
+table of :func:`build_phase_table`.  Both agree with the exact full-grid sum
+to ~1e-15 at short separations; :func:`solve_gate_time` explains its skips.
 """
 
 from __future__ import annotations
@@ -83,36 +83,62 @@ _GRID_STEP = 0.01
 # g*tau at most this: tau**3 stays finite down to g = 1e-100 (it overflows
 # past g*tau = 563 there), with room to spare over the search window
 MAX_G_TAU = 100.0
+# elements of one block of sweep rows x distinct frequencies: each temporary
+# stays in cache (2^13 timed fastest of 2^12..2^16 on the 61x61 sweeps), and
+# a wide lattice takes one row at a time
+_BLOCK = 1 << 13
 
 
-def _gamma_bracket(w: np.ndarray, tau: float) -> np.ndarray:
+def _gamma_bracket(w: np.ndarray, tau) -> np.ndarray:
     """(1/w) * [tau - sin(w tau)/w], series-protected near w = 0.
 
     Direct evaluation loses roughly (w tau)^-2 digits to cancellation, so
     small arguments use the Taylor series
     (1/w^2)(w tau - sin(w tau)) = w tau^3/6 - w^3 tau^5/120 + ...
-    Each entry evaluates only its own branch.
+    Each entry evaluates only its own branch; tau may be a column of times.
     """
     w = np.asarray(w, dtype=float)
     x = w * tau
     small = np.abs(x) < _SERIES_THRESHOLD
+    big = ~small
     out = np.empty_like(x)
+    # a column of times is cubed by Python, as one time is: numpy's power
+    # need not round the same way
+    cube = tau**3 if np.isscalar(tau) else np.array([t**3 for t in tau.ravel().tolist()])
+    if not np.isscalar(tau):  # each entry takes its own row's time
+        w, tau, cube = (np.broadcast_to(a, x.shape) for a in (w, tau, cube.reshape(tau.shape)))
+        tau, cube = tau[big], cube[small]
     ws, xs = w[small], x[small]
     x2 = xs * xs
-    out[small] = ws * tau**3 * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0 - x2 * x2 * x2 / 362880.0)
-    big = ~small
+    out[small] = ws * cube * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0 - x2 * x2 * x2 / 362880.0)
     wb = w[big]
     out[big] = (tau - np.sin(x[big]) / wb) / wb
     return out
 
 
-def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
-    """Geometric phase over one interval of the modes at frequencies ``omega``."""
+def _checked_time(config: LatticeConfig, tau: float) -> float:
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if not config.g * tau <= MAX_G_TAU:
         raise ValueError(f"g*tau = {config.g * tau:g} is past the bound {MAX_G_TAU:g}")
-    return config.g**2 / config.n_sites * _gamma_bracket(omega, tau)
+    return tau
+
+
+def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
+    """Geometric phase over one interval of the modes at frequencies ``omega``."""
+    return config.g**2 / config.n_sites * _gamma_bracket(omega, _checked_time(config, tau))
+
+
+def _phase_sums(config: LatticeConfig, omega: np.ndarray, tau, weights: np.ndarray) -> np.ndarray:
+    """Gamma over a row, or a block of rows, of distinct frequencies: numpy's row-wise pairwise
+    sum, not a BLAS dot, gives a row the same bits in any block and under any thread count."""
+    return np.add.reduce(config.g**2 / config.n_sites * _gamma_bracket(omega, tau) * weights, -1)
+
+
+def _block_rows(rows: list[float], width: int, block_sums) -> list:
+    """block_sums(block) for rows split into blocks of max(1, _BLOCK // width), concatenated."""
+    step = max(1, _BLOCK // width)
+    return [s for i in range(0, len(rows), step) for s in block_sums(rows[i : i + step])]
 
 
 def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
@@ -120,30 +146,34 @@ def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
         raise ValueError(f"separation ({dm}, {dn}) is zero on the {config.M}x{config.N} lattice")
 
 
-def _modes(
-    config: LatticeConfig, *separations: tuple[int, int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Quarter-zone frequencies omega and each separation's folded weights.
+def _modes(config: LatticeConfig, *separations: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The quarter zone's distinct frequencies omega, and each separation's weights on them.
 
     Modes (+-l, +-k) share one frequency, and their weights 4 cos(L dm + K dn)
     sum to 4 m_l m_k cos(L dm) cos(K dn), the sines cancelling in pairs.  So
-    omega covers l = 0..M//2, k = 0..N//2 only, with m_l = 1 where -l is l
+    the fold covers l = 0..M//2, k = 0..N//2 only, with m_l = 1 where -l is l
     (l = 0, and l = M/2 on even M) and 2 elsewhere.  The weights are even and
     periodic in dm and dn, which enter as their shortest equivalents
     (|dm| <= M/2) to keep the cosines' arguments, and rounding, small.
+    Modes equal at delta = 0 bit for bit ((l, k) and (k, l) on a square
+    lattice) then share one term: omega is delta plus each distinct delta = 0
+    frequency, so a detuning sweep's rows sum the same terms as one point.
     """
-    for dm, dn in separations:
-        _check_separation(config, dm, dn)
     M, N = config.M, config.N
     L, K = mode_angles(M)[: M // 2 + 1], mode_angles(N)[: N // 2 + 1]
-    omega = band_frequencies(config, L, K).ravel()
+    hop = band_frequencies(config, L, K, delta=0.0).ravel()
+    # Python's set and sort, not np.unique: numpy's sort code adds 0.2-0.4 MB
+    # to a fresh process's peak RSS
+    distinct = np.array(sorted(set(hop.tolist())))
+    term = np.searchsorted(distinct, hop)
     m_l, m_k = _multiplicity(M), _multiplicity(N)
-    weights = []
-    for dm, dn in separations:
+    weights = np.empty((len(separations), distinct.size))
+    for row, (dm, dn) in zip(weights, separations):
+        _check_separation(config, dm, dn)
         along_l = m_l * np.cos(L * min(dm % M, -dm % M))
         along_k = m_k * np.cos(K * min(dn % N, -dn % N))
-        weights.append(4.0 * (along_l[:, None] * along_k).ravel())
-    return omega, weights
+        row[:] = np.bincount(term, 4.0 * (along_l[:, None] * along_k).ravel(), distinct.size)
+    return config.delta + distinct, weights
 
 
 def _multiplicity(size: int) -> np.ndarray:
@@ -165,9 +195,8 @@ def nn_separation(config: LatticeConfig) -> tuple[int, int]:
 
 
 def pairwise_phase(config: LatticeConfig, tau: float, dm: int, dn: int) -> float:
-    """Echoed pairwise phase Gamma between sites separated by (dm, dn)."""
-    omega, (weights,) = _modes(config, (dm, dn))
-    return float(gamma_mode(config, omega, tau) @ weights)
+    """Echoed pairwise phase Gamma between sites separated by (dm, dn): a one-row tau sweep."""
+    return sweep_tau(config, [tau], [(dm, dn)])[0][1][(dm, dn)]
 
 
 @dataclass(frozen=True)
@@ -221,7 +250,7 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
     The walk skips grid points that a derivative bound proves short of the
     target.  f = Gamma_nn - target has f'(tau) = (g^2/MN) sum w (1 - cos
     omega tau)/omega, and |1 - cos x| <= x^2/2, so |f'(tau)| <= c tau^2 with
-    c = (g^2/2MN) sum |w omega| over the quarter zone.  From a walked point
+    c = (g^2/2MN) sum |w omega| over the folded terms.  From a walked point
     s with f(s) < 0, every tau with tau^3 < s^3 - 1.5 f(s)/c therefore has
     f(tau) <= f(s)/2 < 0, and the walk moves on to the first grid point past
     that, at least one step.  The f(s)/2 margin keeps rounding out of the
@@ -239,7 +268,7 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
     c = float(np.abs(weights * omega).sum()) / (2 * config.n_sites * g)
 
     def f(tau: float) -> float:
-        return float(gamma_mode(config, omega, tau) @ weights) - target
+        return float(_phase_sums(config, omega, tau, weights)) - target
 
     grid = (np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP) / g).tolist()
     s, fs, i = 0.0, -target, 0
@@ -283,10 +312,9 @@ def sweep_delta(
     if max(map(abs, delta_grid)) > MAX_FREQUENCY_OVER_G * config.g:
         raise ValueError(f"a delta grid point is past |delta|/g = {MAX_FREQUENCY_OVER_G:g}")
     omega, (weights,) = _modes(replace(config, delta=0.0), nn_separation(config))
-    return [
-        (float(d), float(gamma_mode(config, omega + float(d), tau) @ weights))
-        for d in delta_grid
-    ]
+    tau, deltas = _checked_time(config, tau), [float(d) for d in delta_grid]
+    return list(zip(deltas, _block_rows(deltas, omega.size, lambda block: _phase_sums(
+        config, omega + np.array(block)[:, None], tau, weights).tolist())))
 
 
 def sweep_tau(
@@ -294,15 +322,15 @@ def sweep_tau(
     tau_grid: list[float],
     separations: list[tuple[int, int]],
 ) -> list[tuple[float, dict[tuple[int, int], float]]]:
-    """Rows (tau, {separation: Gamma}) over an interaction-time grid."""
+    """Rows (tau, {separation: Gamma}) over an interaction-time grid, summed a block at a time."""
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
     omega, weights = _modes(config, *separations)
-    rows = []
-    for tau in tau_grid:
-        gam = gamma_mode(config, omega, float(tau))
-        rows.append((float(tau), {s: float(gam @ w) for s, w in zip(separations, weights)}))
-    return rows
+    taus = [_checked_time(config, float(tau)) for tau in tau_grid]
+    # one plane of rows per separation
+    sums = _block_rows(taus, omega.size, lambda block: _phase_sums(
+        config, omega, np.array(block)[:, None], weights[:, None]).T.tolist())
+    return [(tau, dict(zip(separations, row))) for tau, row in zip(taus, sums)]
 
 
 @dataclass(frozen=True)

@@ -501,6 +501,14 @@ class GivenPhi:
         return self._values.copy()
 
 
+def assert_same_rows(got, want, where="snapshot"):
+    """got == want, row for row: a failure names the first wrong row instead of
+    diffing every row, which takes minutes on a snapshot."""
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"{where} row {bad}: {got[bad]!r}, expected {want[bad]!r}"
+    assert len(got) == len(want), f"{where}: {len(got)} rows, expected {len(want)}"
+
+
 def random_field_4x4():
     rng = np.random.default_rng(16)
     w = np.triu(rng.uniform(-1.5, 1.5, (16, 16)), 1)
@@ -547,7 +555,8 @@ class TestCluster:
             out = tmp_path / f"out{M}x{N}"
             assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
             snap = (out / "cluster_state.csv").read_text()
-            assert snap == self.expected_snapshot(M, N, nn_only, periodic), f"{M}x{N}"
+            want = self.expected_snapshot(M, N, nn_only, periodic)
+            assert_same_rows(snap.split("\n"), want.split("\n"), f"{M}x{N}")
 
     @pytest.mark.parametrize("rows_per_write", [1000, cli._SNAPSHOT_ROWS_PER_WRITE])
     def test_snapshot_streamed_bytes(self, tmp_path, monkeypatch, rows_per_write):
@@ -558,7 +567,8 @@ class TestCluster:
                     "nn_only = true\nperiodic = false\nsnapshot = true\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
         snap = (tmp_path / "out" / "cluster_state.csv").read_bytes()
-        assert snap == self.expected_snapshot(4, 4, True, False).encode()
+        want = self.expected_snapshot(4, 4, True, False).encode()
+        assert_same_rows(snap.split(b"\n"), want.split(b"\n"))
 
     @pytest.mark.parametrize(
         "make_phi",
@@ -580,18 +590,15 @@ class TestCluster:
             f"{i}.0,{re!r},{im!r}" for i, (re, im) in
             enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
         ]
-        assert b"".join(_snapshot_rows(phi)).decode().split("\n") == want + [""]
+        assert_same_rows(b"".join(_snapshot_rows(phi)).decode().split("\n"), want + [""])
 
     def test_snapshot_six_digit_indices(self):
         # 2^17 rows: two index digits above the low four, the top one NUL below
-        # 10^5, in chunks of 10^4 rows; a wrong row is named rather than diffed
+        # 10^5, in chunks of 10^4 rows
         phi = GivenPhi(np.tile([0.5, -0.25, 0.0, 1.0], 2**15))
         amps = phase_register(phi).amps.tolist()
         got = b"".join(_snapshot_rows(phi)).decode().split("\n")[1:-1]
-        want = [f"{i}.0,{z.real!r},{z.imag!r}" for i, z in enumerate(amps)]
-        assert len(got) == len(want)
-        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
-        assert bad is None, (got[bad], want[bad])
+        assert_same_rows(got, [f"{i}.0,{z.real!r},{z.imag!r}" for i, z in enumerate(amps)])
 
     def test_snapshot_peak_memory(self, tmp_path):
         # the writer's working set is one chunk of rows, reused: the 4x4 file

@@ -17,6 +17,7 @@ from cavitycluster.geomphase import (
     PRESETS,
     _gamma_bracket,
     _modes,
+    _phase_sums,
     build_phase_table,
     feasibility_report,
     gamma_mode,
@@ -114,21 +115,21 @@ def naive_gate_time(
 
 
 def walk_bound(cfg):
-    """c in |d Gamma_nn / d tau| <= c tau^2: (g^2 / 2MN) sum |w omega| over the quarter zone."""
+    """c in |d Gamma_nn / d tau| <= c tau^2: (g^2 / 2MN) sum |w omega| over the folded terms."""
     omega, (weights,) = _modes(cfg, nn_separation(cfg))
     return cfg.g**2 / (2 * cfg.n_sites) * float(np.sum(np.abs(weights * omega)))
 
 
-def count_gamma_calls(monkeypatch):
-    """Counts gamma_mode calls, one per Gamma_nn evaluation of the solve."""
+def count_kernel_calls(monkeypatch):
+    """Counts _phase_sums calls, one per Gamma_nn evaluation of the solve."""
     calls = []
-    inner = geomphase.gamma_mode
+    inner = geomphase._phase_sums
 
     def counted(*args, **kwargs):
         calls.append(None)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(geomphase, "gamma_mode", counted)
+    monkeypatch.setattr(geomphase, "_phase_sums", counted)
     return calls
 
 
@@ -277,12 +278,24 @@ class TestPairwisePhase:
     )
     @pytest.mark.parametrize("delta", [0.0, 0.7, -3.3])
     def test_quarter_zone_frequencies_bitwise(self, M, N, delta):
-        # _modes builds only the quarter zone; its omega is the corner
-        # l <= M/2, k <= N/2 of the full grid's, bit for bit
+        # _modes folds the quarter zone, the corner l <= M/2, k <= N/2 of the
+        # full grid, onto its distinct frequencies at delta = 0: every corner
+        # mode maps to exactly one, each has a mode, and each equals the full
+        # grid's frequency at every one of its modes, bit for bit
         cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
+        flat = replace(cfg, delta=0.0)
         omega, _ = _modes(cfg, nn_separation(cfg))
-        corner = mode_grid(cfg).reshape(M, N)[: M // 2 + 1, : N // 2 + 1]
-        assert omega.tobytes() == corner.tobytes()
+        base, _ = _modes(flat, nn_separation(cfg))
+
+        def corner(c):
+            return mode_grid(c).reshape(M, N)[: M // 2 + 1, : N // 2 + 1].ravel()
+
+        term = corner(flat)[:, None] == base
+        assert np.all(term.sum(axis=1) == 1) and np.all(term.any(axis=0))
+        assert omega[term.argmax(axis=1)].tobytes() == corner(cfg).tobytes()
+        if M == N:
+            # omega(l, k) = omega(k, l): one triangle of the square corner
+            assert omega.size == (M // 2 + 1) * (M // 2 + 2) // 2
 
     @pytest.mark.parametrize(
         "M,N", [(5, 7), (4, 6), (1, 6), (1, 5), (6, 1), (7, 1), (2, 2), (19, 19)]
@@ -446,11 +459,12 @@ class TestSolveGateTime:
         # lattice of 400 a bisection midpoint where the folded Gamma_nn is
         # exactly pi/4 and its own is not sends it a few 1e-13 away
         cfg = LatticeConfig(M=shape[0], N=shape[1], J=j * g, delta=delta * g, g=g)
-        # pairwise_phase's sum, with the modes built once instead of per point
+        # pairwise_phase's kernel and reduction, with the modes built once
+        # instead of per point
         omega, (w,) = _modes(cfg, nn_separation(cfg))
 
         def same_sum(c, tau, dm, dn):
-            return float(gamma_mode(c, omega, tau) @ w)
+            return float(_phase_sums(c, omega, tau, w))
 
         outcomes = []
         for solve in (solve_gate_time, lambda c: naive_gate_time(c, phase=same_sum),
@@ -485,7 +499,7 @@ class TestSolveGateTime:
     )
     def test_walk_skips_most_grid_points(self, cfg, monkeypatch):
         # the point-by-point walk took about 230 points and 36 bisection steps
-        calls = count_gamma_calls(monkeypatch)
+        calls = count_kernel_calls(monkeypatch)
         solve_gate_time(cfg)
         assert len(calls) <= 60
 
@@ -516,7 +530,7 @@ class TestSolveGateTime:
         # Gamma_nn stays 0; the error still reads every grid point
         cfg = LatticeConfig(M=3, N=4, J=0.0)
         assert walk_bound(cfg) == 0.0
-        calls = count_gamma_calls(monkeypatch)
+        calls = count_kernel_calls(monkeypatch)
         with pytest.raises(GateTimeNotFoundError) as exc:
             solve_gate_time(cfg)
         assert exc.value.achieved_max == 0.0
@@ -540,23 +554,56 @@ class TestSolveGateTime:
 
 
 class TestSweeps:
+    def test_sweep_memory_bounded(self):
+        # rows are summed a block of at most _BLOCK frequencies at a time: the
+        # widest lattice takes one row at a time, near 17 bytes per mode, and
+        # a long grid holds no grid-sized array (2000 x 1326 doubles = 21 MB
+        # on 101x101)
+        seps = [(1, 0), (0, 1), (1, 1), (2, 0)]
+        wide = LatticeConfig(M=1000, N=1000, J=0.1)
+        for cfg, rows, bound in ((wide, 3, 20 * wide.n_sites),
+                                 (LatticeConfig(M=101, N=101, J=0.1), 2000, 4_000_000)):
+            grid = [0.01 * k for k in range(rows)]
+            for sweep in (lambda: sweep_tau(cfg, grid, seps), lambda: sweep_delta(cfg, 3.0, grid)):
+                tracemalloc.start()
+                try:
+                    sweep()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (cfg.M, rows, peak)
+
     def test_delta_sweep_consistency(self):
         rows = sweep_delta(REF, 3.0, [0.0, 20.0])
         assert rows[0][1] == pytest.approx(pairwise_phase(REF, 3.0, 1, 0))
         assert abs(rows[1][1]) <= 0.02 * abs(rows[0][1])
 
-    def test_delta_sweep_rows_bitwise(self):
-        # -4J puts mode (0, 0) exactly at zero frequency
-        deltas = [0.0, 0.7, -4 * REF.J, -3.3, 20.0]
+    def test_delta_sweep_rows_bitwise(self, monkeypatch):
+        # -4J puts mode (0, 0) exactly at zero frequency; each block size
+        # leaves the grid past its first block of rows
+        deltas = [0.0, 0.7, -4 * REF.J, -3.3, 20.0] + [0.05 * k - 4.0 for k in range(160)]
         assert mode_grid(replace(REF, delta=-4 * REF.J))[0] == 0.0
-        rows = sweep_delta(REF, 3.0, deltas)
-        assert rows == [(d, pairwise_phase(replace(REF, delta=d), 3.0, 1, 0)) for d in deltas]
+        want = [(d, pairwise_phase(replace(REF, delta=d), 3.0, 1, 0)) for d in deltas]
+        for block in (1, 1000, geomphase._BLOCK):
+            monkeypatch.setattr(geomphase, "_BLOCK", block)
+            assert len(deltas) > block // _modes(REF, (1, 0))[0].size
+            assert sweep_delta(REF, 3.0, deltas) == want, block
 
-    def test_tau_sweep_rows_bitwise(self):
-        taus = [0.0, 0.5, GATE_TIME_PIN, 7.0]
+    def test_tau_sweep_rows_bitwise(self, monkeypatch):
+        # each block size leaves the grid past its first block of rows, and
+        # the small times take the series branch on every mode
+        taus = [0.0, 0.5, GATE_TIME_PIN, 7.0] + [0.02 * k for k in range(1, 160)]
         seps = [(1, 0), (2, 1), (0, -3), (1, 1)]
-        rows = sweep_tau(REF, taus, seps)
-        assert rows == [(t, {s: pairwise_phase(REF, t, *s) for s in seps}) for t in taus]
+        want = [(t, {s: pairwise_phase(REF, t, *s) for s in seps}) for t in taus]
+        for s in seps:
+            # pairwise_phase, a one-row sweep, against the kernel's one-time
+            # path that the gate-time solve takes
+            omega, (w,) = _modes(REF, s)
+            assert [row[s] for _, row in want] == [float(_phase_sums(REF, omega, t, w)) for t in taus]
+        for block in (1, 1000, geomphase._BLOCK):
+            monkeypatch.setattr(geomphase, "_BLOCK", block)
+            assert len(taus) > block // _modes(REF, (1, 0))[0].size
+            assert sweep_tau(REF, taus, seps) == want, block
 
     def test_delta_grid_past_bound_rejected(self):
         edge = MAX_FREQUENCY_OVER_G * REF.g
