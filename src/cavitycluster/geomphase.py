@@ -40,11 +40,11 @@ On 19x19 with J = 0.1 g, |Gamma(2,1)| is 2.3e-2 at g tau = 3 and 6.2e-3 at
 the gate time, where Gamma_nn = pi/4.
 
 :func:`pairwise_phase`, the sweeps and the gate-time solve fold the quarter
-Brillouin zone onto its distinct frequencies (see :func:`_modes`); a sweep
-sums a block of rows at once, each row as one point is.  Every site-resolved
-Gamma (the cluster, the oracle check, the generated patch) reads the one FFT
-table of :func:`build_phase_table`.  Both agree with the exact full-grid sum
-to ~1e-15 at short separations; :func:`solve_gate_time` explains its skips.
+Brillouin zone, a square lattice's onto one triangle of it (see :func:`_modes`);
+a sweep sums a block of rows at once, each row as one point is.  Every
+site-resolved Gamma (the cluster, the oracle check, the generated patch) reads
+the one FFT table of :func:`build_phase_table`.  Both agree with the exact
+full-grid sum to ~1e-15 at short separations; :func:`solve_gate_time` explains its skips.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ _GRID_STEP = 0.01
 # g*tau at most this: tau**3 stays finite down to g = 1e-100 (it overflows
 # past g*tau = 563 there), with room to spare over the search window
 MAX_G_TAU = 100.0
-# elements of one block of sweep rows x distinct frequencies: each temporary
+# elements of one block of sweep rows x folded terms: each temporary
 # stays in cache (2^13 timed fastest of 2^12..2^16 on the 61x61 sweeps), and
 # a wide lattice takes one row at a time
 _BLOCK = 1 << 13
@@ -104,8 +104,9 @@ def _gamma_bracket(w: np.ndarray, tau) -> np.ndarray:
     out = np.empty_like(x)
     # a column of times is cubed by Python, as one time is: numpy's power
     # need not round the same way
-    cube = tau**3 if np.isscalar(tau) else np.array([t**3 for t in tau.ravel().tolist()])
-    if not np.isscalar(tau):  # each entry takes its own row's time
+    column = isinstance(tau, np.ndarray)
+    cube = np.array([t**3 for t in tau.ravel().tolist()]) if column else tau**3
+    if column:  # each entry takes its own row's time
         w, tau, cube = (np.broadcast_to(a, x.shape) for a in (w, tau, cube.reshape(tau.shape)))
         tau, cube = tau[big], cube[small]
     ws, xs = w[small], x[small]
@@ -130,7 +131,7 @@ def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarr
 
 
 def _phase_sums(config: LatticeConfig, omega: np.ndarray, tau, weights: np.ndarray) -> np.ndarray:
-    """Gamma over a row, or a block of rows, of distinct frequencies: numpy's row-wise pairwise
+    """Gamma over a row, or a block of rows, of folded terms: numpy's row-wise pairwise
     sum, not a BLAS dot, gives a row the same bits in any block and under any thread count."""
     return np.add.reduce(config.g**2 / config.n_sites * _gamma_bracket(omega, tau) * weights, -1)
 
@@ -147,7 +148,7 @@ def _check_separation(config: LatticeConfig, dm: int, dn: int) -> None:
 
 
 def _modes(config: LatticeConfig, *separations: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The quarter zone's distinct frequencies omega, and each separation's weights on them.
+    """The folded terms' frequencies omega, and each separation's weights on them.
 
     Modes (+-l, +-k) share one frequency, and their weights 4 cos(L dm + K dn)
     sum to 4 m_l m_k cos(L dm) cos(K dn), the sines cancelling in pairs.  So
@@ -155,25 +156,23 @@ def _modes(config: LatticeConfig, *separations: tuple[int, int]) -> tuple[np.nda
     (l = 0, and l = M/2 on even M) and 2 elsewhere.  The weights are even and
     periodic in dm and dn, which enter as their shortest equivalents
     (|dm| <= M/2) to keep the cosines' arguments, and rounding, small.
-    Modes equal at delta = 0 bit for bit ((l, k) and (k, l) on a square
-    lattice) then share one term: omega is delta plus each distinct delta = 0
-    frequency, so a detuning sweep's rows sum the same terms as one point.
+    A square lattice has omega(l, k) = omega(k, l) bit for bit and keeps only the
+    triangle k >= l, row-major, each mode below it adding its weight to its mirror's.
     """
     M, N = config.M, config.N
     L, K = mode_angles(M)[: M // 2 + 1], mode_angles(N)[: N // 2 + 1]
-    hop = band_frequencies(config, L, K, delta=0.0).ravel()
-    # Python's set and sort, not np.unique: numpy's sort code adds 0.2-0.4 MB
-    # to a fresh process's peak RSS
-    distinct = np.array(sorted(set(hop.tolist())))
-    term = np.searchsorted(distinct, hop)
+    below = np.tri(L.size, k=-1, dtype=bool) if M == N else None  # modes l > k
+    keep = slice(None) if below is None else ~below.ravel()
+    omega = band_frequencies(config, L, K).ravel()[keep]
     m_l, m_k = _multiplicity(M), _multiplicity(N)
-    weights = np.empty((len(separations), distinct.size))
+    weights = np.empty((len(separations), omega.size))
     for row, (dm, dn) in zip(weights, separations):
         _check_separation(config, dm, dn)
         along_l = m_l * np.cos(L * min(dm % M, -dm % M))
         along_k = m_k * np.cos(K * min(dn % N, -dn % N))
-        row[:] = np.bincount(term, 4.0 * (along_l[:, None] * along_k).ravel(), distinct.size)
-    return config.delta + distinct, weights
+        w = 4.0 * (along_l[:, None] * along_k)
+        row[:] = (w if below is None else w + np.where(below.T, w.T, 0.0)).ravel()[keep]
+    return omega, weights
 
 
 def _multiplicity(size: int) -> np.ndarray:

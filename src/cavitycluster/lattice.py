@@ -21,10 +21,13 @@ import numpy as np
 
 __all__ = ["MAX_FREQUENCY_OVER_G", "LatticeConfig", "mode_angles", "band_frequencies", "mode_grid"]
 
-# the full mode grid takes 8 bytes per mode; a solve or sweep, which folds its
-# quarter zone onto distinct frequencies and sums one row at a time on a lattice
-# this wide, peaks near 17 bytes per mode and the FFT phase table near 50, so
-# this cap holds each near 50 MB
+# the full mode grid takes 8 bytes per mode; a solve, or a sweep of one
+# separation, sums its quarter zone one row at a time on a lattice this wide
+# and peaks near 33 bytes per mode on a single row, whose quarter zone holds
+# half the modes, and near 9 on a square lattice, which keeps a triangle of
+# its quarter; a tau sweep adds about 8 (a row) or 2 (a square) per further
+# separation, and the FFT phase table peaks near 50, so this cap holds each
+# near 50 MB
 MAX_MODES = 1_000_000
 # J/g and |delta|/g at most this, with g in [1e-100, 1e100], keep every mode
 # frequency and every omega*tau (g*tau <= geomphase.MAX_G_TAU) far from overflow
@@ -83,10 +86,9 @@ def mode_angles(size: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(size) / size
 
 
-def band_frequencies(config: LatticeConfig, L: np.ndarray, K: np.ndarray, delta=None) -> np.ndarray:
-    """omega = delta + 2 J cos L + 2 J cos K, len(L) x len(K); delta defaults to config.delta."""
-    delta = config.delta if delta is None else delta
-    return delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
+def band_frequencies(config: LatticeConfig, L: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """omega = delta + 2 J cos L + 2 J cos K as a len(L) x len(K) array."""
+    return config.delta + 2.0 * config.J * (np.cos(L)[:, None] + np.cos(K)[None, :])
 
 
 def mode_grid(config: LatticeConfig) -> np.ndarray:

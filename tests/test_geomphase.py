@@ -278,24 +278,17 @@ class TestPairwisePhase:
     )
     @pytest.mark.parametrize("delta", [0.0, 0.7, -3.3])
     def test_quarter_zone_frequencies_bitwise(self, M, N, delta):
-        # _modes folds the quarter zone, the corner l <= M/2, k <= N/2 of the
-        # full grid, onto its distinct frequencies at delta = 0: every corner
-        # mode maps to exactly one, each has a mode, and each equals the full
-        # grid's frequency at every one of its modes, bit for bit
+        # _modes keeps the quarter zone, the corner l <= M/2, k <= N/2 of the
+        # full grid, bit for bit; a square corner is symmetric bit for bit and
+        # keeps only its triangle k >= l, so each corner mode (l, k) has its
+        # frequency at the term (min(l, k), max(l, k))
         cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
-        flat = replace(cfg, delta=0.0)
         omega, _ = _modes(cfg, nn_separation(cfg))
-        base, _ = _modes(flat, nn_separation(cfg))
-
-        def corner(c):
-            return mode_grid(c).reshape(M, N)[: M // 2 + 1, : N // 2 + 1].ravel()
-
-        term = corner(flat)[:, None] == base
-        assert np.all(term.sum(axis=1) == 1) and np.all(term.any(axis=0))
-        assert omega[term.argmax(axis=1)].tobytes() == corner(cfg).tobytes()
+        corner = mode_grid(cfg).reshape(M, N)[: M // 2 + 1, : N // 2 + 1]
         if M == N:
-            # omega(l, k) = omega(k, l): one triangle of the square corner
-            assert omega.size == (M // 2 + 1) * (M // 2 + 2) // 2
+            assert corner.tobytes() == corner.T.tobytes()
+            corner = corner[np.triu_indices(M // 2 + 1)]
+        assert omega.tobytes() == corner.tobytes()
 
     @pytest.mark.parametrize(
         "M,N", [(5, 7), (4, 6), (1, 6), (1, 5), (6, 1), (7, 1), (2, 2), (19, 19)]
@@ -555,14 +548,19 @@ class TestSolveGateTime:
 
 class TestSweeps:
     def test_sweep_memory_bounded(self):
-        # rows are summed a block of at most _BLOCK frequencies at a time: the
-        # widest lattice takes one row at a time, near 17 bytes per mode, and
-        # a long grid holds no grid-sized array (2000 x 1326 doubles = 21 MB
-        # on 101x101)
-        seps = [(1, 0), (0, 1), (1, 1), (2, 0)]
-        wide = LatticeConfig(M=1000, N=1000, J=0.1)
-        for cfg, rows, bound in ((wide, 3, 20 * wide.n_sites),
-                                 (LatticeConfig(M=101, N=101, J=0.1), 2000, 4_000_000)):
+        # rows are summed a block of at most _BLOCK terms at a time: the widest
+        # lattices take one row at a time, near 15 bytes per mode on 1000x1000
+        # and 57 on a single row of 10^6 sites, whose quarter zone holds half
+        # its modes, and a long grid holds no grid-sized array (2000 x 1326
+        # doubles = 21 MB on 101x101)
+        square = [(1, 0), (0, 1), (1, 1), (2, 0)]
+        wide, line = LatticeConfig(M=1000, N=1000, J=0.1), LatticeConfig(M=1, N=10**6, J=0.1)
+        cases = [
+            (wide, square, 3, 18 * wide.n_sites),
+            (line, [(0, 1), (0, 2), (0, 3), (0, 4)], 3, 64 * line.n_sites),
+            (LatticeConfig(M=101, N=101, J=0.1), square, 2000, 4_000_000),
+        ]
+        for cfg, seps, rows, bound in cases:
             grid = [0.01 * k for k in range(rows)]
             for sweep in (lambda: sweep_tau(cfg, grid, seps), lambda: sweep_delta(cfg, 3.0, grid)):
                 tracemalloc.start()
@@ -599,7 +597,8 @@ class TestSweeps:
             # pairwise_phase, a one-row sweep, against the kernel's one-time
             # path that the gate-time solve takes
             omega, (w,) = _modes(REF, s)
-            assert [row[s] for _, row in want] == [float(_phase_sums(REF, omega, t, w)) for t in taus]
+            one_time = [float(_phase_sums(REF, omega, t, w)) for t in taus]
+            assert [row[s] for _, row in want] == one_time
         for block in (1, 1000, geomphase._BLOCK):
             monkeypatch.setattr(geomphase, "_BLOCK", block)
             assert len(taus) > block // _modes(REF, (1, 0))[0].size
