@@ -5,13 +5,15 @@ Subcommands: gamma-sweep, cluster, oracle-verify, mbqc, each declared once
 in _COMMANDS.  Configuration is flat INI, read key by key through one table:
 sections [lattice], [gamma-sweep], [cluster], [oracle] and [mbqc], matched
 exactly, and no [DEFAULT].  Each key outside [lattice] is declared by the one
-RunConfig field it sets, with its parser, default and g bound.  An unknown
-section or key, a value that does not parse or breaks its key's rule, and an
-[mbqc] key, or under mbqc's reference source a [lattice] key, set although the
-run does not read it, are refused with the line number.  Every output file
-starts with a header comment giving the artifact version, the seed, the
-[lattice] parameters and the hardware preset (if any), and is byte-identical
-across reruns with the same inputs.  Exit codes: 0 success, 1 verification
+RunConfig field it sets, with its parser and default.  Frequencies are in
+units of g and times in units of 1/g (see :mod:`cavitycluster.lattice`).  An
+unknown section or key, a value that does not parse or breaks its key's rule,
+and an [mbqc] key, or under mbqc's reference source a [lattice] key, set
+although the run does not read it, are refused with the line number.  Every
+output file starts with a header comment giving the artifact version, the
+seed (mbqc only, the one subcommand that samples), the [lattice] parameters
+and the hardware preset (if any), and is byte-identical across reruns with
+the same inputs.  Exit codes: 0 success, 1 verification
 failure or no gate time in the search window, 2 usage or configuration
 error.
 """
@@ -113,9 +115,25 @@ def _at_least_one(raw: str) -> int:
     return value
 
 
+def _time(raw: str) -> float:
+    """A time in units of 1/g, so g*tau: finite, non-negative and at most MAX_G_TAU."""
+    value = _non_negative(raw)
+    if value > MAX_G_TAU:
+        raise _BrokenRule(f"at most {MAX_G_TAU:g}")
+    return value
+
+
+def _detuning(raw: str) -> float:
+    """A detuning in units of g: finite, |delta| at most MAX_FREQUENCY_OVER_G."""
+    value = _finite(raw)
+    if abs(value) > MAX_FREQUENCY_OVER_G:
+        raise _BrokenRule(f"in [-{MAX_FREQUENCY_OVER_G:g}, {MAX_FREQUENCY_OVER_G:g}]")
+    return value
+
+
 def _gate_time(raw: str) -> float | None:
     """[cluster] tau; 'auto' (None) solves the gate time."""
-    return None if raw == "auto" else _non_negative(raw)
+    return None if raw == "auto" else _time(raw)
 
 
 def _boolean(raw: str) -> bool:
@@ -138,11 +156,9 @@ def _one_of(*words: str) -> Callable[[str], str]:
     return parse
 
 
-def _key(section: str, key: str, parse: Callable[[str], object], default: object,
-         scaled: str | None = None):
-    """A RunConfig field set by INI key [section] key through parse; scaled, "time" or
-    "detuning", marks a value g bounds: g*tau <= MAX_G_TAU, |delta|/g <= MAX_FREQUENCY_OVER_G."""
-    return field(default=default, metadata={"ini": (section, key, parse, scaled)})
+def _key(section: str, key: str, parse: Callable[[str], object], default: object):
+    """A RunConfig field set by INI key [section] key through parse."""
+    return field(default=default, metadata={"ini": (section, key, parse)})
 
 
 @dataclass
@@ -150,27 +166,28 @@ class RunConfig:
     """Fully resolved run parameters shared across subcommands; each INI key outside
     [lattice] is declared once, by _key on the field it sets."""
 
-    lattice: LatticeConfig = LatticeConfig(M=19, N=19, J=0.1, delta=0.0, g=1.0)
-    seed: int = 0
+    lattice: LatticeConfig = LatticeConfig(M=19, N=19, J=0.1, delta=0.0)
+    # set by --seed, which only mbqc takes; None in every other run
+    seed: int | None = None
     preset: str | None = None
-    sweep_tau_value: float = _key("gamma-sweep", "tau", _non_negative, 3.0, "time")
-    tau_min: float = _key("gamma-sweep", "tau_min", _non_negative, 0.0, "time")
-    tau_max: float = _key("gamma-sweep", "tau_max", _finite, 3.0, "time")
+    sweep_tau_value: float = _key("gamma-sweep", "tau", _time, 3.0)
+    tau_min: float = _key("gamma-sweep", "tau_min", _time, 0.0)
+    tau_max: float = _key("gamma-sweep", "tau_max", _time, 3.0)
     tau_step: float = _key("gamma-sweep", "tau_step", _positive, 0.02)
-    delta_min: float = _key("gamma-sweep", "delta_min", _finite, 0.0, "detuning")
-    delta_max: float = _key("gamma-sweep", "delta_max", _finite, 30.0, "detuning")
+    delta_min: float = _key("gamma-sweep", "delta_min", _detuning, 0.0)
+    delta_max: float = _key("gamma-sweep", "delta_max", _detuning, 30.0)
     delta_step: float = _key("gamma-sweep", "delta_step", _positive, 0.5)
     separations: tuple[tuple[int, int], ...] = _key(
         "gamma-sweep", "separations", _separations, ((1, 0), (0, 1), (1, 1), (2, 0)))
     # a cluster_tau of None ('auto') solves the gate time
-    cluster_tau: float | None = _key("cluster", "tau", _gate_time, None, "time")
+    cluster_tau: float | None = _key("cluster", "tau", _gate_time, None)
     nn_only: bool = _key("cluster", "nn_only", _boolean, True)
     periodic: bool = _key("cluster", "periodic", _boolean, True)
     snapshot: bool = _key("cluster", "snapshot", _boolean, False)
     fidelity_min: float = _key("cluster", "fidelity_min", _finite, 0.0)
     n_max: int = _key("oracle", "n_max", _at_least_one, 4)
     tolerance: float = _key("oracle", "tolerance", _positive, 1e-9)
-    oracle_tau: float = _key("oracle", "tau", _non_negative, 3.0, "time")
+    oracle_tau: float = _key("oracle", "tau", _time, 3.0)
     # set by --pattern only
     pattern_path: str | None = None
     builtin: str = _key("mbqc", "builtin", _one_of("wire", "cnot"), "wire")
@@ -180,16 +197,15 @@ class RunConfig:
     source: str = _key("mbqc", "source", _one_of("reference", "generated"), "reference")
 
 
-# (field, default, section, key, parser, scaled) of each RunConfig field an INI key sets
+# (field, default, section, key, parser) of each RunConfig field an INI key sets
 _INI_FIELDS = [(f.name, f.default, *f.metadata["ini"]) for f in fields(RunConfig) if f.metadata]
 # every INI key: section -> key -> (field it sets, parser); [lattice] keys set
 # LatticeConfig fields.  A section or key that is not here is refused, so none can
 # be accepted and then ignored.
 _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {"lattice": {
     "m": ("M", int), "n": ("N", int), "j": ("J", _finite), "delta": ("delta", _finite),
-    "g": ("g", _finite),
 }}
-for _name, _, _section, _ini_key, _parse, _ in _INI_FIELDS:
+for _name, _, _section, _ini_key, _parse in _INI_FIELDS:
     _KEYS.setdefault(_section, {})[_ini_key] = (_name, _parse)
 
 
@@ -250,40 +266,25 @@ def load_run_config(path: Path | None) -> RunConfig:
     return run
 
 
-def _check_section(run: RunConfig, section: str, path: Path | None) -> None:
-    """Refuse a key of the subcommand's section that is past its bound, or that the run
-    does not read and the file sets off its default; under mbqc, a [lattice] key too.
-
-    The defaults at the default g are within bounds, so a refusal has a file.
-    """
-    if section == "mbqc" and run.source == "reference":  # the reference cluster reads no [lattice]
+def _check_mbqc(run: RunConfig, path: Path | None) -> None:
+    """Refuse an [mbqc] key that the run does not read and the file sets off its default,
+    and under the reference source a [lattice] key; every other key is read by each run
+    of the subcommand that its section names."""
+    if run.source == "reference":  # the reference cluster reads no [lattice]
         for key, (name, _) in _KEYS["lattice"].items():
             if (value := getattr(run.lattice, name)) != getattr(RunConfig.lattice, name):
                 raise ConfigError(f"{path}, line {_line_number(path, 'lattice', key)}: [lattice] "
                                   f"{name} = {value!r} is not read: source = reference takes no lattice")
-    g = run.lattice.g
-    # [mbqc] keys, the only ones a run can leave unread: a pattern file replaces
-    # the builtin, and only the wire builtin takes angles
+    # a pattern file replaces the builtin, and only the wire builtin takes angles
     if run.pattern_path:
         unread, why = ("builtin", "theta1", "theta2", "theta3"), "--pattern replaces the builtin"
     else:
         unread = ("theta1", "theta2", "theta3") if run.builtin != "wire" else ()
         why = f"builtin = {run.builtin} takes no angles"
-    for name, default, key_section, key, _, scaled in _INI_FIELDS:
-        value = getattr(run, name)
-        if key_section != section or value is None:  # [cluster] tau = auto
-            continue
-        if name in unread and value != default:
-            problem = f"is not read: {why}"
-        elif scaled == "time" and g * value > MAX_G_TAU:
-            problem = f"puts g*tau at {g * value:g}, past the bound {MAX_G_TAU:g}"
-        elif scaled == "detuning" and abs(value) / g > MAX_FREQUENCY_OVER_G:
-            problem = f"puts |delta|/g at {abs(value) / g:g}, past the bound {MAX_FREQUENCY_OVER_G:g}"
-        else:
-            continue
-        line = _line_number(path, section, key)
-        where, note = (f"{path}, line {line}", "") if line else (f"{path}", " (default)")
-        raise ConfigError(f"{where}: [{section}] {key} = {value!r}{note} {problem}")
+    for name, default, section, key, _ in _INI_FIELDS:
+        if name in unread and (value := getattr(run, name)) != default:
+            raise ConfigError(f"{path}, line {_line_number(path, section, key)}: "
+                              f"[{section}] {key} = {value!r} is not read: {why}")
 
 
 def _fmt(value: float) -> str:
@@ -294,9 +295,11 @@ def _fmt(value: float) -> str:
 def _write_report(path: Path, run: RunConfig, command: str, body: Iterable[str | bytes]) -> None:
     """Write the header, then body: a str item UTF-8 encoded with a newline, a bytes item as is."""
     lat = run.lattice
-    header = [f"cavitycluster {command}", f"version = {__version__}", f"seed = {run.seed}",
-              f"lattice.M = {lat.M}", f"lattice.N = {lat.N}", f"lattice.J = {lat.J!r}",
-              f"lattice.delta = {lat.delta!r}", f"lattice.g = {lat.g!r}"]
+    header = [f"cavitycluster {command}", f"version = {__version__}"]
+    if run.seed is not None:
+        header.append(f"seed = {run.seed}")
+    header += [f"lattice.M = {lat.M}", f"lattice.N = {lat.N}", f"lattice.J = {lat.J!r}",
+               f"lattice.delta = {lat.delta!r}"]
     if run.preset:
         header.append(f"preset = {run.preset}")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -355,7 +358,7 @@ def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
 
 
 def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
-    rep = feasibility_report(PRESETS[run.preset], run.lattice, gate_time)
+    rep = feasibility_report(PRESETS[run.preset], gate_time)
     return [
         f"feasibility preset = {rep.preset}",
         f"gate_time_g_units = {_fmt(rep.gate_time_g_units)}",
@@ -383,13 +386,12 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
         raise ConfigError(f"[gamma-sweep] {exc}") from None
     # a failed gate-time solve exits before any file is written
     feasibility = _feasibility_lines(run, solve_gate_time(run.lattice)) if run.preset else None
-    g = run.lattice.g
-    body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d / g)},{_fmt(gam)}" for d, gam in rows_d]
+    body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d)},{_fmt(gam)}" for d, gam in rows_d]
     _write_report(out / "gamma_vs_delta.csv", run, "gamma-sweep", body)
 
     body = [",".join(["g_tau"] + [f"G_{dm}_{dn}" for dm, dn in run.separations])]
     for tau, row in rows_t:
-        body.append(",".join(_fmt(v) for v in [g * tau] + [row[s] for s in run.separations]))
+        body.append(",".join(_fmt(v) for v in [tau] + [row[s] for s in run.separations]))
     _write_report(out / "gamma_vs_tau.csv", run, "gamma-sweep", body)
     if feasibility:
         _write_report(out / "feasibility.txt", run, "gamma-sweep", feasibility)
@@ -420,7 +422,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
     body = [
         f"tau = {_fmt(tau)}",
-        f"g_tau = {_fmt(cfg.g * tau)}",
+        f"g_tau = {_fmt(tau)}",
         f"gamma_nn = {_fmt(table.gamma(*nn_sep))}",
         f"nn_only = {run.nn_only}",
         f"periodic = {run.periodic}",
@@ -561,16 +563,15 @@ def _u64(raw: str) -> int:
 # every command-line flag and its value rule
 _FLAGS: dict[str, Callable[[str], object]] = {"--config": Path, "--out": Path, "--seed": _u64,
                                               "--preset": _one_of(*sorted(PRESETS)), "--pattern": Path}
-# each subcommand: its function, the section it reads (whose keys _check_section
-# checks) and its flags; gamma-sweep and cluster alone write feasibility lines
-_COMMANDS = {name: (command, section, ("--config", "--out", "--seed", *extra))
-             for name, command, section, *extra in (
-                 ("gamma-sweep", cmd_gamma_sweep, "gamma-sweep", "--preset"),
-                 ("cluster", cmd_cluster, "cluster", "--preset"),
-                 ("oracle-verify", cmd_oracle_verify, "oracle"),
-                 ("mbqc", cmd_mbqc, "mbqc", "--pattern"))}
+# each subcommand: its function and its flags; gamma-sweep and cluster alone write
+# feasibility lines, and mbqc alone samples, so it alone takes a seed
+_COMMANDS = {name: (command, ("--config", "--out", *extra)) for name, command, *extra in (
+    ("gamma-sweep", cmd_gamma_sweep, "--preset"),
+    ("cluster", cmd_cluster, "--preset"),
+    ("oracle-verify", cmd_oracle_verify),
+    ("mbqc", cmd_mbqc, "--seed", "--pattern"))}
 _USAGE = "usage: cavitycluster -h | --help\n" + "\n".join(f"       cavitycluster {name}" + "".join(
-    f" [{flag} {flag[2:].upper()}]" for flag in flags) for name, (_, _, flags) in _COMMANDS.items())
+    f" [{flag} {flag[2:].upper()}]" for flag in flags) for name, (_, flags) in _COMMANDS.items())
 
 
 def _parse_argv(argv: list[str]) -> tuple[str, dict[str, object]]:
@@ -584,7 +585,7 @@ def _parse_argv(argv: list[str]) -> tuple[str, dict[str, object]]:
         raise refuse("no command" if command is None else f"unknown command {command!r}")
     for word in words:
         flag, eq, raw = word.partition("=")
-        if flag not in _COMMANDS[command][2]:
+        if flag not in _COMMANDS[command][1]:
             raise refuse(f"{command} does not take {word!r}")
         if flag in flags:
             raise refuse(f"{flag} is given twice")
@@ -607,12 +608,13 @@ def main(argv: list[str] | None = None) -> int:
             print(_USAGE)
             return EXIT_OK
         name, flags = _parse_argv(argv)
-        command, section, _ = _COMMANDS[name]
+        command = _COMMANDS[name][0]
         run = load_run_config(flags.get("--config"))
-        run.seed = flags.get("--seed", 0)
         run.preset = flags.get("--preset")
         run.pattern_path = str(flags["--pattern"]) if "--pattern" in flags else None
-        _check_section(run, section, flags.get("--config"))
+        if name == "mbqc":
+            run.seed = flags.get("--seed", 0)
+            _check_mbqc(run, flags.get("--config"))
         return command(run, flags.get("--out", Path(".")))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

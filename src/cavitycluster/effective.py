@@ -220,7 +220,7 @@ def cluster_phase(
     """Phi of the XX evolution from |up...up> followed by the local correction.
 
     gamma_grid is a pair-phase table, Gamma(dm, dn) = gamma_grid[dm % Mt,
-    dn % Nt], e.g. PhaseShiftTable.grid.  With nn_only only grid edges couple;
+    dn % Nt], such as PhaseShiftTable.grid.  With nn_only only grid edges couple;
     otherwise every pair does.  Each pair a < b reads Gamma(b - a), mirrored
     into W.  No separation may alias: a periodic patch needs a table of its
     own shape, and an open patch may read no separation past half the table.

@@ -18,7 +18,8 @@ coupling exp[sum_pairs i Gamma sigma_x sigma_x] with
 Note the g^2 prefactor in gamma_{L,K}: it is fixed by direct integration
 of the driven interaction Hamiltonian (see the brute-force checks in
 :mod:`cavitycluster.oracle`), and Gamma above is the echoed pair
-coefficient that those checks reproduce.
+coefficient that those checks reproduce.  The code works in units of g
+(see :mod:`cavitycluster.lattice`), so it evaluates these with g = 1.
 
 In real space Gamma_ab = 4 g^2 int_0^tau (tau - u) Im[exp(i h u)]_ab du,
 with h = delta + J * (periodic nearest-neighbour adjacency), and the
@@ -32,7 +33,7 @@ At delta = 0 this promises:
   where (2,0) is the odd separation (-3,0);
 - the nearest-neighbour term is Gamma_nn = 2 J tau^3/3 at leading order;
 - odd separations beyond nearest neighbour first appear through hopping
-  walks of length 3 and scale as J^3 tau^5, e.g. Gamma(2,1) ~ -J^3 tau^5/10.
+  walks of length 3 and scale as J^3 tau^5, as in Gamma(2,1) ~ -J^3 tau^5/10.
 
 So "only nearest neighbours" holds to leading order in J tau, not exactly:
 the worst beyond-nearest-neighbour phase is about 0.15 (J tau)^2 Gamma_nn.
@@ -77,11 +78,11 @@ __all__ = [
 # below this |omega*tau| the bracket tau - sin(omega tau)/omega is evaluated
 # by its Taylor series; direct evaluation loses ~(omega tau)^-2 digits
 _SERIES_THRESHOLD = 0.05
-# the gate-time search: g*tau in (0, _WINDOW], walked every _GRID_STEP
+# the gate-time search: tau (in units of 1/g) in (0, _WINDOW], walked every _GRID_STEP
 _WINDOW = 20.0
 _GRID_STEP = 0.01
-# g*tau at most this: tau**3 stays finite down to g = 1e-100 (it overflows
-# past g*tau = 563 there), with room to spare over the search window
+# tau (in units of 1/g, so g*tau) at most this: room to spare over the search
+# window, and with |omega| <= 5 MAX_FREQUENCY_OVER_G every omega*tau stays finite
 MAX_G_TAU = 100.0
 # elements of one block of sweep rows x folded terms: each temporary
 # stays in cache (2^13 timed fastest of 2^12..2^16 on the 61x61 sweeps), and
@@ -117,23 +118,23 @@ def _gamma_bracket(w: np.ndarray, tau) -> np.ndarray:
     return out
 
 
-def _checked_time(config: LatticeConfig, tau: float) -> float:
+def _checked_time(tau: float) -> float:
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    if not config.g * tau <= MAX_G_TAU:
-        raise ValueError(f"g*tau = {config.g * tau:g} is past the bound {MAX_G_TAU:g}")
+    if not tau <= MAX_G_TAU:
+        raise ValueError(f"g*tau = {tau:g} is past the bound {MAX_G_TAU:g}")
     return tau
 
 
 def gamma_mode(config: LatticeConfig, omega: np.ndarray, tau: float) -> np.ndarray:
     """Geometric phase over one interval of the modes at frequencies ``omega``."""
-    return config.g**2 / config.n_sites * _gamma_bracket(omega, _checked_time(config, tau))
+    return 1.0 / config.n_sites * _gamma_bracket(omega, _checked_time(tau))
 
 
 def _phase_sums(config: LatticeConfig, omega: np.ndarray, tau, weights: np.ndarray) -> np.ndarray:
     """Gamma over a row, or a block of rows, of folded terms: numpy's row-wise pairwise
     sum, not a BLAS dot, gives a row the same bits in any block and under any thread count."""
-    return np.add.reduce(config.g**2 / config.n_sites * _gamma_bracket(omega, tau) * weights, -1)
+    return np.add.reduce(1.0 / config.n_sites * _gamma_bracket(omega, tau) * weights, -1)
 
 
 def _block_rows(rows: list[float], width: int, block_sums) -> list:
@@ -242,14 +243,14 @@ class GateTimeNotFoundError(RuntimeError):
 
 
 def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float:
-    """Smallest tau with g*tau in (0, _WINDOW] and Gamma_nn(tau) = target.
+    """Smallest tau (in units of 1/g) in (0, _WINDOW] with Gamma_nn(tau) = target.
 
-    Walks from tau = 0, where Gamma_nn = 0 < target, over g*tau = k*_GRID_STEP
+    Walks from tau = 0, where Gamma_nn = 0 < target, over tau = k*_GRID_STEP
     to the first point with Gamma_nn >= target, then bisects that interval.
     The walk skips grid points that a derivative bound proves short of the
-    target.  f = Gamma_nn - target has f'(tau) = (g^2/MN) sum w (1 - cos
+    target.  f = Gamma_nn - target has f'(tau) = (1/MN) sum w (1 - cos
     omega tau)/omega, and |1 - cos x| <= x^2/2, so |f'(tau)| <= c tau^2 with
-    c = (g^2/2MN) sum |w omega| over the folded terms.  From a walked point
+    c = (1/2MN) sum |w omega| over the folded terms.  From a walked point
     s with f(s) < 0, every tau with tau^3 < s^3 - 1.5 f(s)/c therefore has
     f(tau) <= f(s)/2 < 0, and the walk moves on to the first grid point past
     that, at least one step.  The f(s)/2 margin keeps rounding out of the
@@ -257,26 +258,26 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
     point-by-point walk, and bisects the same step to the same tau.  With
     c = 0, Gamma_nn is 0 throughout and the walk goes straight to the end.
     With no root, the error reports the largest |Gamma_nn| over the whole
-    grid, so a failing solve evaluates its walked points a second time.
+    grid, read from one tau sweep over it, which sums the grid in row blocks.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
-    omega, (weights,) = _modes(config, nn_separation(config))
-    g = config.g
-    # c / g^3, the bound in units of 1/g, so that its size does not follow the scale of g
-    c = float(np.abs(weights * omega).sum()) / (2 * config.n_sites * g)
+    sep = nn_separation(config)
+    omega, (weights,) = _modes(config, sep)
+    c = float(np.abs(weights * omega).sum()) / (2 * config.n_sites)
 
     def f(tau: float) -> float:
         return float(_phase_sums(config, omega, tau, weights)) - target
 
-    grid = (np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP) / g).tolist()
+    grid = np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP).tolist()
     s, fs, i = 0.0, -target, 0
     while True:
         # every grid point below reach has f <= fs/2 < 0
-        reach = ((g * s) ** 3 - 1.5 * fs / c) ** (1.0 / 3.0) / g if c > 0.0 else math.inf
+        reach = (s**3 - 1.5 * fs / c) ** (1.0 / 3.0) if c > 0.0 else math.inf
         i = bisect.bisect_left(grid, reach, i)
         if i == len(grid):
-            raise GateTimeNotFoundError(target, max(abs(f(t) + target) for t in grid))
+            rows = sweep_tau(config, grid, [sep])
+            raise GateTimeNotFoundError(target, max(abs(row[sep]) for _, row in rows))
         hi = grid[i]
         fhi = f(hi)
         if fhi == 0.0:
@@ -308,10 +309,10 @@ def sweep_delta(
     """
     if len(delta_grid) == 0:
         raise ValueError("delta grid must be non-empty")
-    if max(map(abs, delta_grid)) > MAX_FREQUENCY_OVER_G * config.g:
+    if max(map(abs, delta_grid)) > MAX_FREQUENCY_OVER_G:
         raise ValueError(f"a delta grid point is past |delta|/g = {MAX_FREQUENCY_OVER_G:g}")
     omega, (weights,) = _modes(replace(config, delta=0.0), nn_separation(config))
-    tau, deltas = _checked_time(config, tau), [float(d) for d in delta_grid]
+    tau, deltas = _checked_time(tau), [float(d) for d in delta_grid]
     return list(zip(deltas, _block_rows(deltas, omega.size, lambda block: _phase_sums(
         config, omega + np.array(block)[:, None], tau, weights).tolist())))
 
@@ -325,7 +326,7 @@ def sweep_tau(
     if len(tau_grid) == 0 or len(separations) == 0:
         raise ValueError("tau grid and separation list must be non-empty")
     omega, weights = _modes(config, *separations)
-    taus = [_checked_time(config, float(tau)) for tau in tau_grid]
+    taus = [_checked_time(float(tau)) for tau in tau_grid]
     # one plane of rows per separation
     sums = _block_rows(taus, omega.size, lambda block: _phase_sums(
         config, omega, np.array(block)[:, None], weights[:, None]).T.tolist())
@@ -386,18 +387,15 @@ class FeasibilityReport:
     ratio_qubit: float
 
 
-def feasibility_report(
-    preset: HardwarePreset, config: LatticeConfig, gate_time: float
-) -> FeasibilityReport:
+def feasibility_report(preset: HardwarePreset, gate_time: float) -> FeasibilityReport:
     """Physical-unit gate time and coherence-time ratios of a preset.
 
-    gate_time is the lattice's solved gate time, ``solve_gate_time(config)``.
+    gate_time is a lattice's solved gate time, ``solve_gate_time(config)``, in units of 1/g.
     """
-    gtau = config.g * gate_time
-    t_phys = gtau / preset.g_phys
+    t_phys = gate_time / preset.g_phys
     return FeasibilityReport(
         preset=preset.name,
-        gate_time_g_units=gtau,
+        gate_time_g_units=gate_time,
         gate_time_seconds=t_phys,
         ratio_cavity=t_phys / preset.T_cavity,
         ratio_qubit=t_phys / preset.T_qubit,

@@ -6,10 +6,11 @@ integer pair (l, k) with angles L = 2*pi*l/M, K = 2*pi*k/N and frequency
 
     omega_{L,K} = delta + 2 J cos L + 2 J cos K.
 
-g, J, delta and omega are angular frequencies in one common unit and tau
-is a time in its inverse; nothing fixes g = 1, so a dimensionless reading
-takes the products g tau, J/g and delta/g.  Physical-unit conversion lives
-with the hardware presets in :mod:`cavitycluster.geomphase`.
+The geometric phase depends on the qubit-cavity coupling g only through
+g tau, J/g and delta/g, so the package works in units of g: J, delta and
+omega are angular frequencies in units of g, and tau is a time in units of
+1/g.  Physical-unit conversion lives with the hardware presets in
+:mod:`cavitycluster.geomphase`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = ["MAX_FREQUENCY_OVER_G", "LatticeConfig", "mode_angles", "band_frequen
 # separation, and the FFT phase table peaks near 50, so this cap holds each
 # near 50 MB
 MAX_MODES = 1_000_000
-# J/g and |delta|/g at most this, with g in [1e-100, 1e100], keep every mode
-# frequency and every omega*tau (g*tau <= geomphase.MAX_G_TAU) far from overflow
+# |J| and |delta| at most this (in units of g) keep every mode frequency and
+# every omega*tau (tau <= geomphase.MAX_G_TAU) far from overflow
 MAX_FREQUENCY_OVER_G = 1e150
 
 
@@ -39,16 +40,14 @@ class LatticeConfig:
     """Physical parameters of the M x N coupled-cavity array.
 
     M, N    lattice rows / columns
-    g       qubit-cavity coupling, 1e-100 <= g <= 1e100
-    J       photon tunneling rate, same unit as g, 0 <= J/g <= MAX_FREQUENCY_OVER_G
-    delta   cavity-qubit detuning, same unit as g, |delta|/g <= MAX_FREQUENCY_OVER_G
+    J       photon tunneling rate in units of g, 0 <= J <= MAX_FREQUENCY_OVER_G
+    delta   cavity-qubit detuning in units of g, |delta| <= MAX_FREQUENCY_OVER_G
     """
 
     M: int
     N: int
     J: float
     delta: float = 0.0
-    g: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("M", "N"):
@@ -62,19 +61,15 @@ class LatticeConfig:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.M}x{self.N}")
         if self.M * self.N > MAX_MODES:
             raise ValueError(f"a {self.M}x{self.N} lattice has over {MAX_MODES} modes")
-        # results depend on g only through J/g, delta/g and g*tau, and far outside
-        # this range the g*tau grid points or g**2 overflow a float
-        if not 1e-100 <= self.g <= 1e100:
-            raise ValueError(f"coupling g must lie in [1e-100, 1e100], got {self.g!r}")
         for name in ("J", "delta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.J < 0:
             raise ValueError("tunneling rate J must be non-negative")
         for name in ("J", "delta"):
-            if abs(getattr(self, name)) > MAX_FREQUENCY_OVER_G * self.g:
+            if abs(getattr(self, name)) > MAX_FREQUENCY_OVER_G:
                 raise ValueError(f"|{name}| must be at most {MAX_FREQUENCY_OVER_G:g} g, "
-                                 f"got {name} = {getattr(self, name)!r} with g = {self.g!r}")
+                                 f"got {name} = {getattr(self, name)!r}")
 
     @property
     def n_sites(self) -> int:

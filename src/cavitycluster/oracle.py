@@ -16,8 +16,9 @@ diagonal, so a qubit configuration c is never mixed with another and sees
 
     H_c(t) = sum_modes [ lambda_{m,c} e^{-i omega_m t} a_m + h.c. ],
 
-a sum of commuting single-mode drives; lambda_{m,c} is g/sqrt(MN) times the
-FFT2 of the +-1 spins of c, the phase table's transform.  Started in the
+a sum of commuting single-mode drives; lambda_{m,c} is 1/sqrt(MN) times the
+FFT2 of the +-1 spins of c, the phase table's transform (frequencies are in
+units of g, so g = 1 here).  Started in the
 field vacuum, the field of configuration c therefore stays exactly a product
 over modes, and the oracle propagates one (n_max+1)-dimensional state per
 (mode, configuration) pair, batched as one array psi[mode, configuration, f].
@@ -117,15 +118,15 @@ def sz_operator(config: LatticeConfig) -> np.ndarray:
 def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Mode frequencies omega[m] and drive strengths lam[m, c] = |lambda_{m,c}|.
 
-    lambda_{m,c} = g/sqrt(MN) * conj(eigenvalue of J_X(m) on configuration c),
+    lambda_{m,c} = 1/sqrt(MN) * conj(eigenvalue of J_X(m) on configuration c),
     configurations indexed like the qubit basis with bit 1 = |-x>.  The
     eigenvalue sums e^{i(L m + K n)} over the M x N spins +-1, so lam is the
-    modulus of their FFT2 times g/sqrt(MN).
+    modulus of their FFT2 over sqrt(MN).
     """
     nq = config.n_sites
     bits = (np.arange(2**nq)[:, None] >> (nq - 1 - np.arange(nq))) & 1
     spins = (1.0 - 2.0 * bits).reshape(-1, config.M, config.N)
-    return mode_grid(config), config.g / math.sqrt(nq) * np.abs(np.fft.fft2(spins)).reshape(-1, nq).T
+    return mode_grid(config), 1.0 / math.sqrt(nq) * np.abs(np.fft.fft2(spins)).reshape(-1, nq).T
 
 
 def _echo(ws: np.ndarray, lam: np.ndarray, tau: float, n_max: int) -> np.ndarray:

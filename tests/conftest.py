@@ -34,7 +34,8 @@ def _hopping_eigh(config):
 
 
 def _realspace_gamma(config, tau, dm, dn):
-    """Gamma_ab = 4 g^2 int_0^tau (tau - u) Im[exp(i h u)]_ab du, a = (0, 0), b = (dm, dn).
+    """Gamma_ab = 4 int_0^tau (tau - u) Im[exp(i h u)]_ab du, a = (0, 0), b = (dm, dn),
+    in units of g (g = 1).
 
     Built in real space from the hopping matrix and integrated by
     quadrature, so it shares nothing with the Fourier mode sum of
@@ -47,7 +48,7 @@ def _realspace_gamma(config, tau, dm, dn):
         lambda u: (tau - u) * np.dot(weights, np.sin(lam * u)),
         0.0, tau, epsabs=1e-14, epsrel=1e-12, limit=200,
     )
-    return 4.0 * config.g**2 * integral
+    return 4.0 * integral
 
 
 @pytest.fixture(scope="session")

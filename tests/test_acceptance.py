@@ -31,7 +31,7 @@ from cavitycluster.phasespace import (
     verify_displacement_law,
 )
 
-REF19 = LatticeConfig(M=19, N=19, J=0.1, delta=0.0, g=1.0)
+REF19 = LatticeConfig(M=19, N=19, J=0.1, delta=0.0)
 GATE_TIME_PIN = 2.2933987105637783  # frozen after the first computation
 
 
@@ -107,7 +107,7 @@ def test_criterion_02_nearest_neighbor_selectivity(request, realspace_gamma):
 def test_criterion_03_size_independence(request):
     tau = solve_gate_time(REF19)
     g19 = pairwise_phase(REF19, tau, 1, 0)
-    big = LatticeConfig(M=29, N=29, J=0.1, delta=0.0, g=1.0)
+    big = LatticeConfig(M=29, N=29, J=0.1, delta=0.0)
     g29 = pairwise_phase(big, tau, 1, 0)
     rel = abs(g29 - g19) / abs(g19)
     ok = rel < 0.01
@@ -139,7 +139,7 @@ def test_criterion_05_oracle_equivalence(request):
         worst_resid = 0.0
         worst_trunc = 0.0
         for M, N in ((1, 2), (1, 3), (2, 2)):
-            cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta, g=1.0)
+            cfg = LatticeConfig(M=M, N=N, J=0.1, delta=delta)
             rep = oracle.echo_evolve(cfg, tau, n_max=n_max)
             worst_resid = max(worst_resid, rep.residual_excitation)
             worst_trunc = max(worst_trunc, rep.truncation_estimate)
@@ -277,7 +277,7 @@ def test_criterion_09_mbqc_end_to_end(request):
 
 
 def test_criterion_10_feasibility_arithmetic(request):
-    rep = feasibility_report(PRESETS["cpb"], REF19, solve_gate_time(REF19))
+    rep = feasibility_report(PRESETS["cpb"], solve_gate_time(REF19))
     t_us = rep.gate_time_seconds * 1e6
     ok = 0.005 <= t_us <= 0.05 and rep.ratio_cavity <= 1e-3
     _record(

@@ -58,7 +58,6 @@ NON_DEFAULT = {
     ("lattice", "n"): "5",
     ("lattice", "j"): "0.2",
     ("lattice", "delta"): "1.5",
-    ("lattice", "g"): "2.0",
     ("gamma-sweep", "tau"): "2.5",
     ("gamma-sweep", "delta_min"): "1.0",
     ("gamma-sweep", "delta_max"): "10.0",
@@ -238,17 +237,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "command,section,key,value,rest,message",
         [
-            ("cluster", "cluster", "tau", "1e120", "", "puts g*tau at 1e+120, past the bound 100"),
-            ("gamma-sweep", "gamma-sweep", "tau", "1e300", "", "puts g*tau at 1e+300"),
+            ("cluster", "cluster", "tau", "1e120", "", "tau must be at most 100"),
+            ("gamma-sweep", "gamma-sweep", "tau", "1e300", "", "tau must be at most 100"),
             ("gamma-sweep", "gamma-sweep", "tau_min", "100.5", "tau_max = 101\n",
-             "puts g*tau at 100.5, past the bound 100"),
+             "tau_min must be at most 100"),
             ("gamma-sweep", "gamma-sweep", "tau_max", "1e300", "tau_step = 1e296\n",
-             "puts g*tau at 1e+300"),
+             "tau_max must be at most 100"),
             ("gamma-sweep", "gamma-sweep", "delta_min", "-1e151", "",
-             "puts |delta|/g at 1e+151, past the bound 1e+150"),
+             "delta_min must be in [-1e+150, 1e+150]"),
             ("gamma-sweep", "gamma-sweep", "delta_max", "1e308", "delta_step = 1e307\n",
-             "puts |delta|/g at 1e+308"),
-            ("oracle-verify", "oracle", "tau", "1e300", "", "puts g*tau at 1e+300"),
+             "delta_max must be in [-1e+150, 1e+150]"),
+            ("oracle-verify", "oracle", "tau", "1e300", "", "tau must be at most 100"),
             ("cluster", "lattice", "J", "1e308", "", "|J| must be at most 1e+150 g"),
             ("gamma-sweep", "lattice", "delta", "-1e308", "", "|delta| must be at most 1e+150 g"),
         ],
@@ -256,7 +255,8 @@ class TestConfigParsing:
     def test_scaled_key_past_bound_names_line(
         self, tmp_path, capsys, command, section, key, value, rest, message
     ):
-        # these ended in an OverflowError traceback, or wrote nan rows, with exit 0 or 1
+        # a time (in units of 1/g) or a detuning (in units of g) past its bound
+        # ended in an OverflowError traceback, or wrote nan rows, with exit 0 or 1
         body = "[lattice]\nM = 2\nN = 2\n" + ("" if section == "lattice" else f"[{section}]\n")
         cfg = write(tmp_path, "s.ini", body + f"{key} = {value}\n{rest}")
         out = tmp_path / "out"
@@ -264,38 +264,35 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert f"s.ini, line {body.count(chr(10)) + 1}: " in err and message in err
         if section != "lattice":
-            assert f"[{section}] {key} = {float(value)!r} puts" in err
+            assert f"[{section}] {message}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,section", [("gamma-sweep", "gamma-sweep"),
-                                                 ("oracle-verify", "oracle")])
-    def test_default_tau_past_bound_at_large_g(self, tmp_path, capsys, command, section):
-        # the default tau = 3 is g*tau = 3000 at g = 1000; cluster solves its own tau and runs
-        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 1\nN = 2\nJ = 100\ng = 1000\n")
+    @pytest.mark.parametrize("command", ["gamma-sweep", "cluster", "oracle-verify", "mbqc"])
+    def test_scaled_keys_checked_by_every_subcommand(self, tmp_path, capsys, command):
+        # a key's bound is its rule, so the file is refused on load, as for any
+        # other broken rule, whichever subcommand reads it
+        cfg = write(tmp_path, "s.ini", "[oracle]\ntau = 200\n")
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        assert (f"s.ini: [{section}] tau = 3.0 (default) puts g*tau at 3000, past the bound 100"
-                in capsys.readouterr().err)
+        assert "s.ini, line 2: [oracle] tau must be at most 100" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_scaled_keys_checked_only_by_their_subcommand(self, tmp_path):
-        # g*tau = 200 in [gamma-sweep] and [oracle] stops neither cluster nor mbqc,
-        # which read neither section; mbqc's reference cluster reads no [lattice]
-        scaled = "[gamma-sweep]\ntau = 200\n[oracle]\ntau = 200\n"
-        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n" + scaled)
-        for command, config in (("cluster", cfg), ("mbqc", write(tmp_path, "m.ini", scaled))):
-            assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == EXIT_OK
-        for command in ("gamma-sweep", "oracle-verify"):
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_USAGE
+    def test_coupling_is_no_key(self, tmp_path, capsys):
+        # frequencies are in units of g, so [lattice] has no g to set
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\ng = 2.0\n")
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "c.ini, line 4: unknown key 'g' in section [lattice]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_steps_are_not_g_bounded(self, tmp_path):
-        # a step is no time or detuning the physics runs at: |delta_step|/g = 1e151
-        # and g*tau_step = 101 pass their bounds, and each grid keeps its one point
+        # a step is no time or detuning the physics runs at: |delta_step| = 1e151
+        # and tau_step = 101 pass their bounds, and each grid keeps its one point
         cfg = write(tmp_path, "s.ini", "[lattice]\nM = 3\nN = 3\n[gamma-sweep]\n"
                     "delta_max = 0\ndelta_step = 1e151\ntau_max = 0\ntau_step = 101\n")
         out = tmp_path / "out"
         assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert len((out / "gamma_vs_tau.csv").read_text().splitlines()) == 8 + 2
+        assert len((out / "gamma_vs_tau.csv").read_text().splitlines()) == 6 + 2
 
     def test_delta_grid_past_bound(self, tmp_path, capsys):
         # delta_max is at the bound, and 33 steps of 1e150/33 pass it by rounding:
@@ -309,12 +306,12 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    def test_largest_g_tau_at_smallest_g_runs(self, tmp_path):
-        # g*tau = 100 and |delta|/g = 1e150 at g = 1e-100, with no warning
-        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\nJ = 1e-101\ng = 1e-100\n"
-                    "[gamma-sweep]\ntau = 1e102\ntau_max = 1e102\ntau_step = 5e101\nseparations = 1,0\n"
-                    "delta_min = -1e50\ndelta_max = 1e50\ndelta_step = 1e50\n"
-                    "[oracle]\ntau = 1e102\n")
+    def test_largest_g_tau_runs(self, tmp_path):
+        # g*tau = 100 and |delta| = 1e150, the bounds, with no warning
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\nJ = 0.1\n"
+                    "[gamma-sweep]\ntau = 100\ntau_max = 100\ntau_step = 50\nseparations = 1,0\n"
+                    "delta_min = -1e150\ndelta_max = 1e150\ndelta_step = 1e150\n"
+                    "[oracle]\ntau = 100\n")
         for command in ("gamma-sweep", "oracle-verify"):
             out = tmp_path / command
             assert main([command, "--config", str(cfg), "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
@@ -364,7 +361,7 @@ class TestGammaSweep:
         assert "delta_over_g,gamma_nn" in delta_csv
         assert "g_tau,G_1_0,G_1_1" in tau_csv
         assert delta_csv.startswith("# cavitycluster gamma-sweep")
-        assert "# seed = 0" in delta_csv
+        assert "# seed" not in delta_csv  # mbqc alone takes a seed
         assert "# lattice.M = 5" in delta_csv
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -426,39 +423,6 @@ class TestGammaSweep:
         assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "tau grid: more than 100000 points" in capsys.readouterr().err
         assert not (out / "gamma_vs_tau.csv").exists()
-
-    def test_columns_are_dimensionless(self, tmp_path):
-        # doubling g, J and every detuning while halving every time leaves
-        # g tau, delta/g and Gamma unchanged, so every data row is the same
-        scaled = """\
-            [lattice]
-            M = 5
-            N = 5
-            J = 0.2
-            delta = 0.0
-            g = 2.0
-
-            [gamma-sweep]
-            tau = 1.5
-            delta_min = 0.0
-            delta_max = 4.0
-            delta_step = 1.0
-            tau_min = 0.0
-            tau_max = 0.5
-            tau_step = 0.125
-            separations = 1,0 1,1
-            """
-        rows = []
-        for name, body in (("base", SMALL_SWEEP), ("scaled", scaled)):
-            out = tmp_path / name
-            assert main(["gamma-sweep", "--config", str(write(tmp_path, f"{name}.ini", body)),
-                         "--out", str(out)]) == EXIT_OK
-            rows.append([
-                [line for line in (out / csv).read_text().splitlines() if not line.startswith("#")]
-                for csv in ("gamma_vs_delta.csv", "gamma_vs_tau.csv")
-            ])
-        assert rows[0] == rows[1]
-        assert rows[0][1][2].startswith("0.25,")  # g tau, not tau
 
     def test_single_row(self, tmp_path):
         cfg = write(tmp_path, "sweep.ini", "[lattice]\nM = 1\nN = 5\n"
@@ -536,12 +500,12 @@ class TestCluster:
     @staticmethod
     def expected_snapshot(M, N, nn_only, periodic):
         """cluster_state.csv of a default-J run, formatted row by row with repr."""
-        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=0.0, g=1.0)
+        cfg = LatticeConfig(M=M, N=N, J=0.1, delta=0.0)
         table = build_phase_table(cfg, solve_gate_time(cfg))
         amps = phase_register(cluster_phase(M, N, table.grid, nn_only, periodic)).amps
-        header = ["cavitycluster cluster", f"version = {__version__}", "seed = 0",
+        header = ["cavitycluster cluster", f"version = {__version__}",
                   f"lattice.M = {M}", f"lattice.N = {N}", "lattice.J = 0.1",
-                  "lattice.delta = 0.0", "lattice.g = 1.0"]
+                  "lattice.delta = 0.0"]
         rows = [f"{i}.0,{re!r},{im!r}" for i, (re, im) in
                 enumerate(zip(amps.real.tolist(), amps.imag.tolist()))]
         return "".join(f"# {line}\n" for line in header) + "\n".join(
@@ -603,7 +567,7 @@ class TestCluster:
     def test_snapshot_peak_memory(self, tmp_path):
         # the writer's working set is one chunk of rows, reused: the 4x4 file
         # (65536 rows, 3 MB) is written with a small traced peak
-        cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0, g=1.0)
+        cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0)
         table = build_phase_table(cfg, solve_gate_time(cfg))
         phi = cluster_phase(4, 4, table.grid, nn_only=True, periodic=False)
         run = RunConfig(lattice=cfg)
@@ -664,39 +628,6 @@ class TestCluster:
         solved = solve_gate_time(LatticeConfig(M=2, N=3, J=0.1))
         assert lines["gate_time_g_units"] == repr(solved)
         assert lines["tau"] == (repr(solved) if not tau_line else "2.0")
-
-    def test_preset_reads_gate_time_as_g_tau(self, tmp_path):
-        # scaling g, J and delta together leaves g tau, and so the time in
-        # seconds, unchanged
-        seconds = []
-        for g in (1.0, 2.0, 1000.0, 0.01):
-            cfg = write(tmp_path, "c.ini",
-                        f"[lattice]\nM = 2\nN = 2\nJ = {0.1 * g}\ndelta = {0.05 * g}\ng = {g}\n")
-            out = tmp_path / f"out{g}"
-            argv = ["cluster", "--config", str(cfg), "--out", str(out), "--preset", "cpb"]
-            assert main(argv) == EXIT_OK
-            report = (out / "cluster_report.txt").read_text().splitlines()
-            lines = dict(line.split(" = ") for line in report if not line.startswith("#"))
-            assert lines["gate_time_g_units"] == lines["g_tau"]
-            seconds.append(float(lines["gate_time_seconds"]))
-        assert seconds[1:] == pytest.approx(seconds[:1] * 3, rel=1e-12)
-
-    @pytest.mark.parametrize("g,J", [("1e-103", "1e-104"), ("1e300", "1e299")])
-    def test_coupling_out_of_range_names_line(self, tmp_path, capsys, g, J):
-        # past these ends the g*tau grid points or g**2 overflowed into a traceback
-        cfg = write(tmp_path, "c.ini", f"[lattice]\nM = 2\nN = 2\ng = {g}\nJ = {J}\n")
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"c.ini, line 4: coupling g must lie in [1e-100, 1e100], got {float(g)!r}" in err
-
-    @pytest.mark.parametrize(
-        "g,J,g_tau", [("1e-100", "1e-101", "1.8220669087574788"), ("1e100", "1e99", "1.822066908757479")]
-    )
-    def test_coupling_range_ends_run(self, tmp_path, g, J, g_tau):
-        # J/g = 0.1 at either end solves as at g = 1, with no RuntimeWarning
-        cfg = write(tmp_path, "c.ini", f"[lattice]\nM = 2\nN = 2\ng = {g}\nJ = {J}\n")
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-        assert f"g_tau = {g_tau}\n" in (tmp_path / "cluster_report.txt").read_text()
 
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
@@ -955,8 +886,8 @@ class TestMbqc:
 
     @pytest.mark.parametrize(
         "lattice,line",
-        [("M = 9\n", 2), ("N = 19\nJ = 0.3\n", 3), ("g = 2.0\n", 2), ("delta = -1\n", 2)],
-        ids=["M", "J", "g", "delta"],
+        [("M = 9\n", 2), ("N = 19\nJ = 0.3\n", 3), ("delta = -1\n", 2)],
+        ids=["M", "J", "delta"],
     )
     def test_reference_source_refuses_lattice_keys(self, tmp_path, capsys, lattice, line):
         # the reference cluster is built from no lattice, so a [lattice] key off its
@@ -970,7 +901,7 @@ class TestMbqc:
         assert not out.exists()
 
     def test_reference_source_takes_default_lattice_keys(self, tmp_path):
-        cfg = write(tmp_path, "m.ini", "[lattice]\nM = 19\nN = 19\nJ = 0.1\ndelta = 0\ng = 1\n")
+        cfg = write(tmp_path, "m.ini", "[lattice]\nM = 19\nN = 19\nJ = 0.1\ndelta = 0\n")
         assert main(["mbqc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_unknown_builtin_is_config_error(self, tmp_path, capsys):
@@ -1185,13 +1116,27 @@ class TestUsage:
         main(argv)  # the same run without the flag writes its report
         assert any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["gamma-sweep", "cluster", "oracle-verify"])
+    def test_seed_only_where_read(self, tmp_path, capsys, command):
+        # mbqc alone samples outcomes; elsewhere a seed changed only the header
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 1\nN = 2\n[gamma-sweep]\nseparations = 0,1\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--seed", "1"]) == EXIT_USAGE
+        assert f"{command} does not take '--seed'" in capsys.readouterr().err
+        assert not out.exists()
+        # the same run without the flag writes its reports, with no seed line
+        assert main(argv) in (EXIT_OK, EXIT_VERIFY)
+        assert all(b"# seed" not in path.read_bytes() for path in out.iterdir())
+
     def test_help_exits_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for argv in (["--help"], ["-h"], ["cluster", "--help"], ["mbqc", "--seed", "1", "-h"]):
             assert main(argv) == EXIT_OK
             usage = capsys.readouterr().out
-            assert "cavitycluster cluster [--config CONFIG] [--out OUT] [--seed SEED] " \
-                   "[--preset PRESET]\n" in usage
+            assert "cavitycluster cluster [--config CONFIG] [--out OUT] [--preset PRESET]\n" in usage
+            assert "cavitycluster mbqc [--config CONFIG] [--out OUT] [--seed SEED] " \
+                   "[--pattern PATTERN]\n" in usage
             assert all(f"cavitycluster {name} " in usage for name in cli._COMMANDS)
         assert not any(tmp_path.iterdir())
 

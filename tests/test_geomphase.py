@@ -72,7 +72,7 @@ def full_grid_phase(cfg, tau, dm, dn):
     pairwise_phase.
     """
     W, weights = full_grid_terms(cfg, dm, dn)
-    gam = cfg.g**2 / cfg.n_sites * two_branch_bracket(W, tau)
+    gam = 1.0 / cfg.n_sites * two_branch_bracket(W, tau)
     return float(gam @ weights)
 
 
@@ -81,7 +81,7 @@ def naive_gate_time(
 ):
     """Reference solve: one ``phase`` sum (by default over the full grid) per grid point.
 
-    Walks the g*tau grid point by point to the first point with
+    Walks the tau grid point by point to the first point with
     Gamma_nn >= target (returned if it is a zero), then bisects as
     solve_gate_time does; with no root it raises with the largest
     |Gamma_nn| over the whole window.
@@ -91,17 +91,17 @@ def naive_gate_time(
     def f(tau):
         return phase(cfg, tau, *sep) - target
 
-    taus = (np.arange(grid_step, window + grid_step / 2, grid_step) / cfg.g).tolist()
-    vals = []
+    taus = np.arange(grid_step, window + grid_step / 2, grid_step).tolist()
+    gammas = []
     for i, tau in enumerate(taus):
-        vals.append(f(tau))
-        if vals[i] == 0.0:
+        gammas.append(phase(cfg, tau, *sep))
+        if gammas[i] - target == 0.0:
             return tau
-        if vals[i] > 0.0:
+        if gammas[i] - target > 0.0:
             lo, hi = taus[i - 1] if i else 0.0, tau
             break
     else:
-        raise GateTimeNotFoundError(target, max(abs(v + target) for v in vals))
+        raise GateTimeNotFoundError(target, max(map(abs, gammas)))
     while (hi - lo) > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -115,19 +115,19 @@ def naive_gate_time(
 
 
 def walk_bound(cfg):
-    """c in |d Gamma_nn / d tau| <= c tau^2: (g^2 / 2MN) sum |w omega| over the folded terms."""
+    """c in |d Gamma_nn / d tau| <= c tau^2: (1 / 2MN) sum |w omega| over the folded terms."""
     omega, (weights,) = _modes(cfg, nn_separation(cfg))
-    return cfg.g**2 / (2 * cfg.n_sites) * float(np.sum(np.abs(weights * omega)))
+    return 1.0 / (2 * cfg.n_sites) * float(np.sum(np.abs(weights * omega)))
 
 
 def count_kernel_calls(monkeypatch):
-    """Counts _phase_sums calls, one per Gamma_nn evaluation of the solve."""
+    """The shape of each _phase_sums call's tau: () for one time, (rows, 1) for a block."""
     calls = []
     inner = geomphase._phase_sums
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return inner(*args, **kwargs)
+    def counted(config, omega, tau, weights):
+        calls.append(np.shape(tau))
+        return inner(config, omega, tau, weights)
 
     monkeypatch.setattr(geomphase, "_phase_sums", counted)
     return calls
@@ -143,7 +143,7 @@ class TestGammaMode:
         cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0)  # omega = 2
         w = omega_at(cfg, 0, 0)
         tau = 2 * math.pi / w  # omega tau = 2 pi
-        expected = cfg.g**2 * tau / (cfg.n_sites * w)
+        expected = tau / (cfg.n_sites * w)
         assert gamma_mode(cfg, w, tau) == pytest.approx(expected, rel=1e-12)
 
     def test_reference_mode_pin(self):
@@ -167,7 +167,7 @@ class TestGammaMode:
         for w in (0.049 / tau, 0.051 / tau):
             cfg = LatticeConfig(M=1, N=1, J=0.0, delta=w)
             got = gamma_mode(cfg, omega_at(cfg, 0, 0), tau)
-            direct = cfg.g**2 / w * (tau - math.sin(w * tau) / w)
+            direct = 1.0 / w * (tau - math.sin(w * tau) / w)
             assert got == pytest.approx(direct, rel=1e-9)
 
     def test_array_of_modes(self):
@@ -188,23 +188,18 @@ class TestGammaMode:
         with pytest.raises(ValueError, match=r"g\*tau = .* is past the bound 100"):
             gamma_mode(REF, mode_grid(REF), tau)
 
-    def test_largest_g_tau_at_smallest_g(self):
-        # tau**3 = 1e306 here, and the 2x2 modes (1, 0) and (0, 1), at omega = 0,
-        # take the series branch that computes it
-        g = 1e-100
-        cfg = LatticeConfig(M=2, N=2, J=0.1 * g, g=g)
-        tau = MAX_G_TAU / g
-        assert g * tau == MAX_G_TAU and 0.0 in mode_grid(cfg)
-        edge = MAX_FREQUENCY_OVER_G * g
+    def test_largest_g_tau(self):
+        # the 2x2 modes (1, 0) and (0, 1), at omega = 0, take the series branch,
+        # and the detunings at the frequency bound the direct one, with no warning
+        cfg = LatticeConfig(M=2, N=2, J=0.1)
+        assert 0.0 in mode_grid(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gam = gamma_mode(cfg, mode_grid(cfg), tau)
-            rows = sweep_tau(cfg, [tau], [(1, 0), (1, 1)]) + sweep_delta(cfg, tau, [-edge, edge])
-        # the same dimensionless lattice at g = 1
-        unit = LatticeConfig(M=2, N=2, J=0.1)
-        assert gam == pytest.approx(gamma_mode(unit, mode_grid(unit), MAX_G_TAU), rel=1e-12)
-        assert rows[0][1] == pytest.approx(sweep_tau(unit, [MAX_G_TAU], [(1, 0), (1, 1)])[0][1])
-        assert all(math.isfinite(gamma) for _, gamma in rows[1:])
+            gam = gamma_mode(cfg, mode_grid(cfg), MAX_G_TAU)
+            phases = sweep_tau(cfg, [MAX_G_TAU], [(1, 0), (1, 1)])[0][1]
+            rows = sweep_delta(cfg, MAX_G_TAU, [-MAX_FREQUENCY_OVER_G, MAX_FREQUENCY_OVER_G])
+        assert np.isfinite(gam).all()
+        assert all(map(math.isfinite, [*phases.values(), *(gamma for _, gamma in rows)]))
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, GATE_TIME_PIN])
     def test_one_branch_bracket_bitwise(self, tau):
@@ -389,11 +384,16 @@ class TestSolveGateTime:
         with pytest.raises(ValueError):
             solve_gate_time(REF, target=0.0)
 
-    def test_large_detuning_not_found(self):
+    def test_large_detuning_not_found(self, monkeypatch):
         cfg = replace(REF, delta=50.0)
+        calls = count_kernel_calls(monkeypatch)
         with pytest.raises(GateTimeNotFoundError, match=r"no g\*tau in \(0, 20\]") as exc:
             solve_gate_time(cfg)
         assert exc.value.achieved_max < math.pi / 4
+        # after the walk's one-point calls, the largest |Gamma_nn| reads the 2000
+        # grid points in row blocks, not in 2000 more one-point calls
+        blocks = [rows for rows, _ in filter(None, calls)]
+        assert sum(blocks) == 2000 and len(blocks) < 30
 
     @pytest.mark.parametrize(
         "cfg",
@@ -438,20 +438,19 @@ class TestSolveGateTime:
         shape=st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda s: s != (1, 1)),
         j=st.floats(0.0, 3.0),
         delta=st.floats(-5.0, 5.0),
-        g=st.sampled_from([0.5, 1.0, 2.5]),
     )
     # Gamma_nn oscillates below zero before its root at g tau = 17.46; it
     # swings to -7.2 and -1.3 without ever reaching pi/4; it rises steeply
-    @example(shape=(4, 5), j=3.0, delta=-3.0, g=1.0)
-    @example(shape=(4, 5), j=3.0, delta=5.0, g=1.0)
-    @example(shape=(1, 7), j=0.3, delta=-5.0, g=2.5)
-    @example(shape=(6, 6), j=2.0, delta=0.0, g=0.5)
-    def test_skipping_walk_matches_per_point_walk(self, shape, j, delta, g):
+    @example(shape=(4, 5), j=3.0, delta=-3.0)
+    @example(shape=(4, 5), j=3.0, delta=5.0)
+    @example(shape=(1, 7), j=0.3, delta=-5.0)
+    @example(shape=(6, 6), j=2.0, delta=0.0)
+    def test_skipping_walk_matches_per_point_walk(self, shape, j, delta):
         # bitwise against a point-by-point walk of the same Gamma_nn; the
         # full-grid walk sums the modes in another order, and in about one
         # lattice of 400 a bisection midpoint where the folded Gamma_nn is
         # exactly pi/4 and its own is not sends it a few 1e-13 away
-        cfg = LatticeConfig(M=shape[0], N=shape[1], J=j * g, delta=delta * g, g=g)
+        cfg = LatticeConfig(M=shape[0], N=shape[1], J=j, delta=delta)
         # pairwise_phase's kernel and reduction, with the modes built once
         # instead of per point
         omega, (w,) = _modes(cfg, nn_separation(cfg))
@@ -501,7 +500,7 @@ class TestSolveGateTime:
         [
             REF,
             LatticeConfig(M=4, N=5, J=3.0, delta=5.0),
-            LatticeConfig(M=1, N=7, J=0.75, delta=-12.5, g=2.5),
+            LatticeConfig(M=1, N=7, J=0.75 / 2.5, delta=-12.5 / 2.5),  # J = 0.75, delta = -12.5 at g = 2.5
             LatticeConfig(M=2, N=2, J=0.1),
             LatticeConfig(M=6, N=1, J=1.0, delta=0.3),
         ],
@@ -512,7 +511,7 @@ class TestSolveGateTime:
         # the walk's skips rest on
         c = walk_bound(cfg)
         rng = np.random.default_rng(7)
-        s, t = np.sort(rng.uniform(0.0, 20.0 / cfg.g, size=(2, 200)), axis=0)
+        s, t = np.sort(rng.uniform(0.0, 20.0, size=(2, 200)), axis=0)
         sep = nn_separation(cfg)
         for a, b in zip(s.tolist(), t.tolist()):
             rise = pairwise_phase(cfg, b, *sep) - pairwise_phase(cfg, a, *sep)
@@ -520,14 +519,15 @@ class TestSolveGateTime:
 
     def test_constant_phase_not_found(self, monkeypatch):
         # J = 0 and delta = 0: every mode sits at omega = 0, so c = 0 and
-        # Gamma_nn stays 0; the error still reads every grid point
+        # Gamma_nn stays 0; the walk reads no point, and the error reads
+        # every grid point once
         cfg = LatticeConfig(M=3, N=4, J=0.0)
         assert walk_bound(cfg) == 0.0
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(GateTimeNotFoundError) as exc:
             solve_gate_time(cfg)
         assert exc.value.achieved_max == 0.0
-        assert len(calls) == 2000
+        assert calls.count(()) == 0 and sum(rows for rows, _ in calls) == 2000
 
     def test_scan_memory_bounded(self):
         # the walk evaluates one tau at a time: no window-sized matrix
@@ -605,7 +605,7 @@ class TestSweeps:
             assert sweep_tau(REF, taus, seps) == want, block
 
     def test_delta_grid_past_bound_rejected(self):
-        edge = MAX_FREQUENCY_OVER_G * REF.g
+        edge = MAX_FREQUENCY_OVER_G
         assert len(sweep_delta(REF, 3.0, [-edge, edge])) == 2
         with pytest.raises(ValueError, match=r"past \|delta\|/g = 1e\+150"):
             sweep_delta(REF, 3.0, [0.0, -math.nextafter(edge, math.inf)])
@@ -672,18 +672,18 @@ class TestFeasibility:
             HardwarePreset(name="x", g_phys=g_phys, T_cavity=T_cavity, T_qubit=T_qubit)
 
     def test_cpb(self):
-        rep = feasibility_report(PRESETS["cpb"], REF, solve_gate_time(REF))
+        rep = feasibility_report(PRESETS["cpb"], solve_gate_time(REF))
         assert 5e-9 <= rep.gate_time_seconds <= 5e-8  # order 0.01 us
         assert rep.ratio_cavity <= 1e-3
         assert rep.ratio_qubit < 0.05
 
     def test_qdot(self):
-        rep = feasibility_report(PRESETS["qdot"], REF, solve_gate_time(REF))
+        rep = feasibility_report(PRESETS["qdot"], solve_gate_time(REF))
         assert 1e-9 <= rep.gate_time_seconds <= 1e-8  # order 5 ns
         assert rep.gate_time_seconds < PRESETS["qdot"].T_cavity / 1e3
 
     def test_toroid(self):
-        rep = feasibility_report(PRESETS["toroid"], REF, solve_gate_time(REF))
+        rep = feasibility_report(PRESETS["toroid"], solve_gate_time(REF))
         # order 1e-8..1e-7 s; comfortably below the photon lifetime
         assert 1e-8 <= rep.gate_time_seconds <= 1e-7
         assert rep.ratio_cavity < 1e-2

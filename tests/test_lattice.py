@@ -46,28 +46,17 @@ class TestLatticeConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
             LatticeConfig(M=2, N=2, **{"J": 0.1, field: value})
 
-    def test_nonpositive_coupling(self):
-        with pytest.raises(ValueError):
-            LatticeConfig(M=2, N=2, J=0.1, g=0.0)
+    def test_no_coupling_field(self):
+        # frequencies are in units of g, so the config has no g to set
+        with pytest.raises(TypeError):
+            LatticeConfig(M=2, N=2, J=0.1, g=1.0)
 
-    @pytest.mark.parametrize(
-        "g", [1e-103, math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf), 1e300, math.nan]
-    )
-    def test_coupling_out_of_range(self, g):
-        with pytest.raises(ValueError, match=r"coupling g must lie in \[1e-100, 1e100\]"):
-            LatticeConfig(M=2, N=2, J=0.1 * g, g=g)
-
-    @pytest.mark.parametrize("g", [1e-100, 1e100])
-    def test_coupling_range_ends(self, g):
-        assert LatticeConfig(M=2, N=2, J=0.1 * g, g=g).g == g
-
-    @pytest.mark.parametrize("g", [1e-100, 1.0, 1e100])
     @pytest.mark.parametrize("name,sign", [("J", 1.0), ("delta", 1.0), ("delta", -1.0)])
-    def test_frequency_bound(self, g, name, sign):
-        # at the bound and the largest g every mode frequency is at most 5e250
-        edge = sign * MAX_FREQUENCY_OVER_G * g
-        assert getattr(LatticeConfig(M=2, N=2, **{"J": 0.0, "g": g, name: edge}), name) == edge
-        past = {"J": 0.0, "g": g, name: math.nextafter(edge, sign * math.inf)}
+    def test_frequency_bound(self, name, sign):
+        # at the bound every mode frequency is at most 5e150
+        edge = sign * MAX_FREQUENCY_OVER_G
+        assert getattr(LatticeConfig(M=2, N=2, **{"J": 0.0, name: edge}), name) == edge
+        past = {"J": 0.0, name: math.nextafter(edge, sign * math.inf)}
         with pytest.raises(ValueError, match=rf"\|{name}\| must be at most 1e\+150 g"):
             LatticeConfig(M=2, N=2, **past)
 

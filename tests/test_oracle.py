@@ -35,13 +35,13 @@ def apply_h(ws, lam, t, psi):
 
 
 def fft_drive(cfg):
-    """Mode frequencies and the complex drive lam[m, c] = g/sqrt(MN) FFT2 of each
+    """Mode frequencies and the complex drive lam[m, c] = 1/sqrt(MN) FFT2 of each
     configuration's spins, the lab-frame coefficient whose modulus oracle._drive
     returns."""
     nq = cfg.n_sites
     bits = (np.arange(2**nq)[:, None] >> (nq - 1 - np.arange(nq))) & 1
     spins = (1.0 - 2.0 * bits).reshape(-1, cfg.M, cfg.N)
-    return mode_grid(cfg), cfg.g / math.sqrt(nq) * np.fft.fft2(spins).reshape(-1, nq).T
+    return mode_grid(cfg), 1.0 / math.sqrt(nq) * np.fft.fft2(spins).reshape(-1, nq).T
 
 
 def complex_generator(ws, lam, n_max):
@@ -94,7 +94,7 @@ def columns(u, n_max, shape):
 
 
 def site_sum_drive(cfg):
-    """lam[m, c] = g/sqrt(MN) conj(sum_sites e^{i(L m + K n)} x_{m,n}(c)), summed
+    """lam[m, c] = 1/sqrt(MN) conj(sum_sites e^{i(L m + K n)} x_{m,n}(c)), summed
     through an explicit (mode, site) phase matrix."""
     nq = cfg.n_sites
     L = 2.0 * np.pi * np.repeat(np.arange(cfg.M), cfg.N) / cfg.M
@@ -102,7 +102,7 @@ def site_sum_drive(cfg):
     m_idx, n_idx = np.divmod(np.arange(nq), cfg.N)
     site_phase = np.exp(1j * (np.outer(L, m_idx) + np.outer(K, n_idx)))
     bits = (np.arange(2**nq) >> (nq - 1 - np.arange(nq))[:, None]) & 1
-    return cfg.g / math.sqrt(nq) * np.conj(site_phase @ (1.0 - 2.0 * bits))
+    return 1.0 / math.sqrt(nq) * np.conj(site_phase @ (1.0 - 2.0 * bits))
 
 
 @pytest.mark.parametrize("M,N", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)])
@@ -148,20 +148,23 @@ class TestGenerator:
         assert np.max(np.abs(real - want)) < 1e-15 * np.max(np.abs(want))
 
     def test_zero_coupling(self):
-        # the smallest coupling LatticeConfig accepts
-        cfg = LatticeConfig(M=1, N=2, J=0.1, delta=1.0, g=1e-100)
-        G = factor_generators(cfg, 0.5, 2)
-        assert np.max(np.abs(G)) < 1e-90
+        # a coupling 1e-100 of the detuning (J = 0.1, delta = 1 and t = 0.5 at
+        # g = 1e-100, in units of g): the generator, in units of g too, stays
+        # the drive's own size, sqrt(f) |lambda| <= 2 on 1x2 at n_max = 2
+        cfg = LatticeConfig(M=1, N=2, J=1e99, delta=1e100)
+        G = factor_generators(cfg, 5e-101, 2)
+        assert np.max(np.abs(G)) == pytest.approx(2.0, rel=1e-15)
 
     def test_single_cavity_structure(self):
-        # 1x1 array: configuration |+x> sees g (e^{-i w t} a + e^{i w t} a^dag)
-        # and |-x> its negative, w = delta + 4J
-        cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.7)
-        w = 2.0
-        t = 0.43
+        # 1x1 array: configuration |+x> sees e^{-i w t} a + e^{i w t} a^dag
+        # and |-x> its negative, w = delta + 4J; J = 0.25, delta = 1 and
+        # t = 0.43 of a coupling 0.7, in units of that coupling
+        cfg = LatticeConfig(M=1, N=1, J=0.25 / 0.7, delta=1.0 / 0.7)
+        w = 2.0 / 0.7
+        t = 0.43 * 0.7
         n_max = 3
         a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-        want = 0.7 * np.exp(-1j * w * t) * a + 0.7 * np.exp(1j * w * t) * a.T
+        want = np.exp(-1j * w * t) * a + np.exp(1j * w * t) * a.T
         got = factor_generators(cfg, t, n_max)
         assert np.max(np.abs(got[:, :, 0, 0] - want)) < 1e-13
         assert np.max(np.abs(got[:, :, 0, 1] + want)) < 1e-13
@@ -271,9 +274,9 @@ class TestIntegrator:
 
     def test_unitarity(self):
         # every (mode, configuration) factor's reference propagator is unitary
-        cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)
+        cfg = LatticeConfig(M=1, N=1, J=0.25 / 0.3, delta=1.0 / 0.3)
         ws, lam = fft_drive(cfg)
-        u = columns(complex_propagator(ws, lam, 1.3, 10), 10, lam.shape)
+        u = columns(complex_propagator(ws, lam, 1.3 * 0.3, 10), 10, lam.shape)
         for c in range(lam.shape[1]):
             assert np.max(np.abs(u[0, c].conj().T @ u[0, c] - np.eye(11))) < 1e-13
 
@@ -281,8 +284,8 @@ class TestIntegrator:
         # one full drive period per interval: each loop closes, the field returns
         # to vacuum and each sigma_x configuration picks up the accumulated
         # per-mode phase twice
-        cfg = LatticeConfig(M=1, N=1, J=0.25, delta=1.0, g=0.3)  # omega = 2
-        tau = math.pi  # omega tau = 2 pi
+        cfg = LatticeConfig(M=1, N=1, J=0.25 / 0.3, delta=1.0 / 0.3)  # omega = 2 / 0.3
+        tau = 0.3 * math.pi  # omega tau = 2 pi
         ws, lam = oracle._drive(cfg)
         amp = oracle._echo(ws, lam, tau, 12)[0, :, 0]
         assert np.abs(amp) ** 2 == pytest.approx(np.ones(2), abs=1e-9)
@@ -319,7 +322,7 @@ def dense_echo_vacuum(cfg, tau, n_max):
     """Vacuum diagonal of S_z U(tau) S_z U(tau) on sigma_x basis states,
     from the unfactorized joint Hamiltonian
 
-        H(t) = sum_m e^{-i w_m t} (g/sqrt(MN) J_X(m)^dag kron a_m) + h.c.
+        H(t) = sum_m e^{-i w_m t} (1/sqrt(MN) J_X(m)^dag kron a_m) + h.c.
 
     on qubits x the joint Fock space, integrated with DOP853.  Shares no
     code with the oracle's factorized propagator.
@@ -327,7 +330,7 @@ def dense_echo_vacuum(cfg, tau, n_max):
     nq = cfg.n_sites
     dimf = n_max + 1
     a = np.diag(np.sqrt(np.arange(1.0, dimf)), 1)
-    pref = cfg.g / math.sqrt(nq)
+    pref = 1.0 / math.sqrt(nq)
     terms = []
     for i, w in enumerate(mode_grid(cfg)):
         a_m = reduce(np.kron, [a if j == i else np.eye(dimf) for j in range(nq)])
@@ -368,12 +371,12 @@ class TestEchoEvolve:
 
     def test_zero_detuning_with_zero_mode(self):
         # delta=0 on 1x2 has an exact zero mode whose displacement grows
-        # linearly; a reduced coupling keeps it inside the truncation
-        cfg = LatticeConfig(M=1, N=2, J=0.1, delta=0.0, g=0.3)
-        rep = oracle.echo_evolve(cfg, 3.0, 14)
+        # linearly; a short interaction time (g tau = 0.9) keeps it inside the truncation
+        cfg = LatticeConfig(M=1, N=2, J=0.1 / 0.3, delta=0.0)
+        rep = oracle.echo_evolve(cfg, 0.9, 14)
         assert rep.residual_excitation < 1e-8
         got = oracle.extract_pair_phase(rep, (0, 0), (0, 1))
-        assert abs(got - pairwise_phase(cfg, 3.0, 0, 1)) < 1e-6
+        assert abs(got - pairwise_phase(cfg, 0.9, 0, 1)) < 1e-6
 
     def test_no_time_reset_breaks_echo(self):
         # a second interval that carries on from t = tau instead of restarting
@@ -412,8 +415,9 @@ class TestEchoEvolve:
 
 class TestExtractPairPhase:
     def test_zero_coupling_zero_phase(self):
-        cfg = LatticeConfig(M=1, N=2, J=0.1, delta=20.0, g=1e-8)
-        rep = oracle.echo_evolve(cfg, 3.0, 2)
+        # J = 0.1, delta = 20 and tau = 3 at a coupling 1e-8, in units of it
+        cfg = LatticeConfig(M=1, N=2, J=1e7, delta=2e9)
+        rep = oracle.echo_evolve(cfg, 3e-8, 2)
         assert abs(oracle.extract_pair_phase(rep, (0, 0), (0, 1))) < 1e-12
 
     def test_residual_gate(self):
