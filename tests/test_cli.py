@@ -629,6 +629,18 @@ class TestCluster:
         assert lines["gate_time_g_units"] == repr(solved)
         assert lines["tau"] == (repr(solved) if not tau_line else "2.0")
 
+    @pytest.mark.parametrize("g,J", [("1e-103", "1e-104"), ("1e300", "1e299")])
+    def test_coupling_out_of_range_names_line(self, tmp_path, capsys, g, J):
+        # frequencies are in units of g, so a g once past its range is refused
+        # as no key at all, on its own line and before the J line is judged
+        cfg = write(tmp_path, "c.ini", f"[lattice]\nM = 2\nN = 2\ng = {g}\nJ = {J}\n")
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "c.ini, line 4: unknown key 'g' in section [lattice]" in err
+        assert "line 5" not in err
+        assert not out.exists()
+
     def test_cap_exceeded(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
