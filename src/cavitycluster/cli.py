@@ -203,7 +203,8 @@ _INI_FIELDS = [(f.name, f.default, *f.metadata["ini"]) for f in fields(RunConfig
 # LatticeConfig fields.  A section or key that is not here is refused, so none can
 # be accepted and then ignored.
 _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {"lattice": {
-    "m": ("M", int), "n": ("N", int), "j": ("J", _finite), "delta": ("delta", _finite),
+    "m": ("M", _at_least_one), "n": ("N", _at_least_one),
+    "j": ("J", _finite), "delta": ("delta", _finite),
 }}
 for _name, _, _section, _ini_key, _parse in _INI_FIELDS:
     _KEYS.setdefault(_section, {})[_ini_key] = (_name, _parse)
@@ -227,7 +228,8 @@ def _line_number(path: Path, section: str, key: str | None = None) -> int:
 def load_run_config(path: Path | None) -> RunConfig:
     """Parse and validate an INI file into a RunConfig (defaults if None).
 
-    Each key in the file is looked up in _KEYS, parsed, checked and stored.
+    Each key in the file is looked up in _KEYS, parsed, checked and stored; the
+    mode cap, the one rule on two keys (M and N), is checked once both are read.
     Section names match _KEYS exactly, as configparser matches them.
     """
     run = RunConfig()
@@ -243,6 +245,7 @@ def load_run_config(path: Path | None) -> RunConfig:
     def refuse(message: str, section: str, key: str | None = None) -> ConfigError:
         return ConfigError(f"{path}, line {_line_number(path, section, key)}: {message}")
 
+    dims = {}
     for section in parser.sections():
         if section not in _KEYS:
             raise refuse(f"unknown section [{section}]", section)
@@ -258,11 +261,18 @@ def load_run_config(path: Path | None) -> RunConfig:
                 raise refuse(f"cannot parse {key} = {raw!r}", section, key) from None
             if section != "lattice":
                 setattr(run, name, value)
-                continue
-            try:
-                run.lattice = replace(run.lattice, **{name: value})
-            except ValueError as exc:
-                raise refuse(str(exc), section, key) from None
+            elif name in ("M", "N"):  # their one joint rule, the mode cap, waits for both
+                dims[name] = value
+            else:
+                try:
+                    run.lattice = replace(run.lattice, **{name: value})
+                except ValueError as exc:
+                    raise refuse(str(exc), section, key) from None
+    try:
+        run.lattice = replace(run.lattice, **dims)
+    except ValueError as exc:  # the mode cap, named on the later of the two lines
+        later = max(("m", "n"), key=lambda k: _line_number(path, "lattice", k))
+        raise refuse(str(exc), "lattice", later) from None
     return run
 
 

@@ -242,6 +242,24 @@ class GateTimeNotFoundError(RuntimeError):
         )
 
 
+def _first_reaching(config: LatticeConfig, omega: np.ndarray, weights: np.ndarray,
+                    grid: list[float], start: int, target: float) -> tuple[int, float]:
+    """The first grid point from start on with Gamma_nn >= target, and its Gamma_nn - target,
+    read in row blocks.  With none, raises with the largest |Gamma_nn| over those blocks
+    and one tau sweep of the points below start."""
+    top = 0.0
+    step = max(1, _BLOCK // omega.size)
+    for lo in range(start, len(grid), step):
+        gamma = _phase_sums(config, omega, np.array(grid[lo : lo + step])[:, None], weights)
+        hit = np.flatnonzero(gamma - target >= 0.0)
+        if hit.size:
+            return lo + int(hit[0]), float(gamma[hit[0]]) - target
+        top = max(top, float(np.abs(gamma).max()))
+    sep = nn_separation(config)
+    below = sweep_tau(config, grid[:start], [sep]) if start else []
+    raise GateTimeNotFoundError(target, max([top] + [abs(row[sep]) for _, row in below]))
+
+
 def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float:
     """Smallest tau (in units of 1/g) in (0, _WINDOW] with Gamma_nn(tau) = target.
 
@@ -257,8 +275,11 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
     skip.  So the walk meets the same first point with f >= 0 as a
     point-by-point walk, and bisects the same step to the same tau.  With
     c = 0, Gamma_nn is 0 throughout and the walk goes straight to the end.
-    With no root, the error reports the largest |Gamma_nn| over the whole
-    grid, read from one tau sweep over it, which sums the grid in row blocks.
+    The bound grows with |delta|, and once three advances in a row skip no
+    point the walk reads the rest of the grid in row blocks instead, each row
+    with the bits of its one-point call.  With no root, the error reports the
+    largest |Gamma_nn| over the whole grid: the blocks read and one tau sweep,
+    also in row blocks, of the points below them.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
@@ -270,16 +291,17 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
         return float(_phase_sums(config, omega, tau, weights)) - target
 
     grid = np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP).tolist()
-    s, fs, i = 0.0, -target, 0
+    s, fs, i, ones = 0.0, -target, 0, 0
     while True:
         # every grid point below reach has f <= fs/2 < 0
         reach = (s**3 - 1.5 * fs / c) ** (1.0 / 3.0) if c > 0.0 else math.inf
-        i = bisect.bisect_left(grid, reach, i)
-        if i == len(grid):
-            rows = sweep_tau(config, grid, [sep])
-            raise GateTimeNotFoundError(target, max(abs(row[sep]) for _, row in rows))
+        j = bisect.bisect_left(grid, reach, i)
+        ones, i = (ones + 1 if j == i else 0), j
+        if ones > 2 or i == len(grid):
+            i, fhi = _first_reaching(config, omega, weights, grid, i, target)
+        else:
+            fhi = f(grid[i])
         hi = grid[i]
-        fhi = f(hi)
         if fhi == 0.0:
             return hi
         if fhi > 0.0:

@@ -96,23 +96,26 @@ def _check_dims(config: LatticeConfig, n_max: int) -> None:
                          f"(n_max = {n_max} on the {config.M}x{config.N} lattice)")
 
 
+def _site_bits(nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every configuration c as a column, and each site's mask: site s is bit nq-1-s of c."""
+    return np.arange(2**nq)[:, None], 1 << (nq - 1 - np.arange(nq))
+
+
 def collective_x_operator(config: LatticeConfig, l: int, k: int) -> np.ndarray:
     """J_X = sum_sites sigma_x_{m,n} e^{i(L m + K n)} on the qubit space."""
     nq = config.n_sites
-    L = 2.0 * math.pi * l / config.M
-    K = 2.0 * math.pi * k / config.N
-    c = np.arange(2**nq)
+    L, K = 2.0 * math.pi * l / config.M, 2.0 * math.pi * k / config.N
+    m, n = np.divmod(np.arange(nq), config.N)
+    c, mask = _site_bits(nq)
     out = np.zeros((2**nq, 2**nq), dtype=complex)
-    for s, (m, n) in enumerate(np.ndindex(config.M, config.N)):
-        out[c ^ (1 << (nq - 1 - s)), c] = np.exp(1j * (L * m + K * n))
+    out[c ^ mask, c] = np.exp(1j * (L * m + K * n))
     return out
 
 
 def sz_operator(config: LatticeConfig) -> np.ndarray:
     """S_z = prod_sites sigma_z on the qubit space."""
-    c = np.arange(2**config.n_sites)
-    popcount = sum((c >> s) & 1 for s in range(config.n_sites))
-    return np.diag((-1.0) ** popcount).astype(complex)
+    c, mask = _site_bits(config.n_sites)
+    return np.diag((-1.0) ** np.count_nonzero(c & mask, axis=1)).astype(complex)
 
 
 def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +127,8 @@ def _drive(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     modulus of their FFT2 over sqrt(MN).
     """
     nq = config.n_sites
-    bits = (np.arange(2**nq)[:, None] >> (nq - 1 - np.arange(nq))) & 1
-    spins = (1.0 - 2.0 * bits).reshape(-1, config.M, config.N)
+    c, mask = _site_bits(nq)
+    spins = np.where(c & mask, -1.0, 1.0).reshape(-1, config.M, config.N)
     return mode_grid(config), 1.0 / math.sqrt(nq) * np.abs(np.fft.fft2(spins)).reshape(-1, nq).T
 
 
@@ -233,21 +236,13 @@ def check_identities(M: int, N: int) -> dict[str, float]:
     if config.n_sites > MAX_ORACLE_QUBITS:
         raise ValueError(f"identity checks capped at {MAX_ORACLE_QUBITS} sites")
     sz = sz_operator(config)
-    jxs = [collective_x_operator(config, l, k) for l in range(M) for k in range(N)]
-
-    def maxabs(x: np.ndarray) -> float:
-        return float(np.max(np.abs(x)))
-
-    com_jj = max(maxabs(sz @ (j.conj().T @ j) - (j.conj().T @ j) @ sz) for j in jxs)
-    anti_j = max(maxabs(sz @ j + j @ sz) for j in jxs)
-    anti_jd = max(maxabs(sz @ j.conj().T + j.conj().T @ sz) for j in jxs)
-    mutual = 0.0
-    for i, ja in enumerate(jxs):
-        for jb in jxs[i + 1 :]:
-            mutual = max(mutual, maxabs(ja @ jb - jb @ ja))
-    return {
-        "commutator_sz_jxdag_jx": com_jj,
-        "anticommutator_sz_jx": anti_j,
-        "anticommutator_sz_jxdag": anti_jd,
-        "mutual_commutator_jx": mutual,
-    }
+    jx = np.stack([collective_x_operator(config, l, k) for l in range(M) for k in range(N)])
+    jd = jx.conj().swapaxes(-1, -2)
+    jdj = jd @ jx
+    a, b = np.triu_indices(len(jx), 1)  # every pair of modes once
+    return {name: float(np.max(np.abs(defect), initial=0.0)) for name, defect in [
+        ("commutator_sz_jxdag_jx", sz @ jdj - jdj @ sz),
+        ("anticommutator_sz_jx", sz @ jx + jx @ sz),
+        ("anticommutator_sz_jxdag", sz @ jd + jd @ sz),
+        ("mutual_commutator_jx", jx[a] @ jx[b] - jx[b] @ jx[a]),
+    ]}

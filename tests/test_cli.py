@@ -114,6 +114,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="big.ini, line 3: a 5000x5000 lattice has over"):
             load_run_config(cfg)
 
+    @pytest.mark.parametrize("body", ["M = 100000\nN = 1\n", "N = 1\nM = 100000\n"],
+                             ids=["M-first", "N-first"])
+    def test_mode_cap_any_key_order(self, tmp_path, body):
+        # the cap applies to M and N together, so neither is checked against
+        # the other's default: 100000 x 19 would be over it
+        cfg = write(tmp_path, "wide.ini", "[lattice]\n" + body)
+        assert load_run_config(cfg).lattice == LatticeConfig(M=100000, N=1, J=0.1)
+
+    def test_dimension_rule_names_line(self, tmp_path):
+        cfg = write(tmp_path, "zero.ini", "[lattice]\nN = 3\nM = 0\n")
+        with pytest.raises(ConfigError, match=r"zero.ini, line 3: \[lattice\] m must be at least 1"):
+            load_run_config(cfg)
+
     def test_mbqc_mode_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.ini", """\
             [mbqc]

@@ -466,6 +466,28 @@ def kron_sz(cfg):
     return kron_sites(cfg.n_sites, dict.fromkeys(range(cfg.n_sites), SIGMA_Z))
 
 
+def loop_identities(M, N):
+    """check_identities' four defects, one mode and one pair of modes at a time."""
+    cfg = LatticeConfig(M=M, N=N, J=0.1)
+    sz = oracle.sz_operator(cfg)
+    jxs = [oracle.collective_x_operator(cfg, l, k) for l in range(M) for k in range(N)]
+
+    def maxabs(x):
+        return float(np.max(np.abs(x)))
+
+    mutual = 0.0
+    for i, ja in enumerate(jxs):
+        for jb in jxs[i + 1 :]:
+            mutual = max(mutual, maxabs(ja @ jb - jb @ ja))
+    return {
+        "commutator_sz_jxdag_jx": max(
+            maxabs(sz @ (j.conj().T @ j) - (j.conj().T @ j) @ sz) for j in jxs),
+        "anticommutator_sz_jx": max(maxabs(sz @ j + j @ sz) for j in jxs),
+        "anticommutator_sz_jxdag": max(maxabs(sz @ j.conj().T + j.conj().T @ sz) for j in jxs),
+        "mutual_commutator_jx": mutual,
+    }
+
+
 @pytest.mark.parametrize("M,N", KRON_SHAPES)
 class TestOperatorsMatchKronecker:
     def test_collective_x_bitwise(self, M, N):
@@ -487,6 +509,13 @@ class TestOperatorsMatchKronecker:
         monkeypatch.setattr(oracle, "sz_operator", kron_sz)
         monkeypatch.setattr(oracle, "collective_x_operator", kron_collective_x)
         assert got == oracle.check_identities(M, N)
+
+    def test_identities_match_loops(self, M, N):
+        # the batched products give each defect the bits of the per-mode and
+        # per-pair loops
+        got = oracle.check_identities(M, N)
+        want = loop_identities(M, N)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 class TestIdentities:
