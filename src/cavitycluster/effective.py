@@ -58,12 +58,13 @@ the dense arrays of 2^n numbers (Phi at every bitstring, a QubitRegister,
 the reference graph state) are capped at MAX_QUBITS.  A dense complex
 register is kept only where measurement needs one: MBQC patterns on
 patches of a few qubits, built from Phi or as the exact reference state.
-A register holds only its live sites, so measuring a site removes its axis.
+A register holds every site of its grid; the pattern walk in mbqc keeps
+the live sites of its branches, and measuring a site removes its axis.
 
 Conventions: site (m, n) owns tensor axis m*N + n of an amplitude or phase
-vector reshaped to [2]*M*N (axis 0 the top bit), and in a register its index
-in QubitRegister.sites; bit 0 is |up>, the +1 eigenstate of sigma_z.  Phi is
-built over reversed site labels, so site 0 lands on the top bit too.
+vector reshaped to [2]*M*N (axis 0 the top bit); bit 0 is |up>, the +1
+eigenstate of sigma_z.  Phi is built over reversed site labels, so site 0
+lands on the top bit too.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ import numpy as np
 __all__ = [
     "MAX_QUBITS",
     "QubitRegister",
-    "apply_single_qubit",
     "grid_adjacency",
     "PhasePolynomial",
     "cluster_phase",
@@ -100,40 +100,14 @@ def _check_cap(M: int, N: int) -> int:
 
 @dataclass
 class QubitRegister:
-    """Dense state vector over the live sites of the M x N grid.
-
-    sites lists the live sites, one tensor axis each in that order; it
-    defaults to every site in row-major order.  A measured site leaves it.
-    """
+    """Dense state vector over the sites of the M x N grid, site (m, n) on axis m*N + n."""
 
     M: int
     N: int
     amps: np.ndarray
-    sites: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_cap(self.M, self.N)
-        if self.sites is None:
-            self.sites = tuple(divmod(k, self.N) for k in range(self.M * self.N))
-        self.amps = np.asarray(self.amps, dtype=complex).reshape(2**self.n_qubits)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.sites)
-
-    def site_axis(self, site: tuple[int, int]) -> int:
-        if site not in self.sites:
-            raise ValueError(f"site {site} is outside the {self.M}x{self.N} grid or measured")
-        return self.sites.index(site)
-
-    def view(self) -> np.ndarray:
-        return self.amps.reshape([2] * self.n_qubits)
-
-
-def apply_single_qubit(reg: QubitRegister, site: tuple[int, int], u: np.ndarray) -> None:
-    """Apply a 2x2 operator to one site, in place."""
-    ax = reg.site_axis(site)
-    reg.amps = (np.asarray(u, dtype=complex) @ reg.amps.reshape(2**ax, 2, -1)).reshape(-1)
+        self.amps = np.asarray(self.amps, dtype=complex).reshape(2 ** _check_cap(self.M, self.N))
 
 
 def grid_adjacency(M: int, N: int, periodic: bool) -> np.ndarray:

@@ -96,26 +96,26 @@ def _gamma_bracket(w: np.ndarray, tau) -> np.ndarray:
     Direct evaluation loses roughly (w tau)^-2 digits to cancellation, so
     small arguments use the Taylor series
     (1/w^2)(w tau - sin(w tau)) = w tau^3/6 - w^3 tau^5/120 + ...
-    Each entry evaluates only its own branch; tau may be a column of times.
+    Each entry evaluates both forms, the series only when some entry needs
+    it, and takes its own; tau may be a column of times.
     """
     w = np.asarray(w, dtype=float)
     x = w * tau
     small = np.abs(x) < _SERIES_THRESHOLD
-    big = ~small
-    out = np.empty_like(x)
+    # the direct form reads w = 1 off its branch, where w = 0 would divide by zero
+    w_safe = np.where(small, 1.0, w)
+    direct = (tau - np.sin(x) / w_safe) / w_safe
+    if not small.any():
+        return direct
     # a column of times is cubed by Python, as one time is: numpy's power
     # need not round the same way
     column = isinstance(tau, np.ndarray)
-    cube = np.array([t**3 for t in tau.ravel().tolist()]) if column else tau**3
-    if column:  # each entry takes its own row's time
-        w, tau, cube = (np.broadcast_to(a, x.shape) for a in (w, tau, cube.reshape(tau.shape)))
-        tau, cube = tau[big], cube[small]
-    ws, xs = w[small], x[small]
-    x2 = xs * xs
-    out[small] = ws * cube * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0 - x2 * x2 * x2 / 362880.0)
-    wb = w[big]
-    out[big] = (tau - np.sin(x[big]) / wb) / wb
-    return out
+    cube = np.array([t**3 for t in tau.ravel().tolist()]).reshape(tau.shape) if column else tau**3
+    # the series reads x = 0 off its branch, where x^6 could overflow
+    x2 = np.where(small, x, 0.0) ** 2
+    x4 = x2 * x2
+    series = w * cube * (1.0 / 6.0 - x2 / 120.0 + x4 / 5040.0 - x4 * x2 / 362880.0)
+    return np.where(small, series, direct)
 
 
 def _checked_time(tau: float) -> float:

@@ -10,7 +10,7 @@ test suite):
   site down the wire and applies X^s H Rz(-t), with Rz(t) = diag(1,
   e^{i t}).  Feedforward therefore flips the sign of a step's angle by
   the outcome parity of the steps listed in its adapt set.
-* Every measurement removes its site from the register: the state is
+* Every measurement removes its site from the branch: the state is
   contracted with the observed eigenvector and the site's axis is gone.
   A Z measurement detaches the site from the graph; outcome s = 1 leaves
   a Z byproduct on each former neighbor.
@@ -18,8 +18,10 @@ test suite):
   outcome parity is odd.  A pattern is refused if a rule names a site that
   is not an output or a step that does not exist, if an output is declared
   twice, or if any site has a negative coordinate.
-* One measurement yields both outcomes, so pattern_branches runs every
-  branch of nonzero probability as one walk of the outcome tree.
+* One measurement yields both outcomes, so the outcome tree is one walk:
+  each step measures every live branch at once, as the rows of one array,
+  and each node is measured once.  pattern_branches keeps every child of
+  nonzero probability, run_pattern the one child it draws.
 
 Pattern files are plain text, one directive per line; see
 docs/pattern_format.md for the grammar.
@@ -29,18 +31,18 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import QubitRegister, apply_single_qubit
+from .effective import QubitRegister
 
 __all__ = [
     "MeasurementStep",
     "ByproductRule",
     "MeasurementPattern",
     "PatternParseError",
-    "measure_qubit",
     "pattern_branches",
     "run_pattern",
     "wire_rotation_pattern",
@@ -51,7 +53,6 @@ __all__ = [
 
 Site = tuple[int, int]
 
-_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex), "Z": np.diag([1.0, -1.0])}
 # X and Y are the equatorial measurements at these angles
 _EQ_ANGLE = {"X": 0.0, "Y": math.pi / 2}
 
@@ -75,11 +76,6 @@ class MeasurementStep:
             raise ValueError(f"unknown basis {self.basis!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
-
-    def effective_angle(self, outcomes: tuple[int, ...]) -> float:
-        theta = _EQ_ANGLE.get(self.basis, self.angle)
-        parity = sum(outcomes[i] for i in self.adapt) % 2
-        return -theta if parity else theta
 
 
 @dataclass(frozen=True)
@@ -137,80 +133,111 @@ class MeasurementPattern:
                 )
 
 
-def measure_qubit(
-    reg: QubitRegister, site: Site, basis: str, angle: float = 0.0
-) -> tuple[tuple[float, QubitRegister | None], tuple[float, QubitRegister | None]]:
-    """Projectively measure one site and remove it from the register.
+def _axis(live: list[Site], site: Site, reg: QubitRegister) -> int:
+    if site not in live:
+        raise ValueError(f"site {site} is outside the {reg.M}x{reg.N} grid")
+    return live.index(site)
 
-    Returns, for outcome bits 0 and 1, (Born probability, the register on
-    the other live sites): the amplitudes contracted with <v_bit| on the
-    site's axis, divided by the square root of the probability.  An outcome
-    with probability below 1e-24 cannot occur: it reads probability 0 and
-    has no register (None).  reg is not changed.
-    """
-    # row b of eigvecs is the eigenvector of outcome bit b
-    if basis == "Z":
-        eigvecs = np.eye(2, dtype=complex)
-    elif basis in ("X", "Y", "EQ"):
-        phase = np.exp(1j * _EQ_ANGLE.get(basis, angle))
-        eigvecs = np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2.0)
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    # a row's sum does not depend on the other rows, so one branch reads the same
+    # bits alone as in the whole tree
+    flat = rows.view(float)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _children(amps: np.ndarray, ax: int, step: MeasurementStep, odd) -> np.ndarray:
+    """Both outcomes of step on every row of amps, outcome 0's rows first, unnormalized
+    (an equatorial step leaves out its 1/sqrt(2)); odd is each row's adapt parity."""
+    a = amps.reshape(len(amps), 2**ax, 2, -1)
+    children = np.empty((2, *a[:, :, 0].shape), dtype=complex)
+    if step.basis == "Z":
+        np.copyto(children, np.moveaxis(a, 2, 0))
     else:
-        raise ValueError(f"unknown basis {basis!r}")
-
-    ax = reg.site_axis(site)
-    sites = reg.sites[:ax] + reg.sites[ax + 1 :]
-    outcomes = []
-    for v in eigvecs:
-        amps = v.conj() @ reg.amps.reshape(2**ax, 2, -1)
-        p = float(np.linalg.norm(amps) ** 2)
-        child = QubitRegister(reg.M, reg.N, amps / math.sqrt(p), sites) if p >= 1e-24 else None
-        outcomes.append((0.0 if child is None else p, child))
-    return outcomes[0], outcomes[1]
-
-
-def _measure_step(reg: QubitRegister, step: MeasurementStep, outcomes: tuple[int, ...]):
-    basis = "Z" if step.basis == "Z" else "EQ"
-    return measure_qubit(reg, step.site, basis, step.effective_angle(outcomes))
+        # <v_s|a = (a_0 +- e^{-i theta} a_1)/sqrt(2); an odd parity negates theta,
+        # which conjugates the phase
+        theta = _EQ_ANGLE.get(step.basis, step.angle)
+        phase = complex(math.cos(theta), -math.sin(theta))
+        w = np.where(odd, phase.conjugate(), phase).reshape(-1, 1, 1) if step.adapt else phase
+        a0, a1, c0, c1 = a[:, :, 0], a[:, :, 1], children[0], children[1]
+        np.multiply(a1, w, out=c1)
+        np.add(a0, c1, out=c0)
+        np.subtract(a0, c1, out=c1)
+    return children.reshape(2 * len(amps), -1)
 
 
-def _output_state(
-    work: QubitRegister, pattern: MeasurementPattern, outcomes: tuple[int, ...]
-) -> np.ndarray:
-    """Apply a branch's byproducts to work, in place, and return its output state."""
+def _apply_byproduct(amps: np.ndarray, ax: int, pauli: str, odd) -> None:
+    """In place, X or Z on axis ax of each row of amps where odd is set."""
+    a = amps.reshape(len(amps), 2**ax, 2, -1)
+    rows = np.flatnonzero(odd)
+    part = a[rows]
+    if pauli == "X":
+        part = part[:, :, ::-1]
+    else:
+        np.negative(part[:, :, 1], out=part[:, :, 1])
+    a[rows] = part
+
+
+def _walk(
+    reg: QubitRegister, pattern: MeasurementPattern, select: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure each step on every kept branch at once: the leaves' (outcome bits,
+    probabilities, output states), one row each.
+
+    A branch is a row of unnormalized amplitudes over the live sites, so its squared
+    norm is its probability, times 2 per equatorial step.  Each step writes both
+    children of every row into one array, and reads an outcome below 1e-24 of its
+    parent's probability as p = 0; select(p), p of shape (2, rows), marks the children
+    kept.
+    """
+    live = [divmod(k, reg.N) for k in range(reg.M * reg.N)]
+    bits = np.zeros((1, len(pattern.steps)), dtype=np.uint8)
+    amps = reg.amps[None]
+
+    def odd(steps: tuple[int, ...]):
+        return np.bitwise_xor.reduce(bits[:, steps], axis=1) if steps else 0
+
+    for i, step in enumerate(pattern.steps):
+        amps = _children(amps, _axis(live, step.site, reg), step, odd(step.adapt))
+        live.remove(step.site)
+        p = _squared_norms(amps).reshape(2, -1)
+        p[p < 1e-24 * (p[0] + p[1])] = 0.0
+        keep = select(p).ravel()
+        bits = np.concatenate([bits, bits])
+        bits[len(bits) // 2 :, i] = 1
+        bits = bits[keep]
+        if np.count_nonzero(keep) < keep.size:
+            amps = amps[keep]
+    # an equatorial step leaves out its 1/sqrt(2), so it doubles the squared norms
+    sq = p.ravel()[keep] if pattern.steps else _squared_norms(amps)
+    probabilities = sq * 0.5 ** sum(step.basis != "Z" for step in pattern.steps)
     # with no steps no rule's parity is odd, so the caller's register is never changed
     for rule in pattern.byproducts:
-        if sum(outcomes[i] for i in rule.steps) % 2:
-            apply_single_qubit(work, rule.site, _PAULI[rule.pauli])
+        _apply_byproduct(amps, _axis(live, rule.site, reg), rule.pauli, odd(rule.steps))
     if not pattern.outputs:
-        return np.array([], dtype=complex)
-    first = [work.site_axis(site) for site in pattern.outputs]
-    rest = [ax for ax in range(work.n_qubits) if ax not in first]
-    state = np.transpose(work.view(), first + rest).reshape(-1)
-    return state / np.linalg.norm(state)
+        return bits, probabilities, np.empty((len(bits), 0), dtype=complex)
+    # outputs first, then the other live sites; one pass transposes and normalizes
+    first = [_axis(live, site, reg) for site in pattern.outputs]
+    order = first + [ax for ax in range(len(live)) if ax not in first]
+    shape = (len(bits), *[2] * len(live))
+    states = np.empty(shape, dtype=complex)
+    norms = np.sqrt(sq).reshape(-1, *[1] * len(live))
+    np.divide(amps.reshape(shape).transpose(0, *(1 + ax for ax in order)), norms, out=states)
+    return bits, probabilities, states.reshape(len(bits), -1)
 
 
 def pattern_branches(
     reg: QubitRegister, pattern: MeasurementPattern
-) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
-    """Every branch of nonzero probability: (outcomes, probability, output state).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every branch of nonzero probability: (outcomes, probabilities, output states).
 
-    Each live branch is measured once per step.  Branches are ordered by the
-    integer whose bit i is the outcome of step i.  The output state is
-    normalized, with pattern.outputs first in their order, then any other
-    unmeasured site in row-major order; it is empty when the pattern names
-    no outputs.  reg is not changed.
+    Row b of each array is one branch: outcomes[b, i] is the outcome bit of step
+    i, and the rows are ordered by the integer whose bit i is that outcome.  Each
+    output state is normalized, with pattern.outputs first in their order, then any
+    other unmeasured site in row-major order; it is empty when the pattern names no
+    outputs.  reg is not changed.
     """
-    nodes = [((), 1.0, reg)]
-    for step in pattern.steps:
-        children: tuple[list, list] = ([], [])
-        for outcomes, prob, work in nodes:
-            for bit, (p, child) in enumerate(_measure_step(work, step, outcomes)):
-                if child is not None:
-                    children[bit].append((outcomes + (bit,), prob * p, child))
-        # the new bit is the most significant so far
-        nodes = children[0] + children[1]
-    return [(outcomes, prob, _output_state(work, pattern, outcomes))
-            for outcomes, prob, work in nodes]
+    return _walk(reg, pattern, lambda p: p > 0.0)
 
 
 def run_pattern(
@@ -219,16 +246,17 @@ def run_pattern(
     """One branch, drawn with random.Random(seed): (output state, outcomes).
 
     A step's outcome is 0 when rng.random() < p0 / (p0 + p1).  The output
-    state is as in pattern_branches.  The caller's reg is not changed.
+    state is as in pattern_branches, the same bits.  reg is not changed.
     """
     rng = random.Random(seed)
-    outcomes: tuple[int, ...] = ()
-    for step in pattern.steps:
-        (p0, reg0), (p1, reg1) = _measure_step(reg, step, outcomes)
-        bit = 0 if rng.random() < p0 / (p0 + p1) else 1
-        outcomes += (bit,)
-        reg = reg1 if bit else reg0
-    return _output_state(reg, pattern, outcomes), outcomes
+
+    def draw(p: np.ndarray) -> np.ndarray:
+        p0, p1 = p.ravel().tolist()
+        zero = rng.random() < p0 / (p0 + p1)
+        return np.array([zero, not zero])
+
+    bits, _, states = _walk(reg, pattern, draw)
+    return states[0], tuple(bits[0].tolist())
 
 
 def wire_rotation_pattern(theta1: float, theta2: float, theta3: float) -> MeasurementPattern:

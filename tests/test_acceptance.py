@@ -233,11 +233,11 @@ def test_criterion_08_displacement_algebra(request):
 def _branch_deviation(cluster, pattern, expected):
     """Worst phase-aligned deviation from `expected` over all branches."""
     worst = 0.0
-    branches = pattern_branches(cluster, pattern)
-    for _, _, state in branches:
+    _, _, states = pattern_branches(cluster, pattern)
+    for state in states:
         ov = np.vdot(expected, state)
         worst = max(worst, float(np.linalg.norm(state - expected * ov / abs(ov))))
-    return worst, len(branches)
+    return worst, len(states)
 
 
 def test_criterion_09_mbqc_end_to_end(request):

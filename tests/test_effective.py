@@ -12,14 +12,13 @@ from cavitycluster.lattice import LatticeConfig
 from cavitycluster.geomphase import build_phase_table, solve_gate_time
 from cavitycluster.effective import (
     PhasePolynomial,
-    QubitRegister,
-    apply_single_qubit,
     cluster_phase,
     grid_adjacency,
     phase_register,
     reference_cluster,
     verify_cluster,
 )
+from cavitycluster.mbqc import MeasurementPattern, MeasurementStep, pattern_branches
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -516,12 +515,6 @@ class TestReducedDensityMatrix:
 
     def test_site_out_of_range(self):
         reg = phase_register(cluster_phase(2, 2, np.full((2, 2), 0.1)))
-        with pytest.raises(ValueError):
-            reg.site_axis((2, 0))
-
-
-class TestApplySingleQubit:
-    def test_x_flips(self):
-        reg = QubitRegister(1, 2, [1, 0, 0, 0])
-        apply_single_qubit(reg, (0, 1), np.array([[0, 1], [1, 0]]))
-        assert reg.amps[1] == 1.0
+        pattern = MeasurementPattern(steps=(MeasurementStep(site=(2, 0), basis="X"),))
+        with pytest.raises(ValueError, match="outside the 2x2 grid"):
+            pattern_branches(reg, pattern)

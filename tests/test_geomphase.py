@@ -68,7 +68,7 @@ def full_grid_terms(cfg, dm, dn):
 def full_grid_phase(cfg, tau, dm, dn):
     """Gamma(dm, dn) as one float64 dot over all M*N modes with 4 cos(L dm + K dn).
 
-    Shares neither the quarter-zone fold nor the one-branch bracket with
+    Shares neither the quarter-zone fold nor the bracket's code with
     pairwise_phase.
     """
     W, weights = full_grid_terms(cfg, dm, dn)
@@ -203,9 +203,9 @@ class TestGammaMode:
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, 3.0, GATE_TIME_PIN])
     def test_one_branch_bracket_bitwise(self, tau):
-        # each entry takes only its own branch, and keeps the bits of the
-        # two-branch form: zero and signed-zero frequencies, |omega tau| just
-        # below, at and just above the switchover, negative omega
+        # the bracket, whose series reads x = 0 off its branch, keeps the bits
+        # of the plain two-branch form: zero and signed-zero frequencies,
+        # |omega tau| just below, at and just above the switchover, negative omega
         edge = 0.05 / tau if tau else 0.05
         near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
         mixed = np.array([0.0, -0.0, 1e-300, 0.3, -1.7, *near, *(-v for v in near), 0.05, -0.05])

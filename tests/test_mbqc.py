@@ -1,11 +1,12 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cavitycluster.effective import QubitRegister, apply_single_qubit, reference_cluster
+from cavitycluster.effective import QubitRegister, reference_cluster
 from cavitycluster.mbqc import (
     ByproductRule,
     MeasurementPattern,
@@ -13,7 +14,6 @@ from cavitycluster.mbqc import (
     PatternParseError,
     cnot_pattern,
     format_pattern,
-    measure_qubit,
     parse_pattern,
     pattern_branches,
     run_pattern,
@@ -63,13 +63,49 @@ def assert_equal_up_to_phase(got, want, tol=1e-10):
 
 def all_branches(cluster, pattern):
     """Output states of every branch of nonzero probability."""
-    return [state for _, _, state in pattern_branches(cluster, pattern)]
+    return list(pattern_branches(cluster, pattern)[2])
 
 
 def branch(cluster, pattern, outcomes):
     """Output state of the branch with these outcomes."""
-    (state,) = [st for o, _, st in pattern_branches(cluster, pattern) if o == tuple(outcomes)]
-    return state
+    bits, _, states = pattern_branches(cluster, pattern)
+    (row,) = np.flatnonzero((bits == outcomes).all(axis=1))
+    return states[row]
+
+
+def one_step(site, basis, angle=0.0, outputs=(), byproducts=()):
+    return MeasurementPattern(
+        steps=(MeasurementStep(site=site, basis=basis, angle=angle),),
+        byproducts=byproducts,
+        outputs=outputs,
+    )
+
+
+def long_wire(angles):
+    """A 1 x (len(angles) + 1) wire measured at angles in turn, its output on the last site.
+
+    Each step adapts on the X byproduct of the steps before it, and the byproducts
+    X^x Z^z left at the end are corrected, so the logical output is
+    prod_i H Rz(-angles[i]) applied to the input, step 0 first.
+    """
+    x, z, steps = (), (), []
+    for i, t in enumerate(angles):
+        steps.append(MeasurementStep(site=(0, i), basis="EQ", angle=t, adapt=x))
+        # X^s H X^x Z^z = X^(s+z) Z^x H
+        x, z = tuple(sorted(set(z) ^ {i})), x
+    out = (0, len(angles))
+    rules = (ByproductRule(out, "X", x), ByproductRule(out, "Z", z))
+    return MeasurementPattern(steps=tuple(steps), byproducts=rules, outputs=(out,))
+
+
+def long_wire_circuit(angles, psi):
+    for t in angles:
+        psi = HADAMARD @ Rz(-t) @ psi
+    return psi
+
+
+# twelve steps, the cap on branch enumeration: 4096 branches on a 1x13 wire
+WIRE13_ANGLES = tuple(0.37 * k - 1.9 for k in range(12))
 
 
 def biased_register():
@@ -86,62 +122,110 @@ def biased_register():
 
 
 class TestMeasureQubit:
+    # one-step patterns: a branch's probability is its Born weight, and its output
+    # state is the register contracted with the outcome's eigenvector
     def test_plus_in_x_deterministic(self):
         reg = QubitRegister(1, 1, PLUS.copy())
-        (p0, out), (p1, _) = measure_qubit(reg, (0, 0), "X")
-        assert p0 == pytest.approx(1.0, abs=1e-15) and p1 == 0.0
-        assert out.sites == () and abs(out.amps[0]) == pytest.approx(1.0, abs=1e-15)
+        bits, probabilities, states = pattern_branches(reg, one_step((0, 0), "X"))
+        assert bits.tolist() == [[0]] and states.shape == (1, 0)
+        assert probabilities[0] == pytest.approx(1.0, abs=1e-15)
+        for seed in range(4):
+            assert run_pattern(reg, one_step((0, 0), "X"), seed=seed)[1] == (0,)
 
     def test_up_in_x_both_branches(self):
-        for probability, out in measure_qubit(all_up(1, 1), (0, 0), "X"):
-            assert probability == pytest.approx(0.5, abs=1e-15)
-            assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
+        pat = one_step((0, 0), "X", outputs=((0, 1),))
+        bits, probabilities, states = pattern_branches(all_up(1, 2), pat)
+        assert bits.tolist() == [[0], [1]]
+        assert probabilities == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert np.linalg.norm(states, axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_repeated_measurement_rejected(self):
-        (_, out), _ = measure_qubit(all_up(1, 2), (0, 0), "Z")
-        with pytest.raises(ValueError):
-            measure_qubit(out, (0, 0), "X")
+        # a measured site is refused as a second step or as an output; a site
+        # off the register is refused by the run
+        with pytest.raises(ValueError, match="measured twice"):
+            MeasurementPattern(
+                steps=(MeasurementStep((0, 0), "Z"), MeasurementStep((0, 0), "X"))
+            )
+        with pytest.raises(ValueError, match="is measured"):
+            one_step((0, 0), "Z", outputs=((0, 0),))
+        for run in (pattern_branches, run_pattern):
+            with pytest.raises(ValueError, match=re.escape("site (0, 2) is outside the 1x2")):
+                run(all_up(1, 2), one_step((0, 2), "X"))
+            with pytest.raises(ValueError, match=re.escape("site (1, 0) is outside the 1x2")):
+                run(all_up(1, 2), one_step((0, 0), "X", outputs=((1, 0),)))
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError, match="unknown basis 'W'"):
-            measure_qubit(all_up(1, 1), (0, 0), "W")
+            MeasurementStep(site=(0, 0), basis="W")
 
     def test_zero_probability_outcome_has_no_register(self):
-        reg = all_up(1, 1)  # |up> has no |down> component
-        (p0, out0), (p1, out1) = measure_qubit(reg, (0, 0), "Z")
-        assert p0 == 1.0 and out0 is not None
-        assert p1 == 0.0 and out1 is None
+        # |up> has no |down> component, so outcome 1 has no branch and is never drawn;
+        # nor has an outcome below 1e-24 of its parent's probability
+        reg = all_up(1, 1)
+        bits, probabilities, _ = pattern_branches(reg, one_step((0, 0), "Z"))
+        assert bits.tolist() == [[0]] and probabilities.tolist() == [1.0]
+        for seed in range(4):
+            assert run_pattern(reg, one_step((0, 0), "Z"), seed=seed)[1] == (0,)
+        for down, kept in ((1e-13, [[0]]), (1e-11, [[0], [1]])):
+            reg = QubitRegister(1, 1, [1.0, down])
+            assert pattern_branches(reg, one_step((0, 0), "Z"))[0].tolist() == kept
 
     def test_z_measurement_detaches_site(self):
         # measuring a cluster site in Z leaves the neighbor graph state
         # with a Z byproduct on former neighbors when the outcome is 1
         cl = reference_cluster(1, 2, periodic=False)
         minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
-        for (_, out), want in zip(measure_qubit(cl, (0, 1), "Z"), (PLUS, minus)):
-            assert out.sites == ((0, 0),)  # the measured site left the register
-            assert_equal_up_to_phase(out.amps, want)
+        bits, _, states = pattern_branches(cl, one_step((0, 1), "Z", outputs=((0, 0),)))
+        assert bits.tolist() == [[0], [1]]
+        for state, want in zip(states, (PLUS, minus), strict=True):
+            assert state.shape == (2,)  # the measured site left the branch
+            assert_equal_up_to_phase(state, want)
+
+    def test_x_byproduct_flips(self):
+        # |001>: measuring (0, 2) in Z reads 1, so the X on (0, 1) takes |00> to |01>
+        reg = QubitRegister(1, 3, [0, 1, 0, 0, 0, 0, 0, 0])
+        flip = (ByproductRule(site=(0, 1), pauli="X", steps=(0,)),)
+        pat = one_step((0, 2), "Z", outputs=((0, 0), (0, 1)), byproducts=flip)
+        state, outcomes = run_pattern(reg, pat)
+        assert outcomes == (1,) and state.tolist() == [0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("nq", range(1, 7))
 def test_kernels_match_tensordot_reference(nq):
-    # apply_single_qubit and measure_qubit on every axis, against a
-    # contraction over the axis of the register's [2] * nq tensor view
+    # a one-step run on every axis, against a contraction over the axis of the
+    # register's [2] * nq tensor; and an X or Z byproduct on every axis, against
+    # the Pauli contracted onto that axis
     rng = np.random.default_rng(nq)
-    amps = rng.normal(size=2**nq) + 1j * rng.normal(size=2**nq)
-    reg = QubitRegister(1, nq, amps / np.linalg.norm(amps))
-    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+    def random_register(n):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        return QubitRegister(1, n, amps / np.linalg.norm(amps))
+
+    reg, full = random_register(nq), random_register(nq + 1)
+    view = reg.amps.reshape([2] * nq)
     angle = rng.uniform(-math.pi, math.pi)
     phase = np.exp(1j * angle)
     eigvecs = np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2.0)
     for ax in range(nq):
-        work = QubitRegister(1, nq, reg.amps.copy())
-        apply_single_qubit(work, (0, ax), u)
-        want = np.moveaxis(np.tensordot(u, reg.view(), axes=([1], [ax])), 0, ax).reshape(-1)
-        assert np.max(np.abs(work.amps - want)) <= 1e-15
-        for (p, child), v in zip(measure_qubit(reg, (0, ax), "EQ", angle), eigvecs):
-            contracted = np.tensordot(v.conj(), reg.view(), axes=([0], [ax])).reshape(-1)
+        rest = tuple((0, b) for b in range(nq) if b != ax)
+        _, probabilities, states = pattern_branches(reg, one_step((0, ax), "EQ", angle, rest))
+        for p, state, v in zip(probabilities, states, eigvecs, strict=True):
+            contracted = np.tensordot(v.conj(), view, axes=([0], [ax])).reshape(-1)
             assert abs(p - np.linalg.norm(contracted) ** 2) <= 1e-15
-            assert np.max(np.abs(child.amps - contracted / math.sqrt(p))) <= 1e-15
+            if rest:
+                assert np.max(np.abs(state - contracted / math.sqrt(p))) <= 1e-15
+    # the pattern measures a last site (0, nq) in Z; outcome 1 fires the byproduct
+    outputs = tuple((0, b) for b in range(nq))
+    for pauli, u in (("X", np.array([[0, 1], [1, 0]])), ("Z", np.diag([1, -1]))):
+        for ax in range(nq):
+            rule = (ByproductRule(site=(0, ax), pauli=pauli, steps=(0,)),)
+            _, _, states = pattern_branches(full, one_step((0, nq), "Z", 0.0, outputs, rule))
+            for bit, state in enumerate(states):
+                part = full.amps.reshape([2] * (nq + 1))[..., bit]
+                if bit:
+                    part = np.moveaxis(np.tensordot(u, part, axes=([1], [ax])), 0, ax)
+                want = part.reshape(-1) / np.linalg.norm(part)
+                assert np.max(np.abs(state - want)) <= 1e-15
 
 
 class TestRunPattern:
@@ -151,8 +235,9 @@ class TestRunPattern:
         state, outcomes = run_pattern(reg, pat)
         assert outcomes == ()
         assert np.allclose(state, [1, 0])
-        ((outcomes, probability, state),) = pattern_branches(reg, pat)
-        assert outcomes == () and probability == 1.0 and np.allclose(state, [1, 0])
+        bits, probabilities, states = pattern_branches(reg, pat)
+        assert bits.shape == (1, 0) and probabilities.tolist() == [1.0]
+        assert np.allclose(states, [[1, 0]])
 
     def test_single_teleport_is_hadamard(self):
         # 1x2 cluster with arbitrary input: X-measuring the input site
@@ -169,18 +254,20 @@ class TestRunPattern:
             assert_equal_up_to_phase(state, expected)
 
     def test_branch_probabilities_sum_to_one(self):
-        pat = wire_rotation_pattern(0.4, -1.1, 0.9)
-        branches = pattern_branches(reference_cluster(1, 5, periodic=False), pat)
-        assert len(branches) == 16
-        assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
+        for pat in (wire_rotation_pattern(0.4, -1.1, 0.9), long_wire(WIRE13_ANGLES)):
+            n = len(pat.steps) + 1
+            _, probabilities, _ = pattern_branches(reference_cluster(1, n, periodic=False), pat)
+            assert len(probabilities) == 2 ** (n - 1)
+            assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_probability_pinned(self):
         # a branch's probability is the product of its steps' Born weights
         reg, pat = biased_register()
-        (p0, _), (p1, _) = measure_qubit(reg, (0, 0), "EQ", 0.4)
+        _, (p0, p1), _ = pattern_branches(reg, one_step((0, 0), "EQ", 0.4))
         assert p1 == pytest.approx(0.44996304454642483, rel=1e-14)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
-        probabilities = {o: p for o, p, _ in pattern_branches(reg, pat)}
+        bits, branch_probabilities, _ = pattern_branches(reg, pat)
+        probabilities = dict(zip(map(tuple, bits.tolist()), branch_probabilities))
         assert probabilities[(1, 0)] == pytest.approx(
             0.44996304454642483 * 0.8217956653108509, rel=1e-14
         )
@@ -188,14 +275,17 @@ class TestRunPattern:
 
     def test_branch_order_step_zero_least_significant(self):
         # bit i of a branch's index is the outcome of step i; pruned branches drop out
-        wire = wire_rotation_pattern(0.4, -1.1, 0.9)
-        branches = pattern_branches(reference_cluster(1, 5, periodic=False), wire)
-        assert [sum(b << i for i, b in enumerate(o)) for o, _, _ in branches] == list(range(16))
+        for wire in (wire_rotation_pattern(0.4, -1.1, 0.9), long_wire(WIRE13_ANGLES)):
+            n = len(wire.steps) + 1
+            bits, _, _ = pattern_branches(reference_cluster(1, n, periodic=False), wire)
+            assert [sum(b << i for i, b in enumerate(o)) for o in bits.tolist()] == list(
+                range(2 ** (n - 1))
+            )
         iso = parse_pattern("0 0 Z - -\n0 2 Z - -\n0 1 X - -\n")
-        branches = pattern_branches(reference_cluster(1, 3, periodic=False), iso)
+        bits, probabilities, _ = pattern_branches(reference_cluster(1, 3, periodic=False), iso)
         # (0, 1) is left in |+> when the Z outcomes agree and in |-> when they differ
-        assert [o for o, _, _ in branches] == [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        assert [p for _, p, _ in branches] == pytest.approx([0.25] * 4, abs=1e-15)
+        assert bits.tolist() == [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]]
+        assert probabilities == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_seeded_outcomes_pinned(self):
         # each step draws outcome 0 when random.Random(seed).random() < p0 / (p0 + p1)
@@ -204,21 +294,37 @@ class TestRunPattern:
         assert drawn == ["10", "01", "11", "00", "00", "10", "11", "00"]
 
     def test_sampled_run_is_a_branch(self):
-        reg, pat = biased_register()
-        states = {o: st for o, _, st in pattern_branches(reg, pat)}
-        for seed in range(4):
-            state, outcomes = run_pattern(reg, pat, seed=seed)
-            assert np.array_equal(state, states[outcomes])
+        # the drawn branch has the same bits as that branch of the whole tree
+        wire13 = (reference_cluster(1, 13, periodic=False), long_wire(WIRE13_ANGLES))
+        for reg, pat in (biased_register(), wire13):
+            bits, _, states = pattern_branches(reg, pat)
+            rows = dict(zip(map(tuple, bits.tolist()), states))
+            for seed in range(8):
+                state, outcomes = run_pattern(reg, pat, seed=seed)
+                assert state.tobytes() == rows[outcomes].tobytes()
 
     def test_input_register_unchanged(self):
-        # measurement builds smaller registers; the caller's register is not touched
+        # measurement writes new branch arrays; the caller's register is not touched
         cluster = reference_cluster(3, 2, periodic=False)
-        amps, sites = cluster.amps.copy(), cluster.sites
+        amps = cluster.amps.copy()
         first = all_branches(cluster, cnot_pattern())
         run_pattern(cluster, cnot_pattern(), seed=1)
-        assert np.array_equal(cluster.amps, amps) and cluster.sites == sites
+        assert cluster.amps.tobytes() == amps.tobytes()
         again = all_branches(cluster, cnot_pattern())
         assert all(np.array_equal(a, b) for a, b in zip(again, first, strict=True))
+
+    def test_walk_holds_two_branch_arrays(self):
+        # each step writes its children into one array and reads their norms in
+        # place, so the traced peak stays near a level and its children (the
+        # input is allocated before tracing starts)
+        cluster = reference_cluster(1, 16, periodic=False)
+        tracemalloc.start()
+        try:
+            pattern_branches(cluster, long_wire(WIRE13_ANGLES))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * cluster.amps.nbytes
 
     def test_trailing_unmeasured_sites_follow_outputs(self):
         # output (0, 2) first, then the unmeasured non-output (0, 1)
@@ -254,18 +360,21 @@ class TestRunPattern:
 
 class TestWirePattern:
     @pytest.mark.parametrize(
-        "angles", [(0.0, 0.0, 0.0), (0.3, -0.7, 1.1), (math.pi / 2, 0.2, -0.4)]
+        "angles", [(0.0, 0.0, 0.0), (0.3, -0.7, 1.1), (math.pi / 2, 0.2, -0.4), WIRE13_ANGLES]
     )
     def test_euler_rotation_all_branches(self, angles):
         rng = np.random.default_rng(11)
         psi = random_state(rng)
-        t1, t2, t3 = angles
-        expected = Rx(t3) @ Rz(t2) @ Rx(t1) @ psi
-        pat = wire_rotation_pattern(t1, t2, t3)
-        states = all_branches(input_cluster(1, 5, {(0, 0): psi}), pat)
+        if len(angles) == 3:
+            t1, t2, t3 = angles
+            expected = Rx(t3) @ Rz(t2) @ Rx(t1) @ psi
+            pat = wire_rotation_pattern(t1, t2, t3)
+        else:  # the twelve-step 1x13 wire
+            expected, pat = long_wire_circuit(angles, psi), long_wire(angles)
+        states = all_branches(input_cluster(1, len(pat.steps) + 1, {(0, 0): psi}), pat)
         for state in states:
             assert_equal_up_to_phase(state, expected)
-        assert len(states) == 16
+        assert len(states) == 2 ** len(pat.steps)
 
     def test_identity_angles_on_reference(self):
         pat = wire_rotation_pattern(0.0, 0.0, 0.0)
