@@ -54,7 +54,6 @@ from .mbqc import (
     PatternParseError,
     cnot_pattern,
     parse_pattern,
-    pattern_branches,
     run_pattern,
     wire_rotation_pattern,
 )
@@ -539,7 +538,7 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
                               f"{run.lattice.M}x{run.lattice.N} lattice")
         cluster = generated_cluster_patch(run.lattice, M, N)
 
-    _, _, states = pattern_branches(cluster, pattern)
+    outcomes, _, states, drawn = run_pattern(cluster, pattern, seed=run.seed)
     ref = states[0].copy()
     # in place: turn each branch onto ref by the phase of <ref|state> (none where that
     # overlap is below 1e-12), then subtract ref
@@ -551,14 +550,13 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     max_dev = math.sqrt(np.max(np.einsum("ij,ij->i", flat, flat)))
     deterministic = max_dev < 1e-10
 
-    _, sampled = run_pattern(cluster, pattern, seed=run.seed)
     body = [
         f"source = {run.source}",
         f"cluster_shape = {M}x{N}",
         f"branches_evaluated = {len(states)}",
         f"max_branch_deviation = {_fmt(max_dev)}",
         f"deterministic = {'pass' if deterministic else 'fail'}",
-        f"sampled_outcomes = {''.join(map(str, sampled))}",
+        f"sampled_outcomes = {''.join(map(str, outcomes[drawn]))}",
     ]
     body += [f"logical_amp_{i} = {_fmt(amp.real)} {_fmt(amp.imag)}" for i, amp in enumerate(ref)]
     _write_report(out / "mbqc_report.txt", run, "mbqc", body)

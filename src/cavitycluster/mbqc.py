@@ -20,8 +20,8 @@ test suite):
   twice, or if any site has a negative coordinate.
 * One measurement yields both outcomes, so the outcome tree is one walk:
   each step measures every live branch at once, as the rows of one array,
-  and each node is measured once.  pattern_branches keeps every child of
-  nonzero probability, run_pattern the one child it draws.
+  and each node is measured once.  run_pattern keeps every child of nonzero
+  probability, and its seeded draw follows one row of that same walk.
 
 Pattern files are plain text, one directive per line; see
 docs/pattern_format.md for the grammar.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "ByproductRule",
     "MeasurementPattern",
     "PatternParseError",
-    "pattern_branches",
     "run_pattern",
     "wire_rotation_pattern",
     "cnot_pattern",
@@ -178,21 +176,29 @@ def _apply_byproduct(amps: np.ndarray, ax: int, pauli: str, odd) -> None:
     a[rows] = part
 
 
-def _walk(
-    reg: QubitRegister, pattern: MeasurementPattern, select: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure each step on every kept branch at once: the leaves' (outcome bits,
-    probabilities, output states), one row each.
+def run_pattern(
+    reg: QubitRegister, pattern: MeasurementPattern, seed: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every branch of nonzero probability, and the one random.Random(seed) draws:
+    (outcomes, probabilities, output states, drawn row).
 
-    A branch is a row of unnormalized amplitudes over the live sites, so its squared
-    norm is its probability, times 2 per equatorial step.  Each step writes both
-    children of every row into one array, and reads an outcome below 1e-24 of its
-    parent's probability as p = 0; select(p), p of shape (2, rows), marks the children
-    kept.
+    Row b of each array is one branch: outcomes[b, i] is the outcome bit of step
+    i, and the rows are ordered by the integer whose bit i is that outcome.  Each
+    output state is normalized, with pattern.outputs first in their order, then any
+    other unmeasured site in row-major order; it is empty when the pattern names no
+    outputs.  reg is not changed.
+
+    Each step measures every branch at once.  A branch is a row of unnormalized
+    amplitudes over the live sites, so its squared norm is its probability, times 2
+    per equatorial step.  Each step writes both children of every row into one
+    array, and reads an outcome below 1e-24 of its parent's probability as p = 0.
+    The draw follows one row: its outcome is 0 when rng.random() < p0 / (p0 + p1).
     """
+    rng = random.Random(seed)
     live = [divmod(k, reg.N) for k in range(reg.M * reg.N)]
     bits = np.zeros((1, len(pattern.steps)), dtype=np.uint8)
     amps = reg.amps[None]
+    drawn = 0
 
     def odd(steps: tuple[int, ...]):
         return np.bitwise_xor.reduce(bits[:, steps], axis=1) if steps else 0
@@ -202,7 +208,11 @@ def _walk(
         live.remove(step.site)
         p = _squared_norms(amps).reshape(2, -1)
         p[p < 1e-24 * (p[0] + p[1])] = 0.0
-        keep = select(p).ravel()
+        p0, p1 = p[:, drawn].tolist()
+        child = drawn if rng.random() < p0 / (p0 + p1) else drawn + p.shape[1]
+        keep = p.ravel() > 0.0
+        # the drawn child's row among the kept ones
+        drawn = int(np.count_nonzero(keep[:child]))
         bits = np.concatenate([bits, bits])
         bits[len(bits) // 2 :, i] = 1
         bits = bits[keep]
@@ -215,7 +225,7 @@ def _walk(
     for rule in pattern.byproducts:
         _apply_byproduct(amps, _axis(live, rule.site, reg), rule.pauli, odd(rule.steps))
     if not pattern.outputs:
-        return bits, probabilities, np.empty((len(bits), 0), dtype=complex)
+        return bits, probabilities, np.empty((len(bits), 0), dtype=complex), drawn
     # outputs first, then the other live sites; one pass transposes and normalizes
     first = [_axis(live, site, reg) for site in pattern.outputs]
     order = first + [ax for ax in range(len(live)) if ax not in first]
@@ -223,40 +233,7 @@ def _walk(
     states = np.empty(shape, dtype=complex)
     norms = np.sqrt(sq).reshape(-1, *[1] * len(live))
     np.divide(amps.reshape(shape).transpose(0, *(1 + ax for ax in order)), norms, out=states)
-    return bits, probabilities, states.reshape(len(bits), -1)
-
-
-def pattern_branches(
-    reg: QubitRegister, pattern: MeasurementPattern
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every branch of nonzero probability: (outcomes, probabilities, output states).
-
-    Row b of each array is one branch: outcomes[b, i] is the outcome bit of step
-    i, and the rows are ordered by the integer whose bit i is that outcome.  Each
-    output state is normalized, with pattern.outputs first in their order, then any
-    other unmeasured site in row-major order; it is empty when the pattern names no
-    outputs.  reg is not changed.
-    """
-    return _walk(reg, pattern, lambda p: p > 0.0)
-
-
-def run_pattern(
-    reg: QubitRegister, pattern: MeasurementPattern, seed: int | None = None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One branch, drawn with random.Random(seed): (output state, outcomes).
-
-    A step's outcome is 0 when rng.random() < p0 / (p0 + p1).  The output
-    state is as in pattern_branches, the same bits.  reg is not changed.
-    """
-    rng = random.Random(seed)
-
-    def draw(p: np.ndarray) -> np.ndarray:
-        p0, p1 = p.ravel().tolist()
-        zero = rng.random() < p0 / (p0 + p1)
-        return np.array([zero, not zero])
-
-    bits, _, states = _walk(reg, pattern, draw)
-    return states[0], tuple(bits[0].tolist())
+    return bits, probabilities, states.reshape(len(bits), -1), drawn
 
 
 def wire_rotation_pattern(theta1: float, theta2: float, theta3: float) -> MeasurementPattern:

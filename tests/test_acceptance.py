@@ -24,7 +24,7 @@ from cavitycluster.geomphase import (
     sweep_delta,
 )
 from cavitycluster.lattice import LatticeConfig
-from cavitycluster.mbqc import cnot_pattern, pattern_branches, wire_rotation_pattern
+from cavitycluster.mbqc import cnot_pattern, run_pattern, wire_rotation_pattern
 from cavitycluster.phasespace import (
     PhasePath,
     closed_path_phase,
@@ -233,7 +233,7 @@ def test_criterion_08_displacement_algebra(request):
 def _branch_deviation(cluster, pattern, expected):
     """Worst phase-aligned deviation from `expected` over all branches."""
     worst = 0.0
-    _, _, states = pattern_branches(cluster, pattern)
+    _, _, states, _ = run_pattern(cluster, pattern)
     for state in states:
         ov = np.vdot(expected, state)
         worst = max(worst, float(np.linalg.norm(state - expected * ov / abs(ov))))

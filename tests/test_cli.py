@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitycluster import __version__, cli, oracle
+from cavitycluster import __version__, cli, mbqc, oracle
 from cavitycluster.cli import (
     _KEYS,
     EXIT_OK,
@@ -1064,6 +1064,22 @@ class TestMbqc:
         out = tmp_path / "out"
         main(["mbqc", "--out", str(out), "--seed", "42"])
         assert "# seed = 42" in (out / "mbqc_report.txt").read_text()
+
+    @pytest.mark.parametrize("seed,drawn", [(1, "0110"), (2, "1100"), (3, "0101")])
+    def test_seeded_outcomes_pinned(self, tmp_path, seed, drawn):
+        # the default wire run's draw, one outcome bit per step
+        out = tmp_path / "out"
+        assert main(["mbqc", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        assert f"\nsampled_outcomes = {drawn}\n" in (out / "mbqc_report.txt").read_text()
+
+    def test_run_measures_each_step_once(self, tmp_path, monkeypatch):
+        # the draw follows a row of the branch walk, so the 4-step wire is
+        # measured in 4 passes, not once more for the draw
+        calls = []
+        children = mbqc._children
+        monkeypatch.setattr(mbqc, "_children", lambda *args: calls.append(args) or children(*args))
+        assert main(["mbqc", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == 4
 
     def test_flag_equals_value(self, tmp_path):
         # --flag=value and --flag value write the same bytes

@@ -18,7 +18,7 @@ from cavitycluster.effective import (
     reference_cluster,
     verify_cluster,
 )
-from cavitycluster.mbqc import MeasurementPattern, MeasurementStep, pattern_branches
+from cavitycluster.mbqc import MeasurementPattern, MeasurementStep, run_pattern
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -517,4 +517,4 @@ class TestReducedDensityMatrix:
         reg = phase_register(cluster_phase(2, 2, np.full((2, 2), 0.1)))
         pattern = MeasurementPattern(steps=(MeasurementStep(site=(2, 0), basis="X"),))
         with pytest.raises(ValueError, match="outside the 2x2 grid"):
-            pattern_branches(reg, pattern)
+            run_pattern(reg, pattern)

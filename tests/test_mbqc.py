@@ -15,7 +15,6 @@ from cavitycluster.mbqc import (
     cnot_pattern,
     format_pattern,
     parse_pattern,
-    pattern_branches,
     run_pattern,
     wire_rotation_pattern,
 )
@@ -63,14 +62,20 @@ def assert_equal_up_to_phase(got, want, tol=1e-10):
 
 def all_branches(cluster, pattern):
     """Output states of every branch of nonzero probability."""
-    return list(pattern_branches(cluster, pattern)[2])
+    return list(run_pattern(cluster, pattern)[2])
 
 
 def branch(cluster, pattern, outcomes):
     """Output state of the branch with these outcomes."""
-    bits, _, states = pattern_branches(cluster, pattern)
+    bits, _, states, _ = run_pattern(cluster, pattern)
     (row,) = np.flatnonzero((bits == outcomes).all(axis=1))
     return states[row]
+
+
+def sampled(reg, pattern, seed):
+    """Outcome bits, as a string, of the branch that run_pattern draws with seed."""
+    bits, _, _, drawn = run_pattern(reg, pattern, seed)
+    return "".join(map(str, bits[drawn]))
 
 
 def one_step(site, basis, angle=0.0, outputs=(), byproducts=()):
@@ -126,15 +131,15 @@ class TestMeasureQubit:
     # state is the register contracted with the outcome's eigenvector
     def test_plus_in_x_deterministic(self):
         reg = QubitRegister(1, 1, PLUS.copy())
-        bits, probabilities, states = pattern_branches(reg, one_step((0, 0), "X"))
+        bits, probabilities, states, _ = run_pattern(reg, one_step((0, 0), "X"))
         assert bits.tolist() == [[0]] and states.shape == (1, 0)
         assert probabilities[0] == pytest.approx(1.0, abs=1e-15)
         for seed in range(4):
-            assert run_pattern(reg, one_step((0, 0), "X"), seed=seed)[1] == (0,)
+            assert sampled(reg, one_step((0, 0), "X"), seed) == "0"
 
     def test_up_in_x_both_branches(self):
         pat = one_step((0, 0), "X", outputs=((0, 1),))
-        bits, probabilities, states = pattern_branches(all_up(1, 2), pat)
+        bits, probabilities, states, _ = run_pattern(all_up(1, 2), pat)
         assert bits.tolist() == [[0], [1]]
         assert probabilities == pytest.approx([0.5, 0.5], abs=1e-15)
         assert np.linalg.norm(states, axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -148,11 +153,10 @@ class TestMeasureQubit:
             )
         with pytest.raises(ValueError, match="is measured"):
             one_step((0, 0), "Z", outputs=((0, 0),))
-        for run in (pattern_branches, run_pattern):
-            with pytest.raises(ValueError, match=re.escape("site (0, 2) is outside the 1x2")):
-                run(all_up(1, 2), one_step((0, 2), "X"))
-            with pytest.raises(ValueError, match=re.escape("site (1, 0) is outside the 1x2")):
-                run(all_up(1, 2), one_step((0, 0), "X", outputs=((1, 0),)))
+        with pytest.raises(ValueError, match=re.escape("site (0, 2) is outside the 1x2")):
+            run_pattern(all_up(1, 2), one_step((0, 2), "X"))
+        with pytest.raises(ValueError, match=re.escape("site (1, 0) is outside the 1x2")):
+            run_pattern(all_up(1, 2), one_step((0, 0), "X", outputs=((1, 0),)))
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError, match="unknown basis 'W'"):
@@ -162,20 +166,20 @@ class TestMeasureQubit:
         # |up> has no |down> component, so outcome 1 has no branch and is never drawn;
         # nor has an outcome below 1e-24 of its parent's probability
         reg = all_up(1, 1)
-        bits, probabilities, _ = pattern_branches(reg, one_step((0, 0), "Z"))
+        bits, probabilities, _, _ = run_pattern(reg, one_step((0, 0), "Z"))
         assert bits.tolist() == [[0]] and probabilities.tolist() == [1.0]
         for seed in range(4):
-            assert run_pattern(reg, one_step((0, 0), "Z"), seed=seed)[1] == (0,)
+            assert sampled(reg, one_step((0, 0), "Z"), seed) == "0"
         for down, kept in ((1e-13, [[0]]), (1e-11, [[0], [1]])):
             reg = QubitRegister(1, 1, [1.0, down])
-            assert pattern_branches(reg, one_step((0, 0), "Z"))[0].tolist() == kept
+            assert run_pattern(reg, one_step((0, 0), "Z"))[0].tolist() == kept
 
     def test_z_measurement_detaches_site(self):
         # measuring a cluster site in Z leaves the neighbor graph state
         # with a Z byproduct on former neighbors when the outcome is 1
         cl = reference_cluster(1, 2, periodic=False)
         minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
-        bits, _, states = pattern_branches(cl, one_step((0, 1), "Z", outputs=((0, 0),)))
+        bits, _, states, _ = run_pattern(cl, one_step((0, 1), "Z", outputs=((0, 0),)))
         assert bits.tolist() == [[0], [1]]
         for state, want in zip(states, (PLUS, minus), strict=True):
             assert state.shape == (2,)  # the measured site left the branch
@@ -186,8 +190,8 @@ class TestMeasureQubit:
         reg = QubitRegister(1, 3, [0, 1, 0, 0, 0, 0, 0, 0])
         flip = (ByproductRule(site=(0, 1), pauli="X", steps=(0,)),)
         pat = one_step((0, 2), "Z", outputs=((0, 0), (0, 1)), byproducts=flip)
-        state, outcomes = run_pattern(reg, pat)
-        assert outcomes == (1,) and state.tolist() == [0, 1, 0, 0]
+        bits, _, states, drawn = run_pattern(reg, pat)
+        assert bits.tolist() == [[1]] and drawn == 0 and states[0].tolist() == [0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("nq", range(1, 7))
@@ -208,7 +212,7 @@ def test_kernels_match_tensordot_reference(nq):
     eigvecs = np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2.0)
     for ax in range(nq):
         rest = tuple((0, b) for b in range(nq) if b != ax)
-        _, probabilities, states = pattern_branches(reg, one_step((0, ax), "EQ", angle, rest))
+        _, probabilities, states, _ = run_pattern(reg, one_step((0, ax), "EQ", angle, rest))
         for p, state, v in zip(probabilities, states, eigvecs, strict=True):
             contracted = np.tensordot(v.conj(), view, axes=([0], [ax])).reshape(-1)
             assert abs(p - np.linalg.norm(contracted) ** 2) <= 1e-15
@@ -219,7 +223,7 @@ def test_kernels_match_tensordot_reference(nq):
     for pauli, u in (("X", np.array([[0, 1], [1, 0]])), ("Z", np.diag([1, -1]))):
         for ax in range(nq):
             rule = (ByproductRule(site=(0, ax), pauli=pauli, steps=(0,)),)
-            _, _, states = pattern_branches(full, one_step((0, nq), "Z", 0.0, outputs, rule))
+            _, _, states, _ = run_pattern(full, one_step((0, nq), "Z", 0.0, outputs, rule))
             for bit, state in enumerate(states):
                 part = full.amps.reshape([2] * (nq + 1))[..., bit]
                 if bit:
@@ -231,12 +235,8 @@ def test_kernels_match_tensordot_reference(nq):
 class TestRunPattern:
     def test_empty_pattern(self):
         pat = MeasurementPattern(steps=(), outputs=((0, 0),))
-        reg = all_up(1, 1)
-        state, outcomes = run_pattern(reg, pat)
-        assert outcomes == ()
-        assert np.allclose(state, [1, 0])
-        bits, probabilities, states = pattern_branches(reg, pat)
-        assert bits.shape == (1, 0) and probabilities.tolist() == [1.0]
+        bits, probabilities, states, drawn = run_pattern(all_up(1, 1), pat)
+        assert bits.shape == (1, 0) and probabilities.tolist() == [1.0] and drawn == 0
         assert np.allclose(states, [[1, 0]])
 
     def test_single_teleport_is_hadamard(self):
@@ -256,17 +256,17 @@ class TestRunPattern:
     def test_branch_probabilities_sum_to_one(self):
         for pat in (wire_rotation_pattern(0.4, -1.1, 0.9), long_wire(WIRE13_ANGLES)):
             n = len(pat.steps) + 1
-            _, probabilities, _ = pattern_branches(reference_cluster(1, n, periodic=False), pat)
+            _, probabilities, _, _ = run_pattern(reference_cluster(1, n, periodic=False), pat)
             assert len(probabilities) == 2 ** (n - 1)
             assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_probability_pinned(self):
         # a branch's probability is the product of its steps' Born weights
         reg, pat = biased_register()
-        _, (p0, p1), _ = pattern_branches(reg, one_step((0, 0), "EQ", 0.4))
+        _, (p0, p1), _, _ = run_pattern(reg, one_step((0, 0), "EQ", 0.4))
         assert p1 == pytest.approx(0.44996304454642483, rel=1e-14)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
-        bits, branch_probabilities, _ = pattern_branches(reg, pat)
+        bits, branch_probabilities, _, _ = run_pattern(reg, pat)
         probabilities = dict(zip(map(tuple, bits.tolist()), branch_probabilities))
         assert probabilities[(1, 0)] == pytest.approx(
             0.44996304454642483 * 0.8217956653108509, rel=1e-14
@@ -277,38 +277,34 @@ class TestRunPattern:
         # bit i of a branch's index is the outcome of step i; pruned branches drop out
         for wire in (wire_rotation_pattern(0.4, -1.1, 0.9), long_wire(WIRE13_ANGLES)):
             n = len(wire.steps) + 1
-            bits, _, _ = pattern_branches(reference_cluster(1, n, periodic=False), wire)
+            bits = run_pattern(reference_cluster(1, n, periodic=False), wire)[0]
             assert [sum(b << i for i, b in enumerate(o)) for o in bits.tolist()] == list(
                 range(2 ** (n - 1))
             )
         iso = parse_pattern("0 0 Z - -\n0 2 Z - -\n0 1 X - -\n")
-        bits, probabilities, _ = pattern_branches(reference_cluster(1, 3, periodic=False), iso)
+        bits, probabilities, _, _ = run_pattern(reference_cluster(1, 3, periodic=False), iso)
         # (0, 1) is left in |+> when the Z outcomes agree and in |-> when they differ
         assert bits.tolist() == [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]]
         assert probabilities == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_seeded_outcomes_pinned(self):
-        # each step draws outcome 0 when random.Random(seed).random() < p0 / (p0 + p1)
+        # each step draws outcome 0 when random.Random(seed).random() < p0 / (p0 + p1);
+        # on a wire every p0 / (p0 + p1) is 1/2
         reg, pat = biased_register()
-        drawn = ["".join(map(str, run_pattern(reg, pat, seed=s)[1])) for s in range(8)]
-        assert drawn == ["10", "01", "11", "00", "00", "10", "11", "00"]
-
-    def test_sampled_run_is_a_branch(self):
-        # the drawn branch has the same bits as that branch of the whole tree
-        wire13 = (reference_cluster(1, 13, periodic=False), long_wire(WIRE13_ANGLES))
-        for reg, pat in (biased_register(), wire13):
-            bits, _, states = pattern_branches(reg, pat)
-            rows = dict(zip(map(tuple, bits.tolist()), states))
-            for seed in range(8):
-                state, outcomes = run_pattern(reg, pat, seed=seed)
-                assert state.tobytes() == rows[outcomes].tobytes()
+        assert [sampled(reg, pat, s) for s in range(8)] == [
+            "10", "01", "11", "00", "00", "10", "11", "00"
+        ]
+        wire13 = reference_cluster(1, 13, periodic=False)
+        assert [sampled(wire13, long_wire(WIRE13_ANGLES), s) for s in range(8)] == [
+            "110010100111", "011000110010", "110011101110", "010110010010",
+            "000000111010", "111111001110", "110001010101", "001010010000",
+        ]
 
     def test_input_register_unchanged(self):
         # measurement writes new branch arrays; the caller's register is not touched
         cluster = reference_cluster(3, 2, periodic=False)
         amps = cluster.amps.copy()
         first = all_branches(cluster, cnot_pattern())
-        run_pattern(cluster, cnot_pattern(), seed=1)
         assert cluster.amps.tobytes() == amps.tobytes()
         again = all_branches(cluster, cnot_pattern())
         assert all(np.array_equal(a, b) for a, b in zip(again, first, strict=True))
@@ -320,7 +316,7 @@ class TestRunPattern:
         cluster = reference_cluster(1, 16, periodic=False)
         tracemalloc.start()
         try:
-            pattern_branches(cluster, long_wire(WIRE13_ANGLES))
+            run_pattern(cluster, long_wire(WIRE13_ANGLES))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
