@@ -180,7 +180,7 @@ class RunConfig:
         "gamma-sweep", "separations", _separations, ((1, 0), (0, 1), (1, 1), (2, 0)))
     # a cluster_tau of None ('auto') solves the gate time
     cluster_tau: float | None = _key("cluster", "tau", _gate_time, None)
-    nn_only: bool = _key("cluster", "nn_only", _boolean, True)
+    nn_only: bool = _key("cluster", "nn_only", _boolean, False)
     periodic: bool = _key("cluster", "periodic", _boolean, True)
     snapshot: bool = _key("cluster", "snapshot", _boolean, False)
     fidelity_min: float = _key("cluster", "fidelity_min", _finite, 0.0)

@@ -242,24 +242,6 @@ class GateTimeNotFoundError(RuntimeError):
         )
 
 
-def _first_reaching(config: LatticeConfig, omega: np.ndarray, weights: np.ndarray,
-                    grid: list[float], start: int, target: float) -> tuple[int, float]:
-    """The first grid point from start on with Gamma_nn >= target, and its Gamma_nn - target,
-    read in row blocks.  With none, raises with the largest |Gamma_nn| over those blocks
-    and one tau sweep of the points below start."""
-    top = 0.0
-    step = max(1, _BLOCK // omega.size)
-    for lo in range(start, len(grid), step):
-        gamma = _phase_sums(config, omega, np.array(grid[lo : lo + step])[:, None], weights)
-        hit = np.flatnonzero(gamma - target >= 0.0)
-        if hit.size:
-            return lo + int(hit[0]), float(gamma[hit[0]]) - target
-        top = max(top, float(np.abs(gamma).max()))
-    sep = nn_separation(config)
-    below = sweep_tau(config, grid[:start], [sep]) if start else []
-    raise GateTimeNotFoundError(target, max([top] + [abs(row[sep]) for _, row in below]))
-
-
 def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float:
     """Smallest tau (in units of 1/g) in (0, _WINDOW] with Gamma_nn(tau) = target.
 
@@ -267,41 +249,46 @@ def solve_gate_time(config: LatticeConfig, target: float = math.pi / 4) -> float
     to the first point with Gamma_nn >= target, then bisects that interval.
     The walk skips grid points that a derivative bound proves short of the
     target.  f = Gamma_nn - target has f'(tau) = (1/MN) sum w (1 - cos
-    omega tau)/omega, and |1 - cos x| <= x^2/2, so |f'(tau)| <= c tau^2 with
-    c = (1/2MN) sum |w omega| over the folded terms.  From a walked point
-    s with f(s) < 0, every tau with tau^3 < s^3 - 1.5 f(s)/c therefore has
-    f(tau) <= f(s)/2 < 0, and the walk moves on to the first grid point past
-    that, at least one step.  The f(s)/2 margin keeps rounding out of the
-    skip.  So the walk meets the same first point with f >= 0 as a
-    point-by-point walk, and bisects the same step to the same tau.  With
-    c = 0, Gamma_nn is 0 throughout and the walk goes straight to the end.
-    The bound grows with |delta|, and once three advances in a row skip no
-    point the walk reads the rest of the grid in row blocks instead, each row
-    with the bits of its one-point call.  With no root, the error reports the
-    largest |Gamma_nn| over the whole grid: the blocks read and one tau sweep,
-    also in row blocks, of the points below them.
+    omega tau)/omega, and |1 - cos x| is at most x^2/2 and at most 2, so
+    |f'(tau)| <= min(c tau^2, b) with c = (1/2MN) sum |w omega| and
+    b = (2/MN) sum |w/omega| over the folded terms, a term at omega = 0
+    adding nothing to f'.  From a walked point s with f(s) < 0, every tau
+    with tau^3 < s^3 - 1.5 f(s)/c, and every tau < s - f(s)/(2b), therefore
+    has f(tau) <= f(s)/2 < 0, and the walk moves on to the first grid point
+    past the larger of the two, at least one step.  The cubic reach carries
+    it at small tau; the linear one at a large |delta|, where b is small and
+    one jump crosses hundreds of points.  The f(s)/2 margin keeps rounding
+    out of the skip.  So the walk meets the same first point with f >= 0 as
+    a point-by-point walk, and bisects the same step to the same tau.  With
+    c = 0, Gamma_nn is 0 throughout and the walk goes straight to the end;
+    an infinite b (w/omega overflowing) only skips nothing more.  With no
+    root, the error reports the largest |Gamma_nn| over the whole grid, read
+    in row blocks, each row with the bits of its one-point call.
     """
     if target <= 0:
         raise ValueError("target phase must be positive")
     sep = nn_separation(config)
     omega, (weights,) = _modes(config, sep)
     c = float(np.abs(weights * omega).sum()) / (2 * config.n_sites)
+    with np.errstate(over="ignore"):  # w/omega may overflow, and b = inf skips nothing
+        b = 2.0 * float(np.abs(weights / np.where(omega == 0.0, np.inf, omega)).sum())
+    b /= config.n_sites
 
     def f(tau: float) -> float:
         return float(_phase_sums(config, omega, tau, weights)) - target
 
     grid = np.arange(_GRID_STEP, _WINDOW + _GRID_STEP / 2, _GRID_STEP).tolist()
-    s, fs, i, ones = 0.0, -target, 0, 0
+    s, fs, i = 0.0, -target, 0
     while True:
         # every grid point below reach has f <= fs/2 < 0
-        reach = (s**3 - 1.5 * fs / c) ** (1.0 / 3.0) if c > 0.0 else math.inf
-        j = bisect.bisect_left(grid, reach, i)
-        ones, i = (ones + 1 if j == i else 0), j
-        if ones > 2 or i == len(grid):
-            i, fhi = _first_reaching(config, omega, weights, grid, i, target)
-        else:
-            fhi = f(grid[i])
+        reach = max((s**3 - 1.5 * fs / c) ** (1.0 / 3.0), s - 0.5 * fs / b) if c > 0.0 else math.inf
+        i = bisect.bisect_left(grid, reach, i)
+        if i == len(grid):
+            gammas = _block_rows(grid, omega.size, lambda block: np.abs(
+                _phase_sums(config, omega, np.array(block)[:, None], weights)).tolist())
+            raise GateTimeNotFoundError(target, max(gammas))
         hi = grid[i]
+        fhi = f(hi)
         if fhi == 0.0:
             return hi
         if fhi > 0.0:

@@ -67,7 +67,7 @@ NON_DEFAULT = {
     ("gamma-sweep", "tau_step"): "0.1",
     ("gamma-sweep", "separations"): "1,0 2,1",
     ("cluster", "tau"): "2.0",
-    ("cluster", "nn_only"): "false",
+    ("cluster", "nn_only"): "true",
     ("cluster", "periodic"): "false",
     ("cluster", "snapshot"): "true",
     ("cluster", "fidelity_min"): "0.99",
@@ -509,6 +509,19 @@ class TestCluster:
         fidelity = next(line for line in report.splitlines() if line.startswith("fidelity = "))
         assert 0.99999 <= float(fidelity.split(" = ")[1]) <= 1.0
         assert "verdict = pass" in report
+
+    @pytest.mark.parametrize("M,N", [(3, 3), (4, 4), (4, 5)])
+    def test_default_applies_every_pair(self, tmp_path, M, N):
+        # the default run drops no coupling that the table holds: its report
+        # is the nn_only = false run's, byte for byte
+        reports = []
+        for name, cluster in (("default", ""), ("every-pair", "[cluster]\nnn_only = false\n")):
+            cfg = write(tmp_path, f"{name}.ini", f"[lattice]\nM = {M}\nN = {N}\n{cluster}")
+            out = tmp_path / name
+            assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            reports.append((out / "cluster_report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        assert b"nn_only = False\n" in reports[0] and b"fidelity = 1.0\n" not in reports[0]
 
     @staticmethod
     def expected_snapshot(M, N, nn_only, periodic):

@@ -10,7 +10,8 @@ import pytest
 
 from cavitycluster.cli import EXIT_OK, main
 
-EXAMPLES = sorted((Path(__file__).parent.parent / "docs" / "examples").glob("*.ini"))
+EXAMPLE_DIR = Path(__file__).parent.parent / "docs" / "examples"
+EXAMPLES = sorted(EXAMPLE_DIR.glob("*.ini"))
 
 # the section an example sets besides [lattice] names the subcommand it is for
 COMMANDS = {"gamma-sweep": "gamma-sweep", "cluster": "cluster", "oracle": "oracle-verify",
@@ -60,3 +61,13 @@ def test_runs_load_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
     assert result.stdout == "[]\n"
+
+
+def test_cluster_example_applies_every_pair(tmp_path):
+    # nn_only defaults to false, so the example's fidelity reads every
+    # pairwise phase of the 3x3 table and falls below 1
+    ini = EXAMPLE_DIR / "cluster.ini"
+    assert main(["cluster", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    report = (tmp_path / "cluster_report.txt").read_text().splitlines()
+    assert "nn_only = False" in report
+    assert "fidelity = 0.9972366278887155" in report

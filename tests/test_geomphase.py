@@ -120,6 +120,13 @@ def walk_bound(cfg):
     return 1.0 / (2 * cfg.n_sites) * float(np.sum(np.abs(weights * omega)))
 
 
+def slope_bound(cfg):
+    """b in |d Gamma_nn / d tau| <= b: (2 / MN) sum |w / omega| over the folded terms, omega != 0."""
+    omega, (weights,) = _modes(cfg, nn_separation(cfg))
+    moving = omega != 0.0
+    return 2.0 / cfg.n_sites * float(np.sum(np.abs(weights[moving] / omega[moving])))
+
+
 def count_kernel_calls(monkeypatch):
     """The shape of each _phase_sums call's tau: () for one time, (rows, 1) for a block."""
     calls = []
@@ -394,6 +401,8 @@ class TestSolveGateTime:
         # grid points in row blocks, not in 2000 more one-point calls
         blocks = [rows for rows, _ in filter(None, calls)]
         assert sum(blocks) == 2000 and len(blocks) < 30
+        # the slope bound carries the walk across the window in a few jumps
+        assert calls.count(()) <= 10
 
     @pytest.mark.parametrize(
         "cfg",
@@ -445,6 +454,11 @@ class TestSolveGateTime:
     @example(shape=(4, 5), j=3.0, delta=5.0)
     @example(shape=(1, 7), j=0.3, delta=-5.0)
     @example(shape=(6, 6), j=2.0, delta=0.0)
+    # a slope bound ten times too small skips the root at 1.6128109496332041
+    # and returns 1.640000000000073
+    @example(shape=(3, 7), j=1.2275974091074837, delta=0.7934990027689519)
+    # every w/omega overflows, so the slope bound is infinite and skips nothing
+    @example(shape=(1, 2), j=0.0, delta=2.2250738585e-313)
     def test_skipping_walk_matches_per_point_walk(self, shape, j, delta):
         # bitwise against a point-by-point walk of the same Gamma_nn; the
         # full-grid walk sums the modes in another order, and in about one
@@ -503,19 +517,25 @@ class TestSolveGateTime:
             LatticeConfig(M=1, N=7, J=0.75 / 2.5, delta=-12.5 / 2.5),  # J = 0.75, delta = -12.5 at g = 2.5
             LatticeConfig(M=2, N=2, J=0.1),
             LatticeConfig(M=6, N=1, J=1.0, delta=0.3),
+            replace(REF, delta=20.0),
+            replace(REF, delta=50.0),
+            LatticeConfig(M=1, N=7, J=0.1, delta=20.0),
+            LatticeConfig(M=1, N=7, J=0.1, delta=50.0),
         ],
-        ids=["ref19", "4x5-oscillating", "1x7-g2.5", "2x2", "6x1"],
+        ids=["ref19", "4x5-oscillating", "1x7-g2.5", "2x2", "6x1", "ref19-delta20",
+             "ref19-delta50", "1x7-delta20", "1x7-delta50"],
     )
     def test_derivative_bound(self, cfg):
-        # |Gamma_nn(t) - Gamma_nn(s)| <= c (t^3 - s^3) / 3, the bound that
-        # the walk's skips rest on
-        c = walk_bound(cfg)
+        # |Gamma_nn(t) - Gamma_nn(s)| <= c (t^3 - s^3) / 3 and <= b (t - s),
+        # the bounds that the walk's skips rest on
+        c, slope = walk_bound(cfg), slope_bound(cfg)
         rng = np.random.default_rng(7)
         s, t = np.sort(rng.uniform(0.0, 20.0, size=(2, 200)), axis=0)
         sep = nn_separation(cfg)
         for a, b in zip(s.tolist(), t.tolist()):
             rise = pairwise_phase(cfg, b, *sep) - pairwise_phase(cfg, a, *sep)
             assert abs(rise) <= c * (b**3 - a**3) / 3 + 1e-13
+            assert abs(rise) <= slope * (b - a) + 1e-13
 
     def test_constant_phase_not_found(self, monkeypatch):
         # J = 0 and delta = 0: every mode sits at omega = 0, so c = 0 and
