@@ -53,9 +53,10 @@ by the same factorization on Phi.
 
 The grid is one boolean adjacency matrix (grid_adjacency) and the pair
 phases one table array, Gamma(dm, dn) = grid[dm % Mt, dn % Nt]; W is one
-gather from that array and h_a = -(pi/4) deg_a.  W and h are n x n, so only
-the dense arrays of 2^n numbers (Phi at every bitstring, a QubitRegister,
-the reference graph state) are capped at MAX_QUBITS.  A dense complex
+gather from that array and h_a = -(pi/4) deg_a.  The arrays of 2^n numbers
+(Phi at every bitstring, a QubitRegister, the reference graph state) are
+capped at MAX_QUBITS; verify_cluster's exact sum holds none, but its cost of
+2^(n-2) cosines caps it at MAX_QUBITS too.  A dense complex
 register is kept only where measurement needs one: MBQC patterns on
 patches of a few qubits, built from Phi or as the exact reference state.
 A register holds every site of its grid; the pattern walk in mbqc keeps
@@ -188,7 +189,7 @@ def cluster_phase(
     M: int,
     N: int,
     gamma_grid: np.ndarray,
-    nn_only: bool = True,
+    nn_only: bool,
     periodic: bool = True,
 ) -> PhasePolynomial:
     """Phi of the XX evolution from |up...up> followed by the local correction.

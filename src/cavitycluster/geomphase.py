@@ -9,11 +9,18 @@ and the per-mode geometric phase accumulated by a single interval is
 
     gamma_{L,K} = g^2 / (MN omega) * [tau - sin(omega tau)/omega].
 
-A sigma_z echo (one sigma_z on every qubit between two intervals) cancels
-the displacements and doubles the phases, leaving a pure pairwise qubit
-coupling exp[sum_pairs i Gamma sigma_x sigma_x] with
+A sigma_z echo (one sigma_z on every qubit between two intervals, both
+started from t = 0) cancels the displacements and doubles the phases,
+leaving a pure pairwise qubit coupling exp[sum_pairs i Gamma sigma_x sigma_x]
+with
 
     Gamma(dm, dn) = sum_modes 4 gamma_{L,K} cos(L dm + K dn).
+
+A sigma_z pulse alone does not restart the loops: a device must also undo
+each mode's free phase e^{-i omega tau} between the intervals by evolving
+the band under -h, qubits decoupled, e.g. between two pi phase flips of one
+sublattice's cavities at delta = 0 on a bipartite lattice (not the odd 19x19
+periodic default).
 
 Note the g^2 prefactor in gamma_{L,K}: it is fixed by direct integration
 of the driven interaction Hamiltonian (see the brute-force checks in

@@ -48,6 +48,7 @@ sigma_x (x) 1 that it replaces.  S_z = diag((-1)^popcount(c)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -188,42 +189,33 @@ def echo_evolve(config: LatticeConfig, tau: float, n_max: int) -> EvolutionRepor
                            truncation_estimate=float(np.max(np.abs(vacuum - coarse))))
 
 
-def _site_index(config: LatticeConfig, site: tuple[int, int]) -> int:
-    m, n = site
-    if not (0 <= m < config.M and 0 <= n < config.N):
-        raise ValueError(f"site {site} out of range")
-    return m * config.N + n
-
-
 def extract_pair_phase(
     report: EvolutionReport,
-    site_a: tuple[int, int],
-    site_b: tuple[int, int],
-) -> float:
-    """Realized pairwise phase between two sites, others held in |+x>.
+) -> dict[tuple[tuple[int, int], tuple[int, int]], float]:
+    """Realized phase Gamma of every site pair a before b in row-major order,
+    others held in |+x>: {((m_a, n_a), (m_b, n_b)): Gamma}.
 
     Gamma = (phi(++) + phi(--) - phi(+-) - phi(-+)) / 4 over the sigma_x
     eigenbasis of the pair, computed from a phase product so that global
     and single-qubit phases drop out exactly.  The four amplitudes fix Gamma
     only modulo pi/2, since Gamma + pi/2 is Gamma followed by the local
-    X_a X_b; the value returned lies in (-pi/4, pi/4].
+    X_a X_b; each value lies in (-pi/4, pi/4].  It reads vacuum only at
+    c = 0, each single-site mask and each pair's mask, not the whole state.
     """
     if report.residual_excitation > _RESIDUAL_THRESHOLD:
         raise InvalidExtractionError(
             f"residual field excitation {report.residual_excitation:g} "
             f"exceeds {_RESIDUAL_THRESHOLD:g}"
         )
-    cfg = report.config
-    sa, sb = _site_index(cfg, site_a), _site_index(cfg, site_b)
-    if sa == sb:
-        raise ValueError("sites must be distinct")
-    nq = cfg.n_sites
-
-    def amp(bits_a: int, bits_b: int) -> complex:
-        return report.vacuum[(bits_a << (nq - 1 - sa)) | (bits_b << (nq - 1 - sb))]
-
-    prod = amp(0, 0) * amp(1, 1) * np.conj(amp(0, 1)) * np.conj(amp(1, 0))
-    return float(np.angle(prod)) / 4.0
+    amp, nq = report.vacuum, report.config.n_sites
+    mask = _site_bits(nq)[1]
+    site = [divmod(s, report.config.N) for s in range(nq)]
+    phases = {}
+    for a, b in itertools.combinations(range(nq), 2):
+        # one scalar product per pair: a vectorized product over all pairs rounds differently
+        prod = amp[0] * amp[mask[a] | mask[b]] * np.conj(amp[mask[b]]) * np.conj(amp[mask[a]])
+        phases[site[a], site[b]] = float(np.angle(prod)) / 4.0
+    return phases
 
 
 def check_identities(M: int, N: int) -> dict[str, float]:

@@ -290,6 +290,28 @@ class TestConfigParsing:
         assert "s.ini, line 2: [oracle] tau must be at most 100" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_other_sections_checked_but_not_read(self, tmp_path, capsys):
+        # a file may carry several subcommands' sections: a cluster run
+        # rule-checks them all on load but reads [lattice] and [cluster] only,
+        # while mbqc refuses its own keys that the run does not read
+        others = "[oracle]\nn_max = 7\n[mbqc]\nbuiltin = cnot\ntheta1 = 0.7\n"
+        reports = []
+        for name, extra in (("plain", ""), ("mixed", others)):
+            cfg = write(tmp_path, f"{name}.ini", "[lattice]\nM = 3\nN = 3\n" + extra)
+            assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+            reports.append((tmp_path / name / "cluster_report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        broken = write(tmp_path, "broken.ini", "[lattice]\nM = 3\nN = 3\n[oracle]\nn_max = 0\n")
+        unread = write(tmp_path, "unread.ini", others)
+        for command, cfg, message in [
+            ("cluster", broken, "broken.ini, line 5: [oracle] n_max must be at least 1"),
+            ("mbqc", unread, "unread.ini, line 5: [mbqc] theta1 = 0.7 is not read"),
+        ]:
+            out = tmp_path / f"{cfg.stem}-out"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_coupling_is_no_key(self, tmp_path, capsys):
         # frequencies are in units of g, so [lattice] has no g to set
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 2\nN = 2\ng = 2.0\n")
@@ -563,7 +585,7 @@ class TestCluster:
     @pytest.mark.parametrize(
         "make_phi",
         [
-            lambda: cluster_phase(3, 3, np.full((3, 3), np.pi / 4), periodic=False),
+            lambda: cluster_phase(3, 3, np.full((3, 3), np.pi / 4), nn_only=True, periodic=False),
             lambda: GivenPhi([0.5, -0.25, 0.5, 0.5, -0.25, 0.1, 0.1, 0.5]),
             lambda: GivenPhi([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0]),
             lambda: GivenPhi([5e-324, -5e-324, 1e16, -1e22, 1e16, 0.0, -0.0, 5e-324]),
@@ -805,12 +827,12 @@ class TestOracleVerify:
         report = (out / "oracle_report.txt").read_text()
         lat = LatticeConfig(M=M, N=N, J=0.1, delta=20.0)
         rep, table = oracle.echo_evolve(lat, 3.0, 4), build_phase_table(lat, 3.0)
-        sites = [(m, n) for m in range(M) for n in range(N)]
-        for i, a in enumerate(sites):
-            for b in sites[i + 1:]:
-                gap = oracle.extract_pair_phase(rep, a, b) - table.gamma(b[0] - a[0], b[1] - a[1])
-                value = abs(math.remainder(gap, math.pi / 2))
-                assert f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}: value={value!r} bound=1e-06 pass\n" in report
+        phases = oracle.extract_pair_phase(rep)
+        assert len(phases) == M * N * (M * N - 1) // 2
+        for (a, b), measured in phases.items():
+            gap = measured - table.gamma(b[0] - a[0], b[1] - a[1])
+            value = abs(math.remainder(gap, math.pi / 2))
+            assert f"phase.{a[0]}{a[1]}-{b[0]}{b[1]}: value={value!r} bound=1e-06 pass\n" in report
 
     def test_1x1_is_config_error(self, tmp_path, capsys):
         # a 1x1 lattice has no pair phase to compare, so no run of it can pass

@@ -82,12 +82,12 @@ def rho(coherence):
 class TestProductState:
     def test_single_site(self):
         # no neighbours, no pairs: the correction is a bare Hadamard on |up>
-        reg = phase_register(cluster_phase(1, 1, np.full((1, 1), 0.3)))
+        reg = phase_register(cluster_phase(1, 1, np.full((1, 1), 0.3), nn_only=True))
         assert np.allclose(reg.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_two_sites_up(self):
         # without coupling the corrected state is a product of site states
-        reg = phase_register(cluster_phase(2, 1, np.full((2, 1), 0.0), periodic=False))
+        reg = phase_register(cluster_phase(2, 1, np.full((2, 1), 0.0), nn_only=True, periodic=False))
         assert np.linalg.matrix_rank(reg.amps.reshape(2, 2), tol=1e-12) == 1
 
     def test_up_down_orthogonal(self):
@@ -209,13 +209,13 @@ class TestDenseEquivalence:
 class TestPairwiseXX:
     def test_zero_phase_identity(self):
         # Gamma = 0 leaves only the local correction: Phi = -(pi/4) sum deg s
-        phi = cluster_phase(2, 2, np.full((2, 2), 0.0))
+        phi = cluster_phase(2, 2, np.full((2, 2), 0.0), nn_only=True)
         assert not phi.coupling.any()
         assert np.allclose(phi.field, -math.pi / 4 * 2)
 
     def test_half_pi_single_pair(self):
         # exp(i pi/2 XX)|uu> = i|dd>, then H and Rz(1) on both sites
-        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 2), periodic=False)
+        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 2), nn_only=True, periodic=False)
         dense = dense_cluster(1, 2, lambda dm, dn: math.pi / 2, True, False)
         assert np.allclose(phase_register(phi).amps, dense, atol=1e-12)
 
@@ -224,7 +224,7 @@ class TestPairwiseXX:
             PhasePolynomial(2, 2, np.zeros((6, 6)), np.zeros(4))
 
     def test_2x2_quarter_pi_maximally_mixed_sites(self):
-        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), math.pi / 4)))
+        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), math.pi / 4), nn_only=True))
         for c in report.coherences.ravel():
             assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
@@ -293,23 +293,23 @@ VERIFIED_AS_OPEN_CASES = [(3, 3, True), (3, 4, False), (4, 4, True)]
 
 class TestClusterFidelity:
     def test_1x2_generated(self):
-        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 4), periodic=False)
+        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 4), nn_only=True, periodic=False)
         assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_zero_product_state(self):
-        fid = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0))).fidelity
+        fid = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0), nn_only=True)).fidelity
         assert fid < 1.0
 
     def test_self_fidelity(self):
         # Gamma = pi/4 on the edges gives the graph state up to a global phase
-        phi = cluster_phase(3, 3, np.full((3, 3), math.pi / 4), periodic=False)
+        phi = cluster_phase(3, 3, np.full((3, 3), math.pi / 4), nn_only=True, periodic=False)
         amps = phase_register(phi).amps
         ref = reference_cluster(3, 3, periodic=False).amps
         assert abs(np.vdot(ref, amps)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("M,N", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_quarter_pi_nn_only_all_sizes(self, M, N):
-        phi = cluster_phase(M, N, np.full((M, N), math.pi / 4))
+        phi = cluster_phase(M, N, np.full((M, N), math.pi / 4), nn_only=True)
         assert verify_cluster(phi).fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_full_table_deficit_positive(self):
@@ -503,18 +503,18 @@ class TestReducedDensityMatrix:
         assert np.allclose(report.coherences, 0.5)
 
     def test_cluster_site_maximally_mixed(self):
-        phi = cluster_phase(2, 3, np.full((2, 3), math.pi / 4), periodic=False)
+        phi = cluster_phase(2, 3, np.full((2, 3), math.pi / 4), nn_only=True, periodic=False)
         report = verify_cluster(phi, periodic=False)
         for c in report.coherences.ravel():
             assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
     def test_unentangled_evolution_pure(self):
-        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0)))
+        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0), nn_only=True))
         r = rho(report.coherences[0, 0])
         assert np.trace(r @ r).real == pytest.approx(1.0, abs=1e-12)
 
     def test_site_out_of_range(self):
-        reg = phase_register(cluster_phase(2, 2, np.full((2, 2), 0.1)))
+        reg = phase_register(cluster_phase(2, 2, np.full((2, 2), 0.1), nn_only=True))
         pattern = MeasurementPattern(steps=(MeasurementStep(site=(2, 0), basis="X"),))
         with pytest.raises(ValueError, match="outside the 2x2 grid"):
             run_pattern(reg, pattern)

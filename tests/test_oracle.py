@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 from functools import reduce
 
@@ -20,6 +19,18 @@ DETUNED_1x2 = LatticeConfig(M=1, N=2, J=0.1, delta=20.0)
 @pytest.fixture(scope="module")
 def echo_1x2():
     return oracle.echo_evolve(DETUNED_1x2, 3.0, 4)
+
+
+def pair_phase_reference(report, site_a, site_b):
+    """The phase of one pair from its four vacuum amplitudes, one product at a time."""
+    nq, N = report.config.n_sites, report.config.N
+    sa, sb = site_a[0] * N + site_a[1], site_b[0] * N + site_b[1]
+
+    def amp(bits_a, bits_b):
+        return report.vacuum[(bits_a << (nq - 1 - sa)) | (bits_b << (nq - 1 - sb))]
+
+    prod = amp(0, 0) * amp(1, 1) * np.conj(amp(0, 1)) * np.conj(amp(1, 0))
+    return float(np.angle(prod)) / 4.0
 
 
 def apply_h(ws, lam, t, psi):
@@ -365,7 +376,7 @@ class TestEchoEvolve:
         assert echo_1x2.residual_excitation < 1e-8
 
     def test_phase_matches_mode_sum(self, echo_1x2):
-        got = oracle.extract_pair_phase(echo_1x2, (0, 0), (0, 1))
+        got = oracle.extract_pair_phase(echo_1x2)[(0, 0), (0, 1)]
         want = pairwise_phase(DETUNED_1x2, 3.0, 0, 1)
         assert abs(got - want) < 1e-6
 
@@ -375,7 +386,7 @@ class TestEchoEvolve:
         cfg = LatticeConfig(M=1, N=2, J=0.1 / 0.3, delta=0.0)
         rep = oracle.echo_evolve(cfg, 0.9, 14)
         assert rep.residual_excitation < 1e-8
-        got = oracle.extract_pair_phase(rep, (0, 0), (0, 1))
+        got = oracle.extract_pair_phase(rep)[(0, 0), (0, 1)]
         assert abs(got - pairwise_phase(cfg, 0.9, 0, 1)) < 1e-6
 
     def test_no_time_reset_breaks_echo(self):
@@ -392,9 +403,9 @@ class TestEchoEvolve:
         assert np.max(np.abs(1.0 - np.abs(vacuum) ** 2)) > 1e-3
 
     def test_truncation_robustness(self, echo_1x2):
-        g4 = oracle.extract_pair_phase(echo_1x2, (0, 0), (0, 1))
+        g4 = oracle.extract_pair_phase(echo_1x2)[(0, 0), (0, 1)]
         rep8 = oracle.echo_evolve(DETUNED_1x2, 3.0, 8)
-        g8 = oracle.extract_pair_phase(rep8, (0, 0), (0, 1))
+        g8 = oracle.extract_pair_phase(rep8)[(0, 0), (0, 1)]
         assert abs(g8 - g4) < 1e-7
 
     @pytest.mark.parametrize("M,N", [(1, 2), (1, 3), (2, 2)])
@@ -418,23 +429,27 @@ class TestExtractPairPhase:
         # J = 0.1, delta = 20 and tau = 3 at a coupling 1e-8, in units of it
         cfg = LatticeConfig(M=1, N=2, J=1e7, delta=2e9)
         rep = oracle.echo_evolve(cfg, 3e-8, 2)
-        assert abs(oracle.extract_pair_phase(rep, (0, 0), (0, 1))) < 1e-12
+        assert abs(oracle.extract_pair_phase(rep)[(0, 0), (0, 1)]) < 1e-12
 
     def test_residual_gate(self):
         # at zero detuning the field is still excited after a short echo
         rep = oracle.echo_evolve(LatticeConfig(M=1, N=2, J=0.1), 3.0, 2)
         assert rep.residual_excitation == pytest.approx(0.3207, abs=1e-4)
         with pytest.raises(oracle.InvalidExtractionError):
-            oracle.extract_pair_phase(rep, (0, 0), (0, 1))
+            oracle.extract_pair_phase(rep)
 
-    @pytest.mark.parametrize("site", [(0, 2), (1, 0), (-1, 0)])
-    def test_site_off_lattice_rejected(self, echo_1x2, site):
-        with pytest.raises(ValueError, match=re.escape(f"site {site} out of range")):
-            oracle.extract_pair_phase(echo_1x2, (0, 0), site)
-
-    def test_same_site_rejected(self, echo_1x2):
-        with pytest.raises(ValueError):
-            oracle.extract_pair_phase(echo_1x2, (0, 0), (0, 0))
+    @pytest.mark.parametrize("delta,tau,n_max", [(20.0, 3.0, 4), (0.0, 1.5, 30)])
+    @pytest.mark.parametrize("M,N", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)])
+    def test_every_pair_matches_reference_bit_for_bit(self, M, N, delta, tau, n_max):
+        # one call reads every row-major pair, each the per-pair product's bits
+        rep = oracle.echo_evolve(LatticeConfig(M=M, N=N, J=0.1, delta=delta), tau, n_max)
+        sites = [(m, n) for m in range(M) for n in range(N)]
+        pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
+        got = oracle.extract_pair_phase(rep)
+        assert list(got) == pairs
+        assert [float.hex(got[a, b]) for a, b in pairs] == [
+            float.hex(pair_phase_reference(rep, a, b)) for a, b in pairs
+        ]
 
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
