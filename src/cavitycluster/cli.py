@@ -2,14 +2,14 @@
 cross-checks and measurement-pattern runs.
 
 Subcommands: gamma-sweep, cluster, oracle-verify, mbqc, each declared once
-in _COMMANDS.  Configuration is flat INI, read key by key through one table:
-sections [lattice], [gamma-sweep], [cluster], [oracle] and [mbqc], matched
-exactly, and no [DEFAULT].  Each key outside [lattice] is declared by the one
-RunConfig field it sets, with its parser and default.  Frequencies are in
-units of g and times in units of 1/g (see :mod:`cavitycluster.lattice`).  An
-unknown section or key, a value that does not parse or breaks its key's rule,
-and an [mbqc] key, or under mbqc's reference source a [lattice] key, set
-although the run does not read it, are refused with the line number.  Every
+in _COMMANDS.  Configuration is flat INI, read in one pass through one table
+of sections ([lattice], [gamma-sweep], [cluster], [oracle], [mbqc], matched
+exactly, so no [DEFAULT]) and keys; each key outside [lattice] is declared by
+the RunConfig field it sets, with its parser and default.  Frequencies are in
+units of g and times in units of 1/g.  Every config error names its file and
+line: a malformed, unknown or repeated line, a value that breaks its key's
+parser or rule, a lattice over the mode cap or with no pair, and a key that
+an mbqc run does not read but the file sets off its default.  Every
 output file starts with a header comment giving the artifact version, the
 seed (mbqc only, the one subcommand that samples), the [lattice] parameters
 and the hardware preset (if any), and is byte-identical across reruns with
@@ -20,8 +20,8 @@ error.
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .effective import (
+    MAX_EXACT_QUBITS,
     MAX_QUBITS,
     PhasePolynomial,
     cluster_phase,
@@ -136,7 +137,8 @@ def _gate_time(raw: str) -> float | None:
 
 
 def _boolean(raw: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]  # KeyError if no boolean
+    return {"1": True, "yes": True, "true": True, "on": True,  # KeyError if no boolean
+            "0": False, "no": False, "false": False, "off": False}[raw.lower()]
 
 
 def _separations(raw: str) -> tuple[tuple[int, int], ...]:
@@ -194,6 +196,8 @@ class RunConfig:
     theta2: float = _key("mbqc", "theta2", _finite, 0.0)
     theta3: float = _key("mbqc", "theta3", _finite, 0.0)
     source: str = _key("mbqc", "source", _one_of("reference", "generated"), "reference")
+    # (section, key) -> line of each key the config file sets, named by refusals
+    lines: dict[tuple[str, str], int] = field(default_factory=dict, compare=False, repr=False)
 
 
 # (field, default, section, key, parser) of each RunConfig field an INI key sets
@@ -209,69 +213,74 @@ for _name, _, _section, _ini_key, _parse in _INI_FIELDS:
     _KEYS.setdefault(_section, {})[_ini_key] = (_name, _parse)
 
 
-def _line_number(path: Path, section: str, key: str | None = None) -> int:
-    """Line of the [section] header, or of key within it, as configparser reads them."""
-    current = None
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        header = configparser.ConfigParser.SECTCRE.match(line)
-        if header:
-            current = header.group("header")
-            if current == section and key is None:
-                return line_no
-        elif current == section and line.replace(":", "=").split("=", 1)[0].strip().lower() == key:
-            return line_no
-    return 0
+def _refuse(path: Path | None, line: int, message: str) -> ConfigError:
+    return ConfigError(f"{path}, line {line}: {message}")
+
+
+def _read_ini(path: Path) -> Iterator[tuple[int, str, str | None, str | None]]:
+    """(line, section, key, value) of each '[section]' header (key and value None) and
+    'key = value' or 'key: value' line, in file order, with the key lower-cased.  Lines
+    are stripped, and blank lines and full-line '#' or ';' comments skipped; a line that
+    is neither, an indented one, a key before any header and a repeat are refused."""
+    section, seen = None, set()
+    for line, raw in enumerate(path.read_text().split("\n"), start=1):
+        text = raw.strip()
+        if not text or text[0] in "#;":
+            continue
+        # a header runs to the line's last ']'; a key line splits at its first '=' or ':'
+        match = re.match(r"\[(.+)\]|([^=:]*[^=:\s])\s*[=:]\s*(.*)", text)
+        if raw[0].isspace() or not match:
+            raise _refuse(path, line, f"expected an unindented '[section]' or 'key = value', got {raw!r}")
+        header, key, value = match.groups()
+        section, key = header or section, key and key.lower()
+        if section is None:
+            raise _refuse(path, line, "a key before any [section] header")
+        if (section, key) in seen:
+            raise _refuse(path, line, f"repeated {f'key {key!r} in ' if key else ''}section [{section}]")
+        seen.add((section, key))
+        yield line, section, key, value
 
 
 def load_run_config(path: Path | None) -> RunConfig:
     """Parse and validate an INI file into a RunConfig (defaults if None).
 
-    Each key in the file is looked up in _KEYS, parsed, checked and stored; the
-    mode cap, the one rule on two keys (M and N), is checked once both are read.
-    Section names match _KEYS exactly, as configparser matches them.
+    One _read_ini pass looks each key up in _KEYS, parses, checks and stores it, and
+    keeps its line for later refusals.  The lattice's joint rules, the mode cap and a
+    lattice with no pair (1x1), wait for both M and N and name the later line.
     """
     run = RunConfig()
     if path is None:
         return run
-    # no header can name the empty section, so [DEFAULT] reads as an unknown section
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_string(path.read_text(), source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    def refuse(message: str, section: str, key: str | None = None) -> ConfigError:
-        return ConfigError(f"{path}, line {_line_number(path, section, key)}: {message}")
-
     dims = {}
-    for section in parser.sections():
+    for line, section, key, raw in _read_ini(path):
         if section not in _KEYS:
-            raise refuse(f"unknown section [{section}]", section)
-        for key, raw in parser.items(section):
-            if key not in _KEYS[section]:
-                raise refuse(f"unknown key {key!r} in section [{section}]", section, key)
-            name, parse = _KEYS[section][key]
+            raise _refuse(path, line, f"unknown section [{section}]")
+        if key is None:
+            continue
+        if key not in _KEYS[section]:
+            raise _refuse(path, line, f"unknown key {key!r} in section [{section}]")
+        run.lines[section, key] = line
+        name, parse = _KEYS[section][key]
+        try:
+            value = parse(raw)
+        except _BrokenRule as exc:
+            raise _refuse(path, line, f"[{section}] {key} must be {exc}") from None
+        except (ValueError, KeyError):
+            raise _refuse(path, line, f"cannot parse {key} = {raw!r}") from None
+        if section != "lattice":
+            setattr(run, name, value)
+        elif name in ("M", "N"):  # their joint rules wait for both
+            dims[name] = value
+        else:
             try:
-                value = parse(raw)
-            except _BrokenRule as exc:
-                raise refuse(f"[{section}] {key} must be {exc}", section, key) from None
-            except (ValueError, KeyError):
-                raise refuse(f"cannot parse {key} = {raw!r}", section, key) from None
-            if section != "lattice":
-                setattr(run, name, value)
-            elif name in ("M", "N"):  # their one joint rule, the mode cap, waits for both
-                dims[name] = value
-            else:
-                try:
-                    run.lattice = replace(run.lattice, **{name: value})
-                except ValueError as exc:
-                    raise refuse(str(exc), section, key) from None
+                run.lattice = replace(run.lattice, **{name: value})
+            except ValueError as exc:
+                raise _refuse(path, line, str(exc)) from None
     try:
         run.lattice = replace(run.lattice, **dims)
-    except ValueError as exc:  # the mode cap, named on the later of the two lines
-        later = max(("m", "n"), key=lambda k: _line_number(path, "lattice", k))
-        raise refuse(str(exc), "lattice", later) from None
+        nn_separation(run.lattice)
+    except ValueError as exc:
+        raise _refuse(path, max(run.lines.get(("lattice", k), 0) for k in "mn"), str(exc)) from None
     return run
 
 
@@ -282,8 +291,8 @@ def _check_mbqc(run: RunConfig, path: Path | None) -> None:
     if run.source == "reference":  # the reference cluster reads no [lattice]
         for key, (name, _) in _KEYS["lattice"].items():
             if (value := getattr(run.lattice, name)) != getattr(RunConfig.lattice, name):
-                raise ConfigError(f"{path}, line {_line_number(path, 'lattice', key)}: [lattice] "
-                                  f"{name} = {value!r} is not read: source = reference takes no lattice")
+                raise _refuse(path, run.lines["lattice", key], f"[lattice] {name} = {value!r} "
+                              "is not read: source = reference takes no lattice")
     # a pattern file replaces the builtin, and only the wire builtin takes angles
     if run.pattern_path:
         unread, why = ("builtin", "theta1", "theta2", "theta3"), "--pattern replaces the builtin"
@@ -292,8 +301,7 @@ def _check_mbqc(run: RunConfig, path: Path | None) -> None:
         why = f"builtin = {run.builtin} takes no angles"
     for name, default, section, key, _ in _INI_FIELDS:
         if name in unread and (value := getattr(run, name)) != default:
-            raise ConfigError(f"{path}, line {_line_number(path, section, key)}: "
-                              f"[{section}] {key} = {value!r} is not read: {why}")
+            raise _refuse(path, run.lines[section, key], f"[{section}] {key} = {value!r} is not read: {why}")
 
 
 def _fmt(value: float) -> str:
@@ -377,17 +385,9 @@ def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
     ]
 
 
-def _nn_separation(cfg: LatticeConfig) -> tuple[int, int]:
-    try:
-        return nn_separation(cfg)
-    except ValueError as exc:  # a 1x1 lattice
-        raise ConfigError(f"[lattice] {exc}") from None
-
-
 def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
     deltas = _grid(run.delta_min, run.delta_max, run.delta_step, "delta grid")
     taus = _grid(run.tau_min, run.tau_max, run.tau_step, "tau grid")
-    _nn_separation(run.lattice)
     try:
         rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
         rows_t = sweep_tau(run.lattice, taus, list(run.separations))
@@ -409,14 +409,13 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
 
 def cmd_cluster(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
-    if cfg.n_sites > MAX_QUBITS:
-        raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the {MAX_QUBITS}-qubit cap")
+    if cfg.n_sites > MAX_EXACT_QUBITS:
+        raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the {MAX_EXACT_QUBITS}-qubit cap on the exact sum")
     if run.snapshot and cfg.n_sites > _MAX_SNAPSHOT_QUBITS:
         raise ConfigError(
             f"[cluster] snapshot = true on {cfg.M}x{cfg.N} would write 2^{cfg.n_sites} = "
             f"{2**cfg.n_sites} rows, over the {_MAX_SNAPSHOT_QUBITS}-qubit snapshot cap"
         )
-    nn_sep = _nn_separation(cfg)
     tau = solve_gate_time(cfg) if run.cluster_tau is None else run.cluster_tau
     table = build_phase_table(cfg, tau)
     try:
@@ -432,7 +431,7 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
     body = [
         f"tau = {_fmt(tau)}",
         f"g_tau = {_fmt(tau)}",
-        f"gamma_nn = {_fmt(table.gamma(*nn_sep))}",
+        f"gamma_nn = {_fmt(table.gamma(*nn_separation(cfg)))}",
         f"nn_only = {run.nn_only}",
         f"periodic = {run.periodic}",
         f"fidelity = {_fmt(fid)}",
@@ -459,7 +458,6 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
 
 def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
-    _nn_separation(cfg)
     try:
         rows = [  # name, value, bound, ok
             (f"identity.{name}", defect, 1e-14, defect <= 1e-14)
@@ -529,7 +527,6 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     if run.source == "reference":
         cluster = reference_cluster(M, N, periodic=False)
     else:
-        _nn_separation(run.lattice)
         if M > run.lattice.M or N > run.lattice.N:
             raise ConfigError(f"[lattice] the pattern's {M}x{N} patch does not fit the "
                               f"{run.lattice.M}x{run.lattice.N} lattice")

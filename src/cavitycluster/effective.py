@@ -55,8 +55,9 @@ The grid is one boolean adjacency matrix (grid_adjacency) and the pair
 phases one table array, Gamma(dm, dn) = grid[dm % Mt, dn % Nt]; W is one
 gather from that array and h_a = -(pi/4) deg_a.  The arrays of 2^n numbers
 (Phi at every bitstring, a QubitRegister, the reference graph state) are
-capped at MAX_QUBITS; verify_cluster's exact sum holds none, but its cost of
-2^(n-2) cosines caps it at MAX_QUBITS too.  A dense complex
+capped at MAX_QUBITS.  verify_cluster's exact sum holds none, so its own
+cap, MAX_EXACT_QUBITS, is set by its cost of 2^(n-2) cosines: a few seconds
+at 30 qubits.  A dense complex
 register is kept only where measurement needs one: MBQC patterns on
 patches of a few qubits, built from Phi or as the exact reference state.
 A register holds every site of its grid; the pattern walk in mbqc keeps
@@ -77,6 +78,7 @@ import numpy as np
 
 __all__ = [
     "MAX_QUBITS",
+    "MAX_EXACT_QUBITS",
     "QubitRegister",
     "grid_adjacency",
     "PhasePolynomial",
@@ -88,14 +90,17 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
+# qubits of verify_cluster's exact sum, capped by its time, which doubles per
+# qubit: a 5x6 cluster run takes 5-6 s on a 2-vCPU box, at 35 MB peak RSS
+MAX_EXACT_QUBITS = 30
 # spins that verify_cluster holds as arrays of 2^13 numbers (64 KiB); it sums
 # the rest one sign pattern at a time
 _BLOCK_SPINS = 13
 
 
-def _check_cap(M: int, N: int) -> int:
-    if M * N > MAX_QUBITS:
-        raise ValueError(f"{M}x{N} exceeds the {MAX_QUBITS}-qubit cap")
+def _check_cap(M: int, N: int, cap: int = MAX_QUBITS) -> int:
+    if M * N > cap:
+        raise ValueError(f"{M}x{N} exceeds the {cap}-qubit cap")
     return M * N
 
 
@@ -250,14 +255,15 @@ class ClusterReport:
 
 
 def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport:
-    """Check the state 2^{-n/2} exp(i Phi) against the M x N grid graph state."""
+    """Check the state 2^{-n/2} exp(i Phi) against the M x N grid graph state; the exact
+    sum holds no dense array, so its cap is MAX_EXACT_QUBITS, set by its time."""
     M, N = phi.M, phi.N
     adjacency = grid_adjacency(M, N, periodic)
     # Phi - pi E, constant dropped: coupling W - (pi/4) A, field h + (pi/4) deg,
     # so the field is exactly 0 for cluster_phase's h = -(pi/4) deg
     coupling = phi.coupling - (math.pi / 4) * adjacency
     dev = PhasePolynomial(M, N, coupling, phi.field + (math.pi / 4) * adjacency.sum(axis=1))
-    _check_cap(M, N)
+    _check_cap(M, N, MAX_EXACT_QUBITS)
     # with no field D(s) = D(-s), so the s_0 = +1 half holds the whole mean;
     # fixing s_0 = +1 turns row 0 of the coupling into a field on the rest
     w, h = (coupling, dev.field) if dev.field.any() else (coupling[1:, 1:], coupling[0, 1:])

@@ -1,3 +1,4 @@
+import configparser
 import math
 import os
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +84,48 @@ NON_DEFAULT = {
 }
 
 
+def configparser_read(path):
+    """The config as configparser read it, its items parsed through _KEYS: the
+    reference that load_run_config must match on every valid file."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.read_string(path.read_text())
+    run, lattice = RunConfig(), {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            name, parse = _KEYS[section][key]
+            if section == "lattice":
+                lattice[name] = parse(raw)
+            else:
+                setattr(run, name, parse(raw))
+    run.lattice = replace(run.lattice, **lattice)
+    return run
+
+
+ROOT = Path(__file__).parents[1]
+# the README's example configuration, the one ```ini block
+README_INI = (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+# ':' delimiters, upper-case keys, both comment styles, an indented comment,
+# blank lines, spaces round delimiters and at line ends, a header with a trailing
+# note, and an inline ';' that stays in the value (separations reads it as a space)
+MIXED_INI = (
+    "; a mixed file\n# with both comment styles\n\n[lattice] # note\nM: 3  \n"
+    "  # an indented comment\nN   =   4\nJ=0.2\n\n[cluster]\nNN_ONLY : true\n"
+    "Periodic = off\nfidelity_min=0.5\t\n[gamma-sweep]\nseparations = 1,0 ; 0,1\n"
+    "TAU_MAX: 2.5\n"
+)
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(ini.read_text(), id=ini.name)
+         for ini in sorted((ROOT / "docs" / "examples").glob("*.ini"))]
+        + [pytest.param(README_INI, id="README.ini"), pytest.param(MIXED_INI, id="mixed.ini")],
+    )
+    def test_reads_as_configparser_read(self, tmp_path, text):
+        cfg = write(tmp_path, "c.ini", text)
+        assert load_run_config(cfg) == configparser_read(cfg)
+
     def test_defaults(self):
         run = load_run_config(None)
         assert run.lattice.M == 19 and run.lattice.N == 19
@@ -140,19 +183,22 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "body,line,message",
         [
-            ("[lattice]\nM = 2\nM = 3\n", 3, "option 'm' in section 'lattice' already exists"),
-            ("[lattice]\nM = 2\n[lattice]\nN = 2\n", 3, "section 'lattice' already exists"),
-            ("[lattice]\nM\nN = 2\n", 2, "parsing errors"),
+            ("[lattice]\nM = 2\nM = 3\n", 3, "repeated key 'm' in section [lattice]"),
+            ("[lattice]\nM = 2\n[lattice]\nN = 2\n", 3, "repeated section [lattice]"),
+            ("[lattice]\nM\nN = 2\n", 2, "expected an unindented '[section]' or 'key = value', got 'M'"),
+            ("M = 2\n[lattice]\nN = 2\n", 1, "a key before any [section] header"),
+            # configparser would have joined the indented line to the value
+            ("[lattice]\nM = 2\n[gamma-sweep]\nseparations = 1,0\n    2,0\n", 5,
+             "expected an unindented '[section]' or 'key = value', got '    2,0'"),
         ],
-        ids=["duplicate-key", "duplicate-section", "no-equals"],
+        ids=["duplicate-key", "duplicate-section", "no-equals", "key-before-header",
+             "indented-continuation"],
     )
     def test_malformed_ini_is_config_error(self, tmp_path, capsys, body, line, message):
         cfg = write(tmp_path, "bad.ini", body)
         out = tmp_path / "out"
         assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"config error: {cfg}: " in err and message in err
-        assert re.search(rf"\[line +{line}\]", err)
+        assert capsys.readouterr().err == f"config error: {cfg}, line {line}: {message}\n"
         assert not out.exists()
 
     def test_mbqc_pattern_key_rejected(self, tmp_path, capsys):
@@ -169,7 +215,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("header", ["[Lattice]", "[Cluster]", "[DEFAULT]"])
     def test_section_must_match_exactly(self, tmp_path, capsys, header):
-        # configparser matches sections by exact name; [DEFAULT] would feed every section
+        # sections match by exact name, and [DEFAULT] is no special section that feeds the rest
         body = f"# a 2x2 run\n{header}\nM = 2\nN = 2\n[cluster]\ntau = 2.0\n"
         cfg = write(tmp_path, "s.ini", body)
         out = tmp_path / "out"
@@ -484,7 +530,7 @@ class TestGammaSweep:
         for command in ("gamma-sweep", "cluster"):
             out = tmp_path / command
             assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-            assert capsys.readouterr().err == "config error: [lattice] a 1x1 lattice has no pairs\n"
+            assert capsys.readouterr().err == f"config error: {cfg}, line 3: a 1x1 lattice has no pairs\n"
             assert not out.exists()
 
 
@@ -628,15 +674,15 @@ class TestCluster:
         assert peak < 4 << 20, f"{peak / 2**20:.1f} MiB"
 
     def test_snapshot_cap(self, tmp_path, capsys, monkeypatch):
-        # 21 qubits are refused; 20 pass the cap and reach the lattice checks, stubbed
+        # 21 qubits are refused; 20 pass the cap and reach the gate-time solve, stubbed
         # here to stop the run before it writes 2^20 rows
         def stop(cfg):
-            raise ValueError("stopped past the snapshot cap")
+            raise ConfigError("stopped past the snapshot cap")
 
-        monkeypatch.setattr(cli, "nn_separation", stop)
+        monkeypatch.setattr(cli, "solve_gate_time", stop)
         for (M, N), message in [((3, 7), "[cluster] snapshot = true on 3x7 would write 2^21 = "
                                  "2097152 rows, over the 20-qubit snapshot cap"),
-                                ((4, 5), "[lattice] stopped past the snapshot cap")]:
+                                ((4, 5), "config error: stopped past the snapshot cap")]:
             ini = f"[lattice]\nM = {M}\nN = {N}\n[cluster]\nsnapshot = true\n"
             cfg = write(tmp_path, "c.ini", ini)
             assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
@@ -689,9 +735,23 @@ class TestCluster:
         assert "line 5" not in err
         assert not out.exists()
 
-    def test_cap_exceeded(self, tmp_path):
+    def test_cap_exceeded(self, tmp_path, capsys):
+        # the exact sum's own cap: 31 qubits are refused before any solve
+        cfg = write(tmp_path, "c.ini", "[lattice]\nM = 1\nN = 31\n")
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: 1x31 exceeds the 30-qubit cap on the exact sum\n")
+        assert not out.exists()
+
+    def test_past_the_dense_cap_pinned(self, tmp_path):
+        # 25 qubits, past the 24-qubit dense cap: periodic, every pair coupled, J = 0.1 g
         cfg = write(tmp_path, "c.ini", "[lattice]\nM = 5\nN = 5\n")
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = (out / "cluster_report.txt").read_text()
+        fidelity = float(report.split("\nfidelity = ", 1)[1].split("\n", 1)[0])
+        assert abs(fidelity - 0.995939020665125) <= 1e-12
 
     def test_full_table_open_boundary_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", """\
@@ -839,7 +899,7 @@ class TestOracleVerify:
         cfg = write(tmp_path, "o.ini", "[lattice]\nM = 1\nN = 1\ndelta = 20.0\n")
         out = tmp_path / "out"
         assert main(["oracle-verify", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        assert "config error: [lattice] a 1x1 lattice has no pairs" in capsys.readouterr().err
+        assert f"config error: {cfg}, line 3: a 1x1 lattice has no pairs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cap(self, tmp_path):
@@ -916,7 +976,7 @@ class TestMbqc:
     @pytest.mark.parametrize(
         "lattice,builtin,message",
         [
-            ("M = 1\nN = 1\n", "wire", "[lattice] a 1x1 lattice has no pairs"),
+            ("M = 1\nN = 1\n", "wire", "{cfg}, line 3: a 1x1 lattice has no pairs"),
             ("M = 1\nN = 19\n", "cnot", "[lattice] the pattern's 3x2 patch does not fit the 1x19 lattice"),
             ("M = 19\nN = 1\n", "wire", "[lattice] the pattern's 1x5 patch does not fit the 19x1 lattice"),
             # a patch larger than the array would put two patch sites in one cavity
@@ -931,7 +991,7 @@ class TestMbqc:
                     "source = generated\n")
         out = tmp_path / "out"
         assert main(["mbqc", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert f"config error: {message.format(cfg=cfg)}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("M,N,builtin,code", [(1, 5, "wire", EXIT_OK), (3, 2, "cnot", EXIT_VERIFY)])
@@ -1218,9 +1278,10 @@ class TestUsage:
 
     def test_import_leaves_argparse_out(self):
         # the flags are read from one table; building an argparse tree cost more
-        # than a small job's physics
+        # than a small job's physics.  The config has one reader of its own too.
         src = str(Path(cli.__file__).parents[1])
-        code = "import sys, cavitycluster.cli; print('argparse' in sys.modules)"
+        code = ("import sys, cavitycluster.cli; "
+                "print('argparse' in sys.modules, 'configparser' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 check=True, env={**os.environ, "PYTHONPATH": src})
-        assert result.stdout == "False\n"
+        assert result.stdout == "False False\n"

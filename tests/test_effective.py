@@ -413,6 +413,13 @@ class TestClusterFidelity:
         with pytest.raises(ValueError, match="periodic"):
             cluster_phase(3, 3, table.grid, nn_only=False, periodic=False)
 
+    def test_exact_sum_cap(self):
+        # the exact fidelity sum holds no dense array, so its own cap, 30 qubits, is
+        # set by its time; 5x7 is refused before any sign pattern is summed
+        table = build_phase_table(LatticeConfig(M=5, N=7, J=0.1), 2.0)
+        with pytest.raises(ValueError, match="5x7 exceeds the 30-qubit cap"):
+            verify_cluster(cluster_phase(5, 7, table.grid, nn_only=False))
+
 
 class TestGather:
     @pytest.mark.parametrize(
