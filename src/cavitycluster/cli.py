@@ -6,16 +6,18 @@ in _COMMANDS.  Configuration is flat INI, read in one pass through one table
 of sections ([lattice], [gamma-sweep], [cluster], [oracle], [mbqc], matched
 exactly, so no [DEFAULT]) and keys; each key outside [lattice] is declared by
 the RunConfig field it sets, with its parser and default.  Frequencies are in
-units of g and times in units of 1/g.  Every config error names its file and
-line: a malformed, unknown or repeated line, a value that breaks its key's
-parser or rule, a lattice over the mode cap or with no pair, and a key that
-an mbqc run does not read but the file sets off its default.  Every
-output file starts with a header comment giving the artifact version, the
-seed (mbqc only, the one subcommand that samples), the [lattice] parameters
-and the hardware preset (if any), and is byte-identical across reruns with
-the same inputs.  Exit codes: 0 success, 1 verification
-failure or no gate time in the search window, 2 usage or configuration
-error.
+units of g and times in units of 1/g.  Files are read as UTF-8.  Every config
+error is built by _refuse in one form, '<file>, line <n>: <what>': a byte that
+is not UTF-8, a malformed, unknown or repeated line, a value that breaks its
+key's parser or rule, a lattice over the mode cap or with no pair, an mbqc key
+set off its default but not read, a bad pattern line, and each refusal at run
+time, at the last line among the keys that decide it (the message alone if the
+file sets none); a whole pattern file is named alone.  Every output file
+starts with a header comment giving the artifact version, the seed (mbqc only,
+the one subcommand that samples), the [lattice] parameters and the hardware
+preset (if any), and is byte-identical across reruns with the same inputs.
+Exit codes: 0 success, 1 verification failure or no gate time in the search
+window, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -87,48 +89,29 @@ class _BrokenRule(ValueError):
     """A value that parses but breaks its key's rule; the message states the rule."""
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise _BrokenRule("finite")
-    return value
+def _rule(parse: Callable[[str], object], ok: Callable[[object], bool], text: str):
+    """A parser: parse (a rule itself, perhaps), then refuse a value that is not ok, stating text."""
+    def check(raw: str):
+        if not ok(value := parse(raw)):
+            raise _BrokenRule(text)
+        return value
+
+    return check
 
 
-def _non_negative(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value >= 0):
-        raise _BrokenRule("finite and non-negative")
-    return value
+_finite = _rule(float, math.isfinite, "finite")
+_non_negative = _rule(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+_positive = _rule(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_at_least_one = _rule(int, lambda v: v >= 1, "at least 1")
+_u64 = _rule(int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
+# a time in units of 1/g, so g*tau, and a detuning in units of g
+_time = _rule(_non_negative, lambda v: v <= MAX_G_TAU, f"at most {MAX_G_TAU:g}")
+_detuning = _rule(_finite, lambda v: abs(v) <= MAX_FREQUENCY_OVER_G,
+                  f"in [-{MAX_FREQUENCY_OVER_G:g}, {MAX_FREQUENCY_OVER_G:g}]")
 
 
-def _positive(raw: str) -> float:
-    value = float(raw)
-    if not (math.isfinite(value) and value > 0):
-        raise _BrokenRule("finite and positive")
-    return value
-
-
-def _at_least_one(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise _BrokenRule("at least 1")
-    return value
-
-
-def _time(raw: str) -> float:
-    """A time in units of 1/g, so g*tau: finite, non-negative and at most MAX_G_TAU."""
-    value = _non_negative(raw)
-    if value > MAX_G_TAU:
-        raise _BrokenRule(f"at most {MAX_G_TAU:g}")
-    return value
-
-
-def _detuning(raw: str) -> float:
-    """A detuning in units of g: finite, |delta| at most MAX_FREQUENCY_OVER_G."""
-    value = _finite(raw)
-    if abs(value) > MAX_FREQUENCY_OVER_G:
-        raise _BrokenRule(f"in [-{MAX_FREQUENCY_OVER_G:g}, {MAX_FREQUENCY_OVER_G:g}]")
-    return value
+def _one_of(*words: str) -> Callable[[str], str]:
+    return _rule(str, lambda v: v in words, " or ".join(map(repr, words)))
 
 
 def _gate_time(raw: str) -> float | None:
@@ -146,15 +129,6 @@ def _separations(raw: str) -> tuple[tuple[int, int], ...]:
     if not pairs or any(len(pair) != 2 for pair in pairs):
         raise _BrokenRule("integer pairs 'dm,dn'")
     return tuple((int(dm), int(dn)) for dm, dn in pairs)
-
-
-def _one_of(*words: str) -> Callable[[str], str]:
-    def parse(raw: str) -> str:
-        if raw not in words:
-            raise _BrokenRule(" or ".join(map(repr, words)))
-        return raw
-
-    return parse
 
 
 def _key(section: str, key: str, parse: Callable[[str], object], default: object):
@@ -196,8 +170,19 @@ class RunConfig:
     theta2: float = _key("mbqc", "theta2", _finite, 0.0)
     theta3: float = _key("mbqc", "theta3", _finite, 0.0)
     source: str = _key("mbqc", "source", _one_of("reference", "generated"), "reference")
-    # (section, key) -> line of each key the config file sets, named by refusals
-    lines: dict[tuple[str, str], int] = field(default_factory=dict, compare=False, repr=False)
+    # the config file, and the line of each 'section.key' it sets, named by refusals
+    config_path: Path | None = field(default=None, compare=False, repr=False)
+    lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+
+    def refuse(self, message: str, *keys: str) -> ConfigError:
+        """A refusal that keys ('section.key') decide: at the last of their lines that the
+        config file sets, or the message alone if it sets none of them."""
+        line = max(self.lines.get(key, 0) for key in keys)
+        return _refuse(self.config_path if line else None, line, message)
+
+
+# the keys that decide the lattice's size
+_MN = ("lattice.m", "lattice.n")
 
 
 # (field, default, section, key, parser) of each RunConfig field an INI key sets
@@ -213,8 +198,21 @@ for _name, _, _section, _ini_key, _parse in _INI_FIELDS:
     _KEYS.setdefault(_section, {})[_ini_key] = (_name, _parse)
 
 
-def _refuse(path: Path | None, line: int, message: str) -> ConfigError:
-    return ConfigError(f"{path}, line {line}: {message}")
+def _refuse(path: Path | str | None, line: int, message: str) -> ConfigError:
+    """Every config error, in one form: '<path>, line <line>: <message>', '<path>: <message>'
+    for a whole file (line 0), or the message alone with no path."""
+    where = f"{path}, line {line}: " if line else f"{path}: " if path else ""
+    return ConfigError(where + message)
+
+
+def _read_text(path: Path) -> str:
+    """path's text as UTF-8, whatever the locale, with each '\\r\\n' or '\\r' read as '\\n', as
+    text mode reads them; a byte that is not UTF-8 is refused at its line."""
+    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise _refuse(path, data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
 
 
 def _read_ini(path: Path) -> Iterator[tuple[int, str, str | None, str | None]]:
@@ -223,7 +221,7 @@ def _read_ini(path: Path) -> Iterator[tuple[int, str, str | None, str | None]]:
     are stripped, and blank lines and full-line '#' or ';' comments skipped; a line that
     is neither, an indented one, a key before any header and a repeat are refused."""
     section, seen = None, set()
-    for line, raw in enumerate(path.read_text().split("\n"), start=1):
+    for line, raw in enumerate(_read_text(path).split("\n"), start=1):
         text = raw.strip()
         if not text or text[0] in "#;":
             continue
@@ -248,7 +246,7 @@ def load_run_config(path: Path | None) -> RunConfig:
     keeps its line for later refusals.  The lattice's joint rules, the mode cap and a
     lattice with no pair (1x1), wait for both M and N and name the later line.
     """
-    run = RunConfig()
+    run = RunConfig(config_path=path)
     if path is None:
         return run
     dims = {}
@@ -259,7 +257,7 @@ def load_run_config(path: Path | None) -> RunConfig:
             continue
         if key not in _KEYS[section]:
             raise _refuse(path, line, f"unknown key {key!r} in section [{section}]")
-        run.lines[section, key] = line
+        run.lines[f"{section}.{key}"] = line
         name, parse = _KEYS[section][key]
         try:
             value = parse(raw)
@@ -280,19 +278,19 @@ def load_run_config(path: Path | None) -> RunConfig:
         run.lattice = replace(run.lattice, **dims)
         nn_separation(run.lattice)
     except ValueError as exc:
-        raise _refuse(path, max(run.lines.get(("lattice", k), 0) for k in "mn"), str(exc)) from None
+        raise run.refuse(str(exc), *_MN) from None
     return run
 
 
-def _check_mbqc(run: RunConfig, path: Path | None) -> None:
+def _check_mbqc(run: RunConfig) -> None:
     """Refuse an [mbqc] key that the run does not read and the file sets off its default,
     and under the reference source a [lattice] key; every other key is read by each run
     of the subcommand that its section names."""
     if run.source == "reference":  # the reference cluster reads no [lattice]
         for key, (name, _) in _KEYS["lattice"].items():
             if (value := getattr(run.lattice, name)) != getattr(RunConfig.lattice, name):
-                raise _refuse(path, run.lines["lattice", key], f"[lattice] {name} = {value!r} "
-                              "is not read: source = reference takes no lattice")
+                raise run.refuse(f"[lattice] {name} = {value!r} is not read: source = reference "
+                                 "takes no lattice", f"lattice.{key}")
     # a pattern file replaces the builtin, and only the wire builtin takes angles
     if run.pattern_path:
         unread, why = ("builtin", "theta1", "theta2", "theta3"), "--pattern replaces the builtin"
@@ -301,7 +299,7 @@ def _check_mbqc(run: RunConfig, path: Path | None) -> None:
         why = f"builtin = {run.builtin} takes no angles"
     for name, default, section, key, _ in _INI_FIELDS:
         if name in unread and (value := getattr(run, name)) != default:
-            raise _refuse(path, run.lines[section, key], f"[{section}] {key} = {value!r} is not read: {why}")
+            raise run.refuse(f"[{section}] {key} = {value!r} is not read: {why}", f"{section}.{key}")
 
 
 def _fmt(value: float) -> str:
@@ -364,14 +362,18 @@ def _snapshot_rows(phi: PhasePolynomial) -> Iterator[bytes]:
         yield block[block != 0].tobytes()
 
 
-def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
+def _grid(run: RunConfig, name: str, bound: float) -> list[float]:
+    """The [gamma-sweep] grid from <name>_min in steps of <name>_step to <name>_max; a point
+    that passes bound, the rule of those keys, by rounding is the bound itself."""
+    lo, hi, step = (getattr(run, f"{name}_{end}") for end in ("min", "max", "step"))
+    keys = [f"gamma-sweep.{name}_{end}" for end in ("min", "max", "step")]
     if hi < lo:
-        raise ConfigError(f"{what}: empty grid (max < min)")
+        raise run.refuse(f"{name} grid: empty grid (max < min)", *keys)
     # the last point may pass hi by rounding (up to 1e-9 step), not by more
     span = (hi - lo) / step + 1e-9  # inf when the step underflows the division
     if span >= _MAX_GRID_POINTS:  # int(span) + 1 points would pass the cap
-        raise ConfigError(f"{what}: more than {_MAX_GRID_POINTS} points")
-    return [lo + i * step for i in range(int(span) + 1)]
+        raise run.refuse(f"{name} grid: more than {_MAX_GRID_POINTS} points", *keys)
+    return [min(lo + i * step, bound) for i in range(int(span) + 1)]
 
 
 def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
@@ -386,13 +388,12 @@ def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
 
 
 def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
-    deltas = _grid(run.delta_min, run.delta_max, run.delta_step, "delta grid")
-    taus = _grid(run.tau_min, run.tau_max, run.tau_step, "tau grid")
+    deltas, taus = _grid(run, "delta", MAX_FREQUENCY_OVER_G), _grid(run, "tau", MAX_G_TAU)
+    rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
     try:
-        rows_d = sweep_delta(run.lattice, run.sweep_tau_value, deltas)
         rows_t = sweep_tau(run.lattice, taus, list(run.separations))
-    except ValueError as exc:
-        raise ConfigError(f"[gamma-sweep] {exc}") from None
+    except ValueError as exc:  # a separation that is zero on the lattice
+        raise run.refuse(f"[gamma-sweep] {exc}", "gamma-sweep.separations", *_MN) from None
     # a failed gate-time solve exits before any file is written
     feasibility = _feasibility_lines(run, solve_gate_time(run.lattice)) if run.preset else None
     body = ["delta_over_g,gamma_nn"] + [f"{_fmt(d)},{_fmt(gam)}" for d, gam in rows_d]
@@ -410,21 +411,20 @@ def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:
 def cmd_cluster(run: RunConfig, out: Path) -> int:
     cfg = run.lattice
     if cfg.n_sites > MAX_EXACT_QUBITS:
-        raise ConfigError(f"{cfg.M}x{cfg.N} exceeds the {MAX_EXACT_QUBITS}-qubit cap on the exact sum")
+        raise run.refuse(f"{cfg.M}x{cfg.N} exceeds the {MAX_EXACT_QUBITS}-qubit cap on the exact "
+                         "sum", *_MN)
     if run.snapshot and cfg.n_sites > _MAX_SNAPSHOT_QUBITS:
-        raise ConfigError(
-            f"[cluster] snapshot = true on {cfg.M}x{cfg.N} would write 2^{cfg.n_sites} = "
-            f"{2**cfg.n_sites} rows, over the {_MAX_SNAPSHOT_QUBITS}-qubit snapshot cap"
-        )
+        raise run.refuse(f"[cluster] snapshot = true on {cfg.M}x{cfg.N} would write "
+                         f"2^{cfg.n_sites} = {2**cfg.n_sites} rows, over the "
+                         f"{_MAX_SNAPSHOT_QUBITS}-qubit snapshot cap", "cluster.snapshot", *_MN)
     tau = solve_gate_time(cfg) if run.cluster_tau is None else run.cluster_tau
     table = build_phase_table(cfg, tau)
     try:
         phi = cluster_phase(cfg.M, cfg.N, table.grid, run.nn_only, run.periodic)
     except ValueError:
-        raise ConfigError(
-            f"[cluster] nn_only = false on an open {cfg.M}x{cfg.N} patch reads separations that "
-            "wrap round its own table; set periodic = true or nn_only = true"
-        ) from None
+        raise run.refuse(f"[cluster] nn_only = false on an open {cfg.M}x{cfg.N} patch reads "
+                         "separations that wrap round its own table; set periodic = true or "
+                         "nn_only = true", "cluster.periodic", "cluster.nn_only") from None
     report = verify_cluster(phi, run.periodic)
     fid = report.fidelity
 
@@ -466,7 +466,7 @@ def cmd_oracle_verify(run: RunConfig, out: Path) -> int:
         rep = oracle.echo_evolve(cfg, run.oracle_tau, run.n_max)
         table = build_phase_table(cfg, run.oracle_tau)
     except ValueError as exc:
-        raise ConfigError(f"[oracle] {exc}") from None
+        raise run.refuse(f"[oracle] {exc}", "oracle.n_max", *_MN) from None
     body = [f"error_estimate = {_fmt(rep.error_estimate)}",
             f"truncation_estimate = {_fmt(rep.truncation_estimate)}"]
     if not rep.error_estimate <= run.tolerance:  # NaN fails too
@@ -502,34 +502,32 @@ def generated_cluster_patch(lattice: LatticeConfig, M: int, N: int):
 
 def cmd_mbqc(run: RunConfig, out: Path) -> int:
     if run.pattern_path:
-        path = Path(run.pattern_path)
         try:
-            pattern = parse_pattern(path.read_text())
+            pattern = parse_pattern(_read_text(Path(run.pattern_path)))
         except PatternParseError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise _refuse(run.pattern_path, exc.line_no, exc.message) from None
     elif run.builtin == "wire":
         pattern = wire_rotation_pattern(run.theta1, run.theta2, run.theta3)
     else:
         pattern = cnot_pattern()
     sites = [s.site for s in pattern.steps] + list(pattern.outputs)
     if not sites:  # only a pattern file can be empty
-        raise ConfigError(f"{run.pattern_path}: pattern has no steps and no outputs")
+        raise _refuse(run.pattern_path, 0, "pattern has no steps and no outputs")
     M, N = 1 + max(s[0] for s in sites), 1 + max(s[1] for s in sites)
     if M * N > MAX_QUBITS:  # only a pattern file can span this many sites
-        raise ConfigError(
-            f"{run.pattern_path}: pattern needs a {M}x{N} cluster, over the {MAX_QUBITS}-qubit cap"
-        )
+        raise _refuse(run.pattern_path, 0, f"pattern needs a {M}x{N} cluster, over the "
+                      f"{MAX_QUBITS}-qubit cap")
     n_meas = len(pattern.steps)
     if n_meas > _MAX_PATTERN_STEPS:  # only a pattern file can be this long
-        raise ConfigError(f"{run.pattern_path}: pattern has {n_meas} measurement steps, over "
-                          f"the {_MAX_PATTERN_STEPS}-step cap on branch enumeration")
+        raise _refuse(run.pattern_path, 0, f"pattern has {n_meas} measurement steps, over the "
+                      f"{_MAX_PATTERN_STEPS}-step cap on branch enumeration")
 
     if run.source == "reference":
         cluster = reference_cluster(M, N, periodic=False)
     else:
         if M > run.lattice.M or N > run.lattice.N:
-            raise ConfigError(f"[lattice] the pattern's {M}x{N} patch does not fit the "
-                              f"{run.lattice.M}x{run.lattice.N} lattice")
+            raise run.refuse(f"[lattice] the pattern's {M}x{N} patch does not fit the "
+                             f"{run.lattice.M}x{run.lattice.N} lattice", "mbqc.source", *_MN)
         cluster = generated_cluster_patch(run.lattice, M, N)
 
     outcomes, _, states, drawn = run_pattern(cluster, pattern, seed=run.seed)
@@ -555,12 +553,6 @@ def cmd_mbqc(run: RunConfig, out: Path) -> int:
     body += [f"logical_amp_{i} = {_fmt(amp.real)} {_fmt(amp.imag)}" for i, amp in enumerate(ref)]
     _write_report(out / "mbqc_report.txt", run, "mbqc", body)
     return EXIT_OK if deterministic else EXIT_VERIFY
-
-
-def _u64(raw: str) -> int:
-    if not 0 <= (value := int(raw)) < 2**64:
-        raise _BrokenRule("an unsigned 64-bit integer")
-    return value
 
 
 # every command-line flag and its value rule
@@ -617,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         run.pattern_path = str(flags["--pattern"]) if "--pattern" in flags else None
         if name == "mbqc":
             run.seed = flags.get("--seed", 0)
-            _check_mbqc(run, flags.get("--config"))
+            _check_mbqc(run)
         return command(run, flags.get("--out", Path(".")))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -287,7 +287,7 @@ def cnot_pattern() -> MeasurementPattern:
 
 class PatternParseError(ValueError):
     def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
+        self.line_no, self.message = line_no, message
         super().__init__(f"line {line_no}: {message}")
 
 

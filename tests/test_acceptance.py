@@ -19,6 +19,7 @@ from cavitycluster.geomphase import (
     PRESETS,
     build_phase_table,
     feasibility_report,
+    gamma_mode,
     pairwise_phase,
     solve_gate_time,
     sweep_delta,
@@ -219,11 +220,28 @@ def test_criterion_08_displacement_algebra(request):
         - 2.0 * shoelace
     )
 
-    ok = worst_law <= 1e-8 and circle_err < 1e-4 and poly_err < 1e-10
+    # the echo's own loop: one interval drives a mode at frequency w along the arc
+    # alpha(t) = (e^{iwt} - 1)/w, and the parity flip sends the second interval along
+    # its point reflection alpha(tau) - alpha(t), which closes the loop.  Its phase is
+    # twice one interval's, 2 MN gamma_mode; a second arc that retraces the first
+    # (no flip) encloses nothing, so its copy of the check must fail.
+    def echo_error(w, tau, flip):
+        arc = (np.exp(1j * w * np.linspace(0.0, tau, 20_001)) - 1.0) / w
+        back = arc[-1] - arc[1:] if flip else arc[-2::-1]
+        phase = closed_path_phase(PhasePath(tuple(np.concatenate([arc, back])), closed=True))
+        return abs(abs(phase) - 2 * REF19.n_sites * gamma_mode(REF19, np.array([w]), tau)[0])
+
+    echo_cases = [(w, tau) for w in (0.05, 0.7, 3.0) for tau in (1.5, solve_gate_time(REF19), 3.0)]
+    echo_err = max(echo_error(w, tau, True) for w, tau in echo_cases)
+    retraced_err = min(echo_error(w, tau, False) for w, tau in echo_cases)
+
+    ok = (worst_law <= 1e-8 and circle_err < 1e-4 and poly_err < 1e-10 and echo_err <= 1e-7
+          and retraced_err > 1e-7)
     _record(
         request, 8, "displacement algebra", ok,
         f"composition law {worst_law:.2e} (<= 1e-8), circle {circle_err:.2e} (< 1e-4), "
-        f"polygon {poly_err:.2e} (< 1e-10)",
+        f"polygon {poly_err:.2e} (< 1e-10), echo loop {echo_err:.2e} (<= 1e-7; "
+        f"retraced copy {retraced_err:.2e}, > 1e-7)",
     )
 
 

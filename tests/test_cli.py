@@ -375,16 +375,36 @@ class TestConfigParsing:
         assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len((out / "gamma_vs_tau.csv").read_text().splitlines()) == 6 + 2
 
-    def test_delta_grid_past_bound(self, tmp_path, capsys):
-        # delta_max is at the bound, and 33 steps of 1e150/33 pass it by rounding:
-        # the grid keeps that last point, 1.0000000000000002e150, and sweep_delta
-        # refuses it
+    def test_delta_grid_past_bound(self, tmp_path):
+        # delta_max is at the bound, and 33 steps of 1e150/33 pass it by rounding, to
+        # 1.0000000000000002e150: that last point is the bound itself
         cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n[gamma-sweep]\n"
-                    "delta_max = 1e150\ndelta_step = 3.0303030303030305e148\n")
+                    "delta_max = 1e150\ndelta_step = 3.0303030303030305e148\nseparations = 1,0\n")
         out = tmp_path / "out"
-        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        assert "[gamma-sweep] a delta grid point is past |delta|/g = 1e+150" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows = (out / "gamma_vs_delta.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[-2:]] == ["9.696969696969698e+149", "1e+150"]
+
+    @pytest.mark.parametrize(
+        "grid,last",
+        [("tau_max = 100\ntau_step = 9.090909090909092\n", ("gamma_vs_tau.csv", "100.0")),
+         ("delta_max = 1e150\ndelta_step = 3.3333333333333334e149\n",
+          ("gamma_vs_delta.csv", "1e+150"))],
+        ids=["tau", "delta"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_grid_rounding_past_its_bound_ends_at_the_bound(self, tmp_path, grid, last):
+        # every key obeys its rule, and the grid's last point passes the keys' bound
+        # (g*tau = 100, |delta|/g = 1e150) by rounding only: it is the bound, and the
+        # run writes every row
+        cfg = write(tmp_path, "s.ini", "[lattice]\nM = 2\nN = 2\n[gamma-sweep]\n"
+                    f"separations = 1,0\n{grid}")
+        out = tmp_path / "out"
+        assert main(["gamma-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        csv, value = last
+        rows = (out / csv).read_text().splitlines()
+        assert rows[-1].split(",")[0] == value
+        assert "nan" not in rows[-1] and "inf" not in rows[-1]
 
     @pytest.mark.filterwarnings("error")
     def test_largest_g_tau_runs(self, tmp_path):
@@ -431,6 +451,35 @@ class TestConfigParsing:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize(
+        "ini,pattern,line",
+        [(b"[lattice]\nM = 2\xff\n", None, 2),
+         # a cut two-byte sequence, after CRLF line ends
+         (b"[lattice]\r\nM = 2\r\nN = 2 # \xc3\r\n", None, 3),
+         (None, b"0 0 X - -\n\xff 1 X - -\noutput 0 2\n", 2)],
+        ids=["config", "config-crlf", "pattern"],
+    )
+    def test_not_utf8_is_refused_at_its_line(self, tmp_path, capsys, ini, pattern, line):
+        # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback, exit 1
+        argv, bad = ["mbqc", "--out", str(tmp_path / "out")], tmp_path / "bad"
+        bad.write_bytes(ini or pattern)
+        argv += ["--config" if ini else "--pattern", str(bad)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {bad}, line {line}: not valid UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_reads_utf8_in_any_locale(self, tmp_path):
+        # under the C locale, whose encoding is ASCII, a UTF-8 comment is read as UTF-8
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes("# \u00e9t\u00e9\n[lattice]\nM = 2\nN = 2\n".encode())
+        pat = tmp_path / "p.pat"
+        pat.write_bytes("# \u00e9t\u00e9\n0 0 Z - -\n0 2 Z - -\n0 1 X - -\n".encode())
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "LC_ALL": "C",
+               "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        for argv in (["cluster", "--config", str(cfg)], ["mbqc", "--pattern", str(pat)]):
+            subprocess.run([sys.executable, "-m", "cavitycluster.cli", *argv,
+                            "--out", str(tmp_path / argv[0])], env=env, check=True)
+
 
 class TestGammaSweep:
     def test_writes_both_csvs(self, tmp_path):
@@ -471,7 +520,7 @@ class TestGammaSweep:
     )
     def test_grid_ends_at_its_max(self, lo, hi, step, count, last):
         # the last point may pass hi by rounding, never by a sizeable part of a step
-        grid = cli._grid(lo, hi, step, "grid")
+        grid = cli._grid(RunConfig(tau_min=lo, tau_max=hi, tau_step=step), "tau", 100.0)
         assert (len(grid), grid[-1]) == (count, last)
 
     def test_grids_write_no_row_past_their_max(self, tmp_path):
@@ -741,7 +790,7 @@ class TestCluster:
         out = tmp_path / "out"
         assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "config error: 1x31 exceeds the 30-qubit cap on the exact sum\n")
+            f"config error: {cfg}, line 3: 1x31 exceeds the 30-qubit cap on the exact sum\n")
         assert not out.exists()
 
     def test_past_the_dense_cap_pinned(self, tmp_path):
@@ -977,11 +1026,15 @@ class TestMbqc:
         "lattice,builtin,message",
         [
             ("M = 1\nN = 1\n", "wire", "{cfg}, line 3: a 1x1 lattice has no pairs"),
-            ("M = 1\nN = 19\n", "cnot", "[lattice] the pattern's 3x2 patch does not fit the 1x19 lattice"),
-            ("M = 19\nN = 1\n", "wire", "[lattice] the pattern's 1x5 patch does not fit the 19x1 lattice"),
+            ("M = 1\nN = 19\n", "cnot",
+             "{cfg}, line 6: [lattice] the pattern's 3x2 patch does not fit the 1x19 lattice"),
+            ("M = 19\nN = 1\n", "wire",
+             "{cfg}, line 6: [lattice] the pattern's 1x5 patch does not fit the 19x1 lattice"),
             # a patch larger than the array would put two patch sites in one cavity
-            ("M = 2\nN = 2\n", "wire", "[lattice] the pattern's 1x5 patch does not fit the 2x2 lattice"),
-            ("M = 2\nN = 2\n", "cnot", "[lattice] the pattern's 3x2 patch does not fit the 2x2 lattice"),
+            ("M = 2\nN = 2\n", "wire",
+             "{cfg}, line 6: [lattice] the pattern's 1x5 patch does not fit the 2x2 lattice"),
+            ("M = 2\nN = 2\n", "cnot",
+             "{cfg}, line 6: [lattice] the pattern's 3x2 patch does not fit the 2x2 lattice"),
         ],
         ids=["1x1", "cnot-on-a-row", "wire-on-a-column", "wire-on-2x2", "cnot-on-2x2"],
     )
@@ -1092,7 +1145,7 @@ class TestMbqc:
         out = tmp_path / "out"
         argv = ["mbqc", "--pattern", str(pat), "--out", str(out), "--seed", seed]
         assert main(argv) == EXIT_USAGE
-        assert "bad.pat: line 2: byproduct" in capsys.readouterr().err
+        assert "bad.pat, line 2: byproduct" in capsys.readouterr().err
         assert not (out / "mbqc_report.txt").exists()
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
@@ -1114,7 +1167,7 @@ class TestMbqc:
         pat = tmp_path / "bad.pat"
         pat.write_text("0 0 X - -\n0 1 X - -\noutput 0 2\noutput 0 2\n")
         assert main(["mbqc", "--pattern", str(pat), "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        assert "bad.pat: line 4: output site (0, 2) is declared twice" in capsys.readouterr().err
+        assert "bad.pat, line 4: output site (0, 2) is declared twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("angle", ["nan", "inf"])
     def test_non_finite_angle_is_config_error(self, tmp_path, capsys, angle):
@@ -1122,7 +1175,7 @@ class TestMbqc:
         pat.write_text(f"0 0 EQ {angle} -\noutput 0 1\n")
         out = tmp_path / "out"
         assert main(["mbqc", "--pattern", str(pat), "--out", str(out)]) == EXIT_USAGE
-        assert f"bad.pat: line 1: angle must be finite, got {angle}" in capsys.readouterr().err
+        assert f"bad.pat, line 1: angle must be finite, got {angle}" in capsys.readouterr().err
         assert not (out / "mbqc_report.txt").exists()
 
     def test_step_cap(self, tmp_path, capsys):
@@ -1192,7 +1245,7 @@ class TestUsage:
             ("oracle-verify", "[lattice]\nM = 2\nN = 2\n[oracle]\nn_max = 60\n", None,
              "[oracle] total dimension 238144 exceeds cap 200000 (n_max = 60 on the 2x2 lattice)"),
             ("mbqc", "[mbqc]\nsource = reference\n", "0 0 X - -\n0 1 EQ oops -\n",
-             "bad.pat: line 2"),
+             "bad.pat, line 2"),
             ("cluster", "[lattice]\nM = 4\nN = 6\n[cluster]\nsnapshot = true\n", None,
              "[cluster] snapshot = true on 4x6"),
         ],
@@ -1205,6 +1258,59 @@ class TestUsage:
             argv += ["--pattern", str(write(tmp_path, "bad.pat", pattern))]
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,ini,message",
+        [
+            ("cluster", "[lattice]\nM = 6\nN = 6\n",
+             "{cfg}, line 3: 6x6 exceeds the 30-qubit cap on the exact sum"),
+            ("cluster", "[cluster]\nperiodic = true\n",
+             "19x19 exceeds the 30-qubit cap on the exact sum"),
+            ("cluster", None, "19x19 exceeds the 30-qubit cap on the exact sum"),
+            ("cluster", "[cluster]\nsnapshot = true\n[lattice]\nN = 7\nM = 3\n",
+             "{cfg}, line 5: [cluster] snapshot = true on 3x7 would write 2^21 = 2097152 rows, "
+             "over the 20-qubit snapshot cap"),
+            ("cluster", "[lattice]\nM = 3\nN = 3\n[cluster]\nperiodic = false\n",
+             "{cfg}, line 5: [cluster] nn_only = false on an open 3x3 patch reads separations "
+             "that wrap round its own table; set periodic = true or nn_only = true"),
+            ("cluster", "[cluster]\nnn_only = false\nperiodic = false\n[lattice]\nM = 3\nN = 3\n",
+             "{cfg}, line 3: [cluster] nn_only = false on an open 3x3 patch reads separations "
+             "that wrap round its own table; set periodic = true or nn_only = true"),
+            ("gamma-sweep", "[gamma-sweep]\ndelta_min = 40\n",
+             "{cfg}, line 2: delta grid: empty grid (max < min)"),
+            ("gamma-sweep", "[gamma-sweep]\ntau_step = 1.5e-5\n[lattice]\nM = 2\n",
+             "{cfg}, line 2: tau grid: more than 100000 points"),
+            ("gamma-sweep", "[gamma-sweep]\nseparations = 1,0\n[lattice]\nM = 1\nN = 4\n",
+             "{cfg}, line 5: [gamma-sweep] separation (1, 0) is zero on the 1x4 lattice"),
+            ("gamma-sweep", "[lattice]\nM = 2\nN = 3\n",
+             "{cfg}, line 3: [gamma-sweep] separation (2, 0) is zero on the 2x3 lattice"),
+            ("oracle-verify", "[lattice]\nM = 2\nN = 2\n[oracle]\nn_max = 60\n",
+             "{cfg}, line 5: [oracle] total dimension 238144 exceeds cap 200000 "
+             "(n_max = 60 on the 2x2 lattice)"),
+            ("oracle-verify", "[oracle]\nn_max = 2\n[lattice]\nM = 1\nN = 5\n",
+             "{cfg}, line 5: [oracle] identity checks capped at 4 sites"),
+            ("oracle-verify", "[oracle]\ntau = 1\n", "[oracle] identity checks capped at 4 sites"),
+            ("oracle-verify", None, "[oracle] identity checks capped at 4 sites"),
+            ("mbqc", "[lattice]\nM = 2\nN = 2\n[mbqc]\nsource = generated\n",
+             "{cfg}, line 5: [lattice] the pattern's 1x5 patch does not fit the 2x2 lattice"),
+        ],
+        ids=["exact-sum-cap", "exact-sum-cap-default", "exact-sum-cap-no-config", "snapshot-cap",
+             "open-all-pairs", "open-all-pairs-lattice-later", "empty-grid", "grid-cap",
+             "zero-separation", "zero-separation-default", "oracle-dimension-cap",
+             "oracle-site-cap", "oracle-site-cap-default", "oracle-site-cap-no-config",
+             "patch-does-not-fit"],
+    )
+    def test_run_time_refusal_form(self, tmp_path, capsys, command, ini, message):
+        # a refusal that config keys decide names the file and the last line among
+        # those keys that it sets, in the load-time form; with none of them set, or no
+        # --config, it is the message alone
+        argv = [command, "--out", str(tmp_path / "out")]
+        cfg = write(tmp_path, "c.ini", ini) if ini is not None else None
+        if cfg:
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
