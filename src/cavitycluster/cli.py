@@ -6,16 +6,19 @@ in _COMMANDS.  Configuration is flat INI, read in one pass through one table
 of sections ([lattice], [gamma-sweep], [cluster], [oracle], [mbqc], matched
 exactly, so no [DEFAULT]) and keys; each key outside [lattice] is declared by
 the RunConfig field it sets, with its parser and default.  Frequencies are in
-units of g and times in units of 1/g.  Files are read as UTF-8.  Every config
-error is built by _refuse in one form, '<file>, line <n>: <what>': a byte that
-is not UTF-8, a malformed, unknown or repeated line, a value that breaks its
-key's parser or rule, a lattice over the mode cap or with no pair, an mbqc key
-set off its default but not read, a bad pattern line, and each refusal at run
-time, at the last line among the keys that decide it (the message alone if the
-file sets none); a whole pattern file is named alone.  Every output file
-starts with a header comment giving the artifact version, the seed (mbqc only,
-the one subcommand that samples), the [lattice] parameters and the hardware
-preset (if any), and is byte-identical across reruns with the same inputs.
+units of g and times in units of 1/g.  Files are read as UTF-8, past any
+byte-order mark.  Every config error is built by _refuse in one form,
+'<file>, line <n>: <what>': a byte that is not UTF-8, a malformed, unknown or
+repeated line, a value that breaks its key's parser or rule, a lattice over the
+mode cap or with no pair, an mbqc key set off its default but not read, a bad
+pattern line, and each refusal at run time, at the last line among the keys
+that decide it (the message alone if the file sets none; if M and N decide it
+and neither is set, it says so); a whole pattern file is named alone.  --preset
+writes 'feasibility preset = <name>', then each feasibility_report item as
+'name = value'.  Every output file starts with a header comment giving the
+artifact version, the seed (mbqc only, the one subcommand that samples), the
+[lattice] parameters and the hardware preset (if any), and is byte-identical
+across reruns with the same inputs.
 Exit codes: 0 success, 1 verification failure or no gate time in the search
 window, 2 usage or configuration error.
 """
@@ -175,9 +178,11 @@ class RunConfig:
     lines: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def refuse(self, message: str, *keys: str) -> ConfigError:
-        """A refusal that keys ('section.key') decide: at the last of their lines that the
-        config file sets, or the message alone if it sets none of them."""
+        """A refusal that keys ('section.key') decide: at the last of their lines that the config
+        file sets, else the message alone, plus M and N's default if they decide it but are unset."""
         line = max(self.lines.get(key, 0) for key in keys)
+        if set(_MN) <= set(keys) and not self.lines.keys() & set(_MN):
+            message += f"; [lattice] M and N are not set, and default to {RunConfig.lattice.M}"
         return _refuse(self.config_path if line else None, line, message)
 
 
@@ -192,7 +197,7 @@ _INI_FIELDS = [(f.name, f.default, *f.metadata["ini"]) for f in fields(RunConfig
 # be accepted and then ignored.
 _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {"lattice": {
     "m": ("M", _at_least_one), "n": ("N", _at_least_one),
-    "j": ("J", _finite), "delta": ("delta", _finite),
+    "j": ("J", _rule(_detuning, lambda v: v >= 0, "non-negative")), "delta": ("delta", _detuning),
 }}
 for _name, _, _section, _ini_key, _parse in _INI_FIELDS:
     _KEYS.setdefault(_section, {})[_ini_key] = (_name, _parse)
@@ -206,9 +211,11 @@ def _refuse(path: Path | str | None, line: int, message: str) -> ConfigError:
 
 
 def _read_text(path: Path) -> str:
-    """path's text as UTF-8, whatever the locale, with each '\\r\\n' or '\\r' read as '\\n', as
-    text mode reads them; a byte that is not UTF-8 is refused at its line."""
-    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    """path's text as UTF-8 past any byte-order mark, whatever the locale, with each '\\r\\n' or
+    '\\r' read as '\\n', as text mode reads them; a byte that is not UTF-8 is refused at its line."""
+    # the mark is dropped here rather than by the utf-8-sig codec, whose first use in a
+    # process imports its module (about 0.2 ms of every run)
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -249,7 +256,7 @@ def load_run_config(path: Path | None) -> RunConfig:
     run = RunConfig(config_path=path)
     if path is None:
         return run
-    dims = {}
+    lattice = {}
     for line, section, key, raw in _read_ini(path):
         if section not in _KEYS:
             raise _refuse(path, line, f"unknown section [{section}]")
@@ -265,17 +272,12 @@ def load_run_config(path: Path | None) -> RunConfig:
             raise _refuse(path, line, f"[{section}] {key} must be {exc}") from None
         except (ValueError, KeyError):
             raise _refuse(path, line, f"cannot parse {key} = {raw!r}") from None
-        if section != "lattice":
-            setattr(run, name, value)
-        elif name in ("M", "N"):  # their joint rules wait for both
-            dims[name] = value
+        if section == "lattice":  # M and N's joint rules wait for both
+            lattice[name] = value
         else:
-            try:
-                run.lattice = replace(run.lattice, **{name: value})
-            except ValueError as exc:
-                raise _refuse(path, line, str(exc)) from None
+            setattr(run, name, value)
     try:
-        run.lattice = replace(run.lattice, **dims)
+        run.lattice = replace(run.lattice, **lattice)
         nn_separation(run.lattice)
     except ValueError as exc:
         raise run.refuse(str(exc), *_MN) from None
@@ -377,14 +379,8 @@ def _grid(run: RunConfig, name: str, bound: float) -> list[float]:
 
 
 def _feasibility_lines(run: RunConfig, gate_time: float) -> list[str]:
-    rep = feasibility_report(PRESETS[run.preset], gate_time)
-    return [
-        f"feasibility preset = {rep.preset}",
-        f"gate_time_g_units = {_fmt(rep.gate_time_g_units)}",
-        f"gate_time_seconds = {_fmt(rep.gate_time_seconds)}",
-        f"ratio_T_cavity = {_fmt(rep.ratio_cavity)}",
-        f"ratio_T_qubit = {_fmt(rep.ratio_qubit)}",
-    ]
+    report = feasibility_report(PRESETS[run.preset], gate_time).items()
+    return [f"feasibility preset = {run.preset}", *(f"{name} = {_fmt(v)}" for name, v in report)]
 
 
 def cmd_gamma_sweep(run: RunConfig, out: Path) -> int:

@@ -60,6 +60,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,6 @@ __all__ = [
     "sweep_tau",
     "HardwarePreset",
     "PRESETS",
-    "FeasibilityReport",
     "feasibility_report",
 ]
 
@@ -349,70 +349,28 @@ def sweep_tau(
     return [(tau, dict(zip(separations, row))) for tau, row in zip(taus, sums)]
 
 
-@dataclass(frozen=True)
-class HardwarePreset:
-    """Physical parameter set for feasibility arithmetic.
+class HardwarePreset(NamedTuple):
+    """A preset's coupling scale g (angular, rad/s) and coherence times (s), named by its
+    PRESETS key; J/g and delta/g come from the lattice configuration."""
 
-    Frequencies are angular (rad/s), times in seconds.  A preset fixes only
-    the coupling scale g and the coherence times; J/g and delta/g come from
-    the lattice configuration.
-    """
-
-    name: str
     g_phys: float
     T_cavity: float
     T_qubit: float
-
-    def __post_init__(self) -> None:
-        if self.T_cavity <= 0 or self.T_qubit <= 0:
-            raise ValueError("coherence times must be positive")
-        if self.g_phys <= 0:
-            raise ValueError("coupling must be positive")
 
 
 # Cooper-pair boxes / quantum dots in circuit cavities, and Raman-coupled
 # atoms in microtoroid arrays (effective coupling after the Raman process).
 PRESETS: dict[str, HardwarePreset] = {
-    "cpb": HardwarePreset(
-        name="cpb",
-        g_phys=2 * math.pi * 50e6,
-        T_cavity=20e-6,
-        T_qubit=1e-6,
-    ),
-    "qdot": HardwarePreset(
-        name="qdot",
-        g_phys=2 * math.pi * 125e6,
-        T_cavity=50e-6,
-        T_qubit=1e-6,
-    ),
-    "toroid": HardwarePreset(
-        name="toroid",
-        g_phys=1e8,
-        T_cavity=25e-6,
-        T_qubit=6e-6,
-    ),
+    "cpb": HardwarePreset(g_phys=2 * math.pi * 50e6, T_cavity=20e-6, T_qubit=1e-6),
+    "qdot": HardwarePreset(g_phys=2 * math.pi * 125e6, T_cavity=50e-6, T_qubit=1e-6),
+    "toroid": HardwarePreset(g_phys=1e8, T_cavity=25e-6, T_qubit=6e-6),
 }
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    preset: str
-    gate_time_g_units: float
-    gate_time_seconds: float
-    ratio_cavity: float
-    ratio_qubit: float
-
-
-def feasibility_report(preset: HardwarePreset, gate_time: float) -> FeasibilityReport:
-    """Physical-unit gate time and coherence-time ratios of a preset.
-
-    gate_time is a lattice's solved gate time, ``solve_gate_time(config)``, in units of 1/g.
-    """
-    t_phys = gate_time / preset.g_phys
-    return FeasibilityReport(
-        preset=preset.name,
-        gate_time_g_units=gate_time,
-        gate_time_seconds=t_phys,
-        ratio_cavity=t_phys / preset.T_cavity,
-        ratio_qubit=t_phys / preset.T_qubit,
-    )
+def feasibility_report(preset: HardwarePreset, gate_time: float) -> dict[str, float]:
+    """A preset's feasibility lines in report order, name to value: the gate time in units of
+    1/g and in seconds, and that time over each coherence time.  gate_time is a lattice's
+    solved gate time, ``solve_gate_time(config)``, in units of 1/g."""
+    t = gate_time / preset.g_phys
+    return {"gate_time_g_units": gate_time, "gate_time_seconds": t,
+            "ratio_T_cavity": t / preset.T_cavity, "ratio_T_qubit": t / preset.T_qubit}

@@ -293,10 +293,10 @@ def test_criterion_09_mbqc_end_to_end(request):
 
 def test_criterion_10_feasibility_arithmetic(request):
     rep = feasibility_report(PRESETS["cpb"], solve_gate_time(REF19))
-    t_us = rep.gate_time_seconds * 1e6
-    ok = 0.005 <= t_us <= 0.05 and rep.ratio_cavity <= 1e-3
+    t_us = rep["gate_time_seconds"] * 1e6
+    ok = 0.005 <= t_us <= 0.05 and rep["ratio_T_cavity"] <= 1e-3
     _record(
         request, 10, "feasibility arithmetic", ok,
         f"CPB gate time {t_us:.4f} us (in [0.005, 0.05]), "
-        f"T/T_cavity = {rep.ratio_cavity:.2e} (<= 1e-3)",
+        f"T/T_cavity = {rep['ratio_T_cavity']:.2e} (<= 1e-3)",
     )

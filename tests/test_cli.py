@@ -307,8 +307,8 @@ class TestConfigParsing:
             ("gamma-sweep", "gamma-sweep", "delta_max", "1e308", "delta_step = 1e307\n",
              "delta_max must be in [-1e+150, 1e+150]"),
             ("oracle-verify", "oracle", "tau", "1e300", "", "tau must be at most 100"),
-            ("cluster", "lattice", "J", "1e308", "", "|J| must be at most 1e+150 g"),
-            ("gamma-sweep", "lattice", "delta", "-1e308", "", "|delta| must be at most 1e+150 g"),
+            ("cluster", "lattice", "J", "1e308", "", "j must be in [-1e+150, 1e+150]"),
+            ("gamma-sweep", "lattice", "delta", "-1e308", "", "delta must be in [-1e+150, 1e+150]"),
         ],
     )
     def test_scaled_key_past_bound_names_line(
@@ -481,6 +481,29 @@ class TestConfigParsing:
                             "--out", str(tmp_path / argv[0])], env=env, check=True)
 
 
+    @pytest.mark.parametrize(
+        "command,flag,text,report",
+        [("cluster", "--config", b"# a comment\n[lattice]\nM = 2\nN = 2\n", "cluster_report.txt"),
+         ("mbqc", "--pattern", b"0 0 Z - -\n0 2 Z - -\n0 1 X - -\n", "mbqc_report.txt")],
+        ids=["config", "pattern"],
+    )
+    def test_byte_order_mark_is_read_past(self, tmp_path, command, flag, text, report):
+        # a file saved with a UTF-8 byte-order mark was refused at line 1
+        reports = []
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(mark + text)
+            out = tmp_path / f"out-{name}"
+            assert main([command, flag, str(tmp_path / name), "--out", str(out)]) == EXIT_OK
+            reports.append((out / report).read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_negative_j_names_line(self, tmp_path, capsys):
+        cfg = write(tmp_path, "j.ini", "[lattice]\nM = 2\nN = 2\nJ = -0.1\n")
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {cfg}, line 4: [lattice] j must be non-negative\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestGammaSweep:
     def test_writes_both_csvs(self, tmp_path):
         cfg = write(tmp_path, "sweep.ini", SMALL_SWEEP)
@@ -572,6 +595,24 @@ class TestGammaSweep:
         main(["gamma-sweep", "--config", str(cfg), "--out", str(out), "--preset", "cpb"])
         text = (out / "feasibility.txt").read_text()
         assert "gate_time_seconds" in text
+
+    @pytest.mark.parametrize(
+        "preset,seconds,cavity,qubit",
+        [("cpb", "7.300114825423398e-09", "0.0003650057412711699", "0.007300114825423398"),
+         ("qdot", "2.9200459301693585e-09", "5.840091860338717e-05", "0.0029200459301693587"),
+         ("toroid", "2.2933987105912078e-08", "0.000917359484236483", "0.0038223311843186797")],
+    )
+    def test_preset_lines_pinned(self, tmp_path, preset, seconds, cavity, qubit):
+        # every preset's lines on the docs example, in report order
+        cfg = Path(__file__).parents[1] / "docs" / "examples" / "detuning_sweep.ini"
+        out = tmp_path / "out"
+        argv = ["gamma-sweep", "--config", str(cfg), "--preset", preset, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        body = [line for line in (out / "feasibility.txt").read_text().splitlines()
+                if not line.startswith("#")]
+        assert body == [f"feasibility preset = {preset}", "gate_time_g_units = 2.293398710591208",
+                        f"gate_time_seconds = {seconds}", f"ratio_T_cavity = {cavity}",
+                        f"ratio_T_qubit = {qubit}"]
 
     def test_1x1_names_lattice_like_cluster(self, tmp_path, capsys):
         # the fault is in [lattice], whichever subcommand finds it
@@ -1266,8 +1307,10 @@ class TestUsage:
             ("cluster", "[lattice]\nM = 6\nN = 6\n",
              "{cfg}, line 3: 6x6 exceeds the 30-qubit cap on the exact sum"),
             ("cluster", "[cluster]\nperiodic = true\n",
-             "19x19 exceeds the 30-qubit cap on the exact sum"),
-            ("cluster", None, "19x19 exceeds the 30-qubit cap on the exact sum"),
+             "19x19 exceeds the 30-qubit cap on the exact sum; [lattice] M and N are not set, "
+             "and default to 19"),
+            ("cluster", None, "19x19 exceeds the 30-qubit cap on the exact sum; [lattice] M and N "
+             "are not set, and default to 19"),
             ("cluster", "[cluster]\nsnapshot = true\n[lattice]\nN = 7\nM = 3\n",
              "{cfg}, line 5: [cluster] snapshot = true on 3x7 would write 2^21 = 2097152 rows, "
              "over the 20-qubit snapshot cap"),
@@ -1290,8 +1333,10 @@ class TestUsage:
              "(n_max = 60 on the 2x2 lattice)"),
             ("oracle-verify", "[oracle]\nn_max = 2\n[lattice]\nM = 1\nN = 5\n",
              "{cfg}, line 5: [oracle] identity checks capped at 4 sites"),
-            ("oracle-verify", "[oracle]\ntau = 1\n", "[oracle] identity checks capped at 4 sites"),
-            ("oracle-verify", None, "[oracle] identity checks capped at 4 sites"),
+            ("oracle-verify", "[oracle]\ntau = 1\n", "[oracle] identity checks capped at 4 sites; "
+             "[lattice] M and N are not set, and default to 19"),
+            ("oracle-verify", None, "[oracle] identity checks capped at 4 sites; [lattice] M and N "
+             "are not set, and default to 19"),
             ("mbqc", "[lattice]\nM = 2\nN = 2\n[mbqc]\nsource = generated\n",
              "{cfg}, line 5: [lattice] the pattern's 1x5 patch does not fit the 2x2 lattice"),
         ],

@@ -13,7 +13,6 @@ from cavitycluster.lattice import MAX_FREQUENCY_OVER_G, LatticeConfig, mode_angl
 from cavitycluster.geomphase import (
     MAX_G_TAU,
     GateTimeNotFoundError,
-    HardwarePreset,
     PRESETS,
     _gamma_bracket,
     _modes,
@@ -677,33 +676,19 @@ class TestSweeps:
 
 
 class TestFeasibility:
-    @pytest.mark.parametrize(
-        "values,message",
-        [
-            ((0.0, 1e-6, 1e-6), "coupling must be positive"),
-            ((-1.0, 1e-6, 1e-6), "coupling must be positive"),
-            ((1e8, 0.0, 1e-6), "coherence times must be positive"),
-            ((1e8, 1e-6, -1e-6), "coherence times must be positive"),
-        ],
-    )
-    def test_preset_refuses_non_positive(self, values, message):
-        g_phys, T_cavity, T_qubit = values
-        with pytest.raises(ValueError, match=message):
-            HardwarePreset(name="x", g_phys=g_phys, T_cavity=T_cavity, T_qubit=T_qubit)
-
     def test_cpb(self):
         rep = feasibility_report(PRESETS["cpb"], solve_gate_time(REF))
-        assert 5e-9 <= rep.gate_time_seconds <= 5e-8  # order 0.01 us
-        assert rep.ratio_cavity <= 1e-3
-        assert rep.ratio_qubit < 0.05
+        assert 5e-9 <= rep["gate_time_seconds"] <= 5e-8  # order 0.01 us
+        assert rep["ratio_T_cavity"] <= 1e-3
+        assert rep["ratio_T_qubit"] < 0.05
 
     def test_qdot(self):
         rep = feasibility_report(PRESETS["qdot"], solve_gate_time(REF))
-        assert 1e-9 <= rep.gate_time_seconds <= 1e-8  # order 5 ns
-        assert rep.gate_time_seconds < PRESETS["qdot"].T_cavity / 1e3
+        assert 1e-9 <= rep["gate_time_seconds"] <= 1e-8  # order 5 ns
+        assert rep["gate_time_seconds"] < PRESETS["qdot"].T_cavity / 1e3
 
     def test_toroid(self):
         rep = feasibility_report(PRESETS["toroid"], solve_gate_time(REF))
         # order 1e-8..1e-7 s; comfortably below the photon lifetime
-        assert 1e-8 <= rep.gate_time_seconds <= 1e-7
-        assert rep.ratio_cavity < 1e-2
+        assert 1e-8 <= rep["gate_time_seconds"] <= 1e-7
+        assert rep["ratio_T_cavity"] < 1e-2
