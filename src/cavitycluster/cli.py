@@ -415,14 +415,13 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
                          f"{_MAX_SNAPSHOT_QUBITS}-qubit snapshot cap", "cluster.snapshot", *_MN)
     tau = solve_gate_time(cfg) if run.cluster_tau is None else run.cluster_tau
     table = build_phase_table(cfg, tau)
+    inputs = (cfg.M, cfg.N, table.grid, run.nn_only, run.periodic)
     try:
-        phi = cluster_phase(cfg.M, cfg.N, table.grid, run.nn_only, run.periodic)
+        report = verify_cluster(*inputs)
     except ValueError:
         raise run.refuse(f"[cluster] nn_only = false on an open {cfg.M}x{cfg.N} patch reads "
                          "separations that wrap round its own table; set periodic = true or "
                          "nn_only = true", "cluster.periodic", "cluster.nn_only") from None
-    report = verify_cluster(phi, run.periodic)
-    fid = report.fidelity
 
     body = [
         f"tau = {_fmt(tau)}",
@@ -430,15 +429,15 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
         f"gamma_nn = {_fmt(table.gamma(*nn_separation(cfg)))}",
         f"nn_only = {run.nn_only}",
         f"periodic = {run.periodic}",
-        f"fidelity = {_fmt(fid)}",
-        f"fidelity_deficit = {_fmt(1.0 - fid)}",
+        f"fidelity = {_fmt(report.fidelity)}",
+        f"fidelity_deficit = {_fmt(1.0 - report.fidelity)}",
     ]
     body += [f"stabilizer_{m}_{n} = {_fmt(s)}" for (m, n), s in np.ndenumerate(report.stabilizers)]
     # each site's reduced density matrix is [[1/2, c], [c*, 1/2]]
     max_purity_dev = np.max(np.abs(report.coherences))
     body.append(f"min_stabilizer = {_fmt(np.min(report.stabilizers))}")
     body.append(f"max_single_site_dev_from_maximally_mixed = {_fmt(max_purity_dev)}")
-    verdict = fid >= run.fidelity_min
+    verdict = report.fidelity >= run.fidelity_min
     body.append(f"fidelity_min = {_fmt(run.fidelity_min)}")
     body.append(f"verdict = {'pass' if verdict else 'fail'}")
     if run.preset:
@@ -447,8 +446,8 @@ def cmd_cluster(run: RunConfig, out: Path) -> int:
         body.extend(_feasibility_lines(run, gate_time))
     _write_report(out / "cluster_report.txt", run, "cluster", body)
 
-    if run.snapshot:
-        _write_report(out / "cluster_state.csv", run, "cluster", _snapshot_rows(phi))
+    if run.snapshot:  # Phi is built only here, for the dense rows
+        _write_report(out / "cluster_state.csv", run, "cluster", _snapshot_rows(cluster_phase(*inputs)))
     return EXIT_OK if verdict else EXIT_VERIFY
 
 

@@ -22,17 +22,16 @@ cluster up to a global phase.
 
 Verification works on the deviation polynomial D = Phi - pi E.  With
 s = 1 - 2x, pi E = (pi/4) sum_edges s_a s_b - (pi/4) sum_a deg_a s_a +
-const, so D has coupling eps = W - (pi/4) A (A the grid adjacency) and
-field dh = h + (pi/4) deg, and dh is exactly 0 for every cluster_phase
-output.  The fidelity is |mean e^{i D}|^2 over bitstrings.  With dh exactly
-0, D(s) = D(-s), so the half with s_0 = +1 holds the whole mean, and fixing
-s_0 = +1 turns row 0 of eps into a field on the other n' = n - 1 spins (a
-nonzero dh, as for a cluster verified under the other boundary, keeps all
-n' = n).  A block of the first m <= 13 of them is held as arrays of 2^m
-numbers: its polynomial P, built like Phi, and for each of the k = n' - m
-spins b past it the linear form t_b, b's field plus its coupling to the
-block.  Then D = P + s.t + Q, with Q(s) = sum_{a<b} eps_ab s_a s_b over the
-k spins, and Q(s) = Q(-s) pairs each sign pattern with its negation:
+const, and cluster_phase's field h = -(pi/4) deg cancels the linear term,
+so D = sum_{a<b} eps_ab s_a s_b + const, with eps = W - (pi/4) A (A the
+grid adjacency).  The fidelity is |mean e^{i D}|^2 over bitstrings.  D(s) =
+D(-s), so the half with s_0 = +1 holds the whole mean, and fixing s_0 = +1
+turns row 0 of eps into a field on the other n' = n - 1 spins.  A block of
+the first m <= 13 of them is held as arrays of 2^m numbers: its polynomial
+P, built like Phi, and for each of the k = n' - m spins b past it the
+linear form t_b, b's field plus its coupling to the block.  Then D =
+P + s.t + Q, with Q(s) = sum_{a<b} eps_ab s_a s_b over the k spins, and
+Q(s) = Q(-s) pairs each sign pattern with its negation:
 
     mean_s e^{i(s.t + Q)} = 2^{1-k} sum_{s_last = +1} e^{i Q(s)} cos(s.t).
 
@@ -45,21 +44,23 @@ though its last digit can differ from the full-cube sum by a few ulp.
 
 The graph stabilizer X_a prod_{b~a} Z_b flips bit a and takes the sign s_b
 of each neighbour; the flip changes pi E by a phase that those signs cancel,
-so its expectation is the mean of exp(2 i s_a (dh_a + sum_b eps_ab s_b)),
-which factorizes over the spins (mean e^{i w s} = cos w) into cos(2 dh_a)
-prod_b cos(2 eps_ab).  A single site's reduced density matrix has diagonal
-exactly 1/2 and coherence <0|rho_a|1> = (1/2) e^{2 i h_a} prod_b cos(2 W_ab),
-by the same factorization on Phi.
+so its expectation is the mean of exp(2 i s_a sum_b eps_ab s_b), which
+factorizes over the spins (mean e^{i w s} = cos w) into prod_b cos(2 eps_ab).
+A single site's reduced density matrix has diagonal exactly 1/2 and
+coherence <0|rho_a|1> = (1/2) e^{2 i h_a} prod_b cos(2 W_ab), by the same
+factorization on Phi.
 
 The grid is one boolean adjacency matrix (grid_adjacency) and the pair
 phases one table array, Gamma(dm, dn) = grid[dm % Mt, dn % Nt]; W is one
 gather from that array and h_a = -(pi/4) deg_a.  The arrays of 2^n numbers
 (Phi at every bitstring, a QubitRegister, the reference graph state) are
-capped at MAX_QUBITS.  verify_cluster's exact sum holds none, so its own
-cap, MAX_EXACT_QUBITS, is set by its cost of 2^(n-2) cosines: a few seconds
-at 30 qubits.  A dense complex
-register is kept only where measurement needs one: MBQC patterns on
-patches of a few qubits, built from Phi or as the exact reference state.
+capped at MAX_QUBITS.  verify_cluster reads the table and the pair rule,
+as cluster_phase does, and forms eps once.  Its exact sum, _fidelity(eps),
+holds no such array, so its own cap, MAX_EXACT_QUBITS, is set by its cost
+of 2^(n-2) cosines (a few seconds at 30 qubits), and is checked before any
+n x n array is built.  A dense complex register is kept only where
+measurement needs one: MBQC patterns on patches of a few qubits, built
+from Phi or as the exact reference state.
 A register holds every site of its grid; the pattern walk in mbqc keeps
 the live sites of its branches, and measuring a site removes its axis.
 
@@ -254,19 +255,11 @@ class ClusterReport:
     coherences: np.ndarray
 
 
-def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport:
-    """Check the state 2^{-n/2} exp(i Phi) against the M x N grid graph state; the exact
-    sum holds no dense array, so its cap is MAX_EXACT_QUBITS, set by its time."""
-    M, N = phi.M, phi.N
-    adjacency = grid_adjacency(M, N, periodic)
-    # Phi - pi E, constant dropped: coupling W - (pi/4) A, field h + (pi/4) deg,
-    # so the field is exactly 0 for cluster_phase's h = -(pi/4) deg
-    coupling = phi.coupling - (math.pi / 4) * adjacency
-    dev = PhasePolynomial(M, N, coupling, phi.field + (math.pi / 4) * adjacency.sum(axis=1))
-    _check_cap(M, N, MAX_EXACT_QUBITS)
-    # with no field D(s) = D(-s), so the s_0 = +1 half holds the whole mean;
-    # fixing s_0 = +1 turns row 0 of the coupling into a field on the rest
-    w, h = (coupling, dev.field) if dev.field.any() else (coupling[1:, 1:], coupling[0, 1:])
+def _fidelity(eps: np.ndarray) -> float:
+    """|mean_s e^{iD}|^2, D = sum_{a<b} eps_ab s_a s_b (eps symmetric, zero diagonal), exactly."""
+    # D(s) = D(-s), so the s_0 = +1 half holds the whole mean; fixing s_0 = +1
+    # turns row 0 of eps into a field on the rest
+    w, h = eps[1:, 1:], eps[0, 1:]
     # the block's polynomial P and each later spin b's linear form t_b over it;
     # at least one spin is left past the block, whose cos t costs half the
     # transcendentals that holding it would
@@ -288,8 +281,17 @@ def verify_cluster(phi: PhasePolynomial, periodic: bool = True) -> ClusterReport
         reals.append(math.cos(q) * c - math.sin(q) * s)
         imags.append(math.sin(q) * c + math.cos(q) * s)
     # the mean over the block points and the patterns, a power of 2
-    fidelity = (math.fsum(reals) ** 2 + math.fsum(imags) ** 2) / (2**m * qs.size) ** 2
+    return (math.fsum(reals) ** 2 + math.fsum(imags) ** 2) / (2**m * qs.size) ** 2
+
+
+def verify_cluster(M: int, N: int, gamma_grid: np.ndarray, nn_only: bool,
+                   periodic: bool = True) -> ClusterReport:
+    """Check cluster_phase's state for these inputs against the M x N grid graph state."""
+    _check_cap(M, N, MAX_EXACT_QUBITS)
+    phi = cluster_phase(M, N, gamma_grid, nn_only, periodic)
+    # Phi - pi E, constant dropped, has coupling eps = W - (pi/4) A and no field
+    eps = phi.coupling - (math.pi / 4) * grid_adjacency(M, N, periodic)
     # an entry of 0 (a site's own, or an uncoupled pair) contributes cos 0 = 1
-    stabilizers = np.cos(2.0 * dev.field) * np.prod(np.cos(2.0 * dev.coupling), axis=1)
+    stabilizers = np.prod(np.cos(2.0 * eps), axis=1)
     coherences = 0.5 * np.exp(2j * phi.field) * np.prod(np.cos(2.0 * phi.coupling), axis=1)
-    return ClusterReport(fidelity, stabilizers.reshape(M, N), coherences.reshape(M, N))
+    return ClusterReport(_fidelity(eps), stabilizers.reshape(M, N), coherences.reshape(M, N))

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import math
 import os
 import re
@@ -842,6 +843,39 @@ class TestCluster:
         report = (out / "cluster_report.txt").read_text()
         fidelity = float(report.split("\nfidelity = ", 1)[1].split("\n", 1)[0])
         assert abs(fidelity - 0.995939020665125) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "config,hashes",
+        [
+            ((ROOT / "docs/examples/cluster.ini").read_text(), {
+                "cluster_report.txt": "d48df54c8748b37c6f3cdd8034c5b741cf6b90d3c232b344e5ed4b8f66de9b41",
+                "cluster_state.csv": "d55e13886a2ec095d283254484a5dcbcdebe96ab2d99448c307038fa467edbb5",
+            }),
+            ("[lattice]\nM = 4\nN = 4\n[cluster]\nnn_only = true\nperiodic = false\nsnapshot = true\n", {
+                "cluster_report.txt": "d14ab2de8fc4f718199b7c5ebb10a5a1e6e8b08521c32f0df8a03f375e3e3d9b",
+                "cluster_state.csv": "d1c892434d62c31beba017c247edac7dfeb673fe80e8794c3179e056cd5248e8",
+            }),
+            ("[lattice]\nM = 4\nN = 5\n[cluster]\nnn_only = true\nperiodic = true\n", {
+                "cluster_report.txt": "c636851fb892d3f25ba3069a222ac8a11835b20af74e7366118ca8da23fa516e",
+            }),
+            ("[lattice]\nM = 4\nN = 5\n[cluster]\nnn_only = false\nperiodic = true\n", {
+                "cluster_report.txt": "0c756e1c800a24eea255862cc945dc92d070ca6f4b27f775017f33d35131eb72",
+            }),
+            ("[lattice]\nM = 3\nN = 4\nJ = 0.3\n[cluster]\ntau = 1.0\n", {
+                "cluster_report.txt": "bf52cd19a5153871fc77d2804d836c8f1088fd7462a338a01b9808923a21e207",
+            }),
+        ],
+        ids=["docs-example", "open-nn-4x4-snapshot", "periodic-nn-4x5", "periodic-full-4x5",
+             "tau-3x4"],
+    )
+    def test_report_bytes_pinned(self, tmp_path, config, hashes):
+        # every output file keeps its bytes (sha256); the header carries the
+        # package version, so a version change pins them anew
+        cfg = write(tmp_path, "c.ini", config)
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert got == hashes
 
     def test_full_table_open_boundary_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", """\

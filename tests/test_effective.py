@@ -224,7 +224,7 @@ class TestPairwiseXX:
             PhasePolynomial(2, 2, np.zeros((6, 6)), np.zeros(4))
 
     def test_2x2_quarter_pi_maximally_mixed_sites(self):
-        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), math.pi / 4), nn_only=True))
+        report = verify_cluster(2, 2, np.full((2, 2), math.pi / 4), nn_only=True)
         for c in report.coherences.ravel():
             assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
@@ -287,17 +287,15 @@ class TestReferenceCluster:
 
 HALF_CUBE_CASES = [(1, 1, True, True), (1, 2, True, False), (2, 1, True, False),
                    (2, 3, True, False), (3, 3, False, True), (4, 4, True, False)]
-DEVIATION_FIELD_CASES = [(1, 1, False), (1, 2, False), (2, 1, False), (3, 4, True)]
-VERIFIED_AS_OPEN_CASES = [(3, 3, True), (3, 4, False), (4, 4, True)]
 
 
 class TestClusterFidelity:
     def test_1x2_generated(self):
-        phi = cluster_phase(1, 2, np.full((1, 2), math.pi / 4), nn_only=True, periodic=False)
-        assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(1.0, abs=1e-10)
+        report = verify_cluster(1, 2, np.full((1, 2), math.pi / 4), nn_only=True, periodic=False)
+        assert report.fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_zero_product_state(self):
-        fid = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0), nn_only=True)).fidelity
+        fid = verify_cluster(2, 2, np.full((2, 2), 0.0), nn_only=True).fidelity
         assert fid < 1.0
 
     def test_self_fidelity(self):
@@ -309,97 +307,84 @@ class TestClusterFidelity:
 
     @pytest.mark.parametrize("M,N", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
     def test_quarter_pi_nn_only_all_sizes(self, M, N):
-        phi = cluster_phase(M, N, np.full((M, N), math.pi / 4), nn_only=True)
-        assert verify_cluster(phi).fidelity == pytest.approx(1.0, abs=1e-10)
+        fid = verify_cluster(M, N, np.full((M, N), math.pi / 4), nn_only=True).fidelity
+        assert fid == pytest.approx(1.0, abs=1e-10)
 
     def test_full_table_deficit_positive(self):
         cfg = LatticeConfig(M=4, N=4, J=0.1, delta=0.0)
         tau = solve_gate_time(cfg)
         table = build_phase_table(cfg, tau)
-        fid = verify_cluster(cluster_phase(4, 4, table.grid, nn_only=False)).fidelity
+        fid = verify_cluster(4, 4, table.grid, nn_only=False).fidelity
         assert 0.0 < fid < 1.0
         assert 1.0 - fid > 1e-6  # distant-pair phases leave a real deficit
 
     @staticmethod
-    def full_cube_fidelity(phi, periodic):
-        """|mean e^{i D}|^2, D = Phi - pi E evaluated from s at all 2^n bitstrings;
-        the second value says whether the deviation field is exactly 0."""
-        nq = phi.M * phi.N
-        adjacency = grid_adjacency(phi.M, phi.N, periodic)
-        eps = phi.coupling - (math.pi / 4) * adjacency
-        dh = phi.field + (math.pi / 4) * adjacency.sum(axis=1)
+    def full_cube_fidelity(eps):
+        """|mean e^{i D}|^2, D = sum_{a<b} eps_ab s_a s_b evaluated from s at all 2^n bitstrings."""
+        nq = len(eps)
         s = 1 - 2 * ((np.arange(2**nq)[:, None] >> np.arange(nq)) & 1)
-        d = 0.5 * np.einsum("ka,ab,kb->k", s, eps, s) + s @ dh
-        return abs(np.exp(1j * d).mean()) ** 2, not dh.any()
+        d = 0.5 * np.einsum("ka,ab,kb->k", s, eps, s)
+        return abs(np.exp(1j * d).mean()) ** 2
 
     @pytest.mark.parametrize("M,N,nn_only,periodic", HALF_CUBE_CASES)
     def test_half_cube_matches_full_cube(self, M, N, nn_only, periodic):
-        # cluster_phase leaves no deviation field, so the fidelity is taken over
-        # the s_0 = +1 half, whose spins past the block are summed in closed form
-        # (1x1 leaves no spin, 1x2 and 2x1 one); Gamma near pi/4 keeps it far from 0
+        # the fidelity is taken over the s_0 = +1 half, whose spins past the block
+        # are summed in closed form (1x1 leaves no spin, 1x2 and 2x1 one); Gamma
+        # near pi/4 keeps it far from 0
         rng = np.random.default_rng(M * N)
-        phi = cluster_phase(M, N, math.pi / 4 + rng.uniform(-0.3, 0.3, (M, N)), nn_only, periodic)
-        want, no_field = self.full_cube_fidelity(phi, periodic)
-        assert no_field
-        assert verify_cluster(phi, periodic).fidelity == pytest.approx(want, abs=1e-15)
+        grid = math.pi / 4 + rng.uniform(-0.3, 0.3, (M, N))
+        phi = cluster_phase(M, N, grid, nn_only, periodic)
+        eps = phi.coupling - (math.pi / 4) * grid_adjacency(M, N, periodic)
+        want = self.full_cube_fidelity(eps)
+        assert effective._fidelity(eps) == pytest.approx(want, abs=1e-15)
+        assert verify_cluster(M, N, grid, nn_only, periodic).fidelity == effective._fidelity(eps)
 
     def test_half_cube_random_coupling(self):
-        # any symmetric coupling, with the field that cancels (pi/4) deg exactly
+        # any symmetric coupling with zero diagonal, not only a generated cluster's
         M, N = 3, 4
         rng = np.random.default_rng(12)
         w = np.triu(rng.uniform(-1.5, 1.5, (M * N, M * N)), 1)
-        field = -(math.pi / 4) * grid_adjacency(M, N, True).sum(axis=1)
-        phi = PhasePolynomial(M, N, w + w.T, field)
-        want, no_field = self.full_cube_fidelity(phi, True)
-        assert no_field and want > 1e-4
-        assert verify_cluster(phi).fidelity == pytest.approx(want, abs=1e-15)
+        eps = w + w.T - (math.pi / 4) * grid_adjacency(M, N, True)
+        want = self.full_cube_fidelity(eps)
+        assert want > 1e-4
+        assert effective._fidelity(eps) == pytest.approx(want, abs=1e-15)
 
-    @pytest.mark.parametrize("M,N,periodic", DEVIATION_FIELD_CASES)
-    def test_deviation_field_full_cube(self, M, N, periodic):
-        # a field left on the deviation polynomial keeps every spin; those past
-        # the block are summed in closed form, and 1x1 leaves no other spin
-        nq = M * N
-        rng = np.random.default_rng(10 * M + N)
-        w = np.triu(rng.uniform(-1.5, 1.5, (nq, nq)), 1)
-        field = -(math.pi / 4) * grid_adjacency(M, N, periodic).sum(axis=1) + rng.uniform(-1, 1, nq)
-        phi = PhasePolynomial(M, N, w + w.T, field)
-        want, no_field = self.full_cube_fidelity(phi, periodic)
-        assert not no_field and want > 1e-4
-        assert verify_cluster(phi, periodic).fidelity == pytest.approx(want, abs=1e-15)
-
-    @pytest.mark.parametrize("M,N,nn_only", VERIFIED_AS_OPEN_CASES)
-    def test_periodic_cluster_verified_as_open(self, M, N, nn_only):
-        # the wrap edges leave a deviation field, so the full cube is summed,
-        # with the spins past the block in closed form
-        table = build_phase_table(LatticeConfig(M=M, N=N, J=0.1, delta=0.0), 2.0)
-        phi = cluster_phase(M, N, table.grid, nn_only=nn_only, periodic=True)
-        want, no_field = self.full_cube_fidelity(phi, False)
-        assert not no_field and want > 1e-5
-        assert verify_cluster(phi, periodic=False).fidelity == pytest.approx(want, abs=1e-15)
+    @pytest.mark.parametrize("nn_only,periodic", [(True, True), (False, True), (True, False),
+                                                  (False, False)])
+    def test_generated_deviation_has_no_field(self, nn_only, periodic):
+        # cluster_phase's field -(pi/4) deg cancels the linear term of pi E exactly,
+        # on any table: so D = Phi - pi E is eps alone, the stabilizers are the bare
+        # product of cos 2 eps and the exact sum may fix s_0
+        M, N = 3, 4
+        rng = np.random.default_rng(34)
+        grid = rng.uniform(-1.5, 1.5, (M, N) if periodic else (2 * M, 2 * N))
+        phi = cluster_phase(M, N, grid, nn_only, periodic)
+        adjacency = grid_adjacency(M, N, periodic)
+        assert not (phi.field + (math.pi / 4) * adjacency.sum(axis=1)).any()
+        eps = phi.coupling - (math.pi / 4) * adjacency
+        report = verify_cluster(M, N, grid, nn_only, periodic)
+        assert np.array_equal(report.stabilizers.ravel(), np.prod(np.cos(2.0 * eps), axis=1))
+        assert report.fidelity == effective._fidelity(eps)
 
     @pytest.mark.parametrize("block", [0, 1, 2, 3])
     def test_every_block_size_matches_full_cube(self, block, monkeypatch):
         # with a block of a few spins the small lattices take every path: no spin
         # past the block, one (the closed last spin) and many, with e^{iQ} and the
-        # pattern mean, with and without a deviation field
+        # pattern mean
         monkeypatch.setattr(effective, "_BLOCK_SPINS", block)
         for case in HALF_CUBE_CASES:
             self.test_half_cube_matches_full_cube(*case)
         self.test_half_cube_random_coupling()
-        for case in DEVIATION_FIELD_CASES:
-            self.test_deviation_field_full_cube(*case)
-        for case in VERIFIED_AS_OPEN_CASES:
-            self.test_periodic_cluster_verified_as_open(*case)
 
     @pytest.mark.parametrize("M,N,bound", [(4, 5, 1 << 20), (4, 6, 2 << 20)])
     def test_peak_memory(self, M, N, bound):
         # the block's arrays of 2^13 numbers, one per spin past it plus four,
         # not arrays of 2^(n-2)
         cfg = LatticeConfig(M=M, N=N, J=0.1, delta=0.0)
-        phi = cluster_phase(M, N, build_phase_table(cfg, solve_gate_time(cfg)).grid, nn_only=False)
+        grid = build_phase_table(cfg, solve_gate_time(cfg)).grid
         tracemalloc.start()
         try:
-            verify_cluster(phi)
+            verify_cluster(M, N, grid, nn_only=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,7 +403,20 @@ class TestClusterFidelity:
         # set by its time; 5x7 is refused before any sign pattern is summed
         table = build_phase_table(LatticeConfig(M=5, N=7, J=0.1), 2.0)
         with pytest.raises(ValueError, match="5x7 exceeds the 30-qubit cap"):
-            verify_cluster(cluster_phase(5, 7, table.grid, nn_only=False))
+            verify_cluster(5, 7, table.grid, nn_only=False)
+
+    def test_cap_refused_before_any_array(self):
+        # on 101x101 the pair gather alone would hold n x n index arrays of
+        # 10201^2 int64 (830 MB each); the cap is checked before any is built
+        grid = np.full((101, 101), math.pi / 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="101x101 exceeds the 30-qubit cap"):
+                verify_cluster(101, 101, grid, nn_only=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestGather:
@@ -484,13 +482,14 @@ class TestPauliStrings:
     @pytest.mark.parametrize("M,N,periodic", [(2, 3, False), (3, 3, True), (1, 1, True)])
     def test_report_matches_dense_paulis(self, M, N, periodic):
         # X_a as a bit flip and Z_b as a sign, evaluated in closed form, against
-        # dense Pauli matrices, partial traces and the graph-state overlap
+        # dense Pauli matrices, partial traces and the graph-state overlap, on a
+        # random table with every pair coupled (an open patch reads a table of
+        # twice its extent, so that no separation wraps)
         nq = M * N
         rng = np.random.default_rng(nq)
-        w = np.triu(rng.uniform(-1.5, 1.5, (nq, nq)), 1)
-        phi = PhasePolynomial(M, N, w + w.T, rng.uniform(-2, 2, nq))
-        amps = phase_register(phi).amps
-        report = verify_cluster(phi, periodic)
+        grid = rng.uniform(-1.5, 1.5, (M, N) if periodic else (2 * M, 2 * N))
+        amps = phase_register(cluster_phase(M, N, grid, False, periodic)).amps
+        report = verify_cluster(M, N, grid, False, periodic)
         ref = reference_cluster(M, N, periodic).amps
         assert report.fidelity == pytest.approx(abs(np.vdot(ref, amps)) ** 2, abs=1e-12)
         for a in range(nq):
@@ -505,18 +504,18 @@ class TestPauliStrings:
 
 class TestReducedDensityMatrix:
     def test_product_state(self):
-        # Phi = 0 is |+...+>: every site pure, coherence 1/2
-        report = verify_cluster(PhasePolynomial(2, 2, np.zeros((4, 4)), np.zeros(4)))
-        assert np.allclose(report.coherences, 0.5)
+        # Gamma = 0 leaves |+> on every site, which the correction exp(-i pi/4 deg Z)
+        # with deg = 2 on the 2x2 torus turns into |->: every site pure, coherence -1/2
+        report = verify_cluster(2, 2, np.zeros((2, 2)), nn_only=True)
+        assert np.allclose(report.coherences, -0.5)
 
     def test_cluster_site_maximally_mixed(self):
-        phi = cluster_phase(2, 3, np.full((2, 3), math.pi / 4), nn_only=True, periodic=False)
-        report = verify_cluster(phi, periodic=False)
+        report = verify_cluster(2, 3, np.full((2, 3), math.pi / 4), nn_only=True, periodic=False)
         for c in report.coherences.ravel():
             assert np.allclose(rho(c), np.eye(2) / 2, atol=1e-10)
 
     def test_unentangled_evolution_pure(self):
-        report = verify_cluster(cluster_phase(2, 2, np.full((2, 2), 0.0), nn_only=True))
+        report = verify_cluster(2, 2, np.full((2, 2), 0.0), nn_only=True)
         r = rho(report.coherences[0, 0])
         assert np.trace(r @ r).real == pytest.approx(1.0, abs=1e-12)
 
